@@ -59,12 +59,14 @@ from .roots import (
     tits_form,
 )
 from .strata import (
-    _random_q_half,
-    _random_unit,
     classify_params,
+    random_q_half,
+    random_unit,
     sample_generic_params,
     sample_stratum_params,
-    sigma_membership,
+    # unused here, kept importable: the benchmark's tracer wraps it
+    sigma_membership,  # noqa: F401
+    stratum_verdicts,
     verdict_to_json,
 )
 
@@ -191,16 +193,11 @@ def cmd_classify(cfg: RunConfig, explain: bool) -> tuple[dict, int]:
     ]
     results: dict = {"hits": rows, "n_max": cfg.n_max}
     if explain:
-        near = []
-        for kind, vec in enumerate_strict_roots(cfg.n_max):
-            if isinstance(kind, Imaginary):
-                continue
-            v = sigma_membership(p, kind)
-            if not v.member and len(v.failed_conditions) <= 1:
-                near.append(
-                    {"kind": kind_to_str(kind), **verdict_to_json(v)}
-                )
-        results["near_misses"] = near
+        results["near_misses"] = [
+            {"kind": kind_to_str(kind), **verdict_to_json(v)}
+            for kind, _, v in stratum_verdicts(p, cfg.n_max)
+            if not v.member and len(v.failed_conditions) <= 1
+        ]
     return _report("classify", p, results), EXIT_OK
 
 
@@ -266,15 +263,15 @@ def cmd_spectrum(cfg: RunConfig, kind_str: str) -> tuple[dict, int]:
 # -- scan ----------------------------------------------------------------
 
 
-def _scan_point(idx: int, seed: int, n_max: int, eq_tol: float) -> Params:
+def _scan_point(idx: int, seed: int, eq_tol: float) -> Params:
     rng = np.random.default_rng([seed, idx])
     tol = Tolerance(eq_tol=eq_tol, rank_tol=eq_tol)
     return Params(
-        k0=_random_unit(rng),
-        k1=_random_unit(rng),
-        u0=_random_unit(rng),
-        u1=_random_unit(rng),
-        q_half=_random_q_half(rng),
+        k0=random_unit(rng),
+        k1=random_unit(rng),
+        u0=random_unit(rng),
+        u1=random_unit(rng),
+        q_half=random_q_half(rng),
         tol=tol,
     )
 
@@ -288,7 +285,7 @@ def _scan_worker(job: tuple) -> tuple[int, dict]:
         tol = Tolerance(eq_tol=eq_tol, rank_tol=eq_tol)
         p = Params(*[complex(re, im) for re, im in explicit], tol=tol)
     else:
-        p = _scan_point(idx, seed, n_max, eq_tol)
+        p = _scan_point(idx, seed, eq_tol)
     try:
         validate_params(p)
         hits = [kind_to_str(k) for k, _ in classify_params(p, n_max)]

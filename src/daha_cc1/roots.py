@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 
@@ -154,11 +155,13 @@ def tits_form(v: RootVector) -> int:
     return a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4 - a0 * (a1 + a2 + a3 + a4)
 
 
-def enumerate_strict_roots(n_max: int) -> list[tuple[RootKind, RootVector]]:
+@lru_cache(maxsize=32)
+def enumerate_strict_roots(n_max: int) -> tuple[tuple[RootKind, RootVector], ...]:
     """All strict roots with level n <= n_max in deterministic order.
 
     Per level: 16 type-2 kinds (n >= 0), 8 one-leg kinds and one
     imaginary root (n >= 1), so 16*(n_max+1) + 9*n_max entries total.
+    The sequence is built once per n_max and shared, so it is a tuple.
     """
     out: list[tuple[RootKind, RootVector]] = []
     signs = (1, -1)
@@ -181,7 +184,7 @@ def enumerate_strict_roots(n_max: int) -> list[tuple[RootKind, RootVector]]:
                 out.append((k, root_of_kind(k)))
         k = Imaginary(n)
         out.append((k, root_of_kind(k)))
-    return out
+    return tuple(out)
 
 
 def _sgn(s: int) -> str:

@@ -9,12 +9,21 @@ the four-matrix product problem and the xi^[alpha] closure product.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Params, Tolerance, approx_eq, validate_params
+from .core import (
+    DEFAULT_TOL,
+    Params,
+    Tolerance,
+    approx_eq,
+    clearly_neq,
+    validate_params,
+)
 from .roots import (
     Imaginary,
     RootKind,
@@ -99,57 +108,159 @@ def signed_product(p: Params, signs: tuple[int, int, int, int]) -> complex:
     )
 
 
-def _clearly_apart(a: complex, b: complex, tol: Tolerance) -> bool:
-    return abs(a - b) > tol.ineq_margin * max(1.0, abs(a), abs(b))
+_SIGN_CHOICES = tuple(product((1, -1), repeat=4))
+# the four Hecke parameters in the order of Type2.signs
+_T_NAMES = ("k0", "k1", "u0", "u1")
+
+
+class _StratumConditions:
+    """The quantities that one point's stratum conditions compare.
+
+    Every stratum condition compares a signed product with
+    q^{-1/2-m}, or t^{2s} with -q^m.  Over all kinds up to level n these
+    are about 24 n distinct comparisons, which the per-kind conditions
+    would repeat once per kind.  Here each value is computed on first
+    use, with the per-kind expression, and each inequality is tested once
+    per level, so verdicts read from one table are bit-identical to
+    verdicts computed kind by kind.
+    """
+
+    __slots__ = (
+        "p", "tol", "_products", "_product_rhs", "_neg_q_powers", "_t_scans",
+        "_product_scan",
+    )
+
+    def __init__(self, p: Params, tol: Tolerance):
+        self.p = p
+        self.tol = tol
+        self._products: dict[tuple[int, int, int, int], complex] = {}
+        self._product_rhs: dict[int, complex] = {}
+        self._neg_q_powers: list[complex] = []
+        # a scan is [first level not yet tested, the levels found close];
+        # a t-scan, keyed by (name of t, s), also holds t^(2s)
+        self._t_scans: dict[tuple[str, int], list] = {}
+        self._product_scan: list = [0, []]
+
+    def product(self, signs: tuple[int, int, int, int]) -> complex:
+        v = self._products.get(signs)
+        if v is None:
+            v = self._products[signs] = signed_product(self.p, signs)
+        return v
+
+    def product_rhs(self, m: int) -> complex:
+        """q_half^(-1-2m)."""
+        v = self._product_rhs.get(m)
+        if v is None:
+            v = self._product_rhs[m] = self.p.q_half ** (-1 - 2 * m)
+        return v
+
+    def neg_q_powers(self, n: int) -> list[complex]:
+        """-q^m at index m, for at least every m <= n."""
+        powers = self._neg_q_powers
+        if len(powers) > n:
+            return powers
+        q = self.p.q
+        for m in range(len(powers), n + 1):
+            powers.append(-(q**m))
+        return powers
+
+    def _t_scan(self, key: tuple[str, int]) -> list:
+        scan = self._t_scans.get(key)
+        if scan is None:
+            name, s = key
+            lhs = getattr(self.p, name) ** (2 * s)
+            scan = self._t_scans[key] = [(1 + s) // 2, [], lhs]
+        return scan
+
+    def t_power(self, key: tuple[str, int]) -> complex:
+        """t^(2s) for key (name of t, s)."""
+        return self._t_scan(key)[2]
+
+    def t_close(self, key: tuple[str, int], n: int) -> Sequence[int]:
+        """The m in [(1+s)/2, n) where t^(2s) is not clearly apart from
+        -q^m, for key (name of t, s)."""
+        if n <= (1 + key[1]) // 2:
+            return ()
+        scan = self._t_scan(key)
+        first, close, lhs = scan
+        if first < n:
+            rhs, tol = self.neg_q_powers(n), self.tol
+            for m in range(first, n):
+                if not clearly_neq(lhs, rhs[m], tol):
+                    close.append(m)
+            scan[0] = n
+        return close[: bisect_left(close, n)] if close else ()
+
+    def product_close(self, n: int) -> Sequence[int]:
+        """The m in [0, n) where some signed product is not clearly apart
+        from q_half^(-1-2m)."""
+        scan = self._product_scan
+        first, close = scan
+        if first < n:
+            tol = self.tol
+            for m in range(first, n):
+                rhs = self.product_rhs(m)
+                if any(
+                    not clearly_neq(self.product(signs), rhs, tol)
+                    for signs in _SIGN_CHOICES
+                ):
+                    close.append(m)
+            scan[0] = n
+        return close[: bisect_left(close, n)] if close else ()
 
 
 def sigma_membership(
-    p: Params, k: RootKind, tol: Tolerance | None = None
+    p: Params,
+    k: RootKind,
+    tol: Tolerance | None = None,
+    table: _StratumConditions | None = None,
 ) -> StratumVerdict:
     """Evaluate the stratum conditions of a real strict root kind.
 
     Equalities must hold within eq_tol; inequalities must be violated by
     the full margin (1e3 * eq_tol) to count as satisfied, keeping the
-    verdict well separated from boundary noise.
+    verdict well separated from boundary noise.  ``table`` shares the
+    compared quantities between calls on the same point and tolerance;
+    without one, the call computes only what this kind needs.
     """
     tol = tol if tol is not None else p.tol
     if isinstance(k, Imaginary):
         raise ImaginaryKindError("imaginary kinds have no stratum")
-    q = p.q
+    c = table if table is not None else _StratumConditions(p, tol)
     failed: list[str] = []
 
     if isinstance(k, Type2):
-        rhs = p.q_half ** (-1 - 2 * k.n)
-        if not approx_eq(signed_product(p, k.signs), rhs, tol):
-            failed.append(f"eq.product.{k.n}")
-        per_param = (
-            ("k0", p.k0, k.eps0),
-            ("k1", p.k1, k.eps1),
-            ("u0", p.u0, k.del0),
-            ("u1", p.u1, k.del1),
-        )
-        for name, t, s in per_param:
-            lhs = t ** (2 * s)
-            for m in range((1 + s) // 2, k.n):
-                if not _clearly_apart(lhs, -(q**m), tol):
-                    failed.append(f"neq.{name}.m{m}")
+        signs, n = k.signs, k.n
+        if not approx_eq(c.product(signs), c.product_rhs(n), tol):
+            failed.append(f"eq.product.{n}")
+        for key in zip(_T_NAMES, signs):
+            for m in c.t_close(key, n):
+                failed.append(f"neq.{key[0]}.m{m}")
         return StratumVerdict(member=not failed, failed_conditions=failed)
 
     if isinstance(k, Type1E):
-        name, t, s = ("k0", p.k0, k.eps) if k.i == 0 else ("k1", p.k1, k.eps)
+        name, s = ("k0" if k.i == 0 else "k1"), k.eps
     else:
-        name, t, s = ("u0", p.u0, k.delta) if k.i == 0 else ("u1", p.u1, k.delta)
-    if not approx_eq(t ** (2 * s), -(q**k.n), tol):
+        name, s = ("u0" if k.i == 0 else "u1"), k.delta
+    if not approx_eq(c.t_power((name, s)), c.neg_q_powers(k.n)[k.n], tol):
         failed.append(f"eq.{name}.n")
     # the product inequality is required for every sign assignment
-    for m in range(0, k.n):
-        rhs = p.q_half ** (-1 - 2 * m)
-        if any(
-            not _clearly_apart(signed_product(p, signs), rhs, tol)
-            for signs in product((1, -1), repeat=4)
-        ):
-            failed.append(f"neq.product.m{m}")
+    for m in c.product_close(k.n):
+        failed.append(f"neq.product.m{m}")
     return StratumVerdict(member=not failed, failed_conditions=failed)
+
+
+def stratum_verdicts(
+    p: Params, n_max: int, tol: Tolerance | None = None
+) -> Iterator[tuple[RootKind, RootVector, StratumVerdict]]:
+    """The verdict of every real strict root up to level n_max, in
+    enumeration order; the kinds share one table of the point's
+    stratum quantities."""
+    tol = tol if tol is not None else p.tol
+    table = _StratumConditions(p, tol)
+    for kind, vec in enumerate_strict_roots(n_max):
+        if not isinstance(kind, Imaginary):
+            yield kind, vec, sigma_membership(p, kind, tol, table)
 
 
 def classify_params(
@@ -157,13 +268,11 @@ def classify_params(
 ) -> list[tuple[RootKind, RootVector]]:
     """All strict real roots up to level n_max whose stratum contains p."""
     validate_params(p)
-    out = []
-    for kind, vec in enumerate_strict_roots(n_max):
-        if isinstance(kind, Imaginary):
-            continue
-        if sigma_membership(p, kind, tol).member:
-            out.append((kind, vec))
-    return out
+    return [
+        (kind, vec)
+        for kind, vec, verdict in stratum_verdicts(p, n_max, tol)
+        if verdict.member
+    ]
 
 
 def verdict_to_json(v: StratumVerdict) -> dict:
@@ -173,13 +282,13 @@ def verdict_to_json(v: StratumVerdict) -> dict:
 # -- stratum parameter samplers ------------------------------------------
 
 
-def _random_unit(rng: np.random.Generator, spread: float = 0.35) -> complex:
+def random_unit(rng: np.random.Generator, spread: float = 0.35) -> complex:
     mod = float(np.exp(rng.normal(0.0, spread)))
     phase = float(rng.uniform(0.0, 2.0 * np.pi))
     return mod * complex(np.cos(phase), np.sin(phase))
 
 
-def _random_q_half(rng: np.random.Generator) -> complex:
+def random_q_half(rng: np.random.Generator) -> complex:
     mod = float(rng.uniform(1.15, 1.45))
     phase = float(rng.uniform(0.0, 2.0 * np.pi))
     return mod * complex(np.cos(phase), np.sin(phase))
@@ -192,22 +301,22 @@ def sample_generic_params(
     stratum equality by the full margin (levels up to 6)."""
     for _ in range(200):
         p = Params(
-            k0=_random_unit(rng),
-            k1=_random_unit(rng),
-            u0=_random_unit(rng),
-            u1=_random_unit(rng),
-            q_half=_random_q_half(rng),
+            k0=random_unit(rng),
+            k1=random_unit(rng),
+            u0=random_unit(rng),
+            u1=random_unit(rng),
+            q_half=random_q_half(rng),
             tol=tol,
         )
         ok = True
         for n in range(0, 7):
             rhs = p.q_half ** (-1 - 2 * n)
             for signs in product((1, -1), repeat=4):
-                if not _clearly_apart(signed_product(p, signs), rhs, tol):
+                if not clearly_neq(signed_product(p, signs), rhs, tol):
                     ok = False
             for t in (p.k0, p.k1, p.u0, p.u1):
                 for s in (2, -2):
-                    if not _clearly_apart(t**s, -(p.q**n), tol):
+                    if not clearly_neq(t**s, -(p.q**n), tol):
                         ok = False
         if ok:
             return p
@@ -225,10 +334,10 @@ def sample_stratum_params(
     if isinstance(kind, Imaginary):
         raise ImaginaryKindError("imaginary kinds have no stratum")
     for _ in range(500):
-        qh = _random_q_half(rng)
+        qh = random_q_half(rng)
         q = qh * qh
         if isinstance(kind, Type2):
-            k0, k1, u0 = (_random_unit(rng) for _ in range(3))
+            k0, k1, u0 = (random_unit(rng) for _ in range(3))
             eps0, eps1, del0, del1 = kind.signs
             rest = (
                 eps1 * k1**eps1 * eps0 * k0**eps0 * del0 * u0**del0
@@ -249,7 +358,7 @@ def sample_stratum_params(
                 fixed = branch**s
                 vals = {"u0" if kind.i == 0 else "u1": fixed}
             for nm in ("k0", "k1", "u0", "u1"):
-                vals.setdefault(nm, _random_unit(rng))
+                vals.setdefault(nm, random_unit(rng))
             p = Params(q_half=qh, tol=tol, **vals)
         try:
             validate_params(p)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -226,3 +227,21 @@ def test_selftest_detects_loose_tolerance(capsys):
     code, out = run_cli(capsys, ["selftest", "--seed", "2", "--tol", "0.5"])
     assert code == 1
     assert "q-power-guard" in json.loads(out)["results"]["failed"]
+
+
+def test_classify_explain_output_is_unchanged(capsys):
+    # near-miss point: k0^2 = -q and the level-2 product equality hold, so
+    # T2[++,++;n=2] fails only its k0 inequality at m=1; the golden file is
+    # the output of the per-kind classify that preceded the shared table
+    golden = os.path.join(os.path.dirname(__file__), "data", "classify_explain_near_miss.json")
+    argv = [
+        "classify", "--explain", "--n-max", "6", "--k0=0.2-1.3i", "--k1=1.7-0.4i",
+        "--u0=0.6+0.9i", "--u1=0.10176087176962838-0.009881612485368965i",
+        "--q-half=1.3+0.2i",
+    ]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    with open(golden, encoding="utf-8") as fh:
+        assert out == fh.read()
+    near = json.loads(out)["results"]["near_misses"]
+    assert {"kind": "T2[++,++;n=2]", "member": False, "failed": ["neq.k0.m1"]} in near

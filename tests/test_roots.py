@@ -88,6 +88,12 @@ def test_enumeration_count_and_order():
     assert roots == enumerate_strict_roots(20)
 
 
+def test_enumeration_is_built_once_and_shared_immutably():
+    roots = enumerate_strict_roots(20)
+    assert enumerate_strict_roots(20) is roots
+    assert isinstance(roots, tuple)
+
+
 def test_enumeration_has_no_duplicates():
     roots = enumerate_strict_roots(12)
     assert len({k for k, _ in roots}) == len(roots)
