@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__, dsbridge, rep as rep_mod
+from . import __version__, dsbridge
 from .core import (
     AmbiguousMatchError,
     Params,
@@ -30,6 +30,7 @@ from .core import (
     validate_params,
 )
 from .rep import (
+    DegenerateLadderError,
     IdealNotInvariantError,
     NotOnStratumError,
     RelationResidualError,
@@ -77,6 +78,7 @@ EXIT_OFF_STRATUM = 3
 EXIT_VERIFY = 4
 
 _PARAM_KEYS = ("k0", "k1", "u0", "u1", "q_half")
+_SCAN_CHUNK = 8  # scan points per worker task
 
 
 @dataclass
@@ -186,7 +188,6 @@ def _require_params(cfg: RunConfig) -> Params:
 
 def cmd_classify(cfg: RunConfig, explain: bool) -> tuple[dict, int]:
     p = _require_params(cfg)
-    validate_params(p)
     hits = classify_params(p, cfg.n_max)
     rows = [
         {"kind": kind_to_str(kind), "root": str(vec)} for kind, vec in hits
@@ -287,7 +288,6 @@ def _scan_worker(job: tuple) -> tuple[int, dict]:
     else:
         p = _scan_point(idx, seed, eq_tol)
     try:
-        validate_params(p)
         hits = [kind_to_str(k) for k, _ in classify_params(p, n_max)]
     except ValueError as exc:
         hits = [f"error:{type(exc).__name__}"]
@@ -333,9 +333,10 @@ def cmd_scan(
         )
         jobs = [(0, cfg.seed, cfg.n_max, cfg.eq_tol, pt)]
 
-    if cfg.jobs > 1 and len(jobs) > 1:
+    # with one chunk a single worker would do all the work
+    if cfg.jobs > 1 and len(jobs) > _SCAN_CHUNK:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = dict(pool.map(_scan_worker, jobs, chunksize=8))
+            rows = dict(pool.map(_scan_worker, jobs, chunksize=_SCAN_CHUNK))
     else:
         rows = dict(map(_scan_worker, jobs))
     ordered = [rows[i] for i in sorted(rows)]
@@ -386,7 +387,9 @@ def cmd_ds_check(cfg: RunConfig, rep_path: str) -> tuple[dict, int]:
 # -- selftest ------------------------------------------------------------
 
 
-def _selftest_properties(cfg: RunConfig) -> tuple[list[dict], dict]:
+def _selftest_properties(
+    cfg: RunConfig, flip_convention: bool = False
+) -> tuple[list[dict], dict]:
     rng = np.random.default_rng(cfg.seed)
     tol = Tolerance(eq_tol=cfg.eq_tol, rank_tol=min(cfg.eq_tol, 1e-6))
     checks: list[dict] = []
@@ -400,7 +403,7 @@ def _selftest_properties(cfg: RunConfig) -> tuple[list[dict], dict]:
         p = sample_generic_params(rng, tol)
         worst = 0.0
         for side in ("P", "Pbar"):
-            mats = build_truncated_polyrep(side, SignVector(), 5, p)
+            mats = build_truncated_polyrep(side, SignVector(), 5, p, flip_convention)
             pairs = (
                 (("T0", p.k0), ("T1", p.k1))
                 if side == "P"
@@ -434,7 +437,7 @@ def _selftest_properties(cfg: RunConfig) -> tuple[list[dict], dict]:
     for kind in kinds:
         try:
             p = sample_stratum_params(kind, rng, tol)
-            r = build_quotient_rep(kind, None, p)
+            r = build_quotient_rep(kind, None, p, flip_convention=flip_convention)
             worst_rel = max(worst_rel, max(verify_relations(r, p).values()))
             if dim_vector(r, p).as_tuple() != tuple(root_of_kind(kind)):
                 ok, detail = False, f"dim vector mismatch at {kind_to_str(kind)}"
@@ -474,12 +477,7 @@ def _selftest_properties(cfg: RunConfig) -> tuple[list[dict], dict]:
 
 
 def cmd_selftest(cfg: RunConfig, flip_convention: bool) -> tuple[dict, int]:
-    if flip_convention:
-        rep_mod._FLIP_CONVENTION = True
-    try:
-        checks, residuals = _selftest_properties(cfg)
-    finally:
-        rep_mod._FLIP_CONVENTION = False
+    checks, residuals = _selftest_properties(cfg, flip_convention)
     failed = [c["name"] for c in checks if not c["passed"]]
     code = EXIT_OK if not failed else EXIT_PROPERTY
     results = {
@@ -586,7 +584,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "json",
         )
         return EXIT_OFF_STRATUM
-    except (IdealNotInvariantError, RelationResidualError, dsbridge.ProductNotIdentityError) as exc:
+    except (IdealNotInvariantError, DegenerateLadderError, RelationResidualError,
+            dsbridge.ProductNotIdentityError) as exc:
         _emit(
             _report(
                 args.command,

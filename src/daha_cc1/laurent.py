@@ -267,7 +267,6 @@ def reduce_mod_stats(
     f: LaurentPoly,
     E: LaurentPoly,
     window: tuple[int, int],
-    tol: Tolerance = DEFAULT_TOL,
 ) -> tuple[LaurentPoly, float]:
     """reduce_mod together with the peak intermediate coefficient norm.
 
@@ -312,7 +311,6 @@ def reduce_mod(
     f: LaurentPoly,
     E: LaurentPoly,
     window: tuple[int, int],
-    tol: Tolerance = DEFAULT_TOL,
 ) -> LaurentPoly:
     """Reduce f into the window modulo the ideal {z^k * E : k in Z}.
 
@@ -321,7 +319,7 @@ def reduce_mod(
     exactly span(E) - 1 slots each cancellation moves the offending
     extreme strictly inward, so the loop terminates.
     """
-    out, _ = reduce_mod_stats(f, E, window, tol)
+    out, _ = reduce_mod_stats(f, E, window)
     return out
 
 

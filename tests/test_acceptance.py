@@ -107,6 +107,52 @@ def test_criterion_04_irreducibility(corpus):
           f"2 on the direct-sum control")
 
 
+def test_criterion_04_commutant_matches_the_sylvester_oracle(corpus):
+    from test_rep import sylvester_commutant_dim, test_commutant_of_direct_sum_is_two
+
+    for kind, _, r in corpus:
+        assert sylvester_commutant_dim(r) == commutant_dim(r) == 1, kind
+    # the control asserts commutant 2 both ways on a direct sum of two
+    # one-dimensional reps
+    test_commutant_of_direct_sum_is_two()
+    print(f"PASS criterion 4 (oracle): connectivity commutant equals the "
+          f"Sylvester nullity on {len(corpus)} reps and the direct-sum control")
+
+
+HIGH_LEVELS = range(5, 21)
+HIGH_POINTS_PER_KIND = 2
+HIGH_KINDS = (
+    [Type2(*s, n) for n in HIGH_LEVELS for s in product((1, -1), repeat=4)]
+    + [Type1E(i, e, n) for n in HIGH_LEVELS for i in (0, 1) for e in (1, -1)]
+    + [Type1F(i, d, n) for n in HIGH_LEVELS for i in (0, 1) for d in (1, -1)]
+)
+
+
+def test_criteria_01_to_04_at_levels_5_to_20():
+    """Every real family at every level 5..20 builds, with the relation
+    gate, the root as dim vector, the rho-ladder spectrum (type 2) and
+    commutant 1 by connectivity."""
+    rng = np.random.default_rng(5021)
+    worst = 0.0
+    for kind in HIGH_KINDS:
+        for _ in range(HIGH_POINTS_PER_KIND):
+            p = sample_stratum_params(kind, rng)
+            r = build_quotient_rep(kind, None, p)
+            worst = max(worst, max(verify_relations(r, p).values()))
+            assert dim_vector(r, p).as_tuple() == tuple(root_of_kind(kind)), kind
+            if isinstance(kind, Type2):
+                got = spectrum_of_z(r, p)
+                for e in rho_ladder(SignVector(*kind.signs), kind.n, p):
+                    err = min(abs(e - g) for g in got)
+                    assert err < 1e-6 * max(1.0, abs(e)), (kind, err)
+            assert commutant_dim(r) == 1, kind
+    assert worst < 1e-8
+    n_reps = len(HIGH_KINDS) * HIGH_POINTS_PER_KIND
+    assert n_reps == 24 * 16 * 2
+    print(f"PASS criteria 1-4 at levels 5-20: {n_reps} reps, "
+          f"max relation residual {worst:.2e}")
+
+
 def test_criterion_05_rigidity(corpus):
     assert rigidity_D(3, 2, 2, 2, 2) == 0
     assert rigidity_D(2, 1, 1, 1, 1) == 2

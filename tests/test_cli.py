@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+from daha_cc1 import cli
 from daha_cc1.cli import main
 from daha_cc1.roots import Type2
 from daha_cc1.strata import sample_stratum_params
@@ -221,6 +222,76 @@ def test_selftest_detects_convention_flip(capsys):
     assert code == 1
     report = json.loads(out)
     assert "relation-suite" in report["results"]["failed"]
+
+
+def test_flip_convention_is_an_argument_not_state(capsys):
+    # the same failures as the module-global injector it replaced, and a
+    # run without the flag afterwards is clean
+    code, out = run_cli(capsys, ["selftest", "--seed", "2", "--debug-flip-convention"])
+    assert json.loads(out)["results"]["failed"] == ["operator-convention", "relation-suite"]
+    code, out = run_cli(capsys, ["selftest", "--seed", "2"])
+    assert code == 0 and json.loads(out)["results"]["failed"] == []
+
+
+def test_construct_on_coincident_roots_is_a_verification_exit(capsys):
+    # k0 u0 = q^{-1/2}: two level-1 divisor roots coincide
+    code, out = run_cli(capsys, [
+        "construct", "--k0", "2", "--k1", "3", "--u0", "0.4", "--u1", "0.3",
+        "--q-half", "1.25", "--kind", "T2[++,++;n=1]", "--force",
+    ])
+    assert code == 4
+    assert json.loads(out)["results"]["error"].startswith("DegenerateLadderError")
+
+
+def test_scan_error_row_is_unchanged(capsys, tmp_path):
+    # q = 1 and q = -1 give the same rows as when the scan worker
+    # validated each point before classifying it
+    pts = tmp_path / "pts.csv"
+    pts.write_text(
+        "1.1,0.9,1.2,0.8,1\n"
+        "2,3,5,0.016666666666666666,2\n"
+        "0.3+1.2i,1.1,0.7-0.2i,1.3,0+1i\n"
+    )
+    code, out = run_cli(
+        capsys, ["scan", "--points-file", str(pts), "--format", "csv", "--n-max", "4"]
+    )
+    assert code == 0
+    assert out == (
+        "idx,k0,k1,u0,u1,q_half,hits\n"
+        "0,1.1,0.9,1.2,0.8,1,error:RootOfUnityError\n"
+        "1,2,3,5,0.0166666666667,2,T2[++,++;n=0]\n"
+        "2,0.3+1.2i,1.1,0.7-0.2i,1.3,0+1i,error:RootOfUnityError\n"
+    )
+
+
+class _RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records its use."""
+
+    started = 0
+
+    def __init__(self, max_workers):
+        _RecordingPool.started += 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize):
+        return map(fn, jobs)
+
+
+def test_scan_starts_a_pool_only_for_more_than_one_chunk(capsys, monkeypatch):
+    base = ["scan", "--seed", "5", "--format", "csv", "--n-max", "6"]
+    _, serial = run_cli(capsys, [*base, "--count", "8", "--jobs", "1"])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.started = 0
+    _, parallel = run_cli(capsys, [*base, "--count", "8", "--jobs", "2"])
+    assert _RecordingPool.started == 0
+    assert parallel == serial
+    run_cli(capsys, [*base, "--count", "9", "--jobs", "2"])
+    assert _RecordingPool.started == 1
 
 
 def test_selftest_detects_loose_tolerance(capsys):

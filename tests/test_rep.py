@@ -1,9 +1,12 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from daha_cc1.core import Params, Tolerance
-from daha_cc1.laurent import LaurentPoly
+from daha_cc1.laurent import LaurentPoly, canonical_window, reduce_mod
 from daha_cc1.rep import (
+    DegenerateLadderError,
     DimVector,
     IdealNotInvariantError,
     NotOnStratumError,
@@ -31,10 +34,63 @@ from daha_cc1.rep import (
     verify_relations,
 )
 from daha_cc1.roots import Imaginary, Type1E, Type1F, Type2, root_of_kind
-from daha_cc1.strata import sample_stratum_params
+from daha_cc1.strata import sample_generic_params, sample_stratum_params
 
 Z = LaurentPoly.monomial(1)
 ONE = LaurentPoly.one()
+
+# the 24 real kind families, as functions of the level
+FAMILIES = (
+    [lambda n, s=s: Type2(*s, n) for s in product((1, -1), repeat=4)]
+    + [lambda n, i=i, e=e: Type1E(i, e, n) for i in (0, 1) for e in (1, -1)]
+    + [lambda n, i=i, d=d: Type1F(i, d, n) for i in (0, 1) for d in (1, -1)]
+)
+
+
+def sylvester_commutant_dim(r: Rep, rank_tol: float = 1e-9) -> int:
+    """Oracle for commutant_dim in any basis: the nullity of the stacked
+    Sylvester system X -> [T, X] over the four generators.  Its SVD has
+    d^2 columns, so keep it to dim <= 15."""
+    assert r.dim <= 15
+    d = r.dim
+    eye = np.eye(d)
+    stack = np.vstack([np.kron(M, eye) - np.kron(eye, M.T) for M in r.generators()])
+    sv = np.linalg.svd(stack, compute_uv=False)
+    if sv[0] == 0.0:
+        return d * d
+    thr = rank_tol * sv[0]
+    band = (sv > thr / 10.0) & (sv < thr * 10.0)
+    if band.any():
+        raise RankIndeterminateError("commutant rank indeterminate")
+    return d * d - int((sv > thr).sum())
+
+
+def monomial_window_matrices(kind, p: Params) -> tuple[dict, list[int]]:
+    """The four generators in the monomial window basis of C[z^{+-1}]/(E),
+    reduced with reduce_mod from the Laurent actions: the construction
+    that the evaluation basis replaced, kept as a cross-check."""
+    side, signs, E, _, _ = quotient_data(kind, None, p)
+    win = canonical_window(E)
+    window = list(range(win[0], win[1] + 1))
+
+    def matrix(op):
+        cols = [reduce_mod(op(LaurentPoly.monomial(j)), E, win) for j in window]
+        return np.array([[g.coeff(d) for d in window] for g in cols], dtype=complex).T
+
+    Zm = matrix(lambda f: f.shift(1))
+    Zi = matrix(lambda f: f.shift(-1))
+    eye = np.eye(len(window))
+    if side == "P":
+        T0 = matrix(lambda f: apply_T0(f, signs[0], p))
+        T1 = matrix(lambda f: apply_T1(f, signs[1], p))
+        T0v = (1 / p.q_half) * (T0 - (p.k0 - 1 / p.k0) * eye) @ Zm
+        T1v = Zi @ (T1 - (p.k1 - 1 / p.k1) * eye)
+    else:
+        T0v = matrix(lambda f: apply_T0v_bar(f, signs[0], p))
+        T1v = matrix(lambda f: apply_T1v_bar(f, signs[1], p))
+        T1 = (T1v - (p.u1 - 1 / p.u1) * eye) @ Zi
+        T0 = (1 / p.q_half) * Zm @ (T0v - (p.u0 - 1 / p.u0) * eye)
+    return {"T0": T0, "T1": T1, "T0v": T0v, "T1v": T1v}, window
 
 
 def test_constants_are_eigenvectors(generic_params):
@@ -205,6 +261,8 @@ def test_commutant_of_direct_sum_is_two():
     assert max(verify_relations(glued, p).values()) < 1e-12
     assert commutant_dim(r1) == 1
     assert commutant_dim(glued) == 2
+    assert sylvester_commutant_dim(r1) == 1
+    assert sylvester_commutant_dim(glued) == 2
 
 
 def test_rep_json_round_trip(rng):
@@ -231,3 +289,95 @@ def test_rank_guard_on_custom_tolerance(rng):
     )
     with pytest.raises(RankIndeterminateError):
         dim_vector(r, p_loose)
+
+
+# -- the evaluation basis --------------------------------------------------
+
+
+def test_eval_basis_is_similar_to_the_monomial_window(rng):
+    # evaluation at the roots maps window coefficients to values:
+    # V[i, k] = r_i^window[k], so M_eval V = V M_monomial for every generator
+    checked = 0
+    for family in FAMILIES:
+        for n in range(0, 5):
+            kind = family(n)
+            if n == 0 and not isinstance(kind, Type2):
+                continue
+            p = sample_stratum_params(kind, rng)
+            r = build_quotient_rep(kind, None, p)
+            mono, window = monomial_window_matrices(kind, p)
+            roots = np.array([complex(*x) for x in r.provenance["roots"]])
+            V = roots[:, None] ** np.array(window)[None, :]
+            for name, M in zip(("T0", "T1", "T0v", "T1v"), r.generators()):
+                gap = np.linalg.norm(M @ V - V @ mono[name], 2)
+                scale = np.linalg.norm(V, 2) * (
+                    np.linalg.norm(M, 2) + np.linalg.norm(mono[name], 2)
+                )
+                assert gap < 1e-9 * scale, (kind, name, gap / scale)
+            checked += 1
+    assert checked == 16 * 5 + 8 * 4
+
+
+def test_eval_basis_structure(rng):
+    # z = diag(roots), and each direct generator pairs r with s(r) only
+    kind = Type1F(1, -1, 6)
+    p = sample_stratum_params(kind, rng)
+    r = build_quotient_rep(kind, None, p)
+    roots = np.array([complex(*x) for x in r.provenance["roots"]])
+    assert r.provenance["basis"] == "eval"
+    assert r.basis_labels == list(range(12))
+    z = p.q_half * r.T0 @ r.T0v
+    assert np.abs(z - np.diag(roots)).max() < 1e-12 * np.abs(roots).max()
+    for M in r.generators():
+        assert ((M != 0).sum(axis=1) <= 2).all()
+
+
+def test_forced_off_stratum_refused_at_high_levels():
+    rng = np.random.default_rng(4099)
+    worst = np.inf
+    for n in range(5, 21):
+        p = sample_generic_params(rng)
+        for family in FAMILIES:
+            with pytest.raises(IdealNotInvariantError) as exc:
+                build_quotient_rep(family(n), None, p, force=True)
+            worst = min(worst, exc.value.residual)
+    assert worst > 1e-4
+
+
+def test_root_fixed_by_an_involution_is_refused():
+    # a = k0 u0 = 1 puts the level-0 root a q^{1/2} at the fixed point of s0
+    p = Params(k0=2.0, k1=3.0, u0=0.5, u1=0.3, q_half=1.3 + 0.2j)
+    with pytest.raises(DegenerateLadderError, match="fixed point of s0"):
+        build_quotient_rep(Type2(1, 1, 1, 1, 0), None, p, force=True)
+
+
+def test_coincident_roots_are_refused():
+    # a^2 = 1/q makes the level-1 roots a q^{1/2} and q^{-1/2}/a coincide
+    qh = 1.3 + 0.2j
+    p = Params(k0=2.0, k1=3.0, u0=1 / (2.0 * qh), u1=0.3, q_half=qh)
+    with pytest.raises(DegenerateLadderError, match="coincide"):
+        build_quotient_rep(Type2(1, 1, 1, 1, 1), None, p, force=True)
+
+
+def test_commutant_needs_a_diagonal_z(rng):
+    kind = Type2(1, -1, -1, 1, 2)
+    p = sample_stratum_params(kind, rng)
+    r = build_quotient_rep(kind, None, p)
+    P = np.eye(r.dim) + 0.3 * rng.normal(size=(r.dim, r.dim))
+    Pi = np.linalg.inv(P)
+    moved = Rep(r.dim, *(P @ M @ Pi for M in r.generators()), r.basis_labels)
+    with pytest.raises(ValueError):
+        commutant_dim(moved)
+    assert sylvester_commutant_dim(moved) == 1
+
+
+def test_commutant_entry_band_raises():
+    eye = np.eye(2, dtype=complex)
+    T1 = np.diag([3.0, -1 / 3.0]).astype(complex)
+    r = Rep(2, 2 * eye, T1, np.diag([1.0, 2.0]).astype(complex), eye, [0, 1])
+    assert commutant_dim(r) == 2
+    T1[0, 1] = 3e-9
+    with pytest.raises(RankIndeterminateError):
+        commutant_dim(r)
+    T1[0, 1] = 3e-6
+    assert commutant_dim(r) == 1
