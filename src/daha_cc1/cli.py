@@ -14,6 +14,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
@@ -33,13 +34,13 @@ from .rep import (
     DegenerateLadderError,
     IdealNotInvariantError,
     NotOnStratumError,
+    RankIndeterminateError,
     RelationResidualError,
     SignVector,
     build_quotient_rep,
     build_truncated_polyrep,
     commutant_dim,
     dim_vector,
-    kernel_dims,
     rep_from_json,
     rep_to_json,
     rho_ladder,
@@ -78,6 +79,15 @@ EXIT_OFF_STRATUM = 3
 EXIT_VERIFY = 4
 
 _PARAM_KEYS = ("k0", "k1", "u0", "u1", "q_half")
+# (exception types, exit code); the first matching row wins, so
+# NotOnStratumError, a ValueError, precedes the input-error row
+_REFUSALS = (
+    ((NotOnStratumError,), EXIT_OFF_STRATUM),
+    ((IdealNotInvariantError, DegenerateLadderError, RelationResidualError,
+      RankIndeterminateError, dsbridge.ProductNotIdentityError), EXIT_VERIFY),
+    ((ValueError, OSError), EXIT_INPUT),
+)
+_REFUSED = tuple(t for types, _ in _REFUSALS for t in types)
 _SCAN_CHUNK = 8  # scan points per worker task
 
 
@@ -205,27 +215,35 @@ def cmd_classify(cfg: RunConfig, explain: bool) -> tuple[dict, int]:
 # -- construct -----------------------------------------------------------
 
 
-def _construct_results(kind, r, p: Params) -> tuple[dict, dict]:
-    dv = dim_vector(r, p)
+def _ds_results(r, p: Params) -> tuple[dict, dsbridge.DSTuple, tuple, dict]:
+    """The diagnosis construct and ds-check share: relation residuals,
+    the four-matrix tuple, the dim vector and the tuple's class checks."""
     residuals = verify_relations(r, p)
     t = dsbridge.to_ds_tuple(r, p)
-    vec = RootVector(*dv.as_tuple())
+    dv = dim_vector(r, p).as_tuple()
+    vec = RootVector(*dv)
     specs = dsbridge.class_spec_from_root(vec, p)
-    ds_block = {
+    ds = {
         "product_residual": t.product_residual(),
         "class_membership": dsbridge.verify_class_membership(t, specs, p.tol),
         "existence_predicate": dsbridge.ds_existence_predicate(vec, p, p.tol),
     }
+    return residuals, t, dv, ds
+
+
+def _construct_results(kind, r, p: Params) -> tuple[dict, dict]:
+    residuals, _, dv, ds = _ds_results(r, p)
     results = {
         "kind": kind_to_str(kind),
         "rep": rep_to_json(r),
-        "dim_vector": list(dv.as_tuple()),
+        "dim_vector": list(dv),
         "spectrum_z": sorted(
             (format_scalar(v) for v in spectrum_of_z(r, p))
         ),
         "commutant_dim": commutant_dim(r),
-        "rigidity_D": rigidity_D(r.dim, *kernel_dims(r, p)),
-        "ds": ds_block,
+        # d(n - d) is symmetric, so ranks give the same count as kernel dims
+        "rigidity_D": rigidity_D(*dv),
+        "ds": ds,
     }
     return results, residuals
 
@@ -240,7 +258,7 @@ def cmd_construct(
     results, residuals = _construct_results(kind, r, p)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(rep_to_json(r), fh, indent=2, sort_keys=True)
+            json.dump(results["rep"], fh, indent=2, sort_keys=True)
         results["rep_file"] = out_path
     return _report("construct", p, results, residuals), EXIT_OK
 
@@ -363,24 +381,17 @@ def cmd_ds_check(cfg: RunConfig, rep_path: str) -> tuple[dict, int]:
     validate_params(p)
     with open(rep_path, encoding="utf-8") as fh:
         r = rep_from_json(json.load(fh))
-    residuals = verify_relations(r, p)
-    t = dsbridge.to_ds_tuple(r, p)
-    dv = dim_vector(r, p)
-    vec = RootVector(*dv.as_tuple())
-    specs = dsbridge.class_spec_from_root(vec, p)
-    membership = dsbridge.verify_class_membership(t, specs, p.tol)
+    residuals, t, dv, ds = _ds_results(r, p)
     det_prod = complex(
         np.prod([np.linalg.det(M) for M in t.matrices()])
     )
     results = {
         "rep_file": rep_path,
-        "dim_vector": list(dv.as_tuple()),
-        "product_residual": t.product_residual(),
-        "class_membership": membership,
-        "existence_predicate": dsbridge.ds_existence_predicate(vec, p, p.tol),
+        "dim_vector": list(dv),
+        **ds,
         "det_product": format_scalar(det_prod),
     }
-    code = EXIT_OK if membership else EXIT_VERIFY
+    code = EXIT_OK if ds["class_membership"] else EXIT_VERIFY
     return _report("ds-check", p, results, residuals, code), code
 
 
@@ -503,6 +514,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int)
 
 
+@lru_cache(maxsize=1)
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="daha-cc1",
@@ -513,30 +525,38 @@ def _make_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
+    parser.set_defaults(to_csv=None)  # how a command writes --format csv
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("classify", help="list admissible strata")
     _add_common(sp)
     sp.add_argument("--explain", action="store_true")
+    sp.set_defaults(run=lambda cfg, a: cmd_classify(cfg, a.explain))
 
     sp = subs.add_parser("construct", help="build a quotient representation")
     _add_common(sp)
     sp.add_argument("--kind", required=True, help='e.g. "T2[++,++;n=1]"')
     sp.add_argument("--force", action="store_true")
     sp.add_argument("--out", help="write the representation to a JSON file")
+    sp.set_defaults(run=lambda cfg, a: cmd_construct(cfg, a.kind, a.force, a.out))
 
     sp = subs.add_parser("scan", help="sweep parameter points")
     _add_common(sp)
     sp.add_argument("--count", type=int, help="number of random points")
     sp.add_argument("--points-file", help="CSV of explicit points")
+    sp.set_defaults(
+        run=lambda cfg, a: cmd_scan(cfg, a.count, a.points_file), to_csv=_scan_csv
+    )
 
     sp = subs.add_parser("ds-check", help="verify a stored representation")
     _add_common(sp)
     sp.add_argument("--rep", required=True, help="representation JSON file")
+    sp.set_defaults(run=lambda cfg, a: cmd_ds_check(cfg, a.rep))
 
     sp = subs.add_parser("spectrum", help="z-spectrum of a quotient")
     _add_common(sp)
     sp.add_argument("--kind", required=True)
+    sp.set_defaults(run=lambda cfg, a: cmd_spectrum(cfg, a.kind))
 
     sp = subs.add_parser("selftest", help="run the property suite")
     _add_common(sp)
@@ -545,72 +565,29 @@ def _make_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=argparse.SUPPRESS,
     )
+    sp.set_defaults(run=lambda cfg, a: cmd_selftest(cfg, a.debug_flip_convention))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
+    cfg = None
     try:
         cfg = _build_config(args)
-    except (ValueError, OSError) as exc:
-        _emit(
-            _report(args.command, None, {"error": str(exc)}, None, EXIT_INPUT),
-            "json",
-        )
-        return EXIT_INPUT
-    try:
-        if args.command == "classify":
-            report, code = cmd_classify(cfg, args.explain)
-        elif args.command == "construct":
-            report, code = cmd_construct(cfg, args.kind, args.force, args.out)
-        elif args.command == "scan":
-            report, code = cmd_scan(cfg, args.count, args.points_file)
-        elif args.command == "ds-check":
-            report, code = cmd_ds_check(cfg, args.rep)
-        elif args.command == "spectrum":
-            report, code = cmd_spectrum(cfg, args.kind)
+        report, code = args.run(cfg, args)
+    except _REFUSED as exc:
+        code = next(c for types, c in _REFUSALS if isinstance(exc, types))
+        if code == EXIT_OFF_STRATUM:
+            results = {"error": str(exc), "failed": exc.failed}
+        elif cfg is None:  # the configuration itself was refused
+            results = {"error": str(exc)}
         else:
-            report, code = cmd_selftest(cfg, args.debug_flip_convention)
-    except NotOnStratumError as exc:
-        _emit(
-            _report(
-                args.command,
-                cfg.params,
-                {"error": str(exc), "failed": exc.failed},
-                None,
-                EXIT_OFF_STRATUM,
-            ),
-            "json",
-        )
-        return EXIT_OFF_STRATUM
-    except (IdealNotInvariantError, DegenerateLadderError, RelationResidualError,
-            dsbridge.ProductNotIdentityError) as exc:
-        _emit(
-            _report(
-                args.command,
-                cfg.params,
-                {"error": f"{type(exc).__name__}: {exc}"},
-                None,
-                EXIT_VERIFY,
-            ),
-            "json",
-        )
-        return EXIT_VERIFY
-    except (ValueError, OSError) as exc:
-        _emit(
-            _report(
-                args.command,
-                cfg.params,
-                {"error": f"{type(exc).__name__}: {exc}"},
-                None,
-                EXIT_INPUT,
-            ),
-            "json",
-        )
-        return EXIT_INPUT
-    if args.command == "scan" and cfg.fmt == "csv":
-        sys.stdout.write(_scan_csv(report))
+            results = {"error": f"{type(exc).__name__}: {exc}"}
+        params = None if cfg is None else cfg.params
+        _emit(_report(args.command, params, results, None, code), "json")
+        return code
+    if cfg.fmt == "csv" and args.to_csv is not None:
+        sys.stdout.write(args.to_csv(report))
     else:
         _emit(report, cfg.fmt)
     return code

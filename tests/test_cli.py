@@ -5,7 +5,7 @@ import sys
 
 from daha_cc1 import cli
 from daha_cc1.cli import main
-from daha_cc1.roots import Type2
+from daha_cc1.roots import Type1E, Type2, kind_to_str, root_of_kind
 from daha_cc1.strata import sample_stratum_params
 
 ONE_DIM = [
@@ -316,3 +316,77 @@ def test_classify_explain_output_is_unchanged(capsys):
         assert out == fh.read()
     near = json.loads(out)["results"]["near_misses"]
     assert {"kind": "T2[++,++;n=2]", "member": False, "failed": ["neq.k0.m1"]} in near
+
+
+def _param_args(p):
+    """Flags that parse back to exactly the double pairs of p."""
+    args = []
+    for key in ("k0", "k1", "u0", "u1", "q_half"):
+        z = getattr(p, key)
+        args.append(f"--{key.replace('_', '-')}={z.real!r}{z.imag:+.17g}i")
+    return args
+
+
+# a stratum point of T2[++,++;n=15] with |q^{1/2}| = 2, where dim_vector
+# cannot decide a rank
+RANK_INDETERMINATE = [
+    "construct", "--k0=0.03143933941407412+0.81829639469571425i",
+    "--k1=-0.23823374409583042+0.51728007033106138i",
+    "--u0=0.301269535874758-0.90206091020848767i",
+    "--u1=-1.4609787207018013e-10+1.0396760029319382e-09i",
+    "--q-half=0.4477125137693288-1.9492443420501055i", "--kind", "T2[++,++;n=15]",
+]
+
+
+def test_rank_indeterminate_is_a_verification_exit(capsys):
+    code, out = run_cli(capsys, RANK_INDETERMINATE)
+    assert code == 4
+    report = json.loads(out)
+    assert report["exit_code"] == 4
+    assert report["results"]["error"].startswith("RankIndeterminateError")
+
+
+def test_rank_indeterminate_reports_without_a_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "daha_cc1.cli", *RANK_INDETERMINATE],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["exit_code"] == 4
+
+
+def test_construct_and_ds_check_agree(capsys, tmp_path, rng):
+    rep_file = tmp_path / "rep.json"
+    kinds = [Type2(1, -1, 1, 1, n) for n in (2, 5)]
+    kinds += [Type1E(0, 1, n) for n in (3, 6)]
+    for kind in kinds:
+        args = _param_args(sample_stratum_params(kind, rng))
+        code, out = run_cli(capsys, [
+            "construct", *args, "--kind", kind_to_str(kind), "--out", str(rep_file),
+        ])
+        assert code == 0
+        built = json.loads(out)
+        code, out = run_cli(capsys, ["ds-check", *args, "--rep", str(rep_file)])
+        assert code == 0
+        checked = json.loads(out)
+        assert checked["residuals"] == built["residuals"]
+        assert checked["results"]["dim_vector"] == built["results"]["dim_vector"]
+        assert checked["results"]["dim_vector"] == list(root_of_kind(kind))
+        for key in ("product_residual", "class_membership", "existence_predicate"):
+            assert checked["results"][key] == built["results"]["ds"][key], (kind, key)
+
+
+def test_the_reused_parser_keeps_no_state_between_calls(capsys):
+    assert cli._make_parser() is cli._make_parser()
+    off = ["construct", "--k0", "2", "--k1", "3", "--u0", "5", "--u1", "7",
+           "--q-half", "2", "--kind", "T2[++,++;n=0]"]
+    code, _ = run_cli(capsys, [*off, "--force"])
+    assert code != 3
+    code, out = run_cli(capsys, off)
+    assert code == 3
+    assert json.loads(out)["results"]["failed"]
+    run_cli(capsys, ["classify", "--explain", *ONE_DIM])
+    code, out = run_cli(capsys, ["classify", *ONE_DIM])
+    assert code == 0
+    assert "near_misses" not in json.loads(out)["results"]
