@@ -226,7 +226,7 @@ def _ds_results(r, p: Params) -> tuple[dict, dsbridge.DSTuple, tuple, dict]:
     ds = {
         "product_residual": t.product_residual(),
         "class_membership": dsbridge.verify_class_membership(t, specs, p.tol),
-        "existence_predicate": dsbridge.ds_existence_predicate(vec, p, p.tol),
+        "existence_predicate": dsbridge.ds_existence_predicate(vec, p),
     }
     return residuals, t, dv, ds
 
@@ -240,7 +240,7 @@ def _construct_results(kind, r, p: Params) -> tuple[dict, dict]:
         "spectrum_z": sorted(
             (format_scalar(v) for v in spectrum_of_z(r, p))
         ),
-        "commutant_dim": commutant_dim(r),
+        "commutant_dim": commutant_dim(r, p.tol.rank_tol),
         # d(n - d) is symmetric, so ranks give the same count as kernel dims
         "rigidity_D": rigidity_D(*dv),
         "ds": ds,
@@ -453,7 +453,7 @@ def _selftest_properties(
             if dim_vector(r, p).as_tuple() != tuple(root_of_kind(kind)):
                 ok, detail = False, f"dim vector mismatch at {kind_to_str(kind)}"
                 break
-            if commutant_dim(r) != 1:
+            if commutant_dim(r, p.tol.rank_tol) != 1:
                 ok, detail = False, f"reducible at {kind_to_str(kind)}"
                 break
         except (ArithmeticError, ValueError, RuntimeError) as exc:
@@ -467,7 +467,7 @@ def _selftest_properties(
     # negative control: generic parameters admit nothing
     try:
         p = sample_generic_params(rng, tol)
-        empty = not classify_params(p, 4, tol)
+        empty = not classify_params(p, 4)
         record("generic-empty", empty)
     except RuntimeError as exc:
         record("generic-empty", False, str(exc))

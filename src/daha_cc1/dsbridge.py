@@ -122,16 +122,16 @@ def verify_class_membership(
     return True
 
 
-def ds_existence_predicate(alpha: RootVector, p: Params, tol: Tolerance) -> bool:
+def ds_existence_predicate(alpha: RootVector, p: Params) -> bool:
     """An irreducible tuple with this class data exists iff alpha is a
     real strict root, the prescribed eigenvalue product closes to 1, and
     the parameters sit on the root's stratum."""
     kind = classify_root(alpha)
     if kind is None or isinstance(kind, Imaginary):
         return False
-    if not approx_eq(xi_product(alpha, p, xi_table(p)), 1.0, tol):
+    if not approx_eq(xi_product(alpha, p, xi_table(p)), 1.0, p.tol):
         return False
-    return sigma_membership(p, kind, tol).member
+    return sigma_membership(p, kind).member
 
 
 def tuple_rigidity(alpha: RootVector) -> int:

@@ -7,10 +7,9 @@ and reduction modulo the principal ideal generated by such a divisor.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Iterator, Mapping
 
-from .core import DEFAULT_TOL, Tolerance, format_scalar, parse_scalar
+from .core import DEFAULT_TOL, Tolerance
 
 # coefficients with modulus below this are dropped during trimming
 TRIM_FLOOR = 1e-14
@@ -99,7 +98,7 @@ class LaurentPoly:
         return hash(frozenset(self._coeffs.items()))
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({format_laurent(self)!r})"
+        return f"LaurentPoly({dict(self.items())!r})"
 
     def approx_eq(self, other: "LaurentPoly", tol: Tolerance = DEFAULT_TOL) -> bool:
         scale = max(1.0, self.norm_inf(), other.norm_inf())
@@ -263,50 +262,6 @@ def canonical_window(E: LaurentPoly) -> tuple[int, int]:
     return E.min_degree, E.max_degree - 1
 
 
-def reduce_mod_stats(
-    f: LaurentPoly,
-    E: LaurentPoly,
-    window: tuple[int, int],
-) -> tuple[LaurentPoly, float]:
-    """reduce_mod together with the peak intermediate coefficient norm.
-
-    The peak is the right scale against which to judge a residual: the
-    cancellations can grow intermediate coefficients well beyond the
-    inputs, and roundoff is relative to that growth, not to ``f``.
-    """
-    lo, hi = window
-    emin, emax = E.min_degree, E.max_degree
-    if hi - lo + 1 != emax - emin:
-        raise WindowMismatchError(
-            f"window {window} inconsistent with divisor span [{emin},{emax}]"
-        )
-    lead = E.coeff(emax)
-    trail = E.coeff(emin)
-    rem = {d: c for d, c in f.items()}
-    peak = max(f.norm_inf(), E.norm_inf(), 1.0)
-
-    def _cancel(deg: int, pivot_deg: int, pivot: complex) -> None:
-        c = rem[deg] / pivot
-        for d, v in E.items():
-            nd = d + deg - pivot_deg
-            rem[nd] = rem.get(nd, 0j) - c * v
-            if abs(rem[nd]) <= TRIM_FLOOR:
-                del rem[nd]
-
-    while rem:
-        peak = max(peak, max(abs(c) for c in rem.values()))
-        top = max(rem)
-        if top > hi:
-            _cancel(top, emax, lead)
-            continue
-        bottom = min(rem)
-        if bottom < lo:
-            _cancel(bottom, emin, trail)
-            continue
-        break
-    return LaurentPoly(rem), peak
-
-
 def reduce_mod(
     f: LaurentPoly,
     E: LaurentPoly,
@@ -319,34 +274,32 @@ def reduce_mod(
     exactly span(E) - 1 slots each cancellation moves the offending
     extreme strictly inward, so the loop terminates.
     """
-    out, _ = reduce_mod_stats(f, E, window)
-    return out
+    lo, hi = window
+    emin, emax = E.min_degree, E.max_degree
+    if hi - lo + 1 != emax - emin:
+        raise WindowMismatchError(
+            f"window {window} inconsistent with divisor span [{emin},{emax}]"
+        )
+    lead = E.coeff(emax)
+    trail = E.coeff(emin)
+    rem = {d: c for d, c in f.items()}
 
+    def _cancel(deg: int, pivot_deg: int, pivot: complex) -> None:
+        c = rem[deg] / pivot
+        for d, v in E.items():
+            nd = d + deg - pivot_deg
+            rem[nd] = rem.get(nd, 0j) - c * v
+            if abs(rem[nd]) <= TRIM_FLOOR:
+                del rem[nd]
 
-_TERM_RE = re.compile(r"^\s*(?P<coeff>.+?)\s*\*\s*z\^(?P<deg>[+-]?\d+)\s*$")
-
-
-def format_laurent(f: LaurentPoly, digits: int = 12) -> str:
-    """Textual form: sum of "c*z^k" terms in increasing degree."""
-    if f.is_zero():
-        return "0*z^0"
-    parts = []
-    for d, c in f.items():
-        if c.imag == 0.0:
-            cs = format_scalar(c, digits)
-        else:
-            cs = f"({format_scalar(c, digits)})"
-        parts.append(f"{cs}*z^{d}")
-    return " + ".join(parts)
-
-
-def parse_laurent(text: str) -> LaurentPoly:
-    """Inverse of format_laurent; round-trips at the printed precision."""
-    coeffs: dict[int, complex] = {}
-    for term in text.split(" + "):
-        m = _TERM_RE.match(term)
-        if not m:
-            raise ValueError(f"cannot parse Laurent term {term!r}")
-        d = int(m.group("deg"))
-        coeffs[d] = coeffs.get(d, 0j) + parse_scalar(m.group("coeff"))
-    return LaurentPoly(coeffs)
+    while rem:
+        top = max(rem)
+        if top > hi:
+            _cancel(top, emax, lead)
+            continue
+        bottom = min(rem)
+        if bottom < lo:
+            _cancel(bottom, emin, trail)
+            continue
+        break
+    return LaurentPoly(rem)

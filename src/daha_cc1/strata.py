@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -114,32 +114,35 @@ _T_NAMES = ("k0", "k1", "u0", "u1")
 
 
 class _StratumConditions:
-    """The quantities that one point's stratum conditions compare.
+    """The quantities that one point's stratum conditions compare, up to
+    level n.
 
     Every stratum condition compares a signed product with
     q^{-1/2-m}, or t^{2s} with -q^m.  Over all kinds up to level n these
     are about 24 n distinct comparisons, which the per-kind conditions
-    would repeat once per kind.  Here each value is computed on first
-    use, with the per-kind expression, and each inequality is tested once
-    per level, so verdicts read from one table are bit-identical to
+    would repeat once per kind.  Here each value is computed once, with
+    the per-kind expression, and each inequality is tested once per
+    level m < n, so verdicts read from one table are bit-identical to
     verdicts computed kind by kind.
     """
 
     __slots__ = (
-        "p", "tol", "_products", "_product_rhs", "_neg_q_powers", "_t_scans",
-        "_product_scan",
+        "p", "n", "neg_q_powers", "product_rhs", "t_powers", "_products", "_close",
     )
 
-    def __init__(self, p: Params, tol: Tolerance):
-        self.p = p
-        self.tol = tol
+    def __init__(self, p: Params, n: int):
+        q, qh = p.q, p.q_half
+        self.p, self.n = p, n
+        self.neg_q_powers = [-(q**m) for m in range(n + 1)]
+        self.product_rhs = [qh ** (-1 - 2 * m) for m in range(n + 1)]
+        # t^(2s), keyed by (name of t, s)
+        self.t_powers = {
+            (name, s): getattr(p, name) ** (2 * s) for name in _T_NAMES for s in (1, -1)
+        }
         self._products: dict[tuple[int, int, int, int], complex] = {}
-        self._product_rhs: dict[int, complex] = {}
-        self._neg_q_powers: list[complex] = []
-        # a scan is [first level not yet tested, the levels found close];
-        # a t-scan, keyed by (name of t, s), also holds t^(2s)
-        self._t_scans: dict[tuple[str, int], list] = {}
-        self._product_scan: list = [0, []]
+        # the levels m < n found close, keyed like t_powers, or by None for
+        # the signed products
+        self._close: dict[tuple[str, int] | None, list[int]] = {}
 
     def product(self, signs: tuple[int, int, int, int]) -> complex:
         v = self._products.get(signs)
@@ -147,94 +150,53 @@ class _StratumConditions:
             v = self._products[signs] = signed_product(self.p, signs)
         return v
 
-    def product_rhs(self, m: int) -> complex:
-        """q_half^(-1-2m)."""
-        v = self._product_rhs.get(m)
-        if v is None:
-            v = self._product_rhs[m] = self.p.q_half ** (-1 - 2 * m)
-        return v
+    def _scan(self, key: tuple[str, int] | None) -> list[int]:
+        tol = self.p.tol
+        if key is None:
+            products = [self.product(signs) for signs in _SIGN_CHOICES]
+            return [
+                m for m, rhs in enumerate(self.product_rhs[: self.n])
+                if any(not clearly_neq(v, rhs, tol) for v in products)
+            ]
+        lhs, rhs = self.t_powers[key], self.neg_q_powers
+        return [
+            m for m in range((1 + key[1]) // 2, self.n)
+            if not clearly_neq(lhs, rhs[m], tol)
+        ]
 
-    def neg_q_powers(self, n: int) -> list[complex]:
-        """-q^m at index m, for at least every m <= n."""
-        powers = self._neg_q_powers
-        if len(powers) > n:
-            return powers
-        q = self.p.q
-        for m in range(len(powers), n + 1):
-            powers.append(-(q**m))
-        return powers
-
-    def _t_scan(self, key: tuple[str, int]) -> list:
-        scan = self._t_scans.get(key)
-        if scan is None:
-            name, s = key
-            lhs = getattr(self.p, name) ** (2 * s)
-            scan = self._t_scans[key] = [(1 + s) // 2, [], lhs]
-        return scan
-
-    def t_power(self, key: tuple[str, int]) -> complex:
-        """t^(2s) for key (name of t, s)."""
-        return self._t_scan(key)[2]
-
-    def t_close(self, key: tuple[str, int], n: int) -> Sequence[int]:
-        """The m in [(1+s)/2, n) where t^(2s) is not clearly apart from
-        -q^m, for key (name of t, s)."""
-        if n <= (1 + key[1]) // 2:
-            return ()
-        scan = self._t_scan(key)
-        first, close, lhs = scan
-        if first < n:
-            rhs, tol = self.neg_q_powers(n), self.tol
-            for m in range(first, n):
-                if not clearly_neq(lhs, rhs[m], tol):
-                    close.append(m)
-            scan[0] = n
-        return close[: bisect_left(close, n)] if close else ()
-
-    def product_close(self, n: int) -> Sequence[int]:
-        """The m in [0, n) where some signed product is not clearly apart
-        from q_half^(-1-2m)."""
-        scan = self._product_scan
-        first, close = scan
-        if first < n:
-            tol = self.tol
-            for m in range(first, n):
-                rhs = self.product_rhs(m)
-                if any(
-                    not clearly_neq(self.product(signs), rhs, tol)
-                    for signs in _SIGN_CHOICES
-                ):
-                    close.append(m)
-            scan[0] = n
-        return close[: bisect_left(close, n)] if close else ()
+    def close(self, key: tuple[str, int] | None, level: int) -> list[int]:
+        """The m < level where t^(2s) is not clearly apart from -q^m, for
+        key (name of t, s) and m >= (1+s)/2; for key None, where some
+        signed product is not clearly apart from q_half^(-1-2m)."""
+        close = self._close.get(key)
+        if close is None:
+            close = self._close[key] = self._scan(key)
+        return close[: bisect_left(close, level)]
 
 
 def sigma_membership(
-    p: Params,
-    k: RootKind,
-    tol: Tolerance | None = None,
-    table: _StratumConditions | None = None,
+    p: Params, k: RootKind, table: _StratumConditions | None = None
 ) -> StratumVerdict:
     """Evaluate the stratum conditions of a real strict root kind.
 
-    Equalities must hold within eq_tol; inequalities must be violated by
-    the full margin (1e3 * eq_tol) to count as satisfied, keeping the
-    verdict well separated from boundary noise.  ``table`` shares the
-    compared quantities between calls on the same point and tolerance;
-    without one, the call computes only what this kind needs.
+    Equalities must hold within p.tol.eq_tol; inequalities must be
+    violated by the full margin (1e3 * eq_tol) to count as satisfied,
+    keeping the verdict well separated from boundary noise.  ``table``,
+    of horizon at least k.n, shares the compared quantities between calls
+    on the same point; without one, the call builds a table of horizon
+    k.n, which makes the per-kind comparisons.
     """
-    tol = tol if tol is not None else p.tol
     if isinstance(k, Imaginary):
         raise ImaginaryKindError("imaginary kinds have no stratum")
-    c = table if table is not None else _StratumConditions(p, tol)
+    c = table if table is not None else _StratumConditions(p, k.n)
+    tol, n = p.tol, k.n
     failed: list[str] = []
 
     if isinstance(k, Type2):
-        signs, n = k.signs, k.n
-        if not approx_eq(c.product(signs), c.product_rhs(n), tol):
+        if not approx_eq(c.product(k.signs), c.product_rhs[n], tol):
             failed.append(f"eq.product.{n}")
-        for key in zip(_T_NAMES, signs):
-            for m in c.t_close(key, n):
+        for key in zip(_T_NAMES, k.signs):
+            for m in c.close(key, n):
                 failed.append(f"neq.{key[0]}.m{m}")
         return StratumVerdict(member=not failed, failed_conditions=failed)
 
@@ -242,35 +204,32 @@ def sigma_membership(
         name, s = ("k0" if k.i == 0 else "k1"), k.eps
     else:
         name, s = ("u0" if k.i == 0 else "u1"), k.delta
-    if not approx_eq(c.t_power((name, s)), c.neg_q_powers(k.n)[k.n], tol):
+    if not approx_eq(c.t_powers[(name, s)], c.neg_q_powers[n], tol):
         failed.append(f"eq.{name}.n")
     # the product inequality is required for every sign assignment
-    for m in c.product_close(k.n):
+    for m in c.close(None, n):
         failed.append(f"neq.product.m{m}")
     return StratumVerdict(member=not failed, failed_conditions=failed)
 
 
 def stratum_verdicts(
-    p: Params, n_max: int, tol: Tolerance | None = None
+    p: Params, n_max: int
 ) -> Iterator[tuple[RootKind, RootVector, StratumVerdict]]:
     """The verdict of every real strict root up to level n_max, in
     enumeration order; the kinds share one table of the point's
     stratum quantities."""
-    tol = tol if tol is not None else p.tol
-    table = _StratumConditions(p, tol)
+    table = _StratumConditions(p, n_max)
     for kind, vec in enumerate_strict_roots(n_max):
         if not isinstance(kind, Imaginary):
-            yield kind, vec, sigma_membership(p, kind, tol, table)
+            yield kind, vec, sigma_membership(p, kind, table)
 
 
-def classify_params(
-    p: Params, n_max: int, tol: Tolerance | None = None
-) -> list[tuple[RootKind, RootVector]]:
+def classify_params(p: Params, n_max: int) -> list[tuple[RootKind, RootVector]]:
     """All strict real roots up to level n_max whose stratum contains p."""
     validate_params(p)
     return [
         (kind, vec)
-        for kind, vec, verdict in stratum_verdicts(p, n_max, tol)
+        for kind, vec, verdict in stratum_verdicts(p, n_max)
         if verdict.member
     ]
 
@@ -308,17 +267,15 @@ def sample_generic_params(
             q_half=random_q_half(rng),
             tol=tol,
         )
-        ok = True
-        for n in range(0, 7):
-            rhs = p.q_half ** (-1 - 2 * n)
-            for signs in product((1, -1), repeat=4):
-                if not clearly_neq(signed_product(p, signs), rhs, tol):
-                    ok = False
-            for t in (p.k0, p.k1, p.u0, p.u1):
-                for s in (2, -2):
-                    if not clearly_neq(t**s, -(p.q**n), tol):
-                        ok = False
-        if ok:
+        c = _StratumConditions(p, 7)
+        # the table tests t^2 against -q^m from m = 1 on; t^2 != -1 is extra
+        if (
+            not c.close(None, 7)
+            and not any(c.close(key, 7) for key in c.t_powers)
+            and all(
+                clearly_neq(c.t_powers[(nm, 1)], c.neg_q_powers[0], tol) for nm in _T_NAMES
+            )
+        ):
             return p
     raise RuntimeError("failed to sample generic parameters")
 
@@ -364,6 +321,6 @@ def sample_stratum_params(
             validate_params(p)
         except ValueError:
             continue
-        if sigma_membership(p, kind, tol).member:
+        if sigma_membership(p, kind).member:
             return p
     raise RuntimeError(f"failed to sample parameters on stratum of {kind}")

@@ -1,7 +1,22 @@
+import os
+
 import numpy as np
 import pytest
 
 from daha_cc1.core import Params, Tolerance
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _src_on_subprocess_path():
+    """The subprocess tests run `python -m daha_cc1.cli`; without an
+    install they find the package on PYTHONPATH, as pytest's own
+    `pythonpath` setting does not reach a child process."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", path)
+        yield
 
 
 @pytest.fixture

@@ -294,6 +294,33 @@ def test_scan_starts_a_pool_only_for_more_than_one_chunk(capsys, monkeypatch):
     assert _RecordingPool.started == 1
 
 
+def test_tol_reaches_the_irreducibility_check(capsys, monkeypatch):
+    # --tol sets rank_tol for commutant_dim as it does for dim_vector;
+    # None records a call that left rank_tol at its default
+    seen = {"commutant_dim": [], "dim_vector": []}
+    commutant_dim, dim_vector = cli.commutant_dim, cli.dim_vector
+
+    def commutant_recorder(r, *rank_tol):
+        seen["commutant_dim"].append(rank_tol[0] if rank_tol else None)
+        return commutant_dim(r, *rank_tol)
+
+    def dim_vector_recorder(r, p):
+        seen["dim_vector"].append(p.tol.rank_tol)
+        return dim_vector(r, p)
+
+    monkeypatch.setattr(cli, "commutant_dim", commutant_recorder)
+    monkeypatch.setattr(cli, "dim_vector", dim_vector_recorder)
+    code, out = run_cli(
+        capsys, ["construct", *ONE_DIM, "--kind", "T2[++,++;n=0]", "--tol", "1e-7"]
+    )
+    assert code == 0 and json.loads(out)["results"]["commutant_dim"] == 1
+    assert seen == {"commutant_dim": [1e-7], "dim_vector": [1e-7]}
+    # the self-test samples its points at rank_tol min(tol, 1e-6)
+    seen["commutant_dim"].clear()
+    code, _ = run_cli(capsys, ["selftest", "--seed", "2", "--tol", "1e-7"])
+    assert code == 0 and set(seen["commutant_dim"]) == {1e-7}
+
+
 def test_selftest_detects_loose_tolerance(capsys):
     code, out = run_cli(capsys, ["selftest", "--seed", "2", "--tol", "0.5"])
     assert code == 1

@@ -73,12 +73,10 @@ def test_existence_predicate(rng, generic_params):
     kind = Type1F(1, 1, 2)
     p = sample_stratum_params(kind, rng)
     vec = root_of_kind(kind)
-    assert ds_existence_predicate(vec, p, p.tol)
-    assert not ds_existence_predicate(vec, generic_params, generic_params.tol)
+    assert ds_existence_predicate(vec, p)
+    assert not ds_existence_predicate(vec, generic_params)
     # non-root coordinates never pass
-    assert not ds_existence_predicate(
-        RootVector(4, 1, 1, 1, 1), p, p.tol
-    )
+    assert not ds_existence_predicate(RootVector(4, 1, 1, 1, 1), p)
 
 
 def test_det_product_is_one(type2_rep):

@@ -315,19 +315,19 @@ def _assert_matches_oracle(p, single_kind_levels):
     shared = [(k, _as_pair(v)) for k, _, v in stratum_verdicts(p, N_ORACLE)]
     assert shared == [(k, _as_pair(oracle[k])) for k in _REAL_KINDS]
     # one table queried from the top level down
-    table = _StratumConditions(p, p.tol)
+    table = _StratumConditions(p, N_ORACLE)
     for k in reversed(_REAL_KINDS):
         assert _as_pair(sigma_membership(p, k, table=table)) == _as_pair(oracle[k]), k
     # every compared value is the per-kind expression, to the last bit
     q = p.q
     for m in range(N_ORACLE + 1):
-        assert table.product_rhs(m) == p.q_half ** (-1 - 2 * m)
-        assert table.neg_q_powers(m)[m] == -(q**m)
+        assert table.product_rhs[m] == p.q_half ** (-1 - 2 * m)
+        assert table.neg_q_powers[m] == -(q**m)
     for signs in product((1, -1), repeat=4):
         assert table.product(signs) == signed_product(p, signs)
     for name in _T_NAMES:
         for s in (1, -1):
-            assert table.t_power((name, s)) == getattr(p, name) ** (2 * s)
+            assert table.t_powers[(name, s)] == getattr(p, name) ** (2 * s)
     for k in _REAL_KINDS:
         if k.n in single_kind_levels:
             assert _as_pair(sigma_membership(p, k)) == _as_pair(oracle[k]), k
