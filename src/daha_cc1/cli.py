@@ -34,6 +34,7 @@ from .rep import (
     DegenerateLadderError,
     IdealNotInvariantError,
     NotOnStratumError,
+    PairingError,
     RankIndeterminateError,
     RelationResidualError,
     SignVector,
@@ -83,8 +84,8 @@ _PARAM_KEYS = ("k0", "k1", "u0", "u1", "q_half")
 # NotOnStratumError, a ValueError, precedes the input-error row
 _REFUSALS = (
     ((NotOnStratumError,), EXIT_OFF_STRATUM),
-    ((IdealNotInvariantError, DegenerateLadderError, RelationResidualError,
-      RankIndeterminateError, dsbridge.ProductNotIdentityError), EXIT_VERIFY),
+    ((IdealNotInvariantError, DegenerateLadderError, RelationResidualError, RankIndeterminateError,
+      PairingError, dsbridge.ProductNotIdentityError), EXIT_VERIFY),
     ((ValueError, OSError), EXIT_INPUT),
 )
 _REFUSED = tuple(t for types, _ in _REFUSALS for t in types)
@@ -141,7 +142,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     seed = pick("seed", getattr(args, "seed", None))
     seed = int(seed) if seed is not None else 0
 
-    tol = Tolerance(eq_tol=eq_tol, rank_tol=eq_tol)
+    tol = Tolerance(eq_tol=eq_tol)
     params = None
     if all(scalars[k] is not None for k in _PARAM_KEYS):
         params = Params(tol=tol, **scalars)
@@ -240,7 +241,7 @@ def _construct_results(kind, r, p: Params) -> tuple[dict, dict]:
         "spectrum_z": sorted(
             (format_scalar(v) for v in spectrum_of_z(r, p))
         ),
-        "commutant_dim": commutant_dim(r, p.tol.rank_tol),
+        "commutant_dim": commutant_dim(r, p),
         # d(n - d) is symmetric, so ranks give the same count as kernel dims
         "rigidity_D": rigidity_D(*dv),
         "ds": ds,
@@ -252,7 +253,6 @@ def cmd_construct(
     cfg: RunConfig, kind_str: str, force: bool, out_path: Optional[str]
 ) -> tuple[dict, int]:
     p = _require_params(cfg)
-    validate_params(p)
     kind = kind_from_str(kind_str)
     r = build_quotient_rep(kind, None, p, force=force)
     results, residuals = _construct_results(kind, r, p)
@@ -268,7 +268,6 @@ def cmd_construct(
 
 def cmd_spectrum(cfg: RunConfig, kind_str: str) -> tuple[dict, int]:
     p = _require_params(cfg)
-    validate_params(p)
     kind = kind_from_str(kind_str)
     r = build_quotient_rep(kind, None, p)
     eigs = sorted(format_scalar(v) for v in spectrum_of_z(r, p))
@@ -284,7 +283,7 @@ def cmd_spectrum(cfg: RunConfig, kind_str: str) -> tuple[dict, int]:
 
 def _scan_point(idx: int, seed: int, eq_tol: float) -> Params:
     rng = np.random.default_rng([seed, idx])
-    tol = Tolerance(eq_tol=eq_tol, rank_tol=eq_tol)
+    tol = Tolerance(eq_tol=eq_tol)
     return Params(
         k0=random_unit(rng),
         k1=random_unit(rng),
@@ -301,7 +300,7 @@ def _scan_worker(job: tuple) -> tuple[int, dict]:
     are distributed across workers."""
     idx, seed, n_max, eq_tol, explicit = job
     if explicit is not None:
-        tol = Tolerance(eq_tol=eq_tol, rank_tol=eq_tol)
+        tol = Tolerance(eq_tol=eq_tol)
         p = Params(*[complex(re, im) for re, im in explicit], tol=tol)
     else:
         p = _scan_point(idx, seed, eq_tol)
@@ -402,7 +401,7 @@ def _selftest_properties(
     cfg: RunConfig, flip_convention: bool = False
 ) -> tuple[list[dict], dict]:
     rng = np.random.default_rng(cfg.seed)
-    tol = Tolerance(eq_tol=cfg.eq_tol, rank_tol=min(cfg.eq_tol, 1e-6))
+    tol = Tolerance(eq_tol=cfg.eq_tol)
     checks: list[dict] = []
     residuals: dict[str, float] = {}
 
@@ -453,7 +452,7 @@ def _selftest_properties(
             if dim_vector(r, p).as_tuple() != tuple(root_of_kind(kind)):
                 ok, detail = False, f"dim vector mismatch at {kind_to_str(kind)}"
                 break
-            if commutant_dim(r, p.tol.rank_tol) != 1:
+            if commutant_dim(r, p) != 1:
                 ok, detail = False, f"reducible at {kind_to_str(kind)}"
                 break
         except (ArithmeticError, ValueError, RuntimeError) as exc:
@@ -508,7 +507,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         flag = "--" + key.replace("_", "-")
         sub.add_argument(flag, dest=key, help=f"{key} as an a+bi literal")
     sub.add_argument("--n-max", dest="n_max", type=int)
-    sub.add_argument("--tol", type=float, help="equality tolerance")
+    sub.add_argument("--tol", type=float, help="the one comparison tolerance")
     sub.add_argument("--format", choices=("json", "csv", "text"))
     sub.add_argument("--jobs", type=int)
     sub.add_argument("--seed", type=int)

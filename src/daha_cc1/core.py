@@ -29,21 +29,16 @@ class AmbiguousMatchError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative comparison threshold and singular-value threshold factor.
-
-    Stratum inequalities are required to fail by at least
-    ``ineq_margin`` = 1e3 * eq_tol, which keeps positive and negative
-    tests well separated.
+    """The one comparison threshold: equalities hold within eq_tol, and
+    inequalities must fail by at least ``ineq_margin`` = 1e3 * eq_tol,
+    which keeps positive and negative tests well separated.
     """
 
     eq_tol: float = 1e-9
-    rank_tol: float = 1e-9
 
     def __post_init__(self):
         if not (0.0 < self.eq_tol < 1.0):
             raise ValueError("eq_tol must lie in (0, 1)")
-        if not (0.0 < self.rank_tol < 1.0):
-            raise ValueError("rank_tol must lie in (0, 1)")
 
     @property
     def ineq_margin(self) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Params, Tolerance, approx_eq
-from .rep import Rep, numerical_rank, rigidity_D
+from .rep import RankIndeterminateError, Rep, block_product, block_quadratic, rigidity_D
 from .roots import Imaginary, RootVector, classify_root
 from .strata import sigma_membership, xi_product, xi_table
 
@@ -31,12 +31,17 @@ class ProductNotIdentityError(ArithmeticError):
 
 @dataclass
 class DSTuple:
-    """Four invertible matrices with product A4 A3 A1 A2 = 1."""
+    """Four invertible matrices with product A4 A3 A1 A2 = 1, block
+    diagonal on the s0 pairing (A1, A2) and the s1 pairing (A3, A4) of
+    the z-eigenvalues z (see daha_cc1.rep.pairings)."""
 
     A1: np.ndarray
     A2: np.ndarray
     A3: np.ndarray
     A4: np.ndarray
+    z: np.ndarray
+    s0: np.ndarray
+    s1: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -46,11 +51,7 @@ class DSTuple:
         return [self.A1, self.A2, self.A3, self.A4]
 
     def product_residual(self) -> float:
-        prod = self.A4 @ self.A3 @ self.A1 @ self.A2
-        scale = max(
-            1.0, float(np.prod([np.linalg.norm(M, 2) for M in self.matrices()]))
-        )
-        return float(np.linalg.norm(prod - np.eye(self.dim), 2) / scale)
+        return block_product(self.A1, self.A2, self.A3, self.A4, self.z, self.s0, self.s1)
 
 
 @dataclass(frozen=True)
@@ -69,12 +70,8 @@ class ClassSpec:
 
 def to_ds_tuple(r: Rep, p: Params) -> DSTuple:
     """(q^{1/2} T0, T0v, T1, T1v); raises unless the product closes."""
-    t = DSTuple(
-        A1=p.q_half * r.T0,
-        A2=r.T0v.copy(),
-        A3=r.T1.copy(),
-        A4=r.T1v.copy(),
-    )
+    mats = (p.q_half * r.T0, r.T0v.copy(), r.T1.copy(), r.T1v.copy())
+    t = DSTuple(*mats, r.roots.copy(), *r.pairings(p.q))
     res = t.product_residual()
     if res > PRODUCT_RESIDUAL_MAX:
         raise ProductNotIdentityError(res)
@@ -104,21 +101,17 @@ def class_spec_from_root(alpha: RootVector, p: Params) -> tuple[ClassSpec, ...]:
 def verify_class_membership(
     t: DSTuple, specs: tuple[ClassSpec, ...], tol: Tolerance
 ) -> bool:
-    """Each Ai must satisfy (Ai - eig1)(Ai - eig2) = 0 with
-    rank(Ai - eig1) = mult2.  When the two eigenvalues coincide the
-    class is the Jordan one and only the annihilation is checked."""
-    for M, spec in zip(t.matrices(), specs):
-        n = M.shape[0]
-        if n != spec.dim:
+    """Each Ai must satisfy (Ai - eig1)(Ai - eig2) = 0 block by block
+    with rank(Ai - eig1) = mult2; when the two eigenvalues coincide the
+    class is the Jordan one, whose rank counts its 2x2 blocks."""
+    for M, g, spec in zip(t.matrices(), (t.s0, t.s0, t.s1, t.s1), specs):
+        if M.shape[0] != spec.dim:
             return False
-        eye = np.eye(n)
-        P = (M - spec.eig1 * eye) @ (M - spec.eig2 * eye)
-        scale = max(1.0, float(np.linalg.norm(M, 2)) ** 2)
-        if np.linalg.norm(P, 2) / scale > tol.eq_tol * 1e3:
+        res, rank = block_quadratic(M, g, spec.eig1, spec.eig2, tol)
+        if rank is None:
+            raise RankIndeterminateError("a matrix entry sits near a rank threshold")
+        if res > tol.eq_tol * 1e3 or rank != spec.mult2:
             return False
-        if not approx_eq(spec.eig1, spec.eig2, tol):
-            if numerical_rank(M - spec.eig1 * eye, tol.rank_tol) != spec.mult2:
-                return False
     return True
 
 

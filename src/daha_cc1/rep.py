@@ -8,7 +8,8 @@ which its denominator divides exactly.  Finite-dimensional irreducibles
 arise as quotients by a principal ideal (E) with simple roots; this
 module builds them as explicit matrices in the basis of evaluation at
 those roots and provides the diagnostics used by the classification
-(dimension vector, z-spectrum, commutant, rigidity count).
+(dimension vector, z-spectrum, commutant, rigidity count), all read off
+the blocks of the pairing that s0 or s1 makes of the roots.
 """
 
 from __future__ import annotations
@@ -18,19 +19,17 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .core import Params, validate_params
+from .core import Params, Tolerance, approx_eq, clearly_neq, validate_params
 from .laurent import (
     LaurentPoly,
     apply_s0,
     apply_s1,
-    build_E,
-    build_E_dual,
     divide_exact,
     dual_ladder_roots,
     ladder_roots,
-    # unused here, kept as an attribute: the benchmark's tracer wraps it
-    reduce_mod,  # noqa: F401
 )
+# unused here, kept as attributes: the benchmark's tracer wraps them
+from .laurent import build_E, build_E_dual, reduce_mod  # noqa: F401
 from .roots import Imaginary, RootKind, Type1E, Type1F, Type2, kind_to_str
 from .strata import sigma_membership
 
@@ -77,7 +76,11 @@ class DegenerateLadderError(ArithmeticError):
 
 
 class RankIndeterminateError(ArithmeticError):
-    """A singular value or matrix entry sits too close to the threshold."""
+    """A matrix entry sits in the band between two decisions."""
+
+
+class PairingError(ArithmeticError):
+    """A matrix has a nonzero entry outside the pairing of its roots."""
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,8 @@ class DimVector:
 
 @dataclass
 class Rep:
-    """Four square matrices realizing the generators, plus provenance."""
+    """Four square matrices realizing the generators in the evaluation
+    basis at roots, the z-eigenvalues, plus provenance."""
 
     dim: int
     T0: np.ndarray
@@ -115,10 +119,20 @@ class Rep:
     T0v: np.ndarray
     T1v: np.ndarray
     basis_labels: list[int]
+    roots: np.ndarray
     provenance: dict = field(default_factory=dict)
+    # the pairings of the roots, kept for the last (q, roots) asked for
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def generators(self) -> list[np.ndarray]:
         return [self.T0, self.T1, self.T0v, self.T1v]
+
+    def pairings(self, q: complex) -> tuple[np.ndarray, np.ndarray]:
+        """The s0 and s1 partners of the roots (see :func:`pairings`)."""
+        key = (q, self.roots.tobytes())
+        if key not in self._pairs:
+            self._pairs = {key: pairings(self.roots, q)}
+        return self._pairs[key]
 
 
 # -- the generators ------------------------------------------------------
@@ -194,7 +208,7 @@ def apply_T1v_bar(f: LaurentPoly, del1: int, p: Params, flip_convention: bool = 
     return _demazure_lusztig(f, "T1v", del1, p, flip_convention)
 
 
-# -- quotient construction -----------------------------------------------
+# -- the ladder ----------------------------------------------------------
 
 
 def _ladder(
@@ -224,65 +238,155 @@ def _ladder(
     raise ValueError(f"no quotient for kind {kind!r}")
 
 
-def quotient_data(
-    kind: RootKind, s: Optional[SignVector], p: Params
-) -> tuple[str, tuple[int, int], LaurentPoly, complex, list[complex]]:
-    """(side, operator signs, divisor E, ladder parameter a, E's roots).
-
-    Side "P" modules are generated by T0 and T1; side "Pbar" by the
-    dual-side T0v and T1v.  For one-leg kinds the free operator sign is
-    +1 and the constrained one is the negative of the kind's sign (the
-    cyclic generator then carries the eigenvalue that survives on the
-    stratum).
-    """
-    side, signs, a, n, dual = _ladder(kind, s, p)
-    if dual:
-        return side, signs, build_E_dual(n, a, p.q_half), a, dual_ladder_roots(n, a, p.q_half)
-    return side, signs, build_E(n, a, p.q_half), a, ladder_roots(n, a, p.q_half)
+# -- the pairing ---------------------------------------------------------
 
 
-def _min_relative_gap(values: np.ndarray) -> float:
-    """The smallest |x - y| / max(|x|, |y|) over pairs of entries."""
-    if values.size < 2:
-        return np.inf
-    mod = np.abs(values)
-    gap = np.abs(values[:, None] - values[None, :]) / np.maximum(mod[:, None], mod[None, :])
-    np.fill_diagonal(gap, np.inf)
-    return float(gap.min())
+def pairings(roots: np.ndarray, q: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Each root's partner under s0 (r -> q/r) and s1 (r -> 1/r): the root
+    that s(r) matches, or itself when none does (a lone root).  A
+    generator on s is block diagonal, 2x2 on pairs and 1x1 on lone roots."""
+    rows, mod = np.arange(roots.size), np.abs(roots)
+    gap = np.abs(roots[:, None] - roots) / np.maximum(mod[:, None], mod)
+    if (gap[rows[:, None] != rows] <= ROOT_SEPARATION_MIN).any():
+        raise DegenerateLadderError("two roots of the divisor coincide")
+    out = []
+    for which, image in enumerate((q / roots, 1 / roots)):
+        dist = np.abs(image[:, None] - roots) / np.abs(image)[:, None]
+        partner = dist.argmin(axis=1)
+        matched = dist[rows, partner] <= ROOT_MATCH_RTOL
+        fixed = matched & (partner == rows)
+        if fixed.any():
+            raise DegenerateLadderError(f"root {roots[fixed][0]:.6g} is a fixed point of s{which}")
+        partner = np.where(matched, partner, rows)
+        if (partner[partner] != rows).any():
+            raise DegenerateLadderError(f"s{which} does not pair the roots")
+        out.append(partner)
+    return out[0], out[1]
+
+
+def _rows(M: np.ndarray, w: np.ndarray, strict: bool) -> tuple:
+    """Per row i of M on the pairing w: the diagonal entry, the entry in
+    column w[i] (0 on a lone row) and the largest modulus elsewhere, or
+    None when every other entry is 0; strict raises PairingError then."""
+    rows = np.arange(w.size)
+    if M.shape != (w.size, w.size):
+        raise PairingError(f"a {M.shape} matrix on {w.size} roots")
+    d, o = M.diagonal(), np.where(w == rows, 0.0, M[rows, w])
+    if np.count_nonzero(M) == np.count_nonzero(d) + np.count_nonzero(o):
+        return d, o, None
+    if strict:
+        raise PairingError("a matrix entry lies outside the pairing of its roots")
+    rest = np.abs(M)
+    rest[rows, rows] = rest[rows, w] = 0.0
+    return d, o, rest.max(axis=1)
+
+
+def _apart(a: complex, b: complex, tol: Tolerance) -> Optional[bool]:
+    """True when a is clearly apart from b, False when approximately b,
+    None in the band between."""
+    if clearly_neq(a, b, tol):
+        return True
+    return False if approx_eq(a, b, tol) else None
+
+
+def block_quadratic(
+    M: np.ndarray, w: np.ndarray, e1: complex, e2: complex, tol: Tolerance
+) -> tuple[float, Optional[int]]:
+    """The residual of (M - e1)(M - e2) = 0 and rank(M - e1), block by block.
+
+    A 2x2 block needs trace e1 + e2 and determinant e1 e2, each relative
+    to the terms it sums; a lone entry x needs x = e1 or e2.  A pair adds
+    1 to the rank (a Jordan block when e1 = e2), x adds 1 when x/e1 is
+    clearly apart from 1 (0 when e1 = e2), and a block with an entry
+    outside the blocks clearly apart from 0 adds its size.  The rank is
+    None when a ratio sits in the band between two decisions."""
+    d, o, rest = _rows(M, w, False)
+    d, o, rest = d.tolist(), o.tolist(), [0.0] * w.size if rest is None else rest.tolist()
+    scale, jordan = max(abs(e1), abs(e2)), approx_eq(e1 / e2, 1.0, tol)
+    residual, rank = 0.0, 0
+    for i, j in enumerate(w.tolist()):
+        if j < i:
+            continue  # one row per block: a pair's first row, or a lone row
+        if i == j:
+            x = d[i]
+            residual = max(residual, min(abs(x / e1 - 1), abs(x / e2 - 1)))
+            entry = False if jordan else _apart(x / e1, 1.0, tol)
+            size = abs(x)
+        else:
+            ad, bc = d[i] * d[j], o[i] * o[j]
+            residual = max(
+                residual,
+                abs(d[i] + d[j] - (e1 + e2)) / max(abs(e1) + abs(e2), abs(d[i]) + abs(d[j])),
+                abs(ad - bc - e1 * e2) / max(abs(e1 * e2), abs(ad) + abs(bc)),
+            )
+            entry, size = True, max(abs(d[i]), abs(d[j]), abs(o[i]), abs(o[j]))
+        stray = False
+        if rest[i] or rest[j]:  # entries outside the blocks, in this block's rows
+            loose = max(rest[i], rest[j]) / max(size, scale)
+            residual, stray = max(residual, loose), _apart(loose, 0.0, tol)
+        if rank is not None:
+            # a stray makes the block's rows independent: a pair adds 2, a lone row 1
+            add = (2 if i != j else 1) if stray else (None if stray is None else entry)
+            rank = None if add is None else rank + add
+    return residual, rank
+
+
+def _pair_product(A: np.ndarray, B: np.ndarray, w: np.ndarray, strict: bool) -> tuple:
+    """Row i of A B on the pairing w: its diagonal entry and its entry in
+    column w[i], each as its two terms."""
+    (da, oa, _), (db, ob, _) = _rows(A, w, strict), _rows(B, w, strict)
+    return (da * db, oa * ob[w]), (da * ob, oa * db[w])
+
+
+def block_product(
+    A1: np.ndarray, A2: np.ndarray, A3: np.ndarray, A4: np.ndarray,
+    z: np.ndarray, s0: np.ndarray, s1: np.ndarray,
+) -> float:
+    """The residual of A4 A3 A1 A2 = 1 as A1 A2 = diag(z) on the s0 blocks
+    and A4 A3 = diag(1/z) on the s1 blocks, each entry relative to its terms."""
+    worst = 0.0
+    for A, B, want, w in ((A1, A2, z, s0), (A4, A3, 1 / z, s1)):
+        for (s, t), target in zip(_pair_product(A, B, w, True), (want, 0.0)):
+            scale = np.maximum(np.abs(s) + np.abs(t), np.abs(target))
+            res = np.abs(s + t - target) / np.where(scale > 0, scale, 1.0)
+            worst = max(worst, float(res.max(initial=0.0)))
+    return worst
+
+
+# -- quotient construction -----------------------------------------------
 
 
 def _eval_matrix(
-    name: str, sign: int, p: Params, roots: np.ndarray, flip_convention: bool = False
+    name: str, sign: int, p: Params, roots: np.ndarray, partner: np.ndarray, flip_convention: bool
 ) -> tuple[np.ndarray, float]:
     """The generator's matrix in the evaluation basis at the roots, and
     its ideal certificate.
 
-    (Tf)(r) = c(r) f(r) + (sigma - c(r)) f(s r), so row r holds c(r) on
-    the diagonal and sigma - c(r) in the column of the root s(r).  Where
-    s(r) is not a root the ideal (E) is invariant only if sigma = c(r);
-    the certificate is the worst |sigma - c(r)| / max(1, |sigma| + |c(r)|)
-    over those roots."""
-    s0 = _GENERATORS[name].s0
-    image = p.q / roots if s0 else 1 / roots
-    dist = np.abs(image[:, None] - roots[None, :]) / np.abs(image)[:, None]
-    rows = np.arange(roots.size)
-    partner = dist.argmin(axis=1)
-    paired = dist[rows, partner] <= ROOT_MATCH_RTOL
-    fixed = paired & (partner == rows)
-    if fixed.any():
-        raise DegenerateLadderError(
-            f"root {roots[fixed][0]:.6g} is a fixed point of s{0 if s0 else 1}"
-        )
+    (Tf)(r) = c(r) f(r) + (sigma - c(r)) f(s r), so a paired root's row
+    holds c(r) on the diagonal and sigma - c(r) in the column of s(r).
+    At a lone root the ideal (E) is invariant only if sigma = c(r); the
+    certificate is the worst |sigma - c(r)| / max(1, |sigma| + |c(r)|)
+    over those roots, and their entry is sigma itself."""
     sigma, alpha, beta = _sigma_alpha_beta(name, sign, p)
-    w = p.q_half / roots if s0 else roots
+    w = p.q_half / roots if _GENERATORS[name].s0 else roots
     c = (alpha + beta * w) / (1 - w * w)
     if flip_convention:
         c = -c
-    M = np.diag(c)
-    M[rows[paired], partner[paired]] = sigma - c[paired]
-    lone = c[~paired]
-    res = np.abs(sigma - lone) / np.maximum(1.0, abs(sigma) + np.abs(lone))
+    rows = np.arange(roots.size)
+    lone = partner == rows
+    M = np.diag(np.where(lone, sigma, c))
+    M[rows[~lone], partner[~lone]] = sigma - c[~lone]
+    res = np.abs(sigma - c[lone]) / np.maximum(1.0, abs(sigma) + np.abs(c[lone]))
     return M, float(res.max(initial=0.0))
+
+
+def _block_inverse(M: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """The inverse of a generator: a 2x2 block has eigenvalues t and -1/t,
+    so determinant -1, and inverts by swapping and negating its diagonal."""
+    d = np.diagonal(M)
+    inv = M.copy()
+    np.fill_diagonal(inv, np.where(partner == np.arange(d.size), 1 / d, -d[partner]))
+    return inv
 
 
 def build_quotient_rep(
@@ -297,10 +401,9 @@ def build_quotient_rep(
     The divisor E has simple roots, so evaluation at them identifies
     C[z^{+-1}]/(E) with C^dim: z acts by the diagonal matrix of the
     roots, and each directly-defined generator pairs a root r with s(r).
-    The other two generators follow from the inverse identities
-    T^{-1} = T - (t - t^{-1}) and the z-action, as row or column
-    scalings.  The ideal is certified stable and the five defining
-    relations verified before the Rep is returned.
+    The other two generators follow by exact block inversion and the
+    z-action, as row or column scalings.  The ideal is certified stable
+    and the five defining relations verified before the Rep is returned.
 
     With force=True the stratum guard is skipped (the certification
     still runs and fails off-stratum).  flip_convention injects the
@@ -314,39 +417,29 @@ def build_quotient_rep(
         if not verdict.member:
             raise NotOnStratumError(kind, verdict.failed_conditions)
     side, signs, a, n, dual = _ladder(kind, s, p)
-    roots = np.array(
-        dual_ladder_roots(n, a, p.q_half) if dual else ladder_roots(n, a, p.q_half),
-        dtype=complex,
-    )
-    if _min_relative_gap(roots) <= ROOT_SEPARATION_MIN:
-        raise DegenerateLadderError("two roots of the divisor coincide")
+    roots = np.array((dual_ladder_roots if dual else ladder_roots)(n, a, p.q_half), dtype=complex)
+    s0, s1 = pairings(roots, p.q)
     names = ("T0", "T1") if side == "P" else ("T0v", "T1v")
     (A, res_a), (B, res_b) = (
-        _eval_matrix(name, sign, p, roots, flip_convention)
-        for name, sign in zip(names, signs)
+        _eval_matrix(name, sign, p, roots, g, flip_convention)
+        for name, sign, g in zip(names, signs, (s0, s1))
     )
     ideal_res = max(res_a, res_b)
     if ideal_res > IDEAL_RESIDUAL_MAX:
         raise IdealNotInvariantError(ideal_res)
 
-    eye = np.eye(roots.size)
     # q^{1/2} T0 T0v and (T1v T1)^{-1} both act by z = diag(roots)
     if side == "P":
         T0, T1 = A, B
-        T0v = (T0 - (p.k0 - 1 / p.k0) * eye) * (roots / p.q_half)
-        T1v = (T1 - (p.k1 - 1 / p.k1) * eye) / roots[:, None]
+        T0v = _block_inverse(T0, s0) * (roots / p.q_half)
+        T1v = _block_inverse(T1, s1) / roots[:, None]
     else:
         T0v, T1v = A, B
-        T1 = (T1v - (p.u1 - 1 / p.u1) * eye) / roots
-        T0 = (roots[:, None] / p.q_half) * (T0v - (p.u0 - 1 / p.u0) * eye)
+        T1 = _block_inverse(T1v, s1) / roots
+        T0 = (roots[:, None] / p.q_half) * _block_inverse(T0v, s0)
 
     rep = Rep(
-        dim=roots.size,
-        T0=T0,
-        T1=T1,
-        T0v=T0v,
-        T1v=T1v,
-        basis_labels=list(range(roots.size)),
+        roots.size, T0, T1, T0v, T1v, list(range(roots.size)), roots,
         provenance={
             "kind": kind_to_str(kind),
             "poly_side": side,
@@ -356,72 +449,50 @@ def build_quotient_rep(
             "ideal_residual": ideal_res,
         },
     )
+    rep._pairs[(p.q, roots.tobytes())] = (s0, s1)
     residuals = verify_relations(rep, p)
     if max(residuals.values()) > RELATION_RESIDUAL_MAX:
         raise RelationResidualError(residuals)
     return rep
 
 
-def verify_relations(r: Rep, p: Params) -> dict[str, float]:
-    """Normalized spectral-norm residuals of the five defining relations."""
-    eye = np.eye(r.dim)
-    quads = [
-        ("T0", r.T0, p.k0),
-        ("T1", r.T1, p.k1),
-        ("T0v", r.T0v, p.u0),
-        ("T1v", r.T1v, p.u1),
-    ]
-    mats = []
-    for _, M, t in quads:
-        mats += [M - t * eye, M + eye / t]
-        mats.append(mats[-2] @ mats[-1])
-    mats += [r.T1v, r.T1, r.T0, r.T0v, r.T1v @ r.T1 @ r.T0 @ r.T0v - eye / p.q_half]
-    # all 17 spectral norms from one batched SVD
-    norms = np.linalg.svd(np.stack(mats), compute_uv=False)[:, 0]
-    out: dict[str, float] = {}
-    for i, (name, _, _) in enumerate(quads):
-        lo, hi, res = norms[3 * i : 3 * i + 3]
-        out[f"quad.{name}"] = float(res / max(1.0, lo * hi))
-    scale = max(1.0, float(norms[12] * norms[13] * norms[14] * norms[15]))
-    out["product"] = float(norms[16] / scale)
-    return out
-
-
 # -- diagnostics ---------------------------------------------------------
 
 
-def numerical_rank(M: np.ndarray, rank_tol: float) -> int:
-    """Rank by singular values, with a factor-10 indeterminacy band."""
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    # floor the scale at 1 so a matrix that is zero up to roundoff gets
-    # rank 0 instead of inheriting rank from its noise floor
-    thr = rank_tol * max(sv[0], 1.0)
-    band = (sv > thr / 10.0) & (sv < thr * 10.0)
-    if band.any():
-        raise RankIndeterminateError(
-            f"singular value near threshold {thr:.3e}"
-        )
-    return int((sv > thr).sum())
+def _quadratics(r: Rep, p: Params, s0: np.ndarray, s1: np.ndarray):
+    """(name, residual, rank) of each generator's (T - t)(T + 1/t) = 0."""
+    for name, g in _GENERATORS.items():
+        t = getattr(p, g.t)
+        yield (name, *block_quadratic(getattr(r, name), s0 if g.s0 else s1, t, -1 / t, p.tol))
+
+
+def verify_relations(r: Rep, p: Params) -> dict[str, float]:
+    """Residuals of the five relations, block by block: each quadratic, and
+    the product as q^{1/2} T0 T0v = z on s0 blocks, T1v T1 = z^-1 on s1."""
+    s0, s1 = r.pairings(p.q)
+    out = {f"quad.{name}": res for name, res, _ in _quadratics(r, p, s0, s1)}
+    out["product"] = block_product(p.q_half * r.T0, r.T0v, r.T1, r.T1v, r.roots, s0, s1)
+    return out
 
 
 def dim_vector(r: Rep, p: Params) -> DimVector:
-    """(dim, rank(T0-k0), rank(T1-k1), rank(T0v-u0), rank(T1v-u1))."""
-    eye = np.eye(r.dim)
-    rt = p.tol.rank_tol
-    return DimVector(
-        d0=r.dim,
-        d1=numerical_rank(r.T0 - p.k0 * eye, rt),
-        d2=numerical_rank(r.T1 - p.k1 * eye, rt),
-        d3=numerical_rank(r.T0v - p.u0 * eye, rt),
-        d4=numerical_rank(r.T1v - p.u1 * eye, rt),
-    )
+    """(dim, rank(T0-k0), rank(T1-k1), rank(T0v-u0), rank(T1v-u1)) off the blocks."""
+    ranks = [rank for _, _, rank in _quadratics(r, p, *r.pairings(p.q))]
+    if None in ranks:
+        raise RankIndeterminateError("a matrix entry sits near a rank threshold")
+    return DimVector(r.dim, *ranks)
 
 
 def spectrum_of_z(r: Rep, p: Params) -> list[complex]:
-    """Eigenvalues of the z-action q^{1/2} T0 T0v as a multiset."""
-    return [complex(v) for v in np.linalg.eigvals(p.q_half * r.T0 @ r.T0v)]
+    """Eigenvalues of q^{1/2} T0 T0v on the s0 blocks: per 2x2 block the
+    root of x^2 - tau x + delta of larger modulus, and delta over it."""
+    w, _ = r.pairings(p.q)
+    diag, off = (s + t for s, t in _pair_product(p.q_half * r.T0, r.T0v, w, False))
+    tau, delta = diag + diag[w], diag * diag[w] - off * off[w]
+    root = np.sqrt(tau * tau - 4 * delta)
+    big = (tau + np.where(np.abs(tau + root) >= np.abs(tau - root), root, -root)) / 2
+    first, lone = w > np.arange(r.dim), w == np.arange(r.dim)
+    return [complex(v) for v in np.concatenate((big[first], delta[first] / big[first], diag[lone]))]
 
 
 def rho_ladder(s: SignVector, n: int, p: Params) -> list[complex]:
@@ -435,44 +506,35 @@ def rho_ladder(s: SignVector, n: int, p: Params) -> list[complex]:
     return out
 
 
-def commutant_dim(r: Rep, rank_tol: float = 1e-9) -> int:
+def commutant_dim(r: Rep, p: Params) -> int:
     """Dimension of the joint commutant of the four generators; 1 means
-    irreducible.
-
-    Needs a basis in which z, a multiple of T0 T0v, is diagonal with
-    distinct entries (the quotient's evaluation basis); ValueError
-    otherwise.  A matrix commuting with z is then diagonal, and a
-    diagonal X commutes with a generator M iff x_i = x_j wherever M_ij
-    or M_ji is nonzero.  So the commutant dimension is the number of
-    connected components of the graph whose edges are the nonzero
-    off-diagonal entries.  An entry is weighed against the largest entry
-    of its row; weights within a factor 10 of rank_tol raise
-    RankIndeterminateError.
-    """
-    z = r.T0 @ r.T0v
-    off = np.abs(z - np.diag(np.diag(z)))
-    # |(AB)_ij| <= (|A| |B|)_ij; an exact zero sits at roundoff below it
-    if (off > rank_tol * (np.abs(r.T0) @ np.abs(r.T0v))).any() \
-            or _min_relative_gap(np.diag(z)) <= ROOT_SEPARATION_MIN:
-        raise ValueError("z is not diagonal with distinct eigenvalues in this basis")
-    weight = np.zeros((r.dim, r.dim))
-    for M in r.generators():
-        w = np.abs(M) / np.abs(M).max(axis=1, keepdims=True)
-        weight = np.maximum(weight, np.maximum(w, w.T))
-    np.fill_diagonal(weight, 0.0)
-    if ((weight > rank_tol / 10.0) & (weight < rank_tol * 10.0)).any():
-        raise RankIndeterminateError("commutant entry near threshold")
-    # reachability by repeated squaring; one distinct row per component
-    reach = (weight >= rank_tol * 10.0) | np.eye(r.dim, dtype=bool)
-    for _ in range(r.dim.bit_length()):
-        reach = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
-    return int(np.unique(reach, axis=0).shape[0])
+    irreducible.  z = diag(roots) has distinct entries, so the commutant
+    is diagonal, and x_i = x_j wherever the block of a pair (i, j) has an
+    off-diagonal entry: it counts the components of the graph of those
+    pairs.  A block's larger off-diagonal entry, relative to its largest
+    entry, is an edge when clearly apart from 0; in the band between
+    approximately 0 and that, RankIndeterminateError."""
+    label = list(range(r.dim))
+    for names, w in zip((("T0", "T0v"), ("T1", "T1v")), r.pairings(p.q)):
+        weight = np.zeros(r.dim)
+        for name in names:
+            d, o, _ = _rows(getattr(r, name), w, True)
+            off = np.maximum(np.abs(o), np.abs(o[w]))
+            size = np.maximum.reduce([np.abs(d), np.abs(d[w]), off])
+            weight = np.maximum(weight, off / np.where(size > 0, size, 1.0))
+        for i in np.flatnonzero(w > np.arange(r.dim)).tolist():
+            edge = _apart(weight[i], 0.0, p.tol)
+            if edge is None:
+                raise RankIndeterminateError("commutant entry near threshold")
+            if edge:  # merge the component of w[i] into that of i
+                label = [label[i] if x == label[w[i]] else x for x in label]
+    return len(set(label))
 
 
 def rigidity_D(n: int, d1: int, d2: int, d3: int, d4: int) -> int:
     """Moduli dimension 2(1 - n^2 + sum d_i(n - d_i)) of the conjugacy
-    data; 0 on every rigid representation.  The d_i are the kernel
-    dimensions dim Ker(T - t)."""
+    data; 0 on every rigid representation.  d(n - d) is symmetric, so
+    the d_i may be the kernel dimensions dim Ker(T - t) or the ranks."""
     for d in (d1, d2, d3, d4):
         if d < 0 or d > n:
             raise ValueError("kernel dimensions must lie in [0, n]")
@@ -485,12 +547,6 @@ def conjugacy_class_dim(n: int, d: int) -> int:
     if d < 0 or d > n:
         raise ValueError("d must lie in [0, n]")
     return 2 * d * (n - d)
-
-
-def kernel_dims(r: Rep, p: Params) -> tuple[int, int, int, int]:
-    """dim Ker(T - t) for the four generators, from the dimension vector."""
-    dv = dim_vector(r, p)
-    return (r.dim - dv.d1, r.dim - dv.d2, r.dim - dv.d3, r.dim - dv.d4)
 
 
 def build_truncated_polyrep(
@@ -553,14 +609,15 @@ def rep_to_json(r: Rep) -> dict:
 
 
 def rep_from_json(data: dict) -> Rep:
+    provenance = dict(data.get("provenance", {}))
+    if "roots" not in provenance:
+        raise ValueError("stored representation has no provenance roots")
     return Rep(
-        dim=int(data["dim"]),
-        T0=_matrix_from_json(data["T0"]),
-        T1=_matrix_from_json(data["T1"]),
-        T0v=_matrix_from_json(data["T0v"]),
-        T1v=_matrix_from_json(data["T1v"]),
+        int(data["dim"]),
+        *(_matrix_from_json(data[name]) for name in _GENERATORS),
         basis_labels=[int(x) for x in data["basis_labels"]],
-        provenance=dict(data.get("provenance", {})),
+        roots=np.array([complex(re, im) for re, im in provenance["roots"]]),
+        provenance=provenance,
     )
 
 
@@ -580,7 +637,6 @@ __all__ = [
     "commutant_dim",
     "rigidity_D",
     "conjugacy_class_dim",
-    "kernel_dims",
     "build_truncated_polyrep",
     "rep_to_json",
     "rep_from_json",
@@ -589,4 +645,5 @@ __all__ = [
     "DegenerateLadderError",
     "RelationResidualError",
     "RankIndeterminateError",
+    "PairingError",
 ]

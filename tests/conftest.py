@@ -44,4 +44,4 @@ def one_dim_params():
 
 @pytest.fixture
 def loose_tol():
-    return Tolerance(eq_tol=1e-6, rank_tol=1e-9)
+    return Tolerance(eq_tol=1e-6)

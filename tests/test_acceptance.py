@@ -6,23 +6,27 @@ constructed-representation corpus is shared session-wide so the whole
 suite stays well under a minute.
 """
 
+import cmath
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
 
+from daha_cc1.core import Params
 from daha_cc1.dsbridge import to_ds_tuple
 from daha_cc1.rep import (
     IdealNotInvariantError,
+    NotOnStratumError,
     RelationResidualError,
     SignVector,
     build_quotient_rep,
     build_truncated_polyrep,
     commutant_dim,
     dim_vector,
-    kernel_dims,
+    pairings,
     rho_ladder,
     rigidity_D,
     spectrum_of_z,
@@ -39,6 +43,7 @@ from daha_cc1.roots import (
 )
 from daha_cc1.strata import (
     classify_params,
+    random_unit,
     sample_generic_params,
     sample_stratum_params,
     xi_product,
@@ -100,24 +105,31 @@ def test_criterion_03_spectrum_oracle(corpus):
 def test_criterion_04_irreducibility(corpus):
     from test_rep import test_commutant_of_direct_sum_is_two
 
-    for kind, _, r in corpus:
-        assert commutant_dim(r) == 1, kind
+    for kind, p, r in corpus:
+        assert commutant_dim(r, p) == 1, kind
     test_commutant_of_direct_sum_is_two()
     print(f"PASS criterion 4: commutant 1 on {len(corpus)} reps, "
           f"2 on the direct-sum control")
 
 
 def test_criterion_04_commutant_matches_the_sylvester_oracle(corpus):
-    from test_rep import sylvester_commutant_dim, test_commutant_of_direct_sum_is_two
+    from oracles import sylvester_commutant_dim
+    from test_rep import test_commutant_of_direct_sum_is_two
 
-    for kind, _, r in corpus:
-        assert sylvester_commutant_dim(r) == commutant_dim(r) == 1, kind
+    for kind, p, r in corpus:
+        assert sylvester_commutant_dim(r) == commutant_dim(r, p) == 1, kind
     # the control asserts commutant 2 both ways on a direct sum of two
     # one-dimensional reps
     test_commutant_of_direct_sum_is_two()
     print(f"PASS criterion 4 (oracle): connectivity commutant equals the "
           f"Sylvester nullity on {len(corpus)} reps and the direct-sum control")
 
+
+ALL_LEVEL_KINDS = (
+    [Type2(*s, n) for n in range(0, 21) for s in product((1, -1), repeat=4)]
+    + [Type1E(i, e, n) for n in range(1, 21) for i in (0, 1) for e in (1, -1)]
+    + [Type1F(i, d, n) for n in range(1, 21) for i in (0, 1) for d in (1, -1)]
+)
 
 HIGH_LEVELS = range(5, 21)
 HIGH_POINTS_PER_KIND = 2
@@ -128,36 +140,156 @@ HIGH_KINDS = (
 )
 
 
-def test_criteria_01_to_04_at_levels_5_to_20():
-    """Every real family at every level 5..20 builds, with the relation
-    gate, the root as dim vector, the rho-ladder spectrum (type 2) and
-    commutant 1 by connectivity."""
+@pytest.fixture(scope="session")
+def high_corpus():
+    """(kind, params, rep) for every kind family at every level 5..20,
+    at 2 stratum points each."""
     rng = np.random.default_rng(5021)
-    worst = 0.0
+    out = []
     for kind in HIGH_KINDS:
         for _ in range(HIGH_POINTS_PER_KIND):
             p = sample_stratum_params(kind, rng)
-            r = build_quotient_rep(kind, None, p)
-            worst = max(worst, max(verify_relations(r, p).values()))
-            assert dim_vector(r, p).as_tuple() == tuple(root_of_kind(kind)), kind
-            if isinstance(kind, Type2):
-                got = spectrum_of_z(r, p)
-                for e in rho_ladder(SignVector(*kind.signs), kind.n, p):
-                    err = min(abs(e - g) for g in got)
-                    assert err < 1e-6 * max(1.0, abs(e)), (kind, err)
-            assert commutant_dim(r) == 1, kind
+            out.append((kind, p, build_quotient_rep(kind, None, p)))
+    return out
+
+
+def assert_spectrum_is_the_ladder(kind, p, r):
+    got = spectrum_of_z(r, p)
+    for e in rho_ladder(SignVector(*kind.signs), kind.n, p):
+        err = min(abs(e - g) for g in got)
+        assert err < 1e-6 * max(1.0, abs(e)), (kind, err)
+
+
+def test_criteria_01_to_04_at_levels_5_to_20(high_corpus):
+    """Every real family at every level 5..20 builds, with the relation
+    gate, the root as dim vector, the rho-ladder spectrum (type 2) and
+    commutant 1 by connectivity."""
+    worst = 0.0
+    for kind, p, r in high_corpus:
+        worst = max(worst, max(verify_relations(r, p).values()))
+        assert dim_vector(r, p).as_tuple() == tuple(root_of_kind(kind)), kind
+        if isinstance(kind, Type2):
+            assert_spectrum_is_the_ladder(kind, p, r)
+        assert commutant_dim(r, p) == 1, kind
     assert worst < 1e-8
-    n_reps = len(HIGH_KINDS) * HIGH_POINTS_PER_KIND
+    n_reps = len(high_corpus)
     assert n_reps == 24 * 16 * 2
     print(f"PASS criteria 1-4 at levels 5-20: {n_reps} reps, "
           f"max relation residual {worst:.2e}")
+
+
+def test_block_diagnostics_agree_with_the_dense_oracles(corpus, high_corpus):
+    """On the 560-rep corpus and the 768-rep tier, the block dim vector
+    equals the SVD ranks and both relation residuals stay < 1e-8; on the
+    tier's reps of dim <= 12 (the oracle's SVD has dim^2 columns) the
+    connectivity commutant equals the Sylvester nullity; criterion 4's
+    oracle test covers the corpus."""
+    from oracles import dense_dim_vector, dense_relations, sylvester_commutant_dim
+
+    for kind, p, r in corpus + high_corpus:
+        assert dim_vector(r, p).as_tuple() == dense_dim_vector(r, p), kind
+        assert max(verify_relations(r, p).values()) < 1e-8, kind
+        assert max(dense_relations(r, p).values()) < 1e-8, kind
+    small = [(kind, p, r) for kind, p, r in high_corpus if r.dim <= 12]
+    for kind, p, r in small:
+        assert sylvester_commutant_dim(r) == commutant_dim(r, p) == 1, kind
+    assert len(small) == (16 + 8 * 2) * HIGH_POINTS_PER_KIND  # levels 5, and 6 one-leg
+    print(f"PASS block diagnostics equal the dense oracles on "
+          f"{len(corpus) + len(high_corpus)} reps ({len(small)} more Sylvester commutants)")
+
+
+def planted_params(kind, q_mod: float, rng: np.random.Generator) -> Params:
+    """A point that solves the kind's stratum equality with |q^{1/2}| =
+    q_mod; the inequalities are left to the build's stratum guard."""
+    qh = cmath.rect(q_mod, rng.uniform(0.0, 2.0 * np.pi))
+    vals = {name: random_unit(rng) for name in ("k0", "k1", "u0", "u1")}
+    if isinstance(kind, Type2):
+        eps0, eps1, del0, del1 = kind.signs
+        k0, k1, u0 = vals["k0"], vals["k1"], vals["u0"]
+        rest = eps1 * k1**eps1 * eps0 * k0**eps0 * del0 * u0**del0
+        vals["u1"] = (qh ** (-1 - 2 * kind.n) / (rest * del1)) ** del1
+    else:
+        branch = cmath.sqrt(-((qh * qh) ** kind.n)) * (1 if rng.integers(2) else -1)
+        if isinstance(kind, Type1E):
+            vals[("k0", "k1")[kind.i]] = branch**kind.eps
+        else:
+            vals[("u0", "u1")[kind.i]] = branch**kind.delta
+    return Params(q_half=qh, **vals)
+
+
+WIDE_Q_MODULI = (0.3, 0.5, 0.8, 1.3, 2.0, 3.0)
+# the refusals the wide tier allows, all on one-leg kinds: relation
+# residuals where the generator entries lose digits at small |q|, and
+# the stratum guard's absolute margin at large |q|
+WIDE_Q_REFUSALS = {
+    (0.3, "RelationResidualError"), (0.5, "RelationResidualError"),
+    (2.0, "NotOnStratumError"), (3.0, "NotOnStratumError"),
+}
+
+
+def test_wide_q_tier():
+    """Every real family at every level 0..20 and |q^{1/2}| from 0.3 to 3
+    either returns the root as dim vector, commutant 1, the rho ladder
+    (type 2) and relations < 1e-8, or raises an expected refusal."""
+    rng = np.random.default_rng(6151)
+    refusals = Counter()
+    kinds = [k for n in range(21) for k in (
+        [Type2(*s, n) for s in product((1, -1), repeat=4)]
+        + ([Type1E(i, e, n) for i in (0, 1) for e in (1, -1)]
+           + [Type1F(i, d, n) for i in (0, 1) for d in (1, -1)] if n else [])
+    )]
+    assert len(kinds) == 496
+    for q_mod in WIDE_Q_MODULI:
+        for kind in kinds:
+            p = planted_params(kind, q_mod, rng)
+            try:
+                r = build_quotient_rep(kind, None, p)
+            except (RelationResidualError, NotOnStratumError) as exc:
+                assert not isinstance(kind, Type2), (q_mod, kind, exc)
+                refusals[q_mod, type(exc).__name__] += 1
+                continue
+            assert max(verify_relations(r, p).values()) < 1e-8, (q_mod, kind)
+            assert dim_vector(r, p).as_tuple() == tuple(root_of_kind(kind)), (q_mod, kind)
+            assert commutant_dim(r, p) == 1, (q_mod, kind)
+            if isinstance(kind, Type2):
+                assert_spectrum_is_the_ladder(kind, p, r)
+    assert set(refusals) <= WIDE_Q_REFUSALS, refusals
+    print(f"PASS wide-|q| tier: {len(kinds) * len(WIDE_Q_MODULI)} points, "
+          f"refusals {dict(sorted(refusals.items()))}")
+
+
+def test_one_perturbed_entry_trips_the_relation_gate():
+    """At every level 0..20 of every family, moving any lone entry or a
+    diagonal entry of a 2x2 block of any generator by 1e-6 of itself
+    trips verify_relations.  Each generator gets its lone entries and
+    both diagonal entries of one seeded block."""
+    rng = np.random.default_rng(7919)
+    checked = 0
+    for kind in ALL_LEVEL_KINDS:
+        p = sample_stratum_params(kind, rng)
+        r = build_quotient_rep(kind, None, p)
+        s0, s1 = pairings(r.roots, p.q)
+        rows = np.arange(r.dim)
+        for M, w in zip(r.generators(), (s0, s1, s0, s1)):
+            picks = rows[w == rows].tolist()
+            first = rows[w > rows]
+            if first.size:
+                i = int(rng.choice(first))
+                picks += [i, int(w[i])]
+            for i in picks:
+                entry = M[i, i]
+                M[i, i] = entry * (1 + 1e-6)
+                assert max(verify_relations(r, p).values()) > 1e-8, (kind, i)
+                M[i, i] = entry
+                checked += 1
+    print(f"PASS gate sensitivity: {checked} perturbed entries all trip the relation gate")
 
 
 def test_criterion_05_rigidity(corpus):
     assert rigidity_D(3, 2, 2, 2, 2) == 0
     assert rigidity_D(2, 1, 1, 1, 1) == 2
     for kind, p, r in corpus:
-        assert rigidity_D(r.dim, *kernel_dims(r, p)) == 0, kind
+        assert rigidity_D(*dim_vector(r, p).as_tuple()) == 0, kind
     print("PASS criterion 5: closed-form rigidity counts and D = 0 on "
           "every constructed rep")
 

@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from daha_cc1 import cli
 from daha_cc1.cli import main
-from daha_cc1.roots import Type1E, Type2, kind_to_str, root_of_kind
+from daha_cc1.roots import Type1E, Type2, kind_from_str, kind_to_str, root_of_kind
 from daha_cc1.strata import sample_stratum_params
 
 ONE_DIM = [
@@ -295,17 +297,17 @@ def test_scan_starts_a_pool_only_for_more_than_one_chunk(capsys, monkeypatch):
 
 
 def test_tol_reaches_the_irreducibility_check(capsys, monkeypatch):
-    # --tol sets rank_tol for commutant_dim as it does for dim_vector;
-    # None records a call that left rank_tol at its default
+    # --tol is the one tolerance that commutant_dim and dim_vector read,
+    # in construct and in the self-test alike
     seen = {"commutant_dim": [], "dim_vector": []}
     commutant_dim, dim_vector = cli.commutant_dim, cli.dim_vector
 
-    def commutant_recorder(r, *rank_tol):
-        seen["commutant_dim"].append(rank_tol[0] if rank_tol else None)
-        return commutant_dim(r, *rank_tol)
+    def commutant_recorder(r, p):
+        seen["commutant_dim"].append(p.tol.eq_tol)
+        return commutant_dim(r, p)
 
     def dim_vector_recorder(r, p):
-        seen["dim_vector"].append(p.tol.rank_tol)
+        seen["dim_vector"].append(p.tol.eq_tol)
         return dim_vector(r, p)
 
     monkeypatch.setattr(cli, "commutant_dim", commutant_recorder)
@@ -315,7 +317,6 @@ def test_tol_reaches_the_irreducibility_check(capsys, monkeypatch):
     )
     assert code == 0 and json.loads(out)["results"]["commutant_dim"] == 1
     assert seen == {"commutant_dim": [1e-7], "dim_vector": [1e-7]}
-    # the self-test samples its points at rank_tol min(tol, 1e-6)
     seen["commutant_dim"].clear()
     code, _ = run_cli(capsys, ["selftest", "--seed", "2", "--tol", "1e-7"])
     assert code == 0 and set(seen["commutant_dim"]) == {1e-7}
@@ -354,15 +355,41 @@ def _param_args(p):
     return args
 
 
-# a stratum point of T2[++,++;n=15] with |q^{1/2}| = 2, where dim_vector
-# cannot decide a rank
+# the stratum point of T2[-+,++;n=0] with k0 = 2i: the lone entry of T0
+# is -1/k0, whose ratio to k0 is -1/k0^2 = 1/4; under --tol 1e-3 that is
+# neither within 1e-3 of 1 nor apart from 1 by the margin 1e3 * 1e-3, so
+# rank(T0 - k0) is indeterminate
 RANK_INDETERMINATE = [
-    "construct", "--k0=0.03143933941407412+0.81829639469571425i",
-    "--k1=-0.23823374409583042+0.51728007033106138i",
-    "--u0=0.301269535874758-0.90206091020848767i",
-    "--u1=-1.4609787207018013e-10+1.0396760029319382e-09i",
-    "--q-half=0.4477125137693288-1.9492443420501055i", "--kind", "T2[++,++;n=15]",
+    "construct", "--k0=2i", "--k1=3", "--u0=5", "--u1=-0.06666666666666667i",
+    "--q-half=2", "--kind", "T2[-+,++;n=0]", "--tol", "1e-3",
 ]
+
+# stratum points at |q^{1/2}| = 2 (bench inputs.planted_point with
+# default_rng(77), levels 15 then 20, families 0..23) whose dim vector or
+# commutant the dense diagnostics could not decide
+AT_Q_HALF_TWO = {
+    "T2[++,++;n=15]": [
+        "--k0=0.03143933941407412+0.81829639469571425i",
+        "--k1=-0.23823374409583042+0.51728007033106138i",
+        "--u0=0.301269535874758-0.90206091020848767i",
+        "--u1=-1.4609787207018013e-10+1.0396760029319382e-09i",
+        "--q-half=0.4477125137693288-1.9492443420501055i",
+    ],
+    "T1E[i=0,+;n=15]": [
+        "--k0=-11776.89107442766-30578.532676063231i",
+        "--k1=0.6334487057251056-0.78626168972266974i",
+        "--u0=0.6432793266822432+0.64396151649806355i",
+        "--u1=-0.6599091478934319+0.5512721809453256i",
+        "--q-half=-1.0421453656895874-1.7070246151628032i",
+    ],
+    "T1E[i=0,-;n=15]": [
+        "--k0=2.7416217824708066e-05-1.3404237195888457e-05i",
+        "--k1=-0.8870931433825927-0.13902017091697733i",
+        "--u0=0.8622306365929628-0.096815238943678286i",
+        "--u1=0.8450031929864128-1.1456760951218756i",
+        "--q-half=0.06062290488601305-1.9990810047127108i",
+    ],
+}
 
 
 def test_rank_indeterminate_is_a_verification_exit(capsys):
@@ -371,6 +398,20 @@ def test_rank_indeterminate_is_a_verification_exit(capsys):
     report = json.loads(out)
     assert report["exit_code"] == 4
     assert report["results"]["error"].startswith("RankIndeterminateError")
+    # at the default tolerance the same point has a clear rank
+    code, out = run_cli(capsys, RANK_INDETERMINATE[:-2])
+    assert code == 0
+    assert json.loads(out)["results"]["dim_vector"] == [1, 1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("kind", sorted(AT_Q_HALF_TWO))
+def test_construct_at_q_half_two_returns_the_root(capsys, kind):
+    code, out = run_cli(capsys, ["construct", *AT_Q_HALF_TWO[kind], "--kind", kind])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["dim_vector"] == list(root_of_kind(kind_from_str(kind)))
+    assert results["commutant_dim"] == 1
+    assert results["ds"]["class_membership"] is True
 
 
 def test_rank_indeterminate_reports_without_a_traceback():
@@ -417,3 +458,25 @@ def test_the_reused_parser_keeps_no_state_between_calls(capsys):
     code, out = run_cli(capsys, ["classify", *ONE_DIM])
     assert code == 0
     assert "near_misses" not in json.loads(out)["results"]
+
+
+def test_ds_check_refuses_an_entry_outside_the_pairing(capsys, tmp_path, rng):
+    kind = Type2(1, 1, 1, 1, 2)
+    args = _param_args(sample_stratum_params(kind, rng))
+    rep_file = tmp_path / "rep.json"
+    code, _ = run_cli(capsys, ["construct", *args, "--kind", kind_to_str(kind),
+                               "--out", str(rep_file)])
+    assert code == 0
+    data = json.loads(rep_file.read_text())
+    # root 0 is lone under s0 and root 1 is paired, so T0[0][1] is 0
+    assert data["T0"][0][1] == [0.0, 0.0]
+    data["T0"][0][1][1] = 1e-300
+    rep_file.write_text(json.dumps(data))
+    code, out = run_cli(capsys, ["ds-check", *args, "--rep", str(rep_file)])
+    assert code == 4
+    assert json.loads(out)["results"]["error"].startswith("PairingError")
+    # a stored rep without its roots cannot be read off its pairing
+    del data["provenance"]["roots"]
+    rep_file.write_text(json.dumps(data))
+    code, out = run_cli(capsys, ["ds-check", *args, "--rep", str(rep_file)])
+    assert code == 2

@@ -34,8 +34,6 @@ def test_tolerance_defaults():
 def test_tolerance_rejects_bad_eq_tol(bad):
     with pytest.raises(ValueError):
         Tolerance(eq_tol=bad)
-    with pytest.raises(ValueError):
-        Tolerance(rank_tol=bad)
 
 
 def test_params_q_is_square_of_q_half():

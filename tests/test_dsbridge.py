@@ -10,7 +10,7 @@ from daha_cc1.dsbridge import (
     tuple_rigidity,
     verify_class_membership,
 )
-from daha_cc1.rep import build_quotient_rep, dim_vector
+from daha_cc1.rep import build_quotient_rep, dim_vector, pairings
 from daha_cc1.roots import RootVector, Type1F, Type2, root_of_kind
 from daha_cc1.strata import sample_stratum_params
 
@@ -31,8 +31,9 @@ def test_product_closes_on_constructed_rep(type2_rep):
 
 def test_product_guard_fires(type2_rep):
     _, p, r = type2_rep
+    s0, s1 = pairings(r.roots, p.q)
     broken = DSTuple(
-        A1=2.0 * p.q_half * r.T0, A2=r.T0v, A3=r.T1, A4=r.T1v
+        A1=2.0 * p.q_half * r.T0, A2=r.T0v, A3=r.T1, A4=r.T1v, z=r.roots, s0=s0, s1=s1
     )
     with pytest.raises(ProductNotIdentityError):
         to_ds_tuple(
@@ -43,6 +44,7 @@ def test_product_guard_fires(type2_rep):
                 T0v=r.T0v,
                 T1v=r.T1v,
                 basis_labels=r.basis_labels,
+                roots=r.roots,
             ),
             p,
         )

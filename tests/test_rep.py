@@ -4,28 +4,37 @@ import numpy as np
 import pytest
 
 from daha_cc1.core import Params, Tolerance
-from daha_cc1.laurent import LaurentPoly, canonical_window, reduce_mod
+from daha_cc1.laurent import (
+    LaurentPoly,
+    build_E,
+    build_E_dual,
+    canonical_window,
+    dual_ladder_roots,
+    ladder_roots,
+    reduce_mod,
+)
 from daha_cc1.rep import (
     DegenerateLadderError,
     DimVector,
     IdealNotInvariantError,
     NotOnStratumError,
+    PairingError,
     RankIndeterminateError,
     RelationResidualError,
     Rep,
     SignVector,
+    _ladder,
     apply_T0,
     apply_T0v_bar,
     apply_T1,
     apply_T1v_bar,
+    block_quadratic,
     build_quotient_rep,
     build_truncated_polyrep,
     commutant_dim,
     conjugacy_class_dim,
     dim_vector,
-    kernel_dims,
-    numerical_rank,
-    quotient_data,
+    pairings,
     rep_from_json,
     rep_to_json,
     rho_ladder,
@@ -33,8 +42,10 @@ from daha_cc1.rep import (
     spectrum_of_z,
     verify_relations,
 )
-from daha_cc1.roots import Imaginary, Type1E, Type1F, Type2, root_of_kind
+from daha_cc1.dsbridge import class_spec_from_root, to_ds_tuple, verify_class_membership
+from daha_cc1.roots import Imaginary, RootVector, Type1E, Type1F, Type2, root_of_kind
 from daha_cc1.strata import sample_generic_params, sample_stratum_params
+from oracles import dense_dim_vector, numerical_rank, sylvester_commutant_dim
 
 Z = LaurentPoly.monomial(1)
 ONE = LaurentPoly.one()
@@ -47,22 +58,13 @@ FAMILIES = (
 )
 
 
-def sylvester_commutant_dim(r: Rep, rank_tol: float = 1e-9) -> int:
-    """Oracle for commutant_dim in any basis: the nullity of the stacked
-    Sylvester system X -> [T, X] over the four generators.  Its SVD has
-    d^2 columns, so keep it to dim <= 15."""
-    assert r.dim <= 15
-    d = r.dim
-    eye = np.eye(d)
-    stack = np.vstack([np.kron(M, eye) - np.kron(eye, M.T) for M in r.generators()])
-    sv = np.linalg.svd(stack, compute_uv=False)
-    if sv[0] == 0.0:
-        return d * d
-    thr = rank_tol * sv[0]
-    band = (sv > thr / 10.0) & (sv < thr * 10.0)
-    if band.any():
-        raise RankIndeterminateError("commutant rank indeterminate")
-    return d * d - int((sv > thr).sum())
+def quotient_data(kind, s, p: Params):
+    """(side, operator signs, divisor E, ladder parameter a, E's roots),
+    for the ladder that build_quotient_rep evaluates at."""
+    side, signs, a, n, dual = _ladder(kind, s, p)
+    if dual:
+        return side, signs, build_E_dual(n, a, p.q_half), a, dual_ladder_roots(n, a, p.q_half)
+    return side, signs, build_E(n, a, p.q_half), a, ladder_roots(n, a, p.q_half)
 
 
 def monomial_window_matrices(kind, p: Params) -> tuple[dict, list[int]]:
@@ -153,8 +155,8 @@ def test_type2_level1_rep(rng):
     assert r.dim == 3
     assert max(verify_relations(r, p).values()) < 1e-8
     assert dim_vector(r, p).as_tuple() == (3, 1, 1, 1, 1)
-    assert commutant_dim(r) == 1
-    assert rigidity_D(r.dim, *kernel_dims(r, p)) == 0
+    assert commutant_dim(r, p) == 1
+    assert rigidity_D(*dim_vector(r, p).as_tuple()) == 0
 
 
 @pytest.mark.parametrize(
@@ -165,7 +167,7 @@ def test_one_leg_reps(kind, rng):
     p = sample_stratum_params(kind, rng)
     r = build_quotient_rep(kind, None, p)
     assert dim_vector(r, p).as_tuple() == tuple(root_of_kind(kind))
-    assert commutant_dim(r) == 1
+    assert commutant_dim(r, p) == 1
 
 
 def test_spectrum_matches_rho_ladder(rng):
@@ -257,10 +259,12 @@ def test_commutant_of_direct_sum_is_two():
         T0v=np.diag([eigs1[2], eigs2[2]]).astype(complex),
         T1v=np.diag([eigs1[3], eigs2[3]]).astype(complex),
         basis_labels=[0, 1],
+        # the z-eigenvalues q^{1/2} t0 t0v of the two summands
+        roots=np.array([p.q_half * e[0] * e[2] for e in (eigs1, eigs2)], dtype=complex),
     )
     assert max(verify_relations(glued, p).values()) < 1e-12
-    assert commutant_dim(r1) == 1
-    assert commutant_dim(glued) == 2
+    assert commutant_dim(r1, p) == 1
+    assert commutant_dim(glued, p) == 2
     assert sylvester_commutant_dim(r1) == 1
     assert sylvester_commutant_dim(glued) == 2
 
@@ -278,14 +282,16 @@ def test_rep_json_round_trip(rng):
 
 
 def test_rank_guard_on_custom_tolerance(rng):
-    # very loose rank tolerance must trip the indeterminacy band, not
-    # silently misreport the dimension vector
-    kind = Type2(1, 1, 1, 1, 1)
+    # a tolerance so loose that no ratio is clearly apart from 1 must
+    # trip the indeterminacy band, not silently misreport the dimension
+    # vector: with eps0 = -1 the lone entry of T0 is -1/k0
+    kind = Type2(-1, 1, 1, 1, 1)
     p = sample_stratum_params(kind, rng)
     r = build_quotient_rep(kind, None, p)
+    assert dim_vector(r, p).as_tuple() == (3, 2, 1, 1, 1)
     p_loose = Params(
         k0=p.k0, k1=p.k1, u0=p.u0, u1=p.u1, q_half=p.q_half,
-        tol=Tolerance(eq_tol=1e-9, rank_tol=0.5),
+        tol=Tolerance(eq_tol=1e-2),
     )
     with pytest.raises(RankIndeterminateError):
         dim_vector(r, p_loose)
@@ -365,19 +371,61 @@ def test_commutant_needs_a_diagonal_z(rng):
     r = build_quotient_rep(kind, None, p)
     P = np.eye(r.dim) + 0.3 * rng.normal(size=(r.dim, r.dim))
     Pi = np.linalg.inv(P)
-    moved = Rep(r.dim, *(P @ M @ Pi for M in r.generators()), r.basis_labels)
-    with pytest.raises(ValueError):
-        commutant_dim(moved)
+    moved = Rep(r.dim, *(P @ M @ Pi for M in r.generators()), r.basis_labels, r.roots)
+    with pytest.raises(PairingError):
+        commutant_dim(moved, p)
+    with pytest.raises(PairingError):
+        verify_relations(moved, p)
     assert sylvester_commutant_dim(moved) == 1
 
 
 def test_commutant_entry_band_raises():
+    # s1 pairs the roots 2 and 1/2; s0 leaves both lone.  An off-diagonal
+    # entry of T1 is weighed against the largest entry of its block, 3
+    p = Params(k0=2.0, k1=3.0, u0=5.0, u1=7.0, q_half=1.3 + 0.2j)
     eye = np.eye(2, dtype=complex)
     T1 = np.diag([3.0, -1 / 3.0]).astype(complex)
-    r = Rep(2, 2 * eye, T1, np.diag([1.0, 2.0]).astype(complex), eye, [0, 1])
-    assert commutant_dim(r) == 2
+    r = Rep(2, 2 * eye, T1, np.diag([1.0, 2.0]).astype(complex), eye, [0, 1],
+            np.array([2.0, 0.5], dtype=complex))
+    assert commutant_dim(r, p) == 2
     T1[0, 1] = 3e-9
+    assert commutant_dim(r, p) == 2
+    T1[0, 1] = 3e-8
     with pytest.raises(RankIndeterminateError):
-        commutant_dim(r)
-    T1[0, 1] = 3e-6
-    assert commutant_dim(r) == 1
+        commutant_dim(r, p)
+    T1[0, 1] = 3e-5
+    assert commutant_dim(r, p) == 1
+
+
+def test_jordan_case_counts_a_pair_once_and_a_lone_entry_never():
+    # t = i gives t = -1/t: a 2x2 block with trace 2i and determinant -1
+    # is one Jordan block, rank 1 in M - t, and a lone entry i adds 0
+    p = Params(k0=2.0, k1=3.0, u0=5.0, u1=7.0, q_half=1.3 + 0.2j)
+    s0, s1 = pairings(np.array([2.0, 0.5, 3.0], dtype=complex), p.q)
+    assert s0.tolist() == [0, 1, 2] and s1.tolist() == [1, 0, 2]
+    t = 1j
+    M = np.array([[t, 1.0, 0], [0, t, 0], [0, 0, t]], dtype=complex)
+    assert block_quadratic(M, s1, t, -1 / t, p.tol) == (0.0, 1)
+    assert numerical_rank(M - t * np.eye(3)) == 1
+    # and on a built rep with k0 = i, whose T0 blocks are all Jordan blocks
+    kind = Type2(1, 1, 1, 1, 2)
+    k1, u0, qh = 0.8 - 0.9j, 1.1 + 0.3j, 1.3 + 0.2j
+    u1 = 1 / (1j * k1 * u0 * qh**5)
+    p = Params(k0=1j, k1=k1, u0=u0, u1=u1, q_half=qh)
+    r = build_quotient_rep(kind, None, p)
+    assert dim_vector(r, p).as_tuple() == (5, 2, 2, 2, 2) == dense_dim_vector(r, p)
+    assert commutant_dim(r, p) == 1
+    # q^{1/2} T0 has the one eigenvalue i q^{1/2}: its class is the Jordan
+    # one, whose rank counts the 2x2 blocks
+    specs = class_spec_from_root(RootVector(5, 2, 2, 2, 2), p)
+    assert specs[0].eig1 == pytest.approx(specs[0].eig2)
+    assert verify_class_membership(to_ds_tuple(r, p), specs, p.tol)
+
+
+def test_a_lone_entry_between_its_two_decisions_has_no_rank():
+    # lone entries x with x / t - 1 = 1e-8 sit between approx_eq (1e-9)
+    # and clearly_neq (1e-6) at the default tolerance
+    p = Params(k0=2.0, k1=3.0, u0=5.0, u1=7.0, q_half=1.3 + 0.2j)
+    _, s1 = pairings(np.array([2.0], dtype=complex), p.q)
+    for x, rank in ((3.0, 0), (-1 / 3.0, 1), (3.0 * (1 + 1e-8), None)):
+        assert block_quadratic(np.array([[x]], dtype=complex), s1, 3.0, -1 / 3.0, p.tol)[1] == rank

@@ -23,8 +23,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data", "sampler_draws.json")
 DEFAULT = Tolerance()
 # about half of the generic draws at eq_tol 1e-4, and 5% of the stratum
 # draws at 1e-6, are rejected
-LOOSE_GENERIC = Tolerance(eq_tol=1e-4, rank_tol=1e-9)
-LOOSE_STRATUM = Tolerance(eq_tol=1e-6, rank_tol=1e-9)
+LOOSE_GENERIC = Tolerance(eq_tol=1e-4)
+LOOSE_STRATUM = Tolerance(eq_tol=1e-6)
 REAL_KINDS = [k for k, _ in enumerate_strict_roots(20) if not isinstance(k, Imaginary)]
 
 
