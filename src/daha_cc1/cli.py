@@ -134,6 +134,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     n_max = int(n_max) if n_max is not None else 6
     if n_max > 20:
         raise ValueError("n_max must be <= 20")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     fmt = pick("format", getattr(args, "format", None)) or "json"
     if fmt not in ("json", "csv", "text"):
         raise ValueError(f"unknown output format {fmt!r}")
@@ -216,24 +218,25 @@ def cmd_classify(cfg: RunConfig, explain: bool) -> tuple[dict, int]:
 # -- construct -----------------------------------------------------------
 
 
-def _ds_results(r, p: Params) -> tuple[dict, dsbridge.DSTuple, tuple, dict]:
-    """The diagnosis construct and ds-check share: relation residuals,
-    the four-matrix tuple, the dim vector and the tuple's class checks."""
+def _ds_results(r, p: Params) -> tuple[dict, tuple, dict]:
+    """The diagnosis construct and ds-check share: relation residuals, the
+    dim vector and the four-matrix product problem, read off the relation
+    check.  Factor i of (q^{1/2} T0, T0v, T1, T1v) lies in its class when
+    its generator's quadratic holds, and the ranks are the dim vector."""
     residuals = verify_relations(r, p)
-    t = dsbridge.to_ds_tuple(r, p)
     dv = dim_vector(r, p).as_tuple()
-    vec = RootVector(*dv)
-    specs = dsbridge.class_spec_from_root(vec, p)
     ds = {
-        "product_residual": t.product_residual(),
-        "class_membership": dsbridge.verify_class_membership(t, specs, p.tol),
-        "existence_predicate": dsbridge.ds_existence_predicate(vec, p),
+        "product_residual": dsbridge.check_product(residuals["product"]),
+        "class_membership": all(
+            v <= p.tol.ineq_margin for k, v in residuals.items() if k.startswith("quad.")
+        ),
+        "existence_predicate": dsbridge.ds_existence_predicate(RootVector(*dv), p),
     }
-    return residuals, t, dv, ds
+    return residuals, dv, ds
 
 
 def _construct_results(kind, r, p: Params) -> tuple[dict, dict]:
-    residuals, _, dv, ds = _ds_results(r, p)
+    residuals, dv, ds = _ds_results(r, p)
     results = {
         "kind": kind_to_str(kind),
         "rep": rep_to_json(r),
@@ -380,10 +383,8 @@ def cmd_ds_check(cfg: RunConfig, rep_path: str) -> tuple[dict, int]:
     validate_params(p)
     with open(rep_path, encoding="utf-8") as fh:
         r = rep_from_json(json.load(fh))
-    residuals, t, dv, ds = _ds_results(r, p)
-    det_prod = complex(
-        np.prod([np.linalg.det(M) for M in t.matrices()])
-    )
+    residuals, dv, ds = _ds_results(r, p)
+    det_prod = complex(np.prod([np.linalg.det(M) for M in dsbridge.ds_factors(r, p)]))
     results = {
         "rep_file": rep_path,
         "dim_vector": list(dv),

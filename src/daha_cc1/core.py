@@ -68,10 +68,6 @@ class Params:
     def q(self) -> complex:
         return self.q_half * self.q_half
 
-    def t(self, i: int) -> complex:
-        """t_1..t_4 = (k0, k1, u0, u1)."""
-        return (self.k0, self.k1, self.u0, self.u1)[i - 1]
-
 
 def approx_eq(a: complex, b: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
     """|a - b| <= eq_tol * max(1, |a|, |b|)."""

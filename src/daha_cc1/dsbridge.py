@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Params, Tolerance, approx_eq
-from .rep import RankIndeterminateError, Rep, block_product, block_quadratic, rigidity_D
+from .core import Params, approx_eq
+from .rep import RankIndeterminateError, Rep, block_product, block_quadratic
 from .roots import Imaginary, RootVector, classify_root
 from .strata import sigma_membership, xi_product, xi_table
 
@@ -27,31 +27,6 @@ class ProductNotIdentityError(ArithmeticError):
     def __init__(self, residual: float):
         self.residual = residual
         super().__init__(f"product residual {residual:.3e}")
-
-
-@dataclass
-class DSTuple:
-    """Four invertible matrices with product A4 A3 A1 A2 = 1, block
-    diagonal on the s0 pairing (A1, A2) and the s1 pairing (A3, A4) of
-    the z-eigenvalues z (see daha_cc1.rep.pairings)."""
-
-    A1: np.ndarray
-    A2: np.ndarray
-    A3: np.ndarray
-    A4: np.ndarray
-    z: np.ndarray
-    s0: np.ndarray
-    s1: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.A1.shape[0]
-
-    def matrices(self) -> list[np.ndarray]:
-        return [self.A1, self.A2, self.A3, self.A4]
-
-    def product_residual(self) -> float:
-        return block_product(self.A1, self.A2, self.A3, self.A4, self.z, self.s0, self.s1)
 
 
 @dataclass(frozen=True)
@@ -68,14 +43,23 @@ class ClassSpec:
         return self.mult1 + self.mult2
 
 
-def to_ds_tuple(r: Rep, p: Params) -> DSTuple:
+def check_product(residual: float) -> float:
+    """The product residual, unless it exceeds PRODUCT_RESIDUAL_MAX."""
+    if residual > PRODUCT_RESIDUAL_MAX:
+        raise ProductNotIdentityError(residual)
+    return residual
+
+
+def ds_factors(r: Rep, p: Params) -> tuple[np.ndarray, ...]:
+    """The rep's four factors (q^{1/2} T0, T0v, T1, T1v)."""
+    return (p.q_half * r.T0, r.T0v, r.T1, r.T1v)
+
+
+def to_ds_tuple(r: Rep, p: Params) -> tuple[np.ndarray, ...]:
     """(q^{1/2} T0, T0v, T1, T1v); raises unless the product closes."""
-    mats = (p.q_half * r.T0, r.T0v.copy(), r.T1.copy(), r.T1v.copy())
-    t = DSTuple(*mats, r.roots.copy(), *r.pairings(p.q))
-    res = t.product_residual()
-    if res > PRODUCT_RESIDUAL_MAX:
-        raise ProductNotIdentityError(res)
-    return t
+    mats = ds_factors(r, p)
+    check_product(block_product(*mats, r.roots, *r.pairings(p.q)))
+    return mats
 
 
 def class_spec_from_root(alpha: RootVector, p: Params) -> tuple[ClassSpec, ...]:
@@ -98,19 +82,18 @@ def class_spec_from_root(alpha: RootVector, p: Params) -> tuple[ClassSpec, ...]:
     )
 
 
-def verify_class_membership(
-    t: DSTuple, specs: tuple[ClassSpec, ...], tol: Tolerance
-) -> bool:
-    """Each Ai must satisfy (Ai - eig1)(Ai - eig2) = 0 block by block
-    with rank(Ai - eig1) = mult2; when the two eigenvalues coincide the
-    class is the Jordan one, whose rank counts its 2x2 blocks."""
-    for M, g, spec in zip(t.matrices(), (t.s0, t.s0, t.s1, t.s1), specs):
+def verify_class_membership(r: Rep, p: Params, specs: tuple[ClassSpec, ...]) -> bool:
+    """Each factor Ai of the rep must satisfy (Ai - eig1)(Ai - eig2) = 0
+    block by block with rank(Ai - eig1) = mult2; when the two eigenvalues
+    coincide the class is the Jordan one, whose rank counts its 2x2 blocks."""
+    s0, s1 = r.pairings(p.q)
+    for M, g, spec in zip(ds_factors(r, p), (s0, s0, s1, s1), specs):
         if M.shape[0] != spec.dim:
             return False
-        res, rank = block_quadratic(M, g, spec.eig1, spec.eig2, tol)
+        res, rank = block_quadratic(M, g, spec.eig1, spec.eig2, p.tol)
         if rank is None:
             raise RankIndeterminateError("a matrix entry sits near a rank threshold")
-        if res > tol.eq_tol * 1e3 or rank != spec.mult2:
+        if res > p.tol.ineq_margin or rank != spec.mult2:
             return False
     return True
 
@@ -127,20 +110,14 @@ def ds_existence_predicate(alpha: RootVector, p: Params) -> bool:
     return sigma_membership(p, kind).member
 
 
-def tuple_rigidity(alpha: RootVector) -> int:
-    """Moduli count of the tuple's class data; 0 iff rigid."""
-    legs = (alpha.a1, alpha.a2, alpha.a3, alpha.a4)
-    return rigidity_D(alpha.a0, *legs)
-
-
 __all__ = [
-    "DSTuple",
     "ClassSpec",
+    "check_product",
+    "ds_factors",
     "to_ds_tuple",
     "class_spec_from_root",
     "verify_class_membership",
     "ds_existence_predicate",
-    "tuple_rigidity",
     "ProductNotIdentityError",
     "PRODUCT_RESIDUAL_MAX",
 ]

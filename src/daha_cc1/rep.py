@@ -541,14 +541,6 @@ def rigidity_D(n: int, d1: int, d2: int, d3: int, d4: int) -> int:
     return 2 * (1 - n * n + sum(d * (n - d) for d in (d1, d2, d3, d4)))
 
 
-def conjugacy_class_dim(n: int, d: int) -> int:
-    """dim of the conjugacy class with eigenvalue multiplicities (d, n-d):
-    2d(n-d), in both the diagonalizable and the t^2 = -1 Jordan case."""
-    if d < 0 or d > n:
-        raise ValueError("d must lie in [0, n]")
-    return 2 * d * (n - d)
-
-
 def build_truncated_polyrep(
     side: Literal["P", "Pbar"],
     s: SignVector,
@@ -609,14 +601,23 @@ def rep_to_json(r: Rep) -> dict:
 
 
 def rep_from_json(data: dict) -> Rep:
+    """The stored rep; refuses one whose dim, matrix shapes and root
+    count disagree, or that has no roots."""
     provenance = dict(data.get("provenance", {}))
     if "roots" not in provenance:
         raise ValueError("stored representation has no provenance roots")
+    dim = int(data["dim"])
+    mats = [_matrix_from_json(data[name]) for name in _GENERATORS]
+    roots = np.array([complex(re, im) for re, im in provenance["roots"]])
+    shapes = [M.shape for M in mats]
+    if roots.shape != (dim,) or any(shape != (dim, dim) for shape in shapes):
+        raise ValueError(
+            f"stored representation of dim {dim} has {roots.size} roots and matrices {shapes}"
+        )
     return Rep(
-        int(data["dim"]),
-        *(_matrix_from_json(data[name]) for name in _GENERATORS),
+        dim, *mats,
         basis_labels=[int(x) for x in data["basis_labels"]],
-        roots=np.array([complex(re, im) for re, im in provenance["roots"]]),
+        roots=roots,
         provenance=provenance,
     )
 
@@ -636,7 +637,6 @@ __all__ = [
     "rho_ladder",
     "commutant_dim",
     "rigidity_D",
-    "conjugacy_class_dim",
     "build_truncated_polyrep",
     "rep_to_json",
     "rep_from_json",

@@ -10,18 +10,21 @@ import cmath
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 
+from daha_cc1 import cli
 from daha_cc1.core import Params
-from daha_cc1.dsbridge import to_ds_tuple
+from daha_cc1.dsbridge import class_spec_from_root, to_ds_tuple, verify_class_membership
 from daha_cc1.rep import (
     IdealNotInvariantError,
     NotOnStratumError,
     RelationResidualError,
     SignVector,
+    block_product,
     build_quotient_rep,
     build_truncated_polyrep,
     commutant_dim,
@@ -34,6 +37,7 @@ from daha_cc1.rep import (
 )
 from daha_cc1.roots import (
     Imaginary,
+    RootVector,
     Type1E,
     Type1F,
     Type2,
@@ -306,12 +310,73 @@ def test_criterion_06_strata_ds_consistency(corpus):
             n_points += 1
     dets = 0
     for _, p, r in corpus:
-        t = to_ds_tuple(r, p)
-        det = complex(np.prod([np.linalg.det(M) for M in t.matrices()]))
+        det = complex(np.prod([np.linalg.det(M) for M in to_ds_tuple(r, p)]))
         assert abs(det - 1.0) < 1e-8
         dets += 1
     print(f"PASS criterion 6: xi closure on {n_points} stratum points, "
           f"det product 1 on {dets} tuples")
+
+
+def _ds_reference(r, p):
+    """The product-problem block from dsbridge: the guarded factors'
+    block product and their class membership for the rep's dim vector."""
+    mats = to_ds_tuple(r, p)
+    residual = block_product(*mats, r.roots, *r.pairings(p.q))
+    specs = class_spec_from_root(RootVector(*dim_vector(r, p).as_tuple()), p)
+    return residual, verify_class_membership(r, p, specs)
+
+
+def _ds_cli(r, p):
+    """The same two fields of the block construct and ds-check report."""
+    ds = cli._ds_results(r, p)[2]
+    return ds["product_residual"], ds["class_membership"]
+
+
+def _ds_outcome(read, r, p):
+    try:
+        return read(r, p)
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+def _moved_copies(r, p, rng, rel):
+    """Copies of r with entries moved by rel of themselves: one diagonal
+    entry of each generator in turn, and one copy that moves a lone entry
+    of T0 and of T1 by 1 + rel and their partners' entries in T0v and
+    T1v by 1 / (1 + rel), which keeps the product relation."""
+    rows = np.arange(r.dim)
+    for name in ("T0", "T1", "T0v", "T1v"):
+        M = getattr(r, name).copy()
+        i = int(rng.integers(r.dim))
+        M[i, i] *= 1 + rel
+        yield replace(r, **{name: M})
+    mats = {name: getattr(r, name).copy() for name in ("T0", "T1", "T0v", "T1v")}
+    for (a, b), w in zip((("T0", "T0v"), ("T1", "T1v")), r.pairings(p.q)):
+        lone = rows[w == rows]
+        if lone.size:
+            i = int(rng.choice(lone))
+            mats[a][i, i] *= 1 + rel
+            mats[b][i, i] /= 1 + rel
+    yield replace(r, **mats)
+
+
+def test_ds_block_agrees_with_the_dsbridge_reference(corpus):
+    """The ds block that construct and ds-check read off the relation
+    check equals dsbridge's reference on the corpus and on copies moved
+    by 1e-7 and 1e-4 relative; where one side raises, so does the other."""
+    rng = np.random.default_rng(2203)
+    seen = Counter()
+    for kind, p, r in corpus:
+        copies = [r] + [c for rel in (1e-7, 1e-4) for c in _moved_copies(r, p, rng, rel)]
+        for c in copies:
+            got = _ds_outcome(_ds_cli, c, p)
+            want = _ds_outcome(_ds_reference, c, p)
+            assert got == want, (kind, got, want)
+            seen[got if isinstance(got, str) else got[1]] += 1
+    assert seen[True] >= len(corpus) and seen[False] > 0
+    assert seen["ProductNotIdentityError"] and seen["RankIndeterminateError"]
+    print(f"PASS ds block equals the dsbridge reference on {sum(seen.values())} reps: "
+          f"{dict(seen)}")
 
 
 def test_criterion_07_negative_suite():

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from daha_cc1 import cli
+from daha_cc1 import cli, dsbridge
+from daha_cc1 import rep as rep_module
 from daha_cc1.cli import main
 from daha_cc1.roots import Type1E, Type2, kind_from_str, kind_to_str, root_of_kind
 from daha_cc1.strata import sample_stratum_params
@@ -480,3 +481,68 @@ def test_ds_check_refuses_an_entry_outside_the_pairing(capsys, tmp_path, rng):
     rep_file.write_text(json.dumps(data))
     code, out = run_cli(capsys, ["ds-check", *args, "--rep", str(rep_file)])
     assert code == 2
+
+
+@pytest.mark.parametrize("edit", ["dim+1", "dim-1", "T1 4x4"])
+def test_ds_check_refuses_a_stored_rep_whose_sizes_disagree(capsys, tmp_path, rng, edit):
+    kind = Type2(1, 1, 1, 1, 2)
+    args = _param_args(sample_stratum_params(kind, rng))
+    rep_file = tmp_path / "rep.json"
+    code, _ = run_cli(capsys, ["construct", *args, "--kind", kind_to_str(kind),
+                               "--out", str(rep_file)])
+    assert code == 0
+    data = json.loads(rep_file.read_text())
+    assert data["dim"] == 5 == len(data["provenance"]["roots"])
+    if edit == "T1 4x4":
+        data["T1"] = [row[:4] for row in data["T1"][:4]]
+    else:
+        data["dim"] += 1 if edit == "dim+1" else -1
+    rep_file.write_text(json.dumps(data))
+    code, out = run_cli(capsys, ["ds-check", *args, "--rep", str(rep_file)])
+    assert code == 2
+    report = json.loads(out)
+    assert report["exit_code"] == 2
+    assert report["results"]["error"].startswith("ValueError: stored representation of dim")
+
+
+@pytest.mark.parametrize("command", ["classify", "scan"])
+def test_negative_n_max_is_input_error(capsys, command):
+    code, out = run_cli(capsys, [command, *ONE_DIM, "--n-max", "-1"])
+    assert code == 2
+    assert json.loads(out)["results"] == {"error": "n_max must be >= 0"}
+
+
+def test_construct_and_ds_check_read_the_ds_block_off_the_relation_check(
+    capsys, tmp_path, rng, monkeypatch
+):
+    # construct checks the product once in the build's gate and once in
+    # the report's relation check, and makes three quadratic passes (the
+    # gate, the report's relation check, the dim vector); ds-check makes
+    # one product check and two quadratic passes
+    calls = {"product": 0, "quadratic": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the CLI reads the ds block off verify_relations")
+
+    monkeypatch.setattr(rep_module, "block_product", counted("product", rep_module.block_product))
+    monkeypatch.setattr(rep_module, "block_quadratic",
+                        counted("quadratic", rep_module.block_quadratic))
+    monkeypatch.setattr(dsbridge, "to_ds_tuple", unused)
+    monkeypatch.setattr(dsbridge, "verify_class_membership", unused)
+    kind = Type2(1, -1, 1, 1, 3)
+    args = _param_args(sample_stratum_params(kind, rng))
+    rep_file = tmp_path / "rep.json"
+    code, _ = run_cli(capsys, ["construct", *args, "--kind", kind_to_str(kind),
+                               "--out", str(rep_file)])
+    assert code == 0
+    assert calls == {"product": 2, "quadratic": 3 * 4}
+    calls.update(product=0, quadratic=0)
+    code, _ = run_cli(capsys, ["ds-check", *args, "--rep", str(rep_file)])
+    assert code == 0
+    assert calls == {"product": 1, "quadratic": 2 * 4}

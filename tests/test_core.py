@@ -39,7 +39,6 @@ def test_tolerance_rejects_bad_eq_tol(bad):
 def test_params_q_is_square_of_q_half():
     p = Params(k0=1, k1=1, u0=1, u1=1, q_half=1 + 2j)
     assert p.q == (1 + 2j) ** 2
-    assert p.t(1) == p.k0 and p.t(4) == p.u1
 
 
 @given(complexes)

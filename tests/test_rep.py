@@ -32,7 +32,6 @@ from daha_cc1.rep import (
     build_quotient_rep,
     build_truncated_polyrep,
     commutant_dim,
-    conjugacy_class_dim,
     dim_vector,
     pairings,
     rep_from_json,
@@ -42,7 +41,7 @@ from daha_cc1.rep import (
     spectrum_of_z,
     verify_relations,
 )
-from daha_cc1.dsbridge import class_spec_from_root, to_ds_tuple, verify_class_membership
+from daha_cc1.dsbridge import class_spec_from_root, verify_class_membership
 from daha_cc1.roots import Imaginary, RootVector, Type1E, Type1F, Type2, root_of_kind
 from daha_cc1.strata import sample_generic_params, sample_stratum_params
 from oracles import dense_dim_vector, numerical_rank, sylvester_commutant_dim
@@ -232,13 +231,6 @@ def test_rigidity_counts():
         rigidity_D(2, 3, 0, 0, 0)
 
 
-def test_conjugacy_class_dim():
-    assert conjugacy_class_dim(3, 1) == 4
-    assert conjugacy_class_dim(5, 0) == 0
-    with pytest.raises(ValueError):
-        conjugacy_class_dim(2, 3)
-
-
 def test_commutant_of_direct_sum_is_two():
     # parameters chosen so two different sign vectors solve the 1-dim
     # product equality: u1*k1*k0*u0 = q^{-1/2} holds both with all-plus
@@ -419,7 +411,7 @@ def test_jordan_case_counts_a_pair_once_and_a_lone_entry_never():
     # one, whose rank counts the 2x2 blocks
     specs = class_spec_from_root(RootVector(5, 2, 2, 2, 2), p)
     assert specs[0].eig1 == pytest.approx(specs[0].eig2)
-    assert verify_class_membership(to_ds_tuple(r, p), specs, p.tol)
+    assert verify_class_membership(r, p, specs)
 
 
 def test_a_lone_entry_between_its_two_decisions_has_no_rank():
