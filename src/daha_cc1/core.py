@@ -1,7 +1,8 @@
 """Scalar arithmetic, parameter validation, and the shared tolerance policy.
 
 All downstream modules work with ordinary ``complex`` numbers; comparisons
-and rank decisions go through the :class:`Tolerance` policy defined here.
+and rank decisions go through the :class:`Tolerance` policy defined here,
+one pair at a time or elementwise over arrays, with the same bits.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 class ZeroParameterError(ValueError):
@@ -79,6 +82,41 @@ def clearly_neq(a: complex, b: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
     return abs(a - b) > tol.ineq_margin * max(1.0, abs(a), abs(b))
 
 
+def _verdicts(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    # a modulus is the hypot of the parts, as abs() computes it: numpy's
+    # complex absolute can differ in the last bit
+    gap, abs_a, abs_b = (np.hypot(z.real, z.imag) for z in (a - b, a, b))
+    # fmax skips a NaN modulus, as max() does
+    scale = np.fmax(np.fmax(1.0, abs_a), abs_b)
+    return gap <= tol.eq_tol * scale, gap > tol.ineq_margin * scale
+
+
+# the decorator form of errstate sets the error mode per call, without
+# building a context manager
+_verdicts_or_overflow = np.errstate(over="raise", invalid="ignore")(_verdicts)
+
+
+@np.errstate(all="ignore")
+def _verdicts_past_overflow(a: np.ndarray, b: np.ndarray, tol: Tolerance):
+    # of the steps that can overflow, the scalar functions raise only in abs()
+    for z in (a - b, a, b):
+        if (np.isinf(np.hypot(z.real, z.imag)) & np.isfinite(z)).any():
+            raise OverflowError("absolute value too large")
+    return _verdicts(a, b, tol)
+
+
+def compare_arrays(a, b, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """approx_eq and clearly_neq elementwise over the broadcast arrays a
+    and b, with the scalar functions' arithmetic, so each entry is the
+    scalar verdict to the bit; like abs(), a modulus that overflows from
+    finite parts raises OverflowError."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    try:
+        return _verdicts_or_overflow(a, b, tol)
+    except FloatingPointError:
+        return _verdicts_past_overflow(a, b, tol)
+
+
 def match_q_power(
     x: complex,
     q: complex,
@@ -116,13 +154,16 @@ def validate_params(p: Params) -> None:
         if not cmath.isfinite(complex(v)):
             raise ZeroParameterError(f"parameter {name} is not finite")
     q = p.q
-    power = 1 + 0j
-    for m in range(1, p.roots_bound + 1):
+    # q^1, q^2, ... up to the bound, stopping at the first non-finite one
+    powers, power = [], 1 + 0j
+    for _ in range(p.roots_bound):
         power = power * q
         if not cmath.isfinite(power):
             break
-        if approx_eq(power, 1.0, p.tol):
-            raise RootOfUnityError(m)
+        powers.append(power)
+    unit = np.flatnonzero(compare_arrays(powers, 1.0, p.tol)[0])
+    if unit.size:
+        raise RootOfUnityError(int(unit[0]) + 1)
 
 
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"

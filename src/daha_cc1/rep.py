@@ -601,8 +601,11 @@ def rep_to_json(r: Rep) -> dict:
 
 
 def rep_from_json(data: dict) -> Rep:
-    """The stored rep; refuses one whose dim, matrix shapes and root
-    count disagree, or that has no roots."""
+    """The stored rep; refuses one that lacks a field or its roots, or
+    whose dim, matrix shapes and root count disagree."""
+    missing = [key for key in ("dim", *_GENERATORS, "basis_labels") if key not in data]
+    if missing:
+        raise ValueError(f"stored representation has no {', '.join(missing)}")
     provenance = dict(data.get("provenance", {}))
     if "roots" not in provenance:
         raise ValueError("stored representation has no provenance roots")

@@ -9,7 +9,6 @@ the four-matrix product problem and the xi^[alpha] closure product.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
@@ -20,8 +19,8 @@ from .core import (
     DEFAULT_TOL,
     Params,
     Tolerance,
-    approx_eq,
     clearly_neq,
+    compare_arrays,
     validate_params,
 )
 from .roots import (
@@ -97,6 +96,11 @@ def xi_product(alpha: RootVector, p: Params, table: XiTable | None = None) -> co
     return out
 
 
+_SIGN_CHOICES = tuple(product((1, -1), repeat=4))
+# the four Hecke parameters in the order of Type2.signs
+_T_NAMES = ("k0", "k1", "u0", "u1")
+
+
 def signed_product(p: Params, signs: tuple[int, int, int, int]) -> complex:
     """eps1 k1^eps1 * eps0 k0^eps0 * del1 u1^del1 * del0 u0^del0."""
     eps0, eps1, del0, del1 = signs
@@ -108,70 +112,64 @@ def signed_product(p: Params, signs: tuple[int, int, int, int]) -> complex:
     )
 
 
-_SIGN_CHOICES = tuple(product((1, -1), repeat=4))
-# the four Hecke parameters in the order of Type2.signs
-_T_NAMES = ("k0", "k1", "u0", "u1")
+def _signed_products(p: Params) -> list[complex]:
+    """signed_product(p, signs) for every sign vector, in _SIGN_CHOICES
+    order: the same left-to-right products, sharing their first four
+    factors."""
+    k0, k1, u0, u1 = ({s: getattr(p, name) ** s for s in (1, -1)} for name in _T_NAMES)
+    heads = [e1 * k1[e1] * e0 * k0[e0] for e0, e1 in product((1, -1), repeat=2)]
+    return [h * d1 * u1[d1] * d0 * u0[d0] for h in heads for d0, d1 in product((1, -1), repeat=2)]
+
+
+# the table's rows: the 16 signed products, keyed by their signs, then
+# t^(2s), keyed by (name of t, s)
+_ROW_KEYS = (*_SIGN_CHOICES, *((name, s) for name in _T_NAMES for s in (1, -1)))
+_ROW = {key: row for row, key in enumerate(_ROW_KEYS)}
+# per sign vector, the (name of t, row of t^(2s)) its inequalities read
+_LEG_ROWS = {
+    signs: tuple((name, _ROW[name, s]) for name, s in zip(_T_NAMES, signs))
+    for signs in _SIGN_CHOICES
+}
+_N_PRODUCTS, _N_ROWS = len(_SIGN_CHOICES), len(_ROW_KEYS)
 
 
 class _StratumConditions:
-    """The quantities that one point's stratum conditions compare, up to
-    level n.
+    """The comparisons of one point's stratum conditions, up to level n.
 
-    Every stratum condition compares a signed product with
-    q^{-1/2-m}, or t^{2s} with -q^m.  Over all kinds up to level n these
-    are about 24 n distinct comparisons, which the per-kind conditions
-    would repeat once per kind.  Here each value is computed once, with
-    the per-kind expression, and each inequality is tested once per
-    level m < n, so verdicts read from one table are bit-identical to
-    verdicts computed kind by kind.
+    Every stratum condition compares a row value, a signed product or
+    t^(2s), with its level value at some m: q_half^(-1-2m) or -q^m.  The
+    values are the per-kind Python expressions, and the 24 x (n+1) grid is
+    compared in one pass of ``compare_arrays``, which gives approx_eq's and
+    clearly_neq's bits: verdicts read from the table are the per-kind ones.
     """
 
-    __slots__ = (
-        "p", "n", "neg_q_powers", "product_rhs", "t_powers", "_products", "_close",
-    )
+    __slots__ = ("values", "product_rhs", "neg_q_powers", "eq", "close", "product_close")
 
     def __init__(self, p: Params, n: int):
         q, qh = p.q, p.q_half
-        self.p, self.n = p, n
-        self.neg_q_powers = [-(q**m) for m in range(n + 1)]
         self.product_rhs = [qh ** (-1 - 2 * m) for m in range(n + 1)]
-        # t^(2s), keyed by (name of t, s)
-        self.t_powers = {
-            (name, s): getattr(p, name) ** (2 * s) for name in _T_NAMES for s in (1, -1)
-        }
-        self._products: dict[tuple[int, int, int, int], complex] = {}
-        # the levels m < n found close, keyed like t_powers, or by None for
-        # the signed products
-        self._close: dict[tuple[str, int] | None, list[int]] = {}
-
-    def product(self, signs: tuple[int, int, int, int]) -> complex:
-        v = self._products.get(signs)
-        if v is None:
-            v = self._products[signs] = signed_product(self.p, signs)
-        return v
-
-    def _scan(self, key: tuple[str, int] | None) -> list[int]:
-        tol = self.p.tol
-        if key is None:
-            products = [self.product(signs) for signs in _SIGN_CHOICES]
-            return [
-                m for m, rhs in enumerate(self.product_rhs[: self.n])
-                if any(not clearly_neq(v, rhs, tol) for v in products)
-            ]
-        lhs, rhs = self.t_powers[key], self.neg_q_powers
-        return [
-            m for m in range((1 + key[1]) // 2, self.n)
-            if not clearly_neq(lhs, rhs[m], tol)
+        self.neg_q_powers = [-(q**m) for m in range(n + 1)]
+        self.values = _signed_products(p) + [
+            getattr(p, name) ** (2 * s) for name, s in _ROW_KEYS[_N_PRODUCTS:]
         ]
-
-    def close(self, key: tuple[str, int] | None, level: int) -> list[int]:
-        """The m < level where t^(2s) is not clearly apart from -q^m, for
-        key (name of t, s) and m >= (1+s)/2; for key None, where some
-        signed product is not clearly apart from q_half^(-1-2m)."""
-        close = self._close.get(key)
-        if close is None:
-            close = self._close[key] = self._scan(key)
-        return close[: bisect_left(close, level)]
+        # the rows as three groups of 8 (products, products, t^(2s)),
+        # broadcast against the level row of each group
+        flat = np.array(self.values + 2 * self.product_rhs + self.neg_q_powers)
+        eq, apart = compare_arrays(
+            flat[:_N_ROWS].reshape(3, 8, 1), flat[_N_ROWS:].reshape(3, 1, n + 1), p.tol
+        )
+        # eq[row][m]: the row's value equals its level value at m
+        self.eq: list[list[bool]] = eq.reshape(_N_ROWS, n + 1).tolist()
+        # per row, the m < n where it is not clearly apart from its level
+        # value; product_close: where some signed product is not
+        self.close: list = [()] * _N_ROWS
+        self.product_close: list[int] = []
+        if not apart[..., :n].all():
+            close = ~apart.reshape(_N_ROWS, n + 1)[:, :n]
+            # t^2 is compared with -q^m from m = 1 on
+            close[_N_PRODUCTS::2, :1] = False
+            self.close = [c.nonzero()[0].tolist() for c in close]
+            self.product_close = close[:_N_PRODUCTS].any(axis=0).nonzero()[0].tolist()
 
 
 def sigma_membership(
@@ -182,34 +180,36 @@ def sigma_membership(
     Equalities must hold within p.tol.eq_tol; inequalities must be
     violated by the full margin (1e3 * eq_tol) to count as satisfied,
     keeping the verdict well separated from boundary noise.  ``table``,
-    of horizon at least k.n, shares the compared quantities between calls
-    on the same point; without one, the call builds a table of horizon
-    k.n, which makes the per-kind comparisons.
+    of horizon at least k.n, shares the comparisons between calls on the
+    same point; without one, the call builds a table of horizon k.n.
     """
     if isinstance(k, Imaginary):
         raise ImaginaryKindError("imaginary kinds have no stratum")
     c = table if table is not None else _StratumConditions(p, k.n)
-    tol, n = p.tol, k.n
+    n = k.n
     failed: list[str] = []
 
     if isinstance(k, Type2):
-        if not approx_eq(c.product(k.signs), c.product_rhs[n], tol):
+        signs = k.signs
+        if not c.eq[_ROW[signs]][n]:
             failed.append(f"eq.product.{n}")
-        for key in zip(_T_NAMES, k.signs):
-            for m in c.close(key, n):
-                failed.append(f"neq.{key[0]}.m{m}")
-        return StratumVerdict(member=not failed, failed_conditions=failed)
+        for name, row in _LEG_ROWS[signs]:
+            for m in c.close[row]:
+                if m < n:
+                    failed.append(f"neq.{name}.m{m}")
+        return StratumVerdict(not failed, failed)
 
     if isinstance(k, Type1E):
         name, s = ("k0" if k.i == 0 else "k1"), k.eps
     else:
         name, s = ("u0" if k.i == 0 else "u1"), k.delta
-    if not approx_eq(c.t_powers[(name, s)], c.neg_q_powers[n], tol):
+    if not c.eq[_ROW[name, s]][n]:
         failed.append(f"eq.{name}.n")
     # the product inequality is required for every sign assignment
-    for m in c.close(None, n):
-        failed.append(f"neq.product.m{m}")
-    return StratumVerdict(member=not failed, failed_conditions=failed)
+    for m in c.product_close:
+        if m < n:
+            failed.append(f"neq.product.m{m}")
+    return StratumVerdict(not failed, failed)
 
 
 def stratum_verdicts(
@@ -269,12 +269,8 @@ def sample_generic_params(
         )
         c = _StratumConditions(p, 7)
         # the table tests t^2 against -q^m from m = 1 on; t^2 != -1 is extra
-        if (
-            not c.close(None, 7)
-            and not any(c.close(key, 7) for key in c.t_powers)
-            and all(
-                clearly_neq(c.t_powers[(nm, 1)], c.neg_q_powers[0], tol) for nm in _T_NAMES
-            )
+        if not any(c.close) and all(
+            clearly_neq(c.values[_ROW[nm, 1]], c.neg_q_powers[0], tol) for nm in _T_NAMES
         ):
             return p
     raise RuntimeError("failed to sample generic parameters")

@@ -505,6 +505,25 @@ def test_ds_check_refuses_a_stored_rep_whose_sizes_disagree(capsys, tmp_path, rn
     assert report["results"]["error"].startswith("ValueError: stored representation of dim")
 
 
+@pytest.mark.parametrize("key", ["dim", "T0", "T1", "T0v", "T1v", "basis_labels", "provenance"])
+def test_ds_check_refuses_a_stored_rep_missing_a_field(capsys, tmp_path, key):
+    rep_file = tmp_path / "rep.json"
+    code, _ = run_cli(capsys, ["construct", *ONE_DIM, "--kind", "T2[++,++;n=0]",
+                               "--out", str(rep_file)])
+    assert code == 0
+    data = json.loads(rep_file.read_text())
+    del data[key]
+    rep_file.write_text(json.dumps(data))
+    code = main(["ds-check", *ONE_DIM, "--rep", str(rep_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["exit_code"] == 2
+    missing = "provenance roots" if key == "provenance" else key
+    assert report["results"]["error"] == f"ValueError: stored representation has no {missing}"
+
+
 @pytest.mark.parametrize("command", ["classify", "scan"])
 def test_negative_n_max_is_input_error(capsys, command):
     code, out = run_cli(capsys, [command, *ONE_DIM, "--n-max", "-1"])

@@ -1,5 +1,7 @@
 import cmath
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from daha_cc1.core import (
     ZeroParameterError,
     approx_eq,
     clearly_neq,
+    compare_arrays,
     format_scalar,
     match_q_power,
     parse_scalar,
@@ -105,6 +108,131 @@ def test_validate_params_rejects_high_order_root():
     with pytest.raises(RootOfUnityError) as exc:
         validate_params(p)
     assert exc.value.m == 12
+
+
+def _scalar_order(p):
+    """The root-of-unity guard as a loop of scalar comparisons: the first
+    m with q^m = 1, None when the powers run out or turn non-finite."""
+    power = 1 + 0j
+    for m in range(1, p.roots_bound + 1):
+        power = power * p.q
+        if not cmath.isfinite(power):
+            return None
+        if approx_eq(power, 1.0, p.tol):
+            return m
+    return None
+
+
+def _guard_order(p):
+    try:
+        validate_params(p)
+    except RootOfUnityError as exc:
+        return exc.m
+    return None
+
+
+def _unit_params(q_half, **kw):
+    return Params(k0=2, k1=3, u0=5, u1=7, q_half=q_half, **kw)
+
+
+def test_validate_params_pins_the_order_of_every_root_of_unity():
+    for m in range(1, 65):
+        for k in {1, max(j for j in range(1, m + 1) if math.gcd(j, m) == 1)}:
+            p = _unit_params(cmath.exp(1j * math.pi * k / m))  # q = exp(2 pi i k/m)
+            assert _guard_order(p) == _scalar_order(p) == m, (k, m)
+
+
+@pytest.mark.parametrize("eq_tol", [1e-9, 1e-6])
+def test_validate_params_near_misses_match_the_scalar_loop(eq_tol):
+    tol = Tolerance(eq_tol=eq_tol)
+    for m in (1, 2, 3, 12, 64):
+        for side in (1, -1):
+            for factor, hit in ((1 - 1e-3, True), (1 + 1e-3, False)):
+                # q^m = 1 + side * eps, at eps just inside or outside eq_tol
+                w = 1 + side * eq_tol * factor
+                p = _unit_params(w ** (1 / (2 * m)) * cmath.exp(1j * math.pi / m), tol=tol)
+                assert _guard_order(p) == _scalar_order(p) == (m if hit else None), (m, w)
+
+
+def test_validate_params_stops_at_the_first_non_finite_power():
+    for q_half, bound in ((1e80, 64), (1e10j, 64), (10.0, 64), (cmath.exp(1j * math.pi / 7), 5)):
+        p = _unit_params(q_half, roots_bound=bound)
+        assert _guard_order(p) is _scalar_order(p) is None
+    # q finite, |q| past the float range: abs() raises, and so does the guard
+    p = _unit_params(cmath.sqrt(complex(1.3e308, 1.3e308)))
+    assert cmath.isfinite(p.q)
+    for guard in (_scalar_order, validate_params):
+        with pytest.raises(OverflowError):
+            guard(p)
+
+
+def _threshold_steps(a: complex, margin: float, part: str) -> list[complex]:
+    """Points b that move one part of a until |a - b| passes
+    margin * max(1, |a|, |b|): the last float inside, the first outside,
+    and two more floats to either side."""
+    def at(x):
+        return complex(x, a.imag) if part == "real" else complex(a.real, x)
+
+    def inside(x):
+        b = at(x)
+        return abs(a - b) <= margin * max(1.0, abs(a), abs(b))
+
+    lo = a.real if part == "real" else a.imag
+    hi = lo + 4 * margin * max(1.0, abs(a))
+    assert inside(lo) and not inside(hi)
+    while True:
+        mid = lo + (hi - lo) / 2
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    xs = [lo, hi]
+    for _ in range(2):
+        xs = [np.nextafter(xs[0], -np.inf), *xs, np.nextafter(xs[-1], np.inf)]
+    return [at(float(x)) for x in xs]
+
+
+_MODULI = (1e-300, 1e-12, 4e-10, 3e-7, 1e-3, 0.7, 1.0, 3.0, 1e5, 1e151, 1e200, 1e300)
+
+
+@pytest.mark.parametrize("tol", [Tolerance(), Tolerance(eq_tol=1e-4), Tolerance(eq_tol=1e-12)])
+def test_compare_arrays_agrees_with_the_scalar_comparators(tol):
+    rng = np.random.default_rng(12)
+    pairs = []
+    for mod in _MODULI:
+        for phase in (0.0, 0.3, 2.0, -1.2):
+            a = cmath.rect(mod, phase)
+            for margin in (tol.eq_tol, tol.ineq_margin):
+                for part in ("real", "imag"):
+                    pairs += [(a, b) for b in _threshold_steps(a, margin, part)]
+            # and values around a at every relative distance
+            pairs += [(a, a * (1 + d * cmath.rect(1, rng.uniform(0, 6.3))))
+                      for d in (0.0, 1e-15, 1e-11, 1e-9, 1e-7, 1e-5, 1e-3, 1.0)]
+    inf, nan = float("inf"), float("nan")
+    pairs += [(inf, 1.0), (1.0, -inf), (inf, inf), (nan, 1.0), (complex(inf, nan), 2.0),
+              (complex(nan, 1.0), complex(2.0, inf)), (0.0, 0.0), (1e-320, -1e-320)]
+    a, b = (np.array(col) for col in zip(*pairs))
+    eq, apart = compare_arrays(a, b, tol)
+    assert eq.tolist() == [approx_eq(x, y, tol) for x, y in pairs]
+    assert apart.tolist() == [clearly_neq(x, y, tol) for x, y in pairs]
+    # the thresholds were met: both verdicts change along the steps
+    assert eq.any() and not eq.all() and apart.any() and not apart.all()
+    # broadcast over a grid, as the stratum table uses it
+    rows, cols = a[::97], b[::89]
+    eq, apart = compare_arrays(rows[:, None], cols[None, :], tol)
+    assert eq.tolist() == [[approx_eq(x, y, tol) for y in cols] for x in rows]
+    assert apart.tolist() == [[clearly_neq(x, y, tol) for y in cols] for x in rows]
+
+
+def test_compare_arrays_raises_where_abs_overflows():
+    big = complex(1.3e308, 1.3e308)
+    with pytest.raises(OverflowError):
+        approx_eq(big, 1.0)
+    with pytest.raises(OverflowError):
+        compare_arrays(np.array([1.0, big]), 1.0)
+    # a difference past the float range is an infinite gap, not an error
+    far = np.array([1.5e308]), np.array([-1.5e308])
+    assert compare_arrays(*far)[0].tolist() == [approx_eq(1.5e308, -1.5e308)]
+    assert compare_arrays(*far)[1].tolist() == [clearly_neq(1.5e308, -1.5e308)]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 import cmath
-import sys
+import dataclasses
 from itertools import product
 
 import numpy as np
@@ -11,7 +11,6 @@ from daha_cc1.roots import (
     Imaginary,
     RootVector,
     Type1E,
-    Type1F,
     Type2,
     enumerate_strict_roots,
     root_of_kind,
@@ -304,6 +303,37 @@ def _boundary_points():
     return pts
 
 
+def _wide_q_points():
+    """Planted points at |q^{1/2}| in {0.3, 0.5, 2, 3}, where the q-powers
+    of the stratum conditions span many orders of magnitude: for each
+    level in turn one type-2 kind and (level >= 1) one one-leg kind."""
+    rng = np.random.default_rng(65)
+    pts = []
+    for mod in (0.3, 0.5, 2.0, 3.0):
+        for n in (0, 1, 5, 10, 15, 20):
+            qh = cmath.rect(mod, rng.uniform(0.0, 2 * cmath.pi))
+            p = Params(*(random_unit(rng) for _ in range(4)), qh)
+            kinds = _kinds_at(n)
+            kind = kinds[int(rng.integers(16))]
+            pts.append(_solve_product(p, kind.signs, qh ** (-1 - 2 * n), "u1"))
+            if n >= 1:
+                kind = kinds[16 + int(rng.integers(8))]
+                name = (("k0", "k1") if isinstance(kind, Type1E) else ("u0", "u1"))[kind.i]
+                s = kind.eps if isinstance(kind, Type1E) else kind.delta
+                pts.append(_with(p, **{name: _t_on(p.q, n, s)}))
+    return pts
+
+
+def _other_tolerance_points():
+    """Planted, generic and boundary points under eq_tol from 1e-12 to 1e-4."""
+    pts = _planted_points()[::9] + _generic_points()[::3] + _boundary_points()[::4]
+    return [
+        dataclasses.replace(p, tol=Tolerance(eq_tol=eq_tol))
+        for eq_tol in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4)
+        for p in pts
+    ]
+
+
 def _as_pair(v):
     return (v.member, list(v.failed_conditions))
 
@@ -324,10 +354,10 @@ def _assert_matches_oracle(p, single_kind_levels):
         assert table.product_rhs[m] == p.q_half ** (-1 - 2 * m)
         assert table.neg_q_powers[m] == -(q**m)
     for signs in product((1, -1), repeat=4):
-        assert table.product(signs) == signed_product(p, signs)
+        assert table.values[strata._ROW[signs]] == signed_product(p, signs)
     for name in _T_NAMES:
         for s in (1, -1):
-            assert table.t_powers[(name, s)] == getattr(p, name) ** (2 * s)
+            assert table.values[strata._ROW[name, s]] == getattr(p, name) ** (2 * s)
     for k in _REAL_KINDS:
         if k.n in single_kind_levels:
             assert _as_pair(sigma_membership(p, k)) == _as_pair(oracle[k]), k
@@ -336,8 +366,9 @@ def _assert_matches_oracle(p, single_kind_levels):
 
 @pytest.mark.parametrize(
     "points",
-    [_planted_points, _generic_points, _near_unit_q_points],
-    ids=["planted", "generic", "near-unit-q"],
+    [_planted_points, _generic_points, _near_unit_q_points, _wide_q_points,
+     _other_tolerance_points],
+    ids=["planted", "generic", "near-unit-q", "wide-q", "other-eq-tol"],
 )
 def test_shared_table_matches_per_kind_oracle(points):
     for p in points():
@@ -353,26 +384,3 @@ def test_shared_table_matches_per_kind_oracle_on_inequality_boundaries():
         )
     # every exact boundary point fails an inequality; the margin points may not
     assert neq_points >= 12
-
-
-def test_single_kind_call_makes_the_per_kind_comparisons(monkeypatch, generic_params):
-    # a call without a table computes only what its own kind needs
-    counts = {"per_kind": 0, "table": 0}
-
-    def counting(key, fn):
-        def wrapped(*args):
-            counts[key] += 1
-            return fn(*args)
-        return wrapped
-
-    this_module = sys.modules[__name__]
-    monkeypatch.setattr(
-        this_module, "_per_kind_clearly_apart", counting("per_kind", _per_kind_clearly_apart)
-    )
-    monkeypatch.setattr(strata, "clearly_neq", counting("table", strata.clearly_neq))
-    kinds = (Type2(1, -1, 1, -1, 6), Type1E(0, 1, 6), Type1F(1, -1, 20), Type2(-1, -1, 1, 1, 20))
-    for kind in kinds:
-        counts["per_kind"] = counts["table"] = 0
-        _per_kind_sigma_membership(generic_params, kind)
-        sigma_membership(generic_params, kind)
-        assert counts["table"] == counts["per_kind"] > 0, kind
