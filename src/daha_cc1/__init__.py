@@ -3,12 +3,15 @@ double affine Hecke algebra, with generic q.
 
 Submodules:
 
-- :mod:`daha_cc1.core`    — parameters, tolerances, scalar parsing
+- :mod:`daha_cc1.core`    — parameters, tolerances, scalar parsing, and
+  ``GENERATORS``, the one table of the four generators (parameter,
+  partner, involution, leg, polynomial side) with their factor order
 - :mod:`daha_cc1.laurent` — Laurent polynomial ring and quotient divisors
 - :mod:`daha_cc1.roots`   — the star-graph root system bookkeeping
 - :mod:`daha_cc1.strata`  — parameter strata and classification
 - :mod:`daha_cc1.rep`     — operator actions and quotient matrices
-- :mod:`daha_cc1.dsbridge`— the four-matrix product-problem translation
+- :mod:`daha_cc1.dsbridge`— the four-matrix product-problem translation,
+  with the eigenvalue pairs ``xi_table`` and the closure ``xi_product``
 - :mod:`daha_cc1.cli`     — command-line entry point
 """
 
@@ -36,7 +39,8 @@ from .roots import (
     kind_from_str,
     kind_to_str,
 )
-from .strata import classify_params, sigma_membership, xi_product, xi_table
+from .strata import classify_params, sigma_membership
+from .dsbridge import xi_product, xi_table
 
 __version__ = "1.0.0"
 

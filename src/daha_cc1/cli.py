@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__, dsbridge
 from .core import (
+    GENERATORS,
     AmbiguousMatchError,
     Params,
     Tolerance,
@@ -81,12 +82,13 @@ EXIT_VERIFY = 4
 
 _PARAM_KEYS = ("k0", "k1", "u0", "u1", "q_half")
 # (exception types, exit code); the first matching row wins, so
-# NotOnStratumError, a ValueError, precedes the input-error row
+# NotOnStratumError, a ValueError, precedes the input-error row.  Finite
+# parameters whose q-powers leave the float range are input errors too.
 _REFUSALS = (
     ((NotOnStratumError,), EXIT_OFF_STRATUM),
     ((IdealNotInvariantError, DegenerateLadderError, RelationResidualError, RankIndeterminateError,
       PairingError, dsbridge.ProductNotIdentityError), EXIT_VERIFY),
-    ((ValueError, OSError), EXIT_INPUT),
+    ((ValueError, OSError, OverflowError, ZeroDivisionError), EXIT_INPUT),
 )
 _REFUSED = tuple(t for types, _ in _REFUSALS for t in types)
 _SCAN_CHUNK = 8  # scan points per worker task
@@ -309,7 +311,7 @@ def _scan_worker(job: tuple) -> tuple[int, dict]:
         p = _scan_point(idx, seed, eq_tol)
     try:
         hits = [kind_to_str(k) for k, _ in classify_params(p, n_max)]
-    except ValueError as exc:
+    except _REFUSED as exc:
         hits = [f"error:{type(exc).__name__}"]
     row = {
         "idx": idx,
@@ -353,9 +355,10 @@ def cmd_scan(
         )
         jobs = [(0, cfg.seed, cfg.n_max, cfg.eq_tol, pt)]
 
-    # with one chunk a single worker would do all the work
-    if cfg.jobs > 1 and len(jobs) > _SCAN_CHUNK:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # one worker per chunk at most: the pool starts all its workers at once
+    chunks = -(-len(jobs) // _SCAN_CHUNK)
+    if cfg.jobs > 1 and chunks > 1:
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, chunks)) as pool:
             rows = dict(pool.map(_scan_worker, jobs, chunksize=_SCAN_CHUNK))
     else:
         rows = dict(map(_scan_worker, jobs))
@@ -412,19 +415,14 @@ def _selftest_properties(
     # truncated polynomial action: pins the operator convention
     try:
         p = sample_generic_params(rng, tol)
-        worst = 0.0
+        worst, mats = 0.0, {}
         for side in ("P", "Pbar"):
-            mats = build_truncated_polyrep(side, SignVector(), 5, p, flip_convention)
-            pairs = (
-                (("T0", p.k0), ("T1", p.k1))
-                if side == "P"
-                else (("T0v", p.u0), ("T1v", p.u1))
-            )
-            for name, t in pairs:
-                M = mats[name]
-                eye = np.eye(M.shape[0])
-                res = np.linalg.norm((M - t * eye) @ (M + eye / t), 2)
-                worst = max(worst, float(res / max(1.0, np.linalg.norm(M, 2) ** 2)))
+            mats.update(build_truncated_polyrep(side, SignVector(), 5, p, flip_convention))
+        for g in GENERATORS:
+            M, t = mats[g.name], getattr(p, g.t)
+            eye = np.eye(M.shape[0])
+            res = np.linalg.norm((M - t * eye) @ (M + eye / t), 2)
+            worst = max(worst, float(res / max(1.0, np.linalg.norm(M, 2) ** 2)))
         residuals["truncated_quadratic"] = worst
         record("operator-convention", worst < 1e-9, f"residual {worst:.3e}")
     except (ArithmeticError, ValueError, RuntimeError) as exc:

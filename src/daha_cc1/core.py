@@ -1,4 +1,5 @@
-"""Scalar arithmetic, parameter validation, and the shared tolerance policy.
+"""Scalar arithmetic, parameter validation, the shared tolerance policy,
+and the table of the four generators.
 
 All downstream modules work with ordinary ``complex`` numbers; comparisons
 and rank decisions go through the :class:`Tolerance` policy defined here,
@@ -51,25 +52,55 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+# the root-of-unity guard checks q^m = 1 for m = 1..ROOTS_BOUND
+ROOTS_BOUND = 64
+
+
 @dataclass(frozen=True)
 class Params:
-    """The five nonzero parameters (k0, k1, u0, u1, q^{1/2}).
-
-    q is derived as q_half**2.  ``roots_bound`` bounds the exponents
-    checked by the root-of-unity guard.
-    """
+    """The five nonzero parameters (k0, k1, u0, u1, q^{1/2}); q is derived
+    as q_half**2."""
 
     k0: complex
     k1: complex
     u0: complex
     u1: complex
     q_half: complex
-    roots_bound: int = 64
     tol: Tolerance = field(default=DEFAULT_TOL)
 
     @property
     def q(self) -> complex:
         return self.q_half * self.q_half
+
+
+@dataclass(frozen=True)
+class Generator:
+    """One generator T, with quadratic (T - t)(T + 1/t) = 0.
+
+    ``t`` names its Hecke parameter and ``b`` the partner parameter of its
+    Demazure-Lusztig coefficient; ``involution`` is 0 for s0 (z -> q/z)
+    and 1 for s1 (z -> 1/z); the root coordinate a_leg is rank(T - t);
+    ``side`` is the polynomial module, P or Pbar, on which T acts directly.
+    """
+
+    name: str
+    t: str
+    b: str
+    involution: int
+    leg: int
+    side: str
+
+
+# in the order of Rep.generators(), Type2.signs and the legs a1..a4
+GENERATORS = (
+    Generator("T0", "k0", "u0", 0, 1, "P"),
+    Generator("T1", "k1", "u1", 1, 2, "P"),
+    Generator("T0v", "u0", "k0", 0, 3, "Pbar"),
+    Generator("T1v", "u1", "k1", 1, 4, "Pbar"),
+)
+# the factors (A1, A2, A3, A4) = (q^{1/2} T0, T0v, T1, T1v) of the
+# four-matrix product A4 A3 A1 A2 = 1
+FACTORS = tuple(GENERATORS[i] for i in (0, 2, 1, 3))
 
 
 def approx_eq(a: complex, b: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -156,7 +187,7 @@ def validate_params(p: Params) -> None:
     q = p.q
     # q^1, q^2, ... up to the bound, stopping at the first non-finite one
     powers, power = [], 1 + 0j
-    for _ in range(p.roots_bound):
+    for _ in range(ROOTS_BOUND):
         power = power * q
         if not cmath.isfinite(power):
             break

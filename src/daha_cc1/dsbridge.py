@@ -3,8 +3,9 @@
 A representation of the four generators becomes a tuple (A1, A2, A3, A4)
 = (q^{1/2} T0, T0v, T1, T1v) with A4 A3 A1 A2 = 1, each Ai lying in the
 prescribed semisimple (or t^2 = -1 Jordan) conjugacy class encoded by a
-root coordinate.  Rigidity of the tuple is decided by the moduli count
-in :func:`daha_cc1.rep.rigidity_D`.
+root coordinate: its generator's eigenvalue pair (xi_table), with
+multiplicities read off its leg.  Rigidity of the tuple is decided by
+the moduli count in :func:`daha_cc1.rep.rigidity_D`.
 """
 
 from __future__ import annotations
@@ -13,12 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Params, approx_eq
-from .rep import RankIndeterminateError, Rep, block_product, block_quadratic
+from .core import FACTORS, Params, approx_eq
+from .rep import RankIndeterminateError, Rep, block_product, block_quadratic, ds_factors
 from .roots import Imaginary, RootVector, classify_root
-from .strata import sigma_membership, xi_product, xi_table
+from .strata import sigma_membership
 
 PRODUCT_RESIDUAL_MAX = 1e-6
+
+
+class InconsistentRanksError(ValueError):
+    """A leg label exceeds the central label, so the rank data is invalid."""
 
 
 class ProductNotIdentityError(ArithmeticError):
@@ -50,11 +55,6 @@ def check_product(residual: float) -> float:
     return residual
 
 
-def ds_factors(r: Rep, p: Params) -> tuple[np.ndarray, ...]:
-    """The rep's four factors (q^{1/2} T0, T0v, T1, T1v)."""
-    return (p.q_half * r.T0, r.T0v, r.T1, r.T1v)
-
-
 def to_ds_tuple(r: Rep, p: Params) -> tuple[np.ndarray, ...]:
     """(q^{1/2} T0, T0v, T1, T1v); raises unless the product closes."""
     mats = ds_factors(r, p)
@@ -62,35 +62,47 @@ def to_ds_tuple(r: Rep, p: Params) -> tuple[np.ndarray, ...]:
     return mats
 
 
-def class_spec_from_root(alpha: RootVector, p: Params) -> tuple[ClassSpec, ...]:
-    """The four prescribed classes for a root coordinate.
+def xi_table(p: Params) -> tuple[tuple[complex, complex], ...]:
+    """The eigenvalue pair (eig1, eig2) of each factor, in factor order:
+    (t, -1/t) of its generator's quadratic, times q^{1/2} for A1, so the
+    pairs multiply to -q, -1, -1, -1."""
+    t, *rest = (getattr(p, g.t) for g in FACTORS)
+    qh = p.q_half
+    return ((t * qh, -qh / t), *((x, -1 / x) for x in rest))
 
-    Row i gets eigenvalue xi[i,1] with multiplicity a0 - leg and xi[i,2]
-    with multiplicity leg, legs ordered (a1, a3, a2, a4) to match
-    (A1, A2, A3, A4).
-    """
-    table = xi_table(p)
-    legs = (alpha.a1, alpha.a3, alpha.a2, alpha.a4)
+
+def class_spec_from_root(alpha: RootVector, p: Params) -> tuple[ClassSpec, ...]:
+    """The four prescribed classes for a root coordinate: factor i gets
+    eig1 with multiplicity a0 - leg and eig2 with multiplicity leg, the
+    leg of its generator."""
     return tuple(
-        ClassSpec(
-            eig1=table.xi(i, 1),
-            eig2=table.xi(i, 2),
-            mult1=alpha.a0 - leg,
-            mult2=leg,
-        )
-        for i, leg in zip(range(1, 5), legs)
+        ClassSpec(eig1, eig2, alpha.a0 - alpha[g.leg], alpha[g.leg])
+        for (eig1, eig2), g in zip(xi_table(p), FACTORS)
     )
+
+
+def xi_product(alpha: RootVector, p: Params) -> complex:
+    """prod_i eig1_i^mult1_i * eig2_i^mult2_i over the four classes of
+    alpha: the product of the determinants the classes prescribe, which
+    A4 A3 A1 A2 = 1 requires to be 1."""
+    specs = class_spec_from_root(alpha, p)
+    if any(spec.mult1 < 0 for spec in specs):
+        raise InconsistentRanksError(f"leg label exceeds central label in {alpha}")
+    out = 1 + 0j
+    for spec in specs:
+        out *= spec.eig1**spec.mult1 * spec.eig2**spec.mult2
+    return out
 
 
 def verify_class_membership(r: Rep, p: Params, specs: tuple[ClassSpec, ...]) -> bool:
     """Each factor Ai of the rep must satisfy (Ai - eig1)(Ai - eig2) = 0
     block by block with rank(Ai - eig1) = mult2; when the two eigenvalues
     coincide the class is the Jordan one, whose rank counts its 2x2 blocks."""
-    s0, s1 = r.pairings(p.q)
-    for M, g, spec in zip(ds_factors(r, p), (s0, s0, s1, s1), specs):
+    pairs = r.pairings(p.q)
+    for M, g, spec in zip(ds_factors(r, p), FACTORS, specs):
         if M.shape[0] != spec.dim:
             return False
-        res, rank = block_quadratic(M, g, spec.eig1, spec.eig2, p.tol)
+        res, rank = block_quadratic(M, pairs[g.involution], spec.eig1, spec.eig2, p.tol)
         if rank is None:
             raise RankIndeterminateError("a matrix entry sits near a rank threshold")
         if res > p.tol.ineq_margin or rank != spec.mult2:
@@ -105,7 +117,7 @@ def ds_existence_predicate(alpha: RootVector, p: Params) -> bool:
     kind = classify_root(alpha)
     if kind is None or isinstance(kind, Imaginary):
         return False
-    if not approx_eq(xi_product(alpha, p, xi_table(p)), 1.0, p.tol):
+    if not approx_eq(xi_product(alpha, p), 1.0, p.tol):
         return False
     return sigma_membership(p, kind).member
 
@@ -118,6 +130,9 @@ __all__ = [
     "class_spec_from_root",
     "verify_class_membership",
     "ds_existence_predicate",
+    "xi_table",
+    "xi_product",
+    "InconsistentRanksError",
     "ProductNotIdentityError",
     "PRODUCT_RESIDUAL_MAX",
 ]

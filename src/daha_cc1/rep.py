@@ -19,7 +19,16 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .core import Params, Tolerance, approx_eq, clearly_neq, validate_params
+from .core import (
+    FACTORS,
+    GENERATORS,
+    Generator,
+    Params,
+    Tolerance,
+    approx_eq,
+    clearly_neq,
+    validate_params,
+)
 from .laurent import (
     LaurentPoly,
     apply_s0,
@@ -31,7 +40,7 @@ from .laurent import (
 # unused here, kept as attributes: the benchmark's tracer wraps them
 from .laurent import build_E, build_E_dual, reduce_mod  # noqa: F401
 from .roots import Imaginary, RootKind, Type1E, Type1F, Type2, kind_to_str
-from .strata import sigma_membership
+from .strata import one_leg, sigma_membership
 
 IDEAL_RESIDUAL_MAX = 1e-6
 RELATION_RESIDUAL_MAX = 1e-8
@@ -125,7 +134,7 @@ class Rep:
     _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def generators(self) -> list[np.ndarray]:
-        return [self.T0, self.T1, self.T0v, self.T1v]
+        return [getattr(self, g.name) for g in GENERATORS]
 
     def pairings(self, q: complex) -> tuple[np.ndarray, np.ndarray]:
         """The s0 and s1 partners of the roots (see :func:`pairings`)."""
@@ -138,45 +147,26 @@ class Rep:
 # -- the generators ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Generator:
-    """Data of one directly-defined generator T = sigma s + c(z) (1 - s).
-
+def _sigma_alpha_beta(g: Generator, sign: int, p: Params) -> tuple[complex, complex, complex]:
+    """A directly-defined generator T = sigma s + c(z) (1 - s) has
     sigma = sign * t^sign and c = (alpha + beta w) / (1 - w^2) with
     alpha = t - 1/t and beta = b - 1/b.  For s1 (z -> 1/z) w is z; for
     s0 (z -> q/z) w is q^{1/2}/z.  Either way s acts by w -> 1/w, so
     the fixed points of s are the points with w^2 = 1."""
-
-    t: str
-    b: str
-    s0: bool
-
-
-_GENERATORS = {
-    "T0": _Generator("k0", "u0", True),
-    "T1": _Generator("k1", "u1", False),
-    # the dual-side mirrors, with the two parameters swapped
-    "T0v": _Generator("u0", "k0", True),
-    "T1v": _Generator("u1", "k1", False),
-}
-
-
-def _sigma_alpha_beta(name: str, sign: int, p: Params) -> tuple[complex, complex, complex]:
-    g = _GENERATORS[name]
     t, b = getattr(p, g.t), getattr(p, g.b)
     return sign * t**sign, t - 1 / t, b - 1 / b
 
 
 def _demazure_lusztig(
-    f: LaurentPoly, name: str, sign: int, p: Params, flip_convention: bool = False
+    f: LaurentPoly, g: Generator, sign: int, p: Params, flip_convention: bool = False
 ) -> LaurentPoly:
-    """The generator `name` acting on a Laurent polynomial.
+    """The generator g acting on a Laurent polynomial.
 
     c(z) (f - s f) is computed as num * (f - s f) / den, which divides
     exactly.  flip_convention negates that difference part, a fault that
     breaks the quadratic relation (the self-test injects it)."""
-    sigma, alpha, beta = _sigma_alpha_beta(name, sign, p)
-    if _GENERATORS[name].s0:
+    sigma, alpha, beta = _sigma_alpha_beta(g, sign, p)
+    if g.involution == 0:
         sf = apply_s0(f, p.q)
         num = LaurentPoly({0: alpha, -1: beta * p.q_half})
         den = LaurentPoly({0: 1.0, -2: -p.q})
@@ -190,51 +180,51 @@ def _demazure_lusztig(
 
 def apply_T0(f: LaurentPoly, eps0: int, p: Params, flip_convention: bool = False) -> LaurentPoly:
     """T0 = eps0 k0^eps0 s0 + [(k0-k0^-1) + (u0-u0^-1) q^{1/2} z^-1] (1 - s0)/(1 - q z^-2)."""
-    return _demazure_lusztig(f, "T0", eps0, p, flip_convention)
+    return _demazure_lusztig(f, GENERATORS[0], eps0, p, flip_convention)
 
 
 def apply_T1(f: LaurentPoly, eps1: int, p: Params, flip_convention: bool = False) -> LaurentPoly:
     """T1 = eps1 k1^eps1 s1 + [(k1-k1^-1) + (u1-u1^-1) z] (1 - s1)/(1 - z^2)."""
-    return _demazure_lusztig(f, "T1", eps1, p, flip_convention)
+    return _demazure_lusztig(f, GENERATORS[1], eps1, p, flip_convention)
 
 
 def apply_T0v_bar(f: LaurentPoly, del0: int, p: Params, flip_convention: bool = False) -> LaurentPoly:
     """T0v on the dual-side module: apply_T0 with k0 and u0 swapped."""
-    return _demazure_lusztig(f, "T0v", del0, p, flip_convention)
+    return _demazure_lusztig(f, GENERATORS[2], del0, p, flip_convention)
 
 
 def apply_T1v_bar(f: LaurentPoly, del1: int, p: Params, flip_convention: bool = False) -> LaurentPoly:
     """T1v on the dual-side module: apply_T1 with k1 and u1 swapped."""
-    return _demazure_lusztig(f, "T1v", del1, p, flip_convention)
+    return _demazure_lusztig(f, GENERATORS[3], del1, p, flip_convention)
 
 
 # -- the ladder ----------------------------------------------------------
+
+
+def _type2_a(s: SignVector, p: Params) -> complex:
+    """The type-2 ladder parameter eps0 k0^eps0 * del0 u0^del0."""
+    return s.eps0 * p.k0**s.eps0 * s.del0 * p.u0**s.del0
 
 
 def _ladder(
     kind: RootKind, s: Optional[SignVector], p: Params
 ) -> tuple[str, tuple[int, int], complex, int, bool]:
     """(side, operator signs, ladder parameter a, signed level, dual):
-    the divisor is build_E_dual(level, a) if dual, else build_E."""
+    the divisor is build_E_dual(level, a) if dual, else build_E.  The
+    operator signs are those of the side's s0 and s1 generators."""
     if isinstance(kind, Type2):
-        sv = s if s is not None else SignVector(*kind.signs)
-        if sv.eps0 != kind.eps0 or sv.eps1 != kind.eps1 \
-                or sv.del0 != kind.del0 or sv.del1 != kind.del1:
+        sv = SignVector(*kind.signs)
+        if s is not None and s != sv:
             raise ValueError("sign vector must match the type-2 kind")
-        a = kind.eps0 * p.k0**kind.eps0 * kind.del0 * p.u0**kind.del0
-        return "P", (kind.eps0, kind.eps1), a, kind.n, False
-    if isinstance(kind, Type1E):
-        if kind.i == 0:
-            a = -kind.eps * p.k0 ** (-kind.eps) * p.u0
-            return "P", (-kind.eps, 1), a, -kind.n, False
-        a = kind.eps * p.k1**kind.eps * p.u1
-        return "P", (1, -kind.eps), a, kind.n, True
-    if isinstance(kind, Type1F):
-        if kind.i == 0:
-            a = -kind.delta * p.u0 ** (-kind.delta) * p.k0
-            return "Pbar", (-kind.delta, 1), a, -kind.n, False
-        a = kind.delta * p.u1**kind.delta * p.k1
-        return "Pbar", (1, -kind.delta), a, kind.n, True
+        return "P", (sv.eps0, sv.eps1), _type2_a(sv, p), kind.n, False
+    if isinstance(kind, (Type1E, Type1F)):
+        # the leg's generator takes the operator sign -e: on s0 the ladder
+        # at level -n, on s1 the dual ladder at level n
+        g, e = one_leg(kind)
+        t, b = getattr(p, g.t), getattr(p, g.b)
+        if g.involution == 0:
+            return g.side, (-e, 1), -e * t ** -e * b, -kind.n, False
+        return g.side, (1, -e), e * t**e * b, kind.n, True
     raise ValueError(f"no quotient for kind {kind!r}")
 
 
@@ -357,7 +347,7 @@ def block_product(
 
 
 def _eval_matrix(
-    name: str, sign: int, p: Params, roots: np.ndarray, partner: np.ndarray, flip_convention: bool
+    g: Generator, sign: int, p: Params, roots: np.ndarray, partner: np.ndarray, flip_convention: bool
 ) -> tuple[np.ndarray, float]:
     """The generator's matrix in the evaluation basis at the roots, and
     its ideal certificate.
@@ -367,8 +357,8 @@ def _eval_matrix(
     At a lone root the ideal (E) is invariant only if sigma = c(r); the
     certificate is the worst |sigma - c(r)| / max(1, |sigma| + |c(r)|)
     over those roots, and their entry is sigma itself."""
-    sigma, alpha, beta = _sigma_alpha_beta(name, sign, p)
-    w = p.q_half / roots if _GENERATORS[name].s0 else roots
+    sigma, alpha, beta = _sigma_alpha_beta(g, sign, p)
+    w = p.q_half / roots if g.involution == 0 else roots
     c = (alpha + beta * w) / (1 - w * w)
     if flip_convention:
         c = -c
@@ -418,11 +408,10 @@ def build_quotient_rep(
             raise NotOnStratumError(kind, verdict.failed_conditions)
     side, signs, a, n, dual = _ladder(kind, s, p)
     roots = np.array((dual_ladder_roots if dual else ladder_roots)(n, a, p.q_half), dtype=complex)
-    s0, s1 = pairings(roots, p.q)
-    names = ("T0", "T1") if side == "P" else ("T0v", "T1v")
+    pairs = s0, s1 = pairings(roots, p.q)
     (A, res_a), (B, res_b) = (
-        _eval_matrix(name, sign, p, roots, g, flip_convention)
-        for name, sign, g in zip(names, signs, (s0, s1))
+        _eval_matrix(g, sign, p, roots, pairs[g.involution], flip_convention)
+        for g, sign in zip((g for g in GENERATORS if g.side == side), signs)
     )
     ideal_res = max(res_a, res_b)
     if ideal_res > IDEAL_RESIDUAL_MAX:
@@ -459,25 +448,31 @@ def build_quotient_rep(
 # -- diagnostics ---------------------------------------------------------
 
 
-def _quadratics(r: Rep, p: Params, s0: np.ndarray, s1: np.ndarray):
+def ds_factors(r: Rep, p: Params) -> tuple[np.ndarray, ...]:
+    """The rep's four factors (A1, A2, A3, A4) = (q^{1/2} T0, T0v, T1, T1v)."""
+    a1, *rest = (getattr(r, g.name) for g in FACTORS)
+    return (p.q_half * a1, *rest)
+
+
+def _quadratics(r: Rep, p: Params):
     """(name, residual, rank) of each generator's (T - t)(T + 1/t) = 0."""
-    for name, g in _GENERATORS.items():
+    pairs = r.pairings(p.q)
+    for g in GENERATORS:
         t = getattr(p, g.t)
-        yield (name, *block_quadratic(getattr(r, name), s0 if g.s0 else s1, t, -1 / t, p.tol))
+        yield (g.name, *block_quadratic(getattr(r, g.name), pairs[g.involution], t, -1 / t, p.tol))
 
 
 def verify_relations(r: Rep, p: Params) -> dict[str, float]:
     """Residuals of the five relations, block by block: each quadratic, and
     the product as q^{1/2} T0 T0v = z on s0 blocks, T1v T1 = z^-1 on s1."""
-    s0, s1 = r.pairings(p.q)
-    out = {f"quad.{name}": res for name, res, _ in _quadratics(r, p, s0, s1)}
-    out["product"] = block_product(p.q_half * r.T0, r.T0v, r.T1, r.T1v, r.roots, s0, s1)
+    out = {f"quad.{name}": res for name, res, _ in _quadratics(r, p)}
+    out["product"] = block_product(*ds_factors(r, p), r.roots, *r.pairings(p.q))
     return out
 
 
 def dim_vector(r: Rep, p: Params) -> DimVector:
     """(dim, rank(T0-k0), rank(T1-k1), rank(T0v-u0), rank(T1v-u1)) off the blocks."""
-    ranks = [rank for _, _, rank in _quadratics(r, p, *r.pairings(p.q))]
+    ranks = [rank for _, _, rank in _quadratics(r, p)]
     if None in ranks:
         raise RankIndeterminateError("a matrix entry sits near a rank threshold")
     return DimVector(r.dim, *ranks)
@@ -487,7 +482,8 @@ def spectrum_of_z(r: Rep, p: Params) -> list[complex]:
     """Eigenvalues of q^{1/2} T0 T0v on the s0 blocks: per 2x2 block the
     root of x^2 - tau x + delta of larger modulus, and delta over it."""
     w, _ = r.pairings(p.q)
-    diag, off = (s + t for s, t in _pair_product(p.q_half * r.T0, r.T0v, w, False))
+    a1, a2, _, _ = ds_factors(r, p)
+    diag, off = (s + t for s, t in _pair_product(a1, a2, w, False))
     tau, delta = diag + diag[w], diag * diag[w] - off * off[w]
     root = np.sqrt(tau * tau - 4 * delta)
     big = (tau + np.where(np.abs(tau + root) >= np.abs(tau - root), root, -root)) / 2
@@ -498,7 +494,7 @@ def spectrum_of_z(r: Rep, p: Params) -> list[complex]:
 def rho_ladder(s: SignVector, n: int, p: Params) -> list[complex]:
     """Expected z-eigenvalues rho_{-n}..rho_n of a type-2 quotient on
     side P: a*q^{1/2+i} for i >= 0 and a^{-1}*q^{1/2+i} for i < 0."""
-    a = s.eps0 * p.k0**s.eps0 * s.del0 * p.u0**s.del0
+    a = _type2_a(s, p)
     out = []
     for i in range(-n, n + 1):
         base = a if i >= 0 else 1 / a
@@ -515,10 +511,10 @@ def commutant_dim(r: Rep, p: Params) -> int:
     entry, is an edge when clearly apart from 0; in the band between
     approximately 0 and that, RankIndeterminateError."""
     label = list(range(r.dim))
-    for names, w in zip((("T0", "T0v"), ("T1", "T1v")), r.pairings(p.q)):
+    for which, w in enumerate(r.pairings(p.q)):
         weight = np.zeros(r.dim)
-        for name in names:
-            d, o, _ = _rows(getattr(r, name), w, True)
+        for M in (getattr(r, g.name) for g in GENERATORS if g.involution == which):
+            d, o, _ = _rows(M, w, True)
             off = np.maximum(np.abs(o), np.abs(o[w]))
             size = np.maximum.reduce([np.abs(d), np.abs(d[w]), off])
             weight = np.maximum(weight, off / np.where(size > 0, size, 1.0))
@@ -553,25 +549,17 @@ def build_truncated_polyrep(
     flip_convention injects the fault described at _demazure_lusztig."""
     validate_params(p)
     window = list(range(-N, N + 1))
-    if side == "P":
-        ops = {
-            "T0": lambda f: apply_T0(f, s.eps0, p, flip_convention),
-            "T1": lambda f: apply_T1(f, s.eps1, p, flip_convention),
-        }
-    else:
-        ops = {
-            "T0v": lambda f: apply_T0v_bar(f, s.del0, p, flip_convention),
-            "T1v": lambda f: apply_T1v_bar(f, s.del1, p, flip_convention),
-        }
     out: dict = {"basis_labels": window}
-    for name, op in ops.items():
+    for g, sign in zip(GENERATORS, (s.eps0, s.eps1, s.del0, s.del1)):
+        if g.side != side:
+            continue
         cols = []
         for j in window:
-            g = op(LaurentPoly.monomial(j))
-            if not g.is_zero() and (g.min_degree < -N or g.max_degree > N):
+            h = _demazure_lusztig(LaurentPoly.monomial(j), g, sign, p, flip_convention)
+            if not h.is_zero() and (h.min_degree < -N or h.max_degree > N):
                 raise ArithmeticError("operator left the degree ball")
-            cols.append([g.coeff(d) for d in window])
-        out[name] = np.array(cols, dtype=complex).T
+            cols.append([h.coeff(d) for d in window])
+        out[g.name] = np.array(cols, dtype=complex).T
     return out
 
 
@@ -582,19 +570,22 @@ def _matrix_to_json(M: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in M]
 
 
-def _matrix_from_json(data: list) -> np.ndarray:
-    return np.array(
-        [[complex(v[0], v[1]) for v in row] for row in data], dtype=complex
-    )
+def _pairs_from_json(data, shape: tuple[int, ...]) -> Optional[np.ndarray]:
+    """Stored [re, im] pairs as a complex array of the given shape, each
+    entry complex(re, im); None unless the data are numbers of that shape."""
+    try:
+        parts = np.array(data)
+    except ValueError:  # ragged lists
+        return None
+    if parts.dtype.kind not in "iuf" or parts.shape != (*shape, 2):
+        return None
+    return parts.astype(float).view(complex)[..., 0]
 
 
 def rep_to_json(r: Rep) -> dict:
     return {
         "dim": r.dim,
-        "T0": _matrix_to_json(r.T0),
-        "T1": _matrix_to_json(r.T1),
-        "T0v": _matrix_to_json(r.T0v),
-        "T1v": _matrix_to_json(r.T1v),
+        **{g.name: _matrix_to_json(getattr(r, g.name)) for g in GENERATORS},
         "basis_labels": list(r.basis_labels),
         "provenance": r.provenance,
     }
@@ -602,27 +593,27 @@ def rep_to_json(r: Rep) -> dict:
 
 def rep_from_json(data: dict) -> Rep:
     """The stored rep; refuses one that lacks a field or its roots, or
-    whose dim, matrix shapes and root count disagree."""
-    missing = [key for key in ("dim", *_GENERATORS, "basis_labels") if key not in data]
+    whose values are not of the shapes its dim gives: dim x dim matrices,
+    dim roots, and a list of integer basis labels."""
+    names = [g.name for g in GENERATORS]
+    missing = [key for key in ("dim", *names, "basis_labels") if key not in data]
     if missing:
         raise ValueError(f"stored representation has no {', '.join(missing)}")
-    provenance = dict(data.get("provenance", {}))
-    if "roots" not in provenance:
+    provenance = data.get("provenance", {})
+    if not isinstance(provenance, dict) or "roots" not in provenance:
         raise ValueError("stored representation has no provenance roots")
-    dim = int(data["dim"])
-    mats = [_matrix_from_json(data[name]) for name in _GENERATORS]
-    roots = np.array([complex(re, im) for re, im in provenance["roots"]])
-    shapes = [M.shape for M in mats]
-    if roots.shape != (dim,) or any(shape != (dim, dim) for shape in shapes):
+    dim, labels = data["dim"], data["basis_labels"]
+    if not isinstance(dim, int) or not isinstance(labels, list) \
+            or not all(isinstance(x, int) for x in labels):
+        raise ValueError("stored representation has a dim or basis_labels that is not integer")
+    roots = _pairs_from_json(provenance["roots"], (dim,))
+    mats = [_pairs_from_json(data[name], (dim, dim)) for name in names]
+    wrong = [key for key, v in zip(("roots", *names), (roots, *mats)) if v is None]
+    if wrong:
         raise ValueError(
-            f"stored representation of dim {dim} has {roots.size} roots and matrices {shapes}"
+            f"stored representation of dim {dim} has {', '.join(wrong)} of another shape"
         )
-    return Rep(
-        dim, *mats,
-        basis_labels=[int(x) for x in data["basis_labels"]],
-        roots=roots,
-        provenance=provenance,
-    )
+    return Rep(dim, *mats, basis_labels=labels, roots=roots, provenance=dict(provenance))
 
 
 __all__ = [
@@ -637,6 +628,7 @@ __all__ = [
     "verify_relations",
     "dim_vector",
     "spectrum_of_z",
+    "ds_factors",
     "rho_ladder",
     "commutant_dim",
     "rigidity_D",

@@ -3,8 +3,7 @@
 A real strict root alpha carries a locally closed stratum: one q-power
 equality plus finitely many inequalities.  Parameters admit the
 irreducible of dimension vector alpha exactly when they lie on the
-stratum.  This module also houses the prescribed-eigenvalue table for
-the four-matrix product problem and the xi^[alpha] closure product.
+stratum.
 """
 
 from __future__ import annotations
@@ -17,6 +16,8 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    GENERATORS,
+    Generator,
     Params,
     Tolerance,
     clearly_neq,
@@ -28,6 +29,7 @@ from .roots import (
     RootKind,
     RootVector,
     Type1E,
+    Type1F,
     Type2,
     enumerate_strict_roots,
 )
@@ -37,68 +39,23 @@ class ImaginaryKindError(ValueError):
     """Imaginary roots carry no stratum when q is not a root of unity."""
 
 
-class InconsistentRanksError(ValueError):
-    """A leg label exceeds the central label, so the rank data is invalid."""
-
-
-@dataclass(frozen=True)
-class XiTable:
-    """Prescribed eigenvalue pairs per generator row.
-
-    Rows follow (A1, A2, A3, A4) = (q^{1/2} T0, T0v, T1, T1v); each row
-    multiplies to -q (row 1) or -1 (rows 2-4).
-    """
-
-    rows: tuple[tuple[complex, complex], ...]
-
-    def xi(self, i: int, j: int) -> complex:
-        return self.rows[i - 1][j - 1]
-
-
 @dataclass(frozen=True)
 class StratumVerdict:
     member: bool
     failed_conditions: list[str] = field(default_factory=list)
 
 
-def xi_table(p: Params) -> XiTable:
-    """Eigenvalue rows for (q^{1/2}T0, T0v, T1, T1v).
-
-    The k1/u1 rows are paired with T1/T1v respectively, so that each
-    generator row lists its own quadratic's eigenvalues.
-    """
-    qh = p.q_half
-    return XiTable(
-        rows=(
-            (p.k0 * qh, -qh / p.k0),
-            (p.u0, -1 / p.u0),
-            (p.k1, -1 / p.k1),
-            (p.u1, -1 / p.u1),
-        )
-    )
-
-
-def xi_product(alpha: RootVector, p: Params, table: XiTable | None = None) -> complex:
-    """prod_i xi[i,1]^(a0 - leg_i) * xi[i,2]^leg_i over the four rows.
-
-    Legs are taken in the order (a1, a3, a2, a4), matching the row order
-    (T0, T0v, T1, T1v).
-    """
-    table = table if table is not None else xi_table(p)
-    legs = (alpha.a1, alpha.a3, alpha.a2, alpha.a4)
-    if any(leg > alpha.a0 for leg in legs):
-        raise InconsistentRanksError(
-            f"leg label exceeds central label in {alpha}"
-        )
-    out = 1 + 0j
-    for row, leg in enumerate(legs, start=1):
-        out *= table.xi(row, 1) ** (alpha.a0 - leg) * table.xi(row, 2) ** leg
-    return out
-
-
 _SIGN_CHOICES = tuple(product((1, -1), repeat=4))
 # the four Hecke parameters in the order of Type2.signs
-_T_NAMES = ("k0", "k1", "u0", "u1")
+_T_NAMES = tuple(g.t for g in GENERATORS)
+
+
+def one_leg(k: Type1E | Type1F) -> tuple[Generator, int]:
+    """The generator whose leg a one-leg kind moves, and the sign it
+    moves it by: e_i is the leg of T_i, f_i that of T_iv."""
+    if isinstance(k, Type1E):
+        return GENERATORS[k.i], k.eps
+    return GENERATORS[2 + k.i], k.delta
 
 
 def signed_product(p: Params, signs: tuple[int, int, int, int]) -> complex:
@@ -199,12 +156,9 @@ def sigma_membership(
                     failed.append(f"neq.{name}.m{m}")
         return StratumVerdict(not failed, failed)
 
-    if isinstance(k, Type1E):
-        name, s = ("k0" if k.i == 0 else "k1"), k.eps
-    else:
-        name, s = ("u0" if k.i == 0 else "u1"), k.delta
-    if not c.eq[_ROW[name, s]][n]:
-        failed.append(f"eq.{name}.n")
+    g, s = one_leg(k)
+    if not c.eq[_ROW[g.t, s]][n]:
+        failed.append(f"eq.{g.t}.n")
     # the product inequality is required for every sign assignment
     for m in c.product_close:
         if m < n:
@@ -302,15 +256,9 @@ def sample_stratum_params(
             branch = complex(np.sqrt(-(q**kind.n)))
             if rng.integers(2):
                 branch = -branch
-            if isinstance(kind, Type1E):
-                s = kind.eps
-                fixed = branch**s
-                vals = {"k0" if kind.i == 0 else "k1": fixed}
-            else:
-                s = kind.delta
-                fixed = branch**s
-                vals = {"u0" if kind.i == 0 else "u1": fixed}
-            for nm in ("k0", "k1", "u0", "u1"):
+            g, s = one_leg(kind)
+            vals = {g.t: branch**s}
+            for nm in _T_NAMES:
                 vals.setdefault(nm, random_unit(rng))
             p = Params(q_half=qh, tol=tol, **vals)
         try:

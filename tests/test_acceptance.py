@@ -18,7 +18,7 @@ import pytest
 
 from daha_cc1 import cli
 from daha_cc1.core import Params
-from daha_cc1.dsbridge import class_spec_from_root, to_ds_tuple, verify_class_membership
+from daha_cc1.dsbridge import class_spec_from_root, to_ds_tuple, verify_class_membership, xi_product
 from daha_cc1.rep import (
     IdealNotInvariantError,
     NotOnStratumError,
@@ -50,7 +50,6 @@ from daha_cc1.strata import (
     random_unit,
     sample_generic_params,
     sample_stratum_params,
-    xi_product,
 )
 
 POINTS_PER_KIND = 5

@@ -271,9 +271,11 @@ class _RecordingPool:
     """In-process stand-in for ProcessPoolExecutor that records its use."""
 
     started = 0
+    workers: list = []
 
     def __init__(self, max_workers):
         _RecordingPool.started += 1
+        _RecordingPool.workers.append(max_workers)
 
     def __enter__(self):
         return self
@@ -295,6 +297,19 @@ def test_scan_starts_a_pool_only_for_more_than_one_chunk(capsys, monkeypatch):
     assert parallel == serial
     run_cli(capsys, [*base, "--count", "9", "--jobs", "2"])
     assert _RecordingPool.started == 1
+
+
+def test_scan_asks_for_no_more_workers_than_chunks(capsys, monkeypatch):
+    # 9 points are 2 chunks of _SCAN_CHUNK: a larger --jobs starts no more
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    base = ["scan", "--seed", "5", "--format", "csv", "--n-max", "2"]
+    _, serial = run_cli(capsys, [*base, "--count", "9"])
+    for jobs in ("500", "2"):
+        _, out = run_cli(capsys, [*base, "--count", "9", "--jobs", jobs])
+        assert out == serial
+    run_cli(capsys, [*base, "--count", "17", "--jobs", "500"])
+    assert _RecordingPool.workers == [2, 2, 3]
 
 
 def test_tol_reaches_the_irreducibility_check(capsys, monkeypatch):
@@ -565,3 +580,59 @@ def test_construct_and_ds_check_read_the_ds_block_off_the_relation_check(
     code, _ = run_cli(capsys, ["ds-check", *args, "--rep", str(rep_file)])
     assert code == 0
     assert calls == {"product": 1, "quadratic": 2 * 4}
+
+
+# finite parameters whose q-powers leave the float range
+RANGE_PROBES = [
+    (["classify", "--k0", "2", "--k1", "3", "--u0", "5", "--u1", "7", "--n-max", "20",
+      "--q-half", "1e9"], "OverflowError"),
+    (["classify", "--k0", "2", "--k1", "3", "--u0", "5", "--u1", "7", "--n-max", "20",
+      "--q-half", "1e-20"], "ZeroDivisionError"),
+    (["classify", "--k0", "1e200", "--k1", "3", "--u0", "5", "--u1", "7", "--n-max", "20",
+      "--q-half", "2"], "OverflowError"),
+    (["construct", "--k0", "2", "--k1", "3", "--u0", "5", "--u1", "7", "--q-half", "1e20",
+      "--kind", "T2[++,++;n=20]"], "OverflowError"),
+]
+
+
+@pytest.mark.parametrize("argv, error", RANGE_PROBES)
+def test_out_of_range_parameters_are_an_input_error(capsys, argv, error):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["exit_code"] == 2
+    assert report["results"]["error"].startswith(f"{error}: ")
+
+
+def test_scan_gives_an_out_of_range_point_an_error_row(capsys, tmp_path):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("2,3,5,7,1e9\n2,3,5,0.016666666666666666,2\n")
+    code, out = run_cli(
+        capsys, ["scan", "--points-file", str(pts), "--format", "csv", "--n-max", "20"]
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "0,2,3,5,7,1000000000,error:OverflowError",
+        "1,2,3,5,0.0166666666667,2,T2[++,++;n=0]",
+    ]
+
+
+@pytest.mark.parametrize("key, value", [("T0", 5), ("basis_labels", 3), ("T1", [[1, 2], [3]]),
+                                        ("T0v", None), ("dim", [1])])
+def test_ds_check_refuses_a_stored_rep_with_a_wrong_shaped_value(capsys, tmp_path, key, value):
+    rep_file = tmp_path / "rep.json"
+    code, _ = run_cli(capsys, ["construct", *ONE_DIM, "--kind", "T2[++,++;n=0]",
+                               "--out", str(rep_file)])
+    assert code == 0
+    data = json.loads(rep_file.read_text())
+    data[key] = value
+    rep_file.write_text(json.dumps(data))
+    code = main(["ds-check", *ONE_DIM, "--rep", str(rep_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["exit_code"] == 2
+    assert report["results"]["error"].startswith("ValueError: stored representation")

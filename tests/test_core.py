@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from daha_cc1.core import (
     DEFAULT_TOL,
+    ROOTS_BOUND,
     AmbiguousMatchError,
     Params,
     RootOfUnityError,
@@ -114,7 +115,7 @@ def _scalar_order(p):
     """The root-of-unity guard as a loop of scalar comparisons: the first
     m with q^m = 1, None when the powers run out or turn non-finite."""
     power = 1 + 0j
-    for m in range(1, p.roots_bound + 1):
+    for m in range(1, ROOTS_BOUND + 1):
         power = power * p.q
         if not cmath.isfinite(power):
             return None
@@ -155,8 +156,9 @@ def test_validate_params_near_misses_match_the_scalar_loop(eq_tol):
 
 
 def test_validate_params_stops_at_the_first_non_finite_power():
-    for q_half, bound in ((1e80, 64), (1e10j, 64), (10.0, 64), (cmath.exp(1j * math.pi / 7), 5)):
-        p = _unit_params(q_half, roots_bound=bound)
+    # the last q has order ROOTS_BOUND + 1, past the guard's bound
+    for q_half in (1e80, 1e10j, 10.0, cmath.exp(1j * math.pi / (ROOTS_BOUND + 1))):
+        p = _unit_params(q_half)
         assert _guard_order(p) is _scalar_order(p) is None
     # q finite, |q| past the float range: abs() raises, and so does the guard
     p = _unit_params(cmath.sqrt(complex(1.3e308, 1.3e308)))

@@ -1,0 +1,37 @@
+"""README's examples must run: its library example, and every
+`daha-cc1 ...` line of its command-line block through cli.main."""
+
+import re
+import shlex
+from pathlib import Path
+
+from daha_cc1 import cli
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _block(heading: str, lang: str) -> str:
+    """The first fenced block of the given language under the heading."""
+    section = README.split(f"\n## {heading}\n", 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def _commands() -> list[list[str]]:
+    lines = _block("Command line", "sh").replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("daha-cc1 ")]
+
+
+def test_readme_library_example_runs(capsys):
+    exec(compile(_block("Library example", "python"), "README.md", "exec"), {})
+    assert "Type2(eps0=1, eps1=1, del0=1, del1=1, n=0)" in capsys.readouterr().out
+
+
+def test_readme_command_lines_exit_zero(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # construct --out and ds-check --rep share a file here
+    commands = _commands()
+    assert [argv[0] for argv in commands] == [
+        "classify", "construct", "ds-check", "scan", "spectrum", "selftest",
+    ]
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+        capsys.readouterr()

@@ -7,6 +7,7 @@ import pytest
 
 from daha_cc1 import strata
 from daha_cc1.core import Params, Tolerance, approx_eq
+from daha_cc1.dsbridge import InconsistentRanksError, xi_product, xi_table
 from daha_cc1.roots import (
     Imaginary,
     RootVector,
@@ -17,7 +18,6 @@ from daha_cc1.roots import (
 )
 from daha_cc1.strata import (
     ImaginaryKindError,
-    InconsistentRanksError,
     StratumVerdict,
     _StratumConditions,
     classify_params,
@@ -29,18 +29,16 @@ from daha_cc1.strata import (
     signed_product,
     stratum_verdicts,
     verdict_to_json,
-    xi_product,
-    xi_table,
 )
 
 
 def test_xi_rows_have_fixed_products(generic_params):
     p = generic_params
-    table = xi_table(p)
-    # row 1 is the q^{1/2}T0 row: eigenvalue product -q; rows 2-4: -1
-    assert approx_eq(table.xi(1, 1) * table.xi(1, 2), -p.q)
-    for i in (2, 3, 4):
-        assert approx_eq(table.xi(i, 1) * table.xi(i, 2), -1.0)
+    (e1, e2), *rest = xi_table(p)
+    # pair 1 is the q^{1/2}T0 factor's: eigenvalue product -q; pairs 2-4: -1
+    assert approx_eq(e1 * e2, -p.q)
+    for e1, e2 in rest:
+        assert approx_eq(e1 * e2, -1.0)
 
 
 def test_xi_product_rejects_inconsistent_ranks(generic_params):
