@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__, dsbridge
 from .core import (
+    DEFAULT_TOL,
     GENERATORS,
     AmbiguousMatchError,
     Params,
@@ -81,6 +82,7 @@ EXIT_OFF_STRATUM = 3
 EXIT_VERIFY = 4
 
 _PARAM_KEYS = ("k0", "k1", "u0", "u1", "q_half")
+_CONFIG_KEYS = (*_PARAM_KEYS, "tol", "n_max", "format", "jobs", "seed")
 # (exception types, exit code); the first matching row wins, so
 # NotOnStratumError, a ValueError, precedes the input-error row.  Finite
 # parameters whose q-powers leave the float range are input errors too.
@@ -101,7 +103,7 @@ class RunConfig:
     fmt: str = "json"
     jobs: int = 1
     seed: int = 0
-    eq_tol: float = 1e-9
+    tol: Tolerance = DEFAULT_TOL
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -113,8 +115,10 @@ def _read_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"malformed config line {line!r}")
-            key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
+            key, _, val = (part.strip() for part in line.partition("="))
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r} (known: {' '.join(_CONFIG_KEYS)})")
+            out[key] = val
     return out
 
 
@@ -131,7 +135,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         v = pick(key, getattr(args, key, None))
         scalars[key] = parse_scalar(v) if isinstance(v, str) else v
     eq_tol = pick("tol", getattr(args, "tol", None))
-    eq_tol = float(eq_tol) if eq_tol is not None else 1e-9
+    tol = Tolerance(eq_tol=float(eq_tol)) if eq_tol is not None else DEFAULT_TOL
     n_max = pick("n_max", getattr(args, "n_max", None))
     n_max = int(n_max) if n_max is not None else 6
     if n_max > 20:
@@ -146,16 +150,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     seed = pick("seed", getattr(args, "seed", None))
     seed = int(seed) if seed is not None else 0
 
-    tol = Tolerance(eq_tol=eq_tol)
     params = None
     if all(scalars[k] is not None for k in _PARAM_KEYS):
         params = Params(tol=tol, **scalars)
     elif any(scalars[k] is not None for k in _PARAM_KEYS):
         missing = [k for k in _PARAM_KEYS if scalars[k] is None]
         raise ValueError(f"missing parameters: {', '.join(missing)}")
-    return RunConfig(
-        params=params, n_max=n_max, fmt=fmt, jobs=jobs, seed=seed, eq_tol=eq_tol
-    )
+    return RunConfig(params=params, n_max=n_max, fmt=fmt, jobs=jobs, seed=seed, tol=tol)
 
 
 def _params_json(p: Optional[Params]) -> Optional[dict]:
@@ -286,29 +287,18 @@ def cmd_spectrum(cfg: RunConfig, kind_str: str) -> tuple[dict, int]:
 # -- scan ----------------------------------------------------------------
 
 
-def _scan_point(idx: int, seed: int, eq_tol: float) -> Params:
-    rng = np.random.default_rng([seed, idx])
-    tol = Tolerance(eq_tol=eq_tol)
-    return Params(
-        k0=random_unit(rng),
-        k1=random_unit(rng),
-        u0=random_unit(rng),
-        u1=random_unit(rng),
-        q_half=random_q_half(rng),
-        tol=tol,
-    )
-
-
 def _scan_worker(job: tuple) -> tuple[int, dict]:
     """Module-level so ProcessPoolExecutor can pickle it.  Each index
     derives its own RNG stream, so results are independent of how jobs
     are distributed across workers."""
-    idx, seed, n_max, eq_tol, explicit = job
+    idx, seed, n_max, tol, explicit = job
     if explicit is not None:
-        tol = Tolerance(eq_tol=eq_tol)
-        p = Params(*[complex(re, im) for re, im in explicit], tol=tol)
+        values = [complex(re, im) for re, im in explicit]
     else:
-        p = _scan_point(idx, seed, eq_tol)
+        rng = np.random.default_rng([seed, idx])
+        # k0, k1, u0, u1, then q_half, in draw order
+        values = [*(random_unit(rng) for _ in range(4)), random_q_half(rng)]
+    p = Params(*values, tol=tol)
     try:
         hits = [kind_to_str(k) for k, _ in classify_params(p, n_max)]
     except _REFUSED as exc:
@@ -341,19 +331,19 @@ def cmd_scan(
     if points_file is not None:
         explicit = _load_points_file(points_file)
         jobs = [
-            (i, cfg.seed, cfg.n_max, cfg.eq_tol, pt)
+            (i, cfg.seed, cfg.n_max, cfg.tol, pt)
             for i, pt in enumerate(explicit)
         ]
     elif count is not None:
         if count < 1:
             raise ValueError("count must be >= 1")
-        jobs = [(i, cfg.seed, cfg.n_max, cfg.eq_tol, None) for i in range(count)]
+        jobs = [(i, cfg.seed, cfg.n_max, cfg.tol, None) for i in range(count)]
     else:
         p = _require_params(cfg)
         pt = tuple(
             (getattr(p, k).real, getattr(p, k).imag) for k in _PARAM_KEYS
         )
-        jobs = [(0, cfg.seed, cfg.n_max, cfg.eq_tol, pt)]
+        jobs = [(0, cfg.seed, cfg.n_max, cfg.tol, pt)]
 
     # one worker per chunk at most: the pool starts all its workers at once
     chunks = -(-len(jobs) // _SCAN_CHUNK)
@@ -405,7 +395,7 @@ def _selftest_properties(
     cfg: RunConfig, flip_convention: bool = False
 ) -> tuple[list[dict], dict]:
     rng = np.random.default_rng(cfg.seed)
-    tol = Tolerance(eq_tol=cfg.eq_tol)
+    tol = cfg.tol
     checks: list[dict] = []
     residuals: dict[str, float] = {}
 

@@ -33,9 +33,10 @@ class AmbiguousMatchError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """The one comparison threshold: equalities hold within eq_tol, and
-    inequalities must fail by at least ``ineq_margin`` = 1e3 * eq_tol,
-    which keeps positive and negative tests well separated.
+    """The one comparison threshold, relative to the larger modulus of a
+    pair: equalities hold within eq_tol, and inequalities must fail by at
+    least ``ineq_margin`` = 1e3 * eq_tol, which keeps positive and
+    negative tests well separated (see :func:`decide`).
     """
 
     eq_tol: float = 1e-9
@@ -104,21 +105,31 @@ FACTORS = tuple(GENERATORS[i] for i in (0, 2, 1, 3))
 
 
 def approx_eq(a: complex, b: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """|a - b| <= eq_tol * max(1, |a|, |b|)."""
-    return abs(a - b) <= tol.eq_tol * max(1.0, abs(a), abs(b))
+    """a equals b: |a - b| <= eq_tol * max(|a|, |b|)."""
+    return abs(a - b) <= tol.eq_tol * max(abs(a), abs(b))
 
 
 def clearly_neq(a: complex, b: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when a and b are separated by the full inequality margin."""
-    return abs(a - b) > tol.ineq_margin * max(1.0, abs(a), abs(b))
+    """a is apart from b: |a - b| > ineq_margin * max(|a|, |b|)."""
+    return abs(a - b) > tol.ineq_margin * max(abs(a), abs(b))
+
+
+def decide(gap: float, scale: float, tol: Tolerance = DEFAULT_TOL) -> bool | None:
+    """The three-way decision of a gap against its scale: True (apart)
+    when gap > ineq_margin * scale, False (equal) when gap <= eq_tol *
+    scale, None in the band between.  A pair's gap is |a - b| at scale
+    max(|a|, |b|); a ratio already relative to its scale is the gap at 1."""
+    if gap > tol.ineq_margin * scale:
+        return True
+    return False if gap <= tol.eq_tol * scale else None
 
 
 def _verdicts(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     # a modulus is the hypot of the parts, as abs() computes it: numpy's
     # complex absolute can differ in the last bit
     gap, abs_a, abs_b = (np.hypot(z.real, z.imag) for z in (a - b, a, b))
-    # fmax skips a NaN modulus, as max() does
-    scale = np.fmax(np.fmax(1.0, abs_a), abs_b)
+    # max(|a|, |b|) as max() takes it: |b| only when larger, so a NaN |a| stays
+    scale = np.where(abs_b > abs_a, abs_b, abs_a)
     return gap <= tol.eq_tol * scale, gap > tol.ineq_margin * scale
 
 

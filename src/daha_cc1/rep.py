@@ -26,7 +26,7 @@ from .core import (
     Params,
     Tolerance,
     approx_eq,
-    clearly_neq,
+    decide,
     validate_params,
 )
 from .laurent import (
@@ -271,14 +271,6 @@ def _rows(M: np.ndarray, w: np.ndarray, strict: bool) -> tuple:
     return d, o, rest.max(axis=1)
 
 
-def _apart(a: complex, b: complex, tol: Tolerance) -> Optional[bool]:
-    """True when a is clearly apart from b, False when approximately b,
-    None in the band between."""
-    if clearly_neq(a, b, tol):
-        return True
-    return False if approx_eq(a, b, tol) else None
-
-
 def block_quadratic(
     M: np.ndarray, w: np.ndarray, e1: complex, e2: complex, tol: Tolerance
 ) -> tuple[float, Optional[int]]:
@@ -287,9 +279,10 @@ def block_quadratic(
     A 2x2 block needs trace e1 + e2 and determinant e1 e2, each relative
     to the terms it sums; a lone entry x needs x = e1 or e2.  A pair adds
     1 to the rank (a Jordan block when e1 = e2), x adds 1 when x/e1 is
-    clearly apart from 1 (0 when e1 = e2), and a block with an entry
-    outside the blocks clearly apart from 0 adds its size.  The rank is
-    None when a ratio sits in the band between two decisions."""
+    apart from 1 (0 when e1 = e2), and a block adds its size when its
+    largest entry outside the blocks, as a ratio to the block's scale, is
+    apart from 0.  Each is core.decide; the rank is None when one sits in
+    the band."""
     d, o, rest = _rows(M, w, False)
     d, o, rest = d.tolist(), o.tolist(), [0.0] * w.size if rest is None else rest.tolist()
     scale, jordan = max(abs(e1), abs(e2)), approx_eq(e1 / e2, 1.0, tol)
@@ -299,8 +292,9 @@ def block_quadratic(
             continue  # one row per block: a pair's first row, or a lone row
         if i == j:
             x = d[i]
-            residual = max(residual, min(abs(x / e1 - 1), abs(x / e2 - 1)))
-            entry = False if jordan else _apart(x / e1, 1.0, tol)
+            gap = abs(x / e1 - 1)
+            residual = max(residual, min(gap, abs(x / e2 - 1)))
+            entry = False if jordan else decide(gap, max(abs(x / e1), 1.0), tol)
             size = abs(x)
         else:
             ad, bc = d[i] * d[j], o[i] * o[j]
@@ -313,7 +307,7 @@ def block_quadratic(
         stray = False
         if rest[i] or rest[j]:  # entries outside the blocks, in this block's rows
             loose = max(rest[i], rest[j]) / max(size, scale)
-            residual, stray = max(residual, loose), _apart(loose, 0.0, tol)
+            residual, stray = max(residual, loose), decide(loose, 1.0, tol)
         if rank is not None:
             # a stray makes the block's rows independent: a pair adds 2, a lone row 1
             add = (2 if i != j else 1) if stray else (None if stray is None else entry)
@@ -507,9 +501,9 @@ def commutant_dim(r: Rep, p: Params) -> int:
     irreducible.  z = diag(roots) has distinct entries, so the commutant
     is diagonal, and x_i = x_j wherever the block of a pair (i, j) has an
     off-diagonal entry: it counts the components of the graph of those
-    pairs.  A block's larger off-diagonal entry, relative to its largest
-    entry, is an edge when clearly apart from 0; in the band between
-    approximately 0 and that, RankIndeterminateError."""
+    pairs.  A block's larger off-diagonal entry, as a ratio to its largest
+    entry, is an edge when core.decide calls that ratio apart from 0; in
+    the band, RankIndeterminateError."""
     label = list(range(r.dim))
     for which, w in enumerate(r.pairings(p.q)):
         weight = np.zeros(r.dim)
@@ -519,7 +513,7 @@ def commutant_dim(r: Rep, p: Params) -> int:
             size = np.maximum.reduce([np.abs(d), np.abs(d[w]), off])
             weight = np.maximum(weight, off / np.where(size > 0, size, 1.0))
         for i in np.flatnonzero(w > np.arange(r.dim)).tolist():
-            edge = _apart(weight[i], 0.0, p.tol)
+            edge = decide(weight[i], 1.0, p.tol)
             if edge is None:
                 raise RankIndeterminateError("commutant entry near threshold")
             if edge:  # merge the component of w[i] into that of i

@@ -205,6 +205,30 @@ def test_malformed_config_is_input_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("line", ["nmax = 20", "q-half = 2", "Tol = 1e-9", "explain = 1"])
+def test_unknown_config_key_is_input_error(capsys, tmp_path, line):
+    # a misspelt key used to be dropped: classify ran at the default n_max
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"k0 = 2\nk1 = 3\nu0 = 5\nu1 = 7\nq_half = 2\n{line}\n")
+    code, out = run_cli(capsys, ["classify", "--config", str(cfg)])
+    assert code == 2
+    report = json.loads(out)
+    assert report["exit_code"] == 2
+    assert repr(line.split(" = ")[0]) in report["results"]["error"]
+
+
+def test_every_config_key_is_read(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "k0 = 2\nk1 = 3\nu0 = 5\nu1 = 0.016666666666666666\nq_half = 2\n"
+        "tol = 1e-7\nn_max = 3\nformat = text\njobs = 1\nseed = 4\n"
+    )
+    code, out = run_cli(capsys, ["classify", "--config", str(cfg)])
+    assert code == 0
+    assert out.startswith("# classify")
+    assert json.loads(out.split("\n", 1)[1])["n_max"] == 3
+
+
 def test_n_max_guard(capsys):
     code, _ = run_cli(capsys, ["classify", *ONE_DIM, "--n-max", "21"])
     assert code == 2

@@ -17,6 +17,7 @@ from daha_cc1.core import (
     approx_eq,
     clearly_neq,
     compare_arrays,
+    decide,
     format_scalar,
     match_q_power,
     parse_scalar,
@@ -58,7 +59,31 @@ def test_approx_eq_symmetric(a, b):
 def test_approx_eq_relative_scaling():
     assert approx_eq(1e12, 1e12 * (1 + 1e-10))
     assert not approx_eq(1e12, 1e12 * (1 + 1e-8))
-    assert approx_eq(0.0, 1e-10)
+    assert approx_eq(1e-12, 1e-12 * (1 + 1e-10))
+    # the scale is max(|a|, |b|), with no floor: only 0 equals 0
+    assert not approx_eq(0.0, 1e-10)
+    assert approx_eq(0.0, 0.0)
+
+
+def test_small_values_compare_relatively():
+    # 1e-3 apart, relative to values near 1e-12: not equal, and apart
+    a, b = 1e-12, 1e-12 * (1 + 1e-3)
+    assert not approx_eq(a, b)
+    assert clearly_neq(a, b)
+    assert decide(abs(a - b), max(abs(a), abs(b))) is True
+
+
+@pytest.mark.parametrize("tol", [Tolerance(), Tolerance(eq_tol=1e-4)])
+def test_decide_is_the_three_way_form_of_the_pair_comparators(tol):
+    for mod in (1e-300, 1e-12, 1.0, 1e12):
+        for d in (0.0, 0.1, 1.0, 1e1, 1e3, 2e3, 1e6):
+            a, b = mod, mod * (1 + d * tol.eq_tol)
+            verdict = decide(abs(a - b), max(abs(a), abs(b)), tol)
+            assert verdict is (True if clearly_neq(a, b, tol) else
+                               False if approx_eq(a, b, tol) else None), (mod, d)
+    # a ratio is decided against scale 1
+    assert [decide(x * tol.eq_tol, 1.0, tol) for x in (0.5, 1.0, 2.0, 1e3, 2e3)] == [
+        False, False, None, None, True]
 
 
 def test_clearly_neq_leaves_a_dead_band():
@@ -73,6 +98,15 @@ def test_match_q_power_finds_unique_exponent():
     assert match_q_power(q**5, q, 0, 10) == 5
     assert match_q_power(q**5 * 1.5, q, 0, 10) is None
     assert match_q_power(q**-2, q, -4, 4) == -2
+
+
+@pytest.mark.parametrize("q", [0.01, 100.0, 0.01j, -100.0])
+def test_match_q_power_is_unique_far_from_the_unit_circle(q):
+    # every q^m below 1e-9 used to match every other one
+    for m in (0, 1, 5, 10):
+        assert match_q_power(q**m, q, 0, 10) == m
+        assert match_q_power(q**-m, q, -10, 0) == -m
+    assert match_q_power(q**5 * (1 + 1e-3), q, 0, 10) is None
 
 
 def test_match_q_power_ambiguous_at_loose_tolerance():
@@ -170,17 +204,17 @@ def test_validate_params_stops_at_the_first_non_finite_power():
 
 def _threshold_steps(a: complex, margin: float, part: str) -> list[complex]:
     """Points b that move one part of a until |a - b| passes
-    margin * max(1, |a|, |b|): the last float inside, the first outside,
+    margin * max(|a|, |b|): the last float inside, the first outside,
     and two more floats to either side."""
     def at(x):
         return complex(x, a.imag) if part == "real" else complex(a.real, x)
 
     def inside(x):
         b = at(x)
-        return abs(a - b) <= margin * max(1.0, abs(a), abs(b))
+        return abs(a - b) <= margin * max(abs(a), abs(b))
 
     lo = a.real if part == "real" else a.imag
-    hi = lo + 4 * margin * max(1.0, abs(a))
+    hi = lo + 4 * margin * abs(a)
     assert inside(lo) and not inside(hi)
     while True:
         mid = lo + (hi - lo) / 2

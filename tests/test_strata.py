@@ -145,7 +145,7 @@ def test_stratum_sampler_hits_every_type2_sign(rng):
 
 
 def _per_kind_clearly_apart(a: complex, b: complex, tol: Tolerance) -> bool:
-    return abs(a - b) > tol.ineq_margin * max(1.0, abs(a), abs(b))
+    return abs(a - b) > tol.ineq_margin * max(abs(a), abs(b))
 
 
 def _per_kind_sigma_membership(p, k, tol=None):
@@ -301,6 +301,20 @@ def _boundary_points():
     return pts
 
 
+def _plant(p, kind):
+    """p moved onto the stratum equality of kind: u1 solves a type-2
+    product equality, the leg's parameter a one-leg one."""
+    if isinstance(kind, Type2):
+        return _solve_product(p, kind.signs, p.q_half ** (-1 - 2 * kind.n), "u1")
+    g, s = strata.one_leg(kind)
+    return _with(p, **{g.t: _t_on(p.q, kind.n, s)})
+
+
+def _random_point(mod, rng):
+    qh = cmath.rect(mod, rng.uniform(0.0, 2 * cmath.pi))
+    return Params(*(random_unit(rng) for _ in range(4)), qh)
+
+
 def _wide_q_points():
     """Planted points at |q^{1/2}| in {0.3, 0.5, 2, 3}, where the q-powers
     of the stratum conditions span many orders of magnitude: for each
@@ -309,16 +323,11 @@ def _wide_q_points():
     pts = []
     for mod in (0.3, 0.5, 2.0, 3.0):
         for n in (0, 1, 5, 10, 15, 20):
-            qh = cmath.rect(mod, rng.uniform(0.0, 2 * cmath.pi))
-            p = Params(*(random_unit(rng) for _ in range(4)), qh)
+            p = _random_point(mod, rng)
             kinds = _kinds_at(n)
-            kind = kinds[int(rng.integers(16))]
-            pts.append(_solve_product(p, kind.signs, qh ** (-1 - 2 * n), "u1"))
+            pts.append(_plant(p, kinds[int(rng.integers(16))]))
             if n >= 1:
-                kind = kinds[16 + int(rng.integers(8))]
-                name = (("k0", "k1") if isinstance(kind, Type1E) else ("u0", "u1"))[kind.i]
-                s = kind.eps if isinstance(kind, Type1E) else kind.delta
-                pts.append(_with(p, **{name: _t_on(p.q, n, s)}))
+                pts.append(_plant(p, kinds[16 + int(rng.integers(8))]))
     return pts
 
 
@@ -382,3 +391,55 @@ def test_shared_table_matches_per_kind_oracle_on_inequality_boundaries():
         )
     # every exact boundary point fails an inequality; the margin points may not
     assert neq_points >= 12
+
+
+# -- planted points far from the unit circle -------------------------------
+
+
+def _rotating_kinds():
+    """Per level 0..20 one type-2 kind and (level >= 1) one one-leg kind;
+    the families rotate with the level, so all 24 appear."""
+    kinds = []
+    for n in range(N_ORACLE + 1):
+        kinds.append(_kinds_at(n)[n % 16])
+        if n >= 1:
+            kinds.append(_kinds_at(n)[16 + n % 8])
+    return kinds
+
+
+@pytest.mark.parametrize("mod", [0.3, 0.5, 2.0, 3.0])
+def test_wide_q_planted_points_hit_only_their_kind(mod):
+    """Stratum quantities at these moduli reach |q|^(+-40); compared
+    relatively, no two of them below 1 pass as equal, so each planted
+    point lies on its own stratum and on no other up to level 20."""
+    rng = np.random.default_rng(77)
+    # every fifth kind: all 24 families and all levels 0..20
+    for kind in _REAL_KINDS[::5]:
+        p = _plant(_random_point(mod, rng), kind)
+        assert [k for k, _ in classify_params(p, N_ORACLE)] == [kind], (mod, kind)
+
+
+def _flipped(kind, name):
+    """The image of kind under t -> -1/t for the parameter `name`: the
+    sign of t flips in a type-2 kind and in the one-leg kinds of t."""
+    if isinstance(kind, Type2):
+        return Type2(*(-s if nm == name else s for nm, s in zip(_T_NAMES, kind.signs)), kind.n)
+    g, s = strata.one_leg(kind)
+    if g.t != name:
+        return kind
+    return dataclasses.replace(kind, **{"eps" if isinstance(kind, Type1E) else "delta": -s})
+
+
+@pytest.mark.parametrize("mod", [0.3, 0.5, 1.3, 2.0, 3.0])
+def test_t_to_minus_inverse_t_maps_the_hits(mod):
+    """(T - t)(T + 1/t) is symmetric in t and -1/t, so moving one of k0,
+    k1, u0, u1 to -1/t maps the classify hits by _flipped."""
+    rng = np.random.default_rng(71)
+    for kind in _rotating_kinds():
+        p = _plant(_random_point(mod, rng), kind)
+        hits = {k for k, _ in classify_params(p, N_ORACLE)}
+        assert kind in hits, (mod, kind)
+        for name in _T_NAMES:
+            moved = _with(p, **{name: -1 / getattr(p, name)})
+            got = {k for k, _ in classify_params(moved, N_ORACLE)}
+            assert got == {_flipped(k, name) for k in hits}, (mod, kind, name)
