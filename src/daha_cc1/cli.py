@@ -16,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 import numpy as np
@@ -147,6 +148,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"unknown output format {fmt!r}")
     jobs = pick("jobs", getattr(args, "jobs", None))
     jobs = int(jobs) if jobs is not None else 1
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     seed = pick("seed", getattr(args, "seed", None))
     seed = int(seed) if seed is not None else 0
 
@@ -182,15 +185,56 @@ def _report(
     }
 
 
+class _Encoded(str):
+    """JSON text that _to_json wrote at depth 0; placed in a report, it is
+    re-indented to its depth instead of being encoded again."""
+
+
+_ENCODE = json.JSONEncoder().encode  # scalars, in the stdlib's spellings
+_is_float = float.__instancecheck__
+
+
+def _to_json(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for a
+    value whose dict keys are strings (a non-string key raises TypeError).
+    Passing indent makes the stdlib encode in pure Python; this writer
+    joins each level's text at once and each all-float list, the [re, im]
+    leaf of a matrix entry, in one call.  float repr never holds an "n",
+    so one that does holds nan or inf and takes the stdlib's NaN and
+    Infinity."""
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        sep = "," + inner
+        if all(map(_is_float, obj)):
+            body = sep.join(map(float.__repr__, obj))
+            if "n" not in body:
+                return f"[{inner}{body}{indent}]"
+        return f"[{inner}{sep.join([_to_json(x, inner) for x in obj])}{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = ("," + inner).join([
+            f"{encode_basestring_ascii(k)}: {_to_json(v, inner)}" for k, v in sorted(obj.items())
+        ])
+        return f"{{{inner}{body}{indent}}}"
+    if isinstance(obj, _Encoded):
+        # a JSON string holds no raw newline, so every one is a line break
+        return obj.replace("\n", indent)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    return _ENCODE(obj)
+
+
 def _emit(report: dict, fmt: str, out=None) -> None:
     out = out if out is not None else sys.stdout
     if fmt == "text":
         out.write(f"# {report['command']} (v{report['tool_version']})\n")
-        out.write(json.dumps(report["results"], indent=2, sort_keys=True))
-        out.write("\n")
+        out.write(_to_json(report["results"]))
     else:
-        out.write(json.dumps(report, indent=2, sort_keys=True))
-        out.write("\n")
+        out.write(_to_json(report))
+    out.write("\n")
 
 
 def _require_params(cfg: RunConfig) -> Params:
@@ -242,7 +286,7 @@ def _construct_results(kind, r, p: Params) -> tuple[dict, dict]:
     residuals, dv, ds = _ds_results(r, p)
     results = {
         "kind": kind_to_str(kind),
-        "rep": rep_to_json(r),
+        "rep": _Encoded(_to_json(rep_to_json(r))),
         "dim_vector": list(dv),
         "spectrum_z": sorted(
             (format_scalar(v) for v in spectrum_of_z(r, p))
@@ -264,7 +308,7 @@ def cmd_construct(
     results, residuals = _construct_results(kind, r, p)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(results["rep"], fh, indent=2, sort_keys=True)
+            fh.write(results["rep"])
         results["rep_file"] = out_path
     return _report("construct", p, results, residuals), EXIT_OK
 

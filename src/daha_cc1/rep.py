@@ -585,10 +585,13 @@ def rep_to_json(r: Rep) -> dict:
     }
 
 
-def rep_from_json(data: dict) -> Rep:
-    """The stored rep; refuses one that lacks a field or its roots, or
-    whose values are not of the shapes its dim gives: dim x dim matrices,
-    dim roots, and a list of integer basis labels."""
+def rep_from_json(data) -> Rep:
+    """The stored rep; refuses one that is not a JSON object, that lacks a
+    field or its roots, or whose values are not of the shapes its dim
+    gives: dim x dim matrices, dim roots, and a list of integer basis
+    labels."""
+    if not isinstance(data, dict):
+        raise ValueError("stored representation is not a JSON object")
     names = [g.name for g in GENERATORS]
     missing = [key for key in ("dim", *names, "basis_labels") if key not in data]
     if missing:

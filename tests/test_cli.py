@@ -660,3 +660,31 @@ def test_ds_check_refuses_a_stored_rep_with_a_wrong_shaped_value(capsys, tmp_pat
     report = json.loads(captured.out)
     assert report["exit_code"] == 2
     assert report["results"]["error"].startswith("ValueError: stored representation")
+
+
+@pytest.mark.parametrize("text", ["5", "null", '"dim T0 T1 T0v T1v basis_labels"'])
+def test_ds_check_refuses_a_stored_rep_that_is_not_an_object(capsys, tmp_path, text):
+    rep_file = tmp_path / "rep.json"
+    rep_file.write_text(text)
+    code = main(["ds-check", *ONE_DIM, "--rep", str(rep_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["exit_code"] == 2
+    assert report["results"]["error"] == "ValueError: stored representation is not a JSON object"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_input_error(capsys, jobs):
+    code, out = run_cli(capsys, ["scan", "--count", "3", "--jobs", jobs])
+    assert code == 2
+    assert json.loads(out)["results"] == {"error": "jobs must be >= 1"}
+
+
+def test_jobs_zero_in_a_config_file_is_input_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("jobs = 0\n")
+    code, out = run_cli(capsys, ["scan", "--count", "3", "--config", str(cfg)])
+    assert code == 2
+    assert json.loads(out)["results"] == {"error": "jobs must be >= 1"}
