@@ -15,7 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
@@ -192,20 +192,46 @@ class _Encoded(str):
 
 _ENCODE = json.JSONEncoder().encode  # scalars, in the stdlib's spellings
 _is_float = float.__instancecheck__
+_is_list = list.__instancecheck__
+
+
+def _grid(rows: list, indent: str) -> Optional[str]:
+    """The text of rows, a list of equal-length lists of equal-length
+    all-float lists (the [re, im] grid of a rep matrix), from one fill of
+    a template; None for any other value, or when a float is nan or inf."""
+    if not all(map(_is_list, rows)) or len(set(map(len, rows))) != 1 or not rows[0]:
+        return None
+    leaves = list(chain.from_iterable(rows))
+    if not all(map(_is_list, leaves)) or len(set(map(len, leaves))) != 1 or not leaves[0]:
+        return None
+    values = list(chain.from_iterable(leaves))
+    if not all(map(_is_float, values)):
+        return None
+    i1 = indent + "  "
+    i2, i3 = i1 + "  ", i1 + "    "
+    leaf = f"[{i3}{('%s,' + i3) * (len(leaves[0]) - 1)}%s{i2}]"
+    row = f"[{i2}{(',' + i2).join([leaf] * len(rows[0]))}{i1}]"
+    text = f"[{i1}{(',' + i1).join([row] * len(rows))}{indent}]" % tuple(map(float.__repr__, values))
+    return None if "n" in text else text
 
 
 def _to_json(obj, indent: str = "\n") -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for a
     value whose dict keys are strings (a non-string key raises TypeError).
     Passing indent makes the stdlib encode in pure Python; this writer
-    joins each level's text at once and each all-float list, the [re, im]
-    leaf of a matrix entry, in one call.  float repr never holds an "n",
-    so one that does holds nan or inf and takes the stdlib's NaN and
-    Infinity."""
+    joins each level's text at once, writes each all-float list, the
+    [re, im] leaf of a matrix entry, in one call and each grid of them,
+    a whole matrix, in one template fill (see _grid).  float repr never
+    holds an "n", so one that does holds nan or inf and takes the
+    stdlib's NaN and Infinity."""
     inner = indent + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if _is_list(obj) and _is_list(obj[0]):
+            text = _grid(obj, indent)
+            if text is not None:
+                return text
         sep = "," + inner
         if all(map(_is_float, obj)):
             body = sep.join(map(float.__repr__, obj))
@@ -265,25 +291,29 @@ def cmd_classify(cfg: RunConfig, explain: bool) -> tuple[dict, int]:
 # -- construct -----------------------------------------------------------
 
 
-def _ds_results(r, p: Params) -> tuple[dict, tuple, dict]:
+def _ds_results(r, p: Params, on_stratum=None) -> tuple[dict, tuple, dict]:
     """The diagnosis construct and ds-check share: relation residuals, the
     dim vector and the four-matrix product problem, read off the relation
     check.  Factor i of (q^{1/2} T0, T0v, T1, T1v) lies in its class when
-    its generator's quadratic holds, and the ranks are the dim vector."""
+    its generator's quadratic holds, and the ranks are the dim vector.
+    on_stratum is a kind whose stratum the build's guard found p on; when
+    the dim vector is its root, that verdict is the predicate's."""
     residuals = verify_relations(r, p)
     dv = dim_vector(r, p).as_tuple()
+    alpha = RootVector(*dv)
+    member = True if on_stratum is not None and alpha == root_of_kind(on_stratum) else None
     ds = {
         "product_residual": dsbridge.check_product(residuals["product"]),
         "class_membership": all(
             v <= p.tol.ineq_margin for k, v in residuals.items() if k.startswith("quad.")
         ),
-        "existence_predicate": dsbridge.ds_existence_predicate(RootVector(*dv), p),
+        "existence_predicate": dsbridge.ds_existence_predicate(alpha, p, member),
     }
     return residuals, dv, ds
 
 
-def _construct_results(kind, r, p: Params) -> tuple[dict, dict]:
-    residuals, dv, ds = _ds_results(r, p)
+def _construct_results(kind, r, p: Params, guarded: bool) -> tuple[dict, dict]:
+    residuals, dv, ds = _ds_results(r, p, kind if guarded else None)
     results = {
         "kind": kind_to_str(kind),
         "rep": _Encoded(_to_json(rep_to_json(r))),
@@ -305,7 +335,7 @@ def cmd_construct(
     p = _require_params(cfg)
     kind = kind_from_str(kind_str)
     r = build_quotient_rep(kind, None, p, force=force)
-    results, residuals = _construct_results(kind, r, p)
+    results, residuals = _construct_results(kind, r, p, guarded=not force)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(results["rep"])

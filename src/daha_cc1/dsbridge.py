@@ -11,6 +11,7 @@ the moduli count in :func:`daha_cc1.rep.rigidity_D`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -110,16 +111,17 @@ def verify_class_membership(r: Rep, p: Params, specs: tuple[ClassSpec, ...]) -> 
     return True
 
 
-def ds_existence_predicate(alpha: RootVector, p: Params) -> bool:
+def ds_existence_predicate(alpha: RootVector, p: Params, member: Optional[bool] = None) -> bool:
     """An irreducible tuple with this class data exists iff alpha is a
     real strict root, the prescribed eigenvalue product closes to 1, and
-    the parameters sit on the root's stratum."""
+    the parameters sit on the root's stratum.  member, when given, is the
+    stratum verdict of alpha's kind at p that the caller already holds."""
     kind = classify_root(alpha)
     if kind is None or isinstance(kind, Imaginary):
         return False
     if not approx_eq(xi_product(alpha, p), 1.0, p.tol):
         return False
-    return sigma_membership(p, kind).member
+    return sigma_membership(p, kind).member if member is None else member
 
 
 __all__ = [

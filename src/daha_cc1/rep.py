@@ -130,8 +130,10 @@ class Rep:
     basis_labels: list[int]
     roots: np.ndarray
     provenance: dict = field(default_factory=dict)
-    # the pairings of the roots, kept for the last (q, roots) asked for
-    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (key, value) of the pairing of the roots and of the block diagnosis
+    # (see _diagnosis), each kept for the last content it was read off
+    _pairs: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _diagnosis: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def generators(self) -> list[np.ndarray]:
         return [getattr(self, g.name) for g in GENERATORS]
@@ -139,9 +141,9 @@ class Rep:
     def pairings(self, q: complex) -> tuple[np.ndarray, np.ndarray]:
         """The s0 and s1 partners of the roots (see :func:`pairings`)."""
         key = (q, self.roots.tobytes())
-        if key not in self._pairs:
-            self._pairs = {key: pairings(self.roots, q)}
-        return self._pairs[key]
+        if self._pairs is None or self._pairs[0] != key:
+            self._pairs = (key, pairings(self.roots, q))
+        return self._pairs[1]
 
 
 # -- the generators ------------------------------------------------------
@@ -432,7 +434,7 @@ def build_quotient_rep(
             "ideal_residual": ideal_res,
         },
     )
-    rep._pairs[(p.q, roots.tobytes())] = (s0, s1)
+    rep._pairs = ((p.q, roots.tobytes()), (s0, s1))
     residuals = verify_relations(rep, p)
     if max(residuals.values()) > RELATION_RESIDUAL_MAX:
         raise RelationResidualError(residuals)
@@ -448,25 +450,40 @@ def ds_factors(r: Rep, p: Params) -> tuple[np.ndarray, ...]:
     return (p.q_half * a1, *rest)
 
 
-def _quadratics(r: Rep, p: Params):
-    """(name, residual, rank) of each generator's (T - t)(T + 1/t) = 0."""
-    pairs = r.pairings(p.q)
-    for g in GENERATORS:
-        t = getattr(p, g.t)
-        yield (g.name, *block_quadratic(getattr(r, g.name), pairs[g.involution], t, -1 / t, p.tol))
+def _diagnosis(r: Rep, p: Params, product: bool) -> tuple[list, Optional[float]]:
+    """Each generator's (residual, rank) of (T - t)(T + 1/t) = 0 from
+    block_quadratic, in GENERATORS order, and the product residual from
+    block_product, or None unless asked for.  The rep keeps them for the
+    last (params, roots, matrices) content, so a change to any of those
+    is read afresh; the product is computed on its first request, as its
+    strict pairing check raises where the quadratics do not."""
+    content = [r.roots, *r.generators()]
+    key = (p, *((M.dtype.str, M.shape, M.tobytes()) for M in content))
+    if r._diagnosis is None or r._diagnosis[0] != key:
+        pairs, quads = r.pairings(p.q), []
+        for g in GENERATORS:
+            t = getattr(p, g.t)
+            quads.append(block_quadratic(getattr(r, g.name), pairs[g.involution], t, -1 / t, p.tol))
+        r._diagnosis = (key, quads, None)
+    key, quads, prod = r._diagnosis
+    if product and prod is None:
+        prod = block_product(*ds_factors(r, p), r.roots, *r.pairings(p.q))
+        r._diagnosis = (key, quads, prod)
+    return quads, prod
 
 
 def verify_relations(r: Rep, p: Params) -> dict[str, float]:
     """Residuals of the five relations, block by block: each quadratic, and
     the product as q^{1/2} T0 T0v = z on s0 blocks, T1v T1 = z^-1 on s1."""
-    out = {f"quad.{name}": res for name, res, _ in _quadratics(r, p)}
-    out["product"] = block_product(*ds_factors(r, p), r.roots, *r.pairings(p.q))
+    quads, prod = _diagnosis(r, p, True)
+    out = {f"quad.{g.name}": res for g, (res, _) in zip(GENERATORS, quads)}
+    out["product"] = prod
     return out
 
 
 def dim_vector(r: Rep, p: Params) -> DimVector:
     """(dim, rank(T0-k0), rank(T1-k1), rank(T0v-u0), rank(T1v-u1)) off the blocks."""
-    ranks = [rank for _, _, rank in _quadratics(r, p)]
+    ranks = [rank for _, rank in _diagnosis(r, p, False)[0]]
     if None in ranks:
         raise RankIndeterminateError("a matrix entry sits near a rank threshold")
     return DimVector(r.dim, *ranks)
@@ -561,7 +578,8 @@ def build_truncated_polyrep(
 
 
 def _matrix_to_json(M: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in M]
+    """Rows of [re, im] float pairs."""
+    return np.stack((M.real, M.imag), axis=-1).astype(float).tolist()
 
 
 def _pairs_from_json(data, shape: tuple[int, ...]) -> Optional[np.ndarray]:
@@ -585,11 +603,15 @@ def rep_to_json(r: Rep) -> dict:
     }
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def rep_from_json(data) -> Rep:
     """The stored rep; refuses one that is not a JSON object, that lacks a
     field or its roots, or whose values are not of the shapes its dim
     gives: dim x dim matrices, dim roots, and a list of integer basis
-    labels."""
+    labels.  A JSON true or false is not an integer here."""
     if not isinstance(data, dict):
         raise ValueError("stored representation is not a JSON object")
     names = [g.name for g in GENERATORS]
@@ -600,8 +622,7 @@ def rep_from_json(data) -> Rep:
     if not isinstance(provenance, dict) or "roots" not in provenance:
         raise ValueError("stored representation has no provenance roots")
     dim, labels = data["dim"], data["basis_labels"]
-    if not isinstance(dim, int) or not isinstance(labels, list) \
-            or not all(isinstance(x, int) for x in labels):
+    if not _is_integer(dim) or not isinstance(labels, list) or not all(map(_is_integer, labels)):
         raise ValueError("stored representation has a dim or basis_labels that is not integer")
     roots = _pairs_from_json(provenance["roots"], (dim,))
     mats = [_pairs_from_json(data[name], (dim, dim)) for name in names]

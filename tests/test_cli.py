@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from daha_cc1 import cli, dsbridge
+from daha_cc1 import cli, dsbridge, strata
 from daha_cc1 import rep as rep_module
 from daha_cc1.cli import main
 from daha_cc1.roots import Type1E, Type2, kind_from_str, kind_to_str, root_of_kind
@@ -573,10 +573,9 @@ def test_negative_n_max_is_input_error(capsys, command):
 def test_construct_and_ds_check_read_the_ds_block_off_the_relation_check(
     capsys, tmp_path, rng, monkeypatch
 ):
-    # construct checks the product once in the build's gate and once in
-    # the report's relation check, and makes three quadratic passes (the
-    # gate, the report's relation check, the dim vector); ds-check makes
-    # one product check and two quadratic passes
+    # the build's gate makes the one product check and the one quadratic
+    # pass of a construct: the report's relation check and dim vector read
+    # the rep's diagnosis; ds-check makes one of each for its stored rep
     calls = {"product": 0, "quadratic": 0}
 
     def counted(name, fn):
@@ -599,11 +598,40 @@ def test_construct_and_ds_check_read_the_ds_block_off_the_relation_check(
     code, _ = run_cli(capsys, ["construct", *args, "--kind", kind_to_str(kind),
                                "--out", str(rep_file)])
     assert code == 0
-    assert calls == {"product": 2, "quadratic": 3 * 4}
+    assert calls == {"product": 1, "quadratic": 4}
     calls.update(product=0, quadratic=0)
     code, _ = run_cli(capsys, ["ds-check", *args, "--rep", str(rep_file)])
     assert code == 0
-    assert calls == {"product": 1, "quadratic": 2 * 4}
+    assert calls == {"product": 1, "quadratic": 4}
+    # a library build's dim vector reads the build's own pass
+    calls.update(product=0, quadratic=0)
+    p = sample_stratum_params(kind, rng)
+    r = rep_module.build_quotient_rep(kind, None, p)
+    assert rep_module.dim_vector(r, p).as_tuple() == tuple(root_of_kind(kind))
+    assert calls == {"product": 1, "quadratic": 4}
+
+
+def test_construct_evaluates_the_stratum_verdict_once(capsys, rng, monkeypatch):
+    # the build's guard gives the verdict; the ds block's existence
+    # predicate reuses it, and --force evaluates it in the predicate only
+    calls = []
+
+    def recorder(p, kind, *rest):
+        calls.append(kind_to_str(kind))
+        return strata.sigma_membership(p, kind, *rest)
+
+    kind = Type1E(1, -1, 4)
+    argv = ["construct", *_param_args(sample_stratum_params(kind, rng)),
+            "--kind", kind_to_str(kind)]
+    unrecorded = [run_cli(capsys, argv), run_cli(capsys, [*argv, "--force"])]
+    for module in (rep_module, dsbridge):
+        monkeypatch.setattr(module, "sigma_membership", recorder)
+    assert run_cli(capsys, argv) == unrecorded[0]
+    assert calls == [kind_to_str(kind)]
+    assert json.loads(unrecorded[0][1])["results"]["ds"]["existence_predicate"] is True
+    calls.clear()
+    assert run_cli(capsys, [*argv, "--force"]) == unrecorded[1]
+    assert calls == [kind_to_str(kind)]
 
 
 # finite parameters whose q-powers leave the float range
@@ -644,7 +672,9 @@ def test_scan_gives_an_out_of_range_point_an_error_row(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("T0", 5), ("basis_labels", 3), ("T1", [[1, 2], [3]]),
-                                        ("T0v", None), ("dim", [1])])
+                                        ("T0v", None), ("dim", [1]),
+                                        # JSON true and false are not integers
+                                        ("dim", True), ("basis_labels", [False])])
 def test_ds_check_refuses_a_stored_rep_with_a_wrong_shaped_value(capsys, tmp_path, key, value):
     rep_file = tmp_path / "rep.json"
     code, _ = run_cli(capsys, ["construct", *ONE_DIM, "--kind", "T2[++,++;n=0]",

@@ -1,3 +1,7 @@
+import copy
+import importlib.util
+import os
+import sys
 from itertools import product
 
 import numpy as np
@@ -23,6 +27,7 @@ from daha_cc1.rep import (
     RelationResidualError,
     Rep,
     SignVector,
+    _diagnosis,
     _ladder,
     apply_T0,
     apply_T0v_bar,
@@ -287,6 +292,10 @@ def test_rank_guard_on_custom_tolerance(rng):
     )
     with pytest.raises(RankIndeterminateError):
         dim_vector(r, p_loose)
+    # the diagnosis kept for one tolerance is not read under another
+    assert dim_vector(r, p).as_tuple() == (3, 2, 1, 1, 1)
+    with pytest.raises(RankIndeterminateError):
+        dim_vector(r, p_loose)
 
 
 # -- the evaluation basis --------------------------------------------------
@@ -421,3 +430,103 @@ def test_a_lone_entry_between_its_two_decisions_has_no_rank():
     _, s1 = pairings(np.array([2.0], dtype=complex), p.q)
     for x, rank in ((3.0, 0), (-1 / 3.0, 1), (3.0 * (1 + 1e-8), None)):
         assert block_quadratic(np.array([[x]], dtype=complex), s1, 3.0, -1 / 3.0, p.tol)[1] == rank
+
+
+# -- the kept diagnosis ----------------------------------------------------
+
+
+def _lone(r: Rep, p: Params, involution: int) -> int:
+    w = r.pairings(p.q)[involution]
+    return int(np.flatnonzero(w == np.arange(r.dim))[0])
+
+
+def test_an_edited_entry_and_its_restore_are_read_afresh(rng):
+    # with eps0 = -1 the lone entry of T0 is -1/k0; k0 in its place keeps
+    # the quadratic but drops rank(T0 - k0) by 1 and breaks the product
+    kind = Type2(-1, 1, 1, 1, 1)
+    p = sample_stratum_params(kind, rng)
+    r = build_quotient_rep(kind, None, p)
+    residuals, dv = verify_relations(r, p), dim_vector(r, p)
+    assert dv.as_tuple() == (3, 2, 1, 1, 1)
+    i = _lone(r, p, 0)
+    entry = r.T0[i, i]
+    r.T0[i, i] = p.k0
+    assert verify_relations(r, p)["product"] > 1e-3
+    assert dim_vector(r, p).as_tuple() == (3, 1, 1, 1, 1)
+    r.T0[i, i] = entry
+    assert verify_relations(r, p) == residuals
+    assert dim_vector(r, p) == dv
+
+
+def test_a_reassigned_matrix_is_read_afresh(rng):
+    kind = Type2(1, 1, 1, 1, 1)
+    p = sample_stratum_params(kind, rng)
+    r = build_quotient_rep(kind, None, p)
+    assert dim_vector(r, p).as_tuple() == (3, 1, 1, 1, 1)
+    i, T1 = _lone(r, p, 1), r.T1
+    r.T1 = T1.copy()
+    r.T1[i, i] = -1 / p.k1  # the lone entry k1 of T1 becomes the other eigenvalue
+    assert dim_vector(r, p).as_tuple() == (3, 1, 2, 1, 1)
+    assert verify_relations(r, p)["product"] > 1e-3
+    r.T1 = T1
+    assert dim_vector(r, p).as_tuple() == (3, 1, 1, 1, 1)
+    assert max(verify_relations(r, p).values()) < 1e-8
+
+
+def test_verify_relations_returns_a_fresh_dict(rng):
+    kind = Type2(1, -1, 1, -1, 2)
+    p = sample_stratum_params(kind, rng)
+    r = build_quotient_rep(kind, None, p)
+    first = verify_relations(r, p)
+    kept = dict(first)
+    first["product"] = 1.0
+    del first["quad.T0"]
+    assert verify_relations(r, p) == kept
+
+
+def test_dim_vector_reads_ranks_past_a_stray_entry(rng):
+    # an entry outside the pairing fails the strict product check, which
+    # dim_vector never runs: it returns the ranks, in either order of calls
+    kind = Type2(1, 1, 1, 1, 2)
+    p = sample_stratum_params(kind, rng)
+    for first in (verify_relations, dim_vector):
+        r = build_quotient_rep(kind, None, p)
+        dv = dim_vector(r, p)
+        s0, _ = r.pairings(p.q)
+        j = next(j for j in range(r.dim) if j not in (0, s0[0]))
+        r.T0[0, j] = 1e-300
+        if first is dim_vector:
+            assert dim_vector(r, p) == dv
+        with pytest.raises(PairingError):
+            verify_relations(r, p)
+        assert dim_vector(r, p) == dv
+
+
+def _bench_inputs():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_deep_copy_diagnoses_as_the_kept_diagnosis():
+    # every ladder cell of bench seed 1 that builds: a copy with nothing
+    # kept diagnoses bit for bit as the build's own gate pass did
+    built = 0
+    for sweep in _bench_inputs().ladder_sweeps(1):
+        for pt in sweep:
+            p = Params(*pt.values)
+            try:
+                r = build_quotient_rep(pt.kind, None, p)
+            except ArithmeticError:
+                continue
+            kept = r._diagnosis
+            fresh = copy.deepcopy(r)
+            fresh._pairs = fresh._diagnosis = None
+            assert _diagnosis(fresh, p, True) == kept[1:]
+            assert _diagnosis(r, p, True) == kept[1:]
+            built += 1
+    assert built > 24 * 7

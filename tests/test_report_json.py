@@ -43,9 +43,57 @@ def containers(children):
     )
 
 
-json_trees = st.recursive(st.one_of(scalars, leaf_lists), containers, max_leaves=25)
+# rows x cols x k lists of floats, the [re, im] grid of a rep matrix, take
+# the writer's one-template path; a near-grid is one edit away from a grid
+# and takes the per-item path
+sizes = st.tuples(*(st.integers(min_value=1, max_value=n) for n in (4, 4, 3)))
+grids = sizes.flatmap(lambda s: st.lists(
+    st.lists(st.lists(floats, min_size=s[2], max_size=s[2]), min_size=s[1], max_size=s[1]),
+    min_size=s[0], max_size=s[0],
+))
+NEAR_GRID_EDITS = ("ragged row", "long row", "empty row", "empty leaf", "short leaf",
+                   "int leaf", "bool leaf", "tuple grid", "tuple row", "tuple leaf")
 
 
+@st.composite
+def near_grids(draw):
+    grid = draw(grids)
+    edit = draw(st.sampled_from(NEAR_GRID_EDITS))
+    i = draw(st.integers(min_value=0, max_value=len(grid) - 1))
+    j = draw(st.integers(min_value=0, max_value=len(grid[0]) - 1))
+    row, leaf = grid[i], grid[i][j]
+    if edit == "ragged row":
+        row.pop()
+    elif edit == "long row":
+        row.append(list(leaf))
+    elif edit == "empty row":
+        grid[i] = []
+    elif edit == "empty leaf":
+        row[j] = []
+    elif edit == "short leaf":
+        leaf.pop()
+    elif edit == "int leaf":
+        leaf[0] = draw(st.integers())
+    elif edit == "bool leaf":
+        leaf[-1] = draw(st.booleans())
+    elif edit == "tuple grid":
+        return tuple(grid)
+    elif edit == "tuple row":
+        grid[i] = tuple(row)
+    else:
+        row[j] = tuple(leaf)
+    return grid
+
+
+json_trees = st.recursive(
+    st.one_of(scalars, leaf_lists, grids, near_grids()), containers, max_leaves=25
+)
+
+
+# Mutations this catches: writing a grid without the "n" fallback spells
+# nan and inf as float repr does, and writing one without the
+# equal-length checks fills its template with too few or too many values
+# on a ragged row or a short leaf.
 @seed(20261018)
 @settings(max_examples=400, deadline=None)
 @given(json_trees)
