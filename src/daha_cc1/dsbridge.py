@@ -59,7 +59,7 @@ def check_product(residual: float) -> float:
 def to_ds_tuple(r: Rep, p: Params) -> tuple[np.ndarray, ...]:
     """(q^{1/2} T0, T0v, T1, T1v); raises unless the product closes."""
     mats = ds_factors(r, p)
-    check_product(block_product(*mats, r.roots, *r.pairings(p.q)))
+    check_product(block_product(*mats, r.roots, *r.pairs))
     return mats
 
 
@@ -99,11 +99,10 @@ def verify_class_membership(r: Rep, p: Params, specs: tuple[ClassSpec, ...]) -> 
     """Each factor Ai of the rep must satisfy (Ai - eig1)(Ai - eig2) = 0
     block by block with rank(Ai - eig1) = mult2; when the two eigenvalues
     coincide the class is the Jordan one, whose rank counts its 2x2 blocks."""
-    pairs = r.pairings(p.q)
     for M, g, spec in zip(ds_factors(r, p), FACTORS, specs):
         if M.shape[0] != spec.dim:
             return False
-        res, rank = block_quadratic(M, pairs[g.involution], spec.eig1, spec.eig2, p.tol)
+        res, rank = block_quadratic(M, r.pairs[g.involution], spec.eig1, spec.eig2, p.tol)
         if rank is None:
             raise RankIndeterminateError("a matrix entry sits near a rank threshold")
         if res > p.tol.ineq_margin or rank != spec.mult2:

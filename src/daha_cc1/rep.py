@@ -26,6 +26,7 @@ from .core import (
     Params,
     Tolerance,
     approx_eq,
+    compare_arrays,
     decide,
     validate_params,
 )
@@ -39,16 +40,11 @@ from .laurent import (
 )
 # unused here, kept as attributes: the benchmark's tracer wraps them
 from .laurent import build_E, build_E_dual, reduce_mod  # noqa: F401
-from .roots import Imaginary, RootKind, Type1E, Type1F, Type2, kind_to_str
+from .roots import Imaginary, RootKind, Type1E, Type1F, Type2, kind_from_str, kind_to_str
 from .strata import one_leg, sigma_membership
 
 IDEAL_RESIDUAL_MAX = 1e-6
 RELATION_RESIDUAL_MAX = 1e-8
-# s(r) is the root r' when |s(r) - r'| <= ROOT_MATCH_RTOL * |s(r)|; the
-# roots (and the z-eigenvalues) must be ten times further apart, so the
-# match is unique
-ROOT_MATCH_RTOL = 1e-7
-ROOT_SEPARATION_MIN = 10 * ROOT_MATCH_RTOL
 
 
 class NotOnStratumError(ValueError):
@@ -129,21 +125,14 @@ class Rep:
     T1v: np.ndarray
     basis_labels: list[int]
     roots: np.ndarray
+    # the s0 and s1 partners of the roots, as index arrays (see _ladder_pairs)
+    pairs: tuple[np.ndarray, np.ndarray]
     provenance: dict = field(default_factory=dict)
-    # (key, value) of the pairing of the roots and of the block diagnosis
-    # (see _diagnosis), each kept for the last content it was read off
-    _pairs: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # (key, value) of the block diagnosis, kept for the last content it was read off
     _diagnosis: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def generators(self) -> list[np.ndarray]:
         return [getattr(self, g.name) for g in GENERATORS]
-
-    def pairings(self, q: complex) -> tuple[np.ndarray, np.ndarray]:
-        """The s0 and s1 partners of the roots (see :func:`pairings`)."""
-        key = (q, self.roots.tobytes())
-        if self._pairs is None or self._pairs[0] != key:
-            self._pairs = (key, pairings(self.roots, q))
-        return self._pairs[1]
 
 
 # -- the generators ------------------------------------------------------
@@ -214,46 +203,64 @@ def _ladder(
     """(side, operator signs, ladder parameter a, signed level, dual):
     the divisor is build_E_dual(level, a) if dual, else build_E.  The
     operator signs are those of the side's s0 and s1 generators."""
+    n, dual = _ladder_shape(kind)
     if isinstance(kind, Type2):
         sv = SignVector(*kind.signs)
         if s is not None and s != sv:
             raise ValueError("sign vector must match the type-2 kind")
-        return "P", (sv.eps0, sv.eps1), _type2_a(sv, p), kind.n, False
+        return "P", (sv.eps0, sv.eps1), _type2_a(sv, p), n, dual
+    # the leg's generator takes the operator sign -e
+    g, e = one_leg(kind)
+    t, b = getattr(p, g.t), getattr(p, g.b)
+    if dual:
+        return g.side, (1, -e), e * t**e * b, n, dual
+    return g.side, (-e, 1), -e * t ** -e * b, n, dual
+
+
+def _ladder_shape(kind: RootKind) -> tuple[int, bool]:
+    """(signed level, dual) of the kind's ladder: a type-2 kind's level; a
+    one-leg kind's ladder at level -n on s0, its dual ladder at n on s1."""
+    if isinstance(kind, Type2):
+        return kind.n, False
     if isinstance(kind, (Type1E, Type1F)):
-        # the leg's generator takes the operator sign -e: on s0 the ladder
-        # at level -n, on s1 the dual ladder at level n
-        g, e = one_leg(kind)
-        t, b = getattr(p, g.t), getattr(p, g.b)
-        if g.involution == 0:
-            return g.side, (-e, 1), -e * t ** -e * b, -kind.n, False
-        return g.side, (1, -e), e * t**e * b, kind.n, True
+        dual = one_leg(kind)[0].involution == 1
+        return (kind.n if dual else -kind.n), dual
     raise ValueError(f"no quotient for kind {kind!r}")
 
 
 # -- the pairing ---------------------------------------------------------
 
 
-def pairings(roots: np.ndarray, q: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Each root's partner under s0 (r -> q/r) and s1 (r -> 1/r): the root
-    that s(r) matches, or itself when none does (a lone root).  A
-    generator on s is block diagonal, 2x2 on pairs and 1x1 on lone roots."""
-    rows, mod = np.arange(roots.size), np.abs(roots)
-    gap = np.abs(roots[:, None] - roots) / np.maximum(mod[:, None], mod)
-    if (gap[rows[:, None] != rows] <= ROOT_SEPARATION_MIN).any():
-        raise DegenerateLadderError("two roots of the divisor coincide")
-    out = []
-    for which, image in enumerate((q / roots, 1 / roots)):
-        dist = np.abs(image[:, None] - roots) / np.abs(image)[:, None]
-        partner = dist.argmin(axis=1)
-        matched = dist[rows, partner] <= ROOT_MATCH_RTOL
-        fixed = matched & (partner == rows)
-        if fixed.any():
-            raise DegenerateLadderError(f"root {roots[fixed][0]:.6g} is a fixed point of s{which}")
-        partner = np.where(matched, partner, rows)
-        if (partner[partner] != rows).any():
-            raise DegenerateLadderError(f"s{which} does not pair the roots")
-        out.append(partner)
-    return out[0], out[1]
+def _ladder_pairs(n: int, dual: bool) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
+    """The roots of dual_ladder_roots(n, ...) if dual, else ladder_roots, are
+    the symbols (1, e) of the upper chain, then (-1, e) of the lower, for
+    the root a^sigma q_half^e.  Returns the upper chain's size and the s0
+    and s1 partners: s0 (r -> q/r) maps (sigma, e) to (-sigma, 2 - e), s1
+    (r -> 1/r) to (-sigma, -e), and a root whose image is no root is lone."""
+    m = abs(n)
+    if dual:
+        plus, minus = range(0, -2 * m, -2), range(2, 2 * m + 2, 2)
+    else:  # the upper chain stops short of 2m + 1 when n < 0
+        plus, minus = range(1, 2 * m + 2 if n >= 0 else 2 * m, 2), range(1 - 2 * m, 0, 2)
+    symbols = [(1, e) for e in plus] + [(-1, e) for e in minus]
+    index = {sym: i for i, sym in enumerate(symbols)}
+    pairs = ([index.get((-sg, k - e), i) for i, (sg, e) in enumerate(symbols)] for k in (2, 0))
+    return len(plus), tuple(map(np.array, pairs))
+
+
+def _check_ladder(roots: np.ndarray, n_upper: int, p: Params) -> None:
+    """Refuse roots that give no evaluation basis: two roots coincide, one
+    of each chain (in one chain they differ by powers of q), or s0 (r ->
+    q/r) or s1 (r -> 1/r) fixes one.  One compare_arrays pass of the roots,
+    not of a^2 and q_half^k, which leave the float range first: equal or in
+    the band raises, a meeting first, as at level 1 it is s1-fixed too."""
+    upper, lower = np.broadcast_arrays(roots[:n_upper, None], roots[n_upper:])
+    _, apart = compare_arrays(np.concatenate((upper.ravel(), roots, roots)),
+                              np.concatenate((lower.ravel(), p.q / roots, 1 / roots)), p.tol)
+    if not apart.all():  # argmin finds the first that is not apart
+        which, i = divmod(int(apart.argmin()) - upper.size, roots.size)
+        raise DegenerateLadderError("two roots of the divisor coincide" if which < 0
+                                    else f"root {roots[i]:.6g} is a fixed point of s{which}")
 
 
 def _rows(M: np.ndarray, w: np.ndarray, strict: bool) -> tuple:
@@ -404,9 +411,10 @@ def build_quotient_rep(
             raise NotOnStratumError(kind, verdict.failed_conditions)
     side, signs, a, n, dual = _ladder(kind, s, p)
     roots = np.array((dual_ladder_roots if dual else ladder_roots)(n, a, p.q_half), dtype=complex)
-    pairs = s0, s1 = pairings(roots, p.q)
+    n_upper, (s0, s1) = _ladder_pairs(n, dual)
+    _check_ladder(roots, n_upper, p)
     (A, res_a), (B, res_b) = (
-        _eval_matrix(g, sign, p, roots, pairs[g.involution], flip_convention)
+        _eval_matrix(g, sign, p, roots, (s0, s1)[g.involution], flip_convention)
         for g, sign in zip((g for g in GENERATORS if g.side == side), signs)
     )
     ideal_res = max(res_a, res_b)
@@ -424,7 +432,7 @@ def build_quotient_rep(
         T0 = (roots[:, None] / p.q_half) * _block_inverse(T0v, s0)
 
     rep = Rep(
-        roots.size, T0, T1, T0v, T1v, list(range(roots.size)), roots,
+        roots.size, T0, T1, T0v, T1v, list(range(roots.size)), roots, (s0, s1),
         provenance={
             "kind": kind_to_str(kind),
             "poly_side": side,
@@ -434,7 +442,6 @@ def build_quotient_rep(
             "ideal_residual": ideal_res,
         },
     )
-    rep._pairs = ((p.q, roots.tobytes()), (s0, s1))
     residuals = verify_relations(rep, p)
     if max(residuals.values()) > RELATION_RESIDUAL_MAX:
         raise RelationResidualError(residuals)
@@ -454,20 +461,18 @@ def _diagnosis(r: Rep, p: Params, product: bool) -> tuple[list, Optional[float]]
     """Each generator's (residual, rank) of (T - t)(T + 1/t) = 0 from
     block_quadratic, in GENERATORS order, and the product residual from
     block_product, or None unless asked for.  The rep keeps them for the
-    last (params, roots, matrices) content, so a change to any of those
-    is read afresh; the product is computed on its first request, as its
-    strict pairing check raises where the quadratics do not."""
-    content = [r.roots, *r.generators()]
+    last (params, roots, pairs, matrices) content, so a change to any of
+    those is read afresh; the product is computed on its first request,
+    as its strict pairing check raises where the quadratics do not."""
+    content = [r.roots, *r.pairs, *r.generators()]
     key = (p, *((M.dtype.str, M.shape, M.tobytes()) for M in content))
     if r._diagnosis is None or r._diagnosis[0] != key:
-        pairs, quads = r.pairings(p.q), []
-        for g in GENERATORS:
-            t = getattr(p, g.t)
-            quads.append(block_quadratic(getattr(r, g.name), pairs[g.involution], t, -1 / t, p.tol))
+        quads = [block_quadratic(getattr(r, g.name), r.pairs[g.involution], getattr(p, g.t),
+                                 -1 / getattr(p, g.t), p.tol) for g in GENERATORS]
         r._diagnosis = (key, quads, None)
     key, quads, prod = r._diagnosis
     if product and prod is None:
-        prod = block_product(*ds_factors(r, p), r.roots, *r.pairings(p.q))
+        prod = block_product(*ds_factors(r, p), r.roots, *r.pairs)
         r._diagnosis = (key, quads, prod)
     return quads, prod
 
@@ -492,7 +497,7 @@ def dim_vector(r: Rep, p: Params) -> DimVector:
 def spectrum_of_z(r: Rep, p: Params) -> list[complex]:
     """Eigenvalues of q^{1/2} T0 T0v on the s0 blocks: per 2x2 block the
     root of x^2 - tau x + delta of larger modulus, and delta over it."""
-    w, _ = r.pairings(p.q)
+    w, _ = r.pairs
     a1, a2, _, _ = ds_factors(r, p)
     diag, off = (s + t for s, t in _pair_product(a1, a2, w, False))
     tau, delta = diag + diag[w], diag * diag[w] - off * off[w]
@@ -506,11 +511,7 @@ def rho_ladder(s: SignVector, n: int, p: Params) -> list[complex]:
     """Expected z-eigenvalues rho_{-n}..rho_n of a type-2 quotient on
     side P: a*q^{1/2+i} for i >= 0 and a^{-1}*q^{1/2+i} for i < 0."""
     a = _type2_a(s, p)
-    out = []
-    for i in range(-n, n + 1):
-        base = a if i >= 0 else 1 / a
-        out.append(base * p.q_half ** (1 + 2 * i))
-    return out
+    return [(a if i >= 0 else 1 / a) * p.q_half ** (1 + 2 * i) for i in range(-n, n + 1)]
 
 
 def commutant_dim(r: Rep, p: Params) -> int:
@@ -522,7 +523,7 @@ def commutant_dim(r: Rep, p: Params) -> int:
     entry, is an edge when core.decide calls that ratio apart from 0; in
     the band, RankIndeterminateError."""
     label = list(range(r.dim))
-    for which, w in enumerate(r.pairings(p.q)):
+    for which, w in enumerate(r.pairs):
         weight = np.zeros(r.dim)
         for M in (getattr(r, g.name) for g in GENERATORS if g.involution == which):
             d, o, _ = _rows(M, w, True)
@@ -585,11 +586,8 @@ def _matrix_to_json(M: np.ndarray) -> list:
 def _pairs_from_json(data, shape: tuple[int, ...]) -> Optional[np.ndarray]:
     """Stored [re, im] pairs as a complex array of the given shape, each
     entry complex(re, im); None unless the data are numbers of that shape."""
-    try:
-        parts = np.array(data)
-    except ValueError:  # ragged lists
-        return None
-    if parts.dtype.kind not in "iuf" or parts.shape != (*shape, 2):
+    parts = np.array(data, dtype=object)
+    if parts.shape != (*shape, 2) or not set(map(type, parts.ravel().tolist())) <= {int, float}:
         return None
     return parts.astype(float).view(complex)[..., 0]
 
@@ -603,15 +601,11 @@ def rep_to_json(r: Rep) -> dict:
     }
 
 
-def _is_integer(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def rep_from_json(data) -> Rep:
-    """The stored rep; refuses one that is not a JSON object, that lacks a
-    field or its roots, or whose values are not of the shapes its dim
-    gives: dim x dim matrices, dim roots, and a list of integer basis
-    labels.  A JSON true or false is not an integer here."""
+    """The stored rep, its roots paired as the ladder of its kind; refuses
+    one that is not a JSON object, that lacks a field, its roots or kind,
+    or whose values are not of the shapes its dim gives: dim x dim matrices
+    and dim roots of numbers (not JSON true or false), integer labels."""
     if not isinstance(data, dict):
         raise ValueError("stored representation is not a JSON object")
     names = [g.name for g in GENERATORS]
@@ -622,7 +616,7 @@ def rep_from_json(data) -> Rep:
     if not isinstance(provenance, dict) or "roots" not in provenance:
         raise ValueError("stored representation has no provenance roots")
     dim, labels = data["dim"], data["basis_labels"]
-    if not _is_integer(dim) or not isinstance(labels, list) or not all(map(_is_integer, labels)):
+    if type(dim) is not int or not isinstance(labels, list) or set(map(type, labels)) - {int}:
         raise ValueError("stored representation has a dim or basis_labels that is not integer")
     roots = _pairs_from_json(provenance["roots"], (dim,))
     mats = [_pairs_from_json(data[name], (dim, dim)) for name in names]
@@ -631,7 +625,13 @@ def rep_from_json(data) -> Rep:
         raise ValueError(
             f"stored representation of dim {dim} has {', '.join(wrong)} of another shape"
         )
-    return Rep(dim, *mats, basis_labels=labels, roots=roots, provenance=dict(provenance))
+    kind = provenance.get("kind")
+    if not isinstance(kind, str):
+        raise ValueError("stored representation has no provenance kind")
+    _, pairs = _ladder_pairs(*_ladder_shape(kind_from_str(kind)))
+    if pairs[0].size != dim:
+        raise ValueError(f"stored representation of dim {dim} has kind {kind} of dim {pairs[0].size}")
+    return Rep(dim, *mats, labels, roots, pairs, provenance=dict(provenance))
 
 
 __all__ = [

@@ -4,13 +4,20 @@ The library reads its relation residuals, ranks and commutant off the
 pairing of the roots.  These are the dense computations it replaced,
 kept to cross-check it in any basis: the normalized spectral-norm
 relation residuals from one batched SVD, rank by singular values, and
-the commutant as the nullity of the Sylvester system.
+the commutant as the nullity of the Sylvester system.  The library pairs
+the roots by their ladder symbols; the float matcher it replaced is kept
+here too, to cross-check that pairing.
 """
 
 import numpy as np
 
 from daha_cc1.core import Params
-from daha_cc1.rep import RankIndeterminateError, Rep
+from daha_cc1.rep import DegenerateLadderError, RankIndeterminateError, Rep
+
+# s(r) is the root r' when |s(r) - r'| <= ROOT_MATCH_RTOL * |s(r)|; the
+# roots must be ten times further apart, so the match is unique
+ROOT_MATCH_RTOL = 1e-7
+ROOT_SEPARATION_MIN = 10 * ROOT_MATCH_RTOL
 
 
 def dense_relations(r: Rep, p: Params) -> dict[str, float]:
@@ -71,3 +78,27 @@ def sylvester_commutant_dim(r: Rep, rank_tol: float = 1e-9) -> int:
     if band.any():
         raise RankIndeterminateError("commutant rank indeterminate")
     return d * d - int((sv > thr).sum())
+
+
+def float_pairings(roots: np.ndarray, q: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Each root's partner under s0 (r -> q/r) and s1 (r -> 1/r), found by
+    matching floats: the root that s(r) matches, or itself when none does
+    (a lone root).  Refuses roots that lie close together, a root that
+    s0 or s1 fixes, and a match that is not an involution."""
+    rows, mod = np.arange(roots.size), np.abs(roots)
+    gap = np.abs(roots[:, None] - roots) / np.maximum(mod[:, None], mod)
+    if (gap[rows[:, None] != rows] <= ROOT_SEPARATION_MIN).any():
+        raise DegenerateLadderError("two roots of the divisor coincide")
+    out = []
+    for which, image in enumerate((q / roots, 1 / roots)):
+        dist = np.abs(image[:, None] - roots) / np.abs(image)[:, None]
+        partner = dist.argmin(axis=1)
+        matched = dist[rows, partner] <= ROOT_MATCH_RTOL
+        fixed = matched & (partner == rows)
+        if fixed.any():
+            raise DegenerateLadderError(f"root {roots[fixed][0]:.6g} is a fixed point of s{which}")
+        partner = np.where(matched, partner, rows)
+        if (partner[partner] != rows).any():
+            raise DegenerateLadderError(f"s{which} does not pair the roots")
+        out.append(partner)
+    return out[0], out[1]

@@ -22,6 +22,7 @@ from daha_cc1.dsbridge import class_spec_from_root, to_ds_tuple, verify_class_me
 from daha_cc1.rep import (
     IdealNotInvariantError,
     NotOnStratumError,
+    RankIndeterminateError,
     RelationResidualError,
     SignVector,
     block_product,
@@ -29,7 +30,6 @@ from daha_cc1.rep import (
     build_truncated_polyrep,
     commutant_dim,
     dim_vector,
-    pairings,
     rho_ladder,
     rigidity_D,
     spectrum_of_z,
@@ -205,7 +205,14 @@ def planted_params(kind, q_mod: float, rng: np.random.Generator) -> Params:
     """A point that solves the kind's stratum equality with |q^{1/2}| =
     q_mod; the inequalities are left to the build's stratum guard."""
     qh = cmath.rect(q_mod, rng.uniform(0.0, 2.0 * np.pi))
-    vals = {name: random_unit(rng) for name in ("k0", "k1", "u0", "u1")}
+    return solve_stratum(kind, {name: random_unit(rng) for name in ("k0", "k1", "u0", "u1")}, qh, rng)
+
+
+def solve_stratum(kind, vals: dict, qh: complex, rng: np.random.Generator) -> Params:
+    """The point (vals, qh) with the kind's stratum equality solved again:
+    u1 for a type-2 kind, the leg's t, on a random branch, for a one-leg
+    kind."""
+    vals = dict(vals)
     if isinstance(kind, Type2):
         eps0, eps1, del0, del1 = kind.signs
         k0, k1, u0 = vals["k0"], vals["k1"], vals["u0"]
@@ -257,6 +264,58 @@ def test_wide_q_tier():
           f"refusals {dict(sorted(refusals.items()))}")
 
 
+NEAR_UNITY_LEVELS = (3, 7, 13, 20)
+NEAR_UNITY_GAPS = (2e-9, 5e-8, 5e-7)
+
+
+def test_near_root_of_unity_tier():
+    """Every real family at level m in NEAR_UNITY_LEVELS, at a bench-planted
+    point whose q^{1/2} becomes sqrt(1 + d) e^{i pi/m}, so that |q^m - 1| is
+    2e-9, 5e-8 or 5e-7: above eq_tol, so q is no root of unity, but roots
+    of one chain, r and q^m r, then lie that close, and so do a lone root's
+    image and a root.  Each build gives the root as dim vector, or refuses
+    with RankIndeterminateError on a one-leg kind, whose lone entry's
+    ratio to its eigenvalue is then q^-m, in the band.  No wrong dim
+    vector, no refusal of another kind."""
+    from test_rep import _bench_inputs
+
+    inputs, outcomes = _bench_inputs(), Counter()
+    for gap in NEAR_UNITY_GAPS:
+        rng = np.random.default_rng(77)
+        for m in NEAR_UNITY_LEVELS:
+            qh = cmath.rect(np.sqrt((1 + gap) ** (1 / m)), np.pi / m)
+            for f in range(len(inputs.FAMILIES)):
+                pt = inputs.planted_point(f, m, rng, 1.0)
+                p = solve_stratum(pt.kind, dict(zip(("k0", "k1", "u0", "u1"), pt.values)), qh, rng)
+                assert abs(p.q**m - 1) == pytest.approx(gap, rel=1e-4)
+                try:
+                    dv = dim_vector(build_quotient_rep(pt.kind, None, p), p).as_tuple()
+                except RankIndeterminateError:
+                    assert not isinstance(pt.kind, Type2), (gap, pt.kind)
+                    outcomes[gap, "RankIndeterminateError"] += 1
+                    continue
+                assert dv == tuple(root_of_kind(pt.kind)), (gap, pt.kind, dv)
+                outcomes[gap, "right"] += 1
+    builds = len(NEAR_UNITY_LEVELS) * len(inputs.FAMILIES)
+    assert all(outcomes[gap, "right"] >= builds * 5 // 6 for gap in NEAR_UNITY_GAPS), outcomes
+    print(f"PASS near-root-of-unity tier: {builds * len(NEAR_UNITY_GAPS)} builds, "
+          f"{dict(sorted(outcomes.items()))}")
+
+
+def test_one_leg_kinds_build_at_a_huge_q():
+    """At |q^{1/2}| = 1e4 the one-leg ladders of level 20 have a near 1e-80
+    or 1e80, so a^2 and the q_half powers it would be compared with leave
+    the float range, while the roots stay in it.  The ladder check
+    compares the roots, and every one-leg family builds its root."""
+    rng = np.random.default_rng(11)
+    kinds = [Type1E(i, e, 20) for i in (0, 1) for e in (1, -1)]
+    kinds += [Type1F(i, d, 20) for i in (0, 1) for d in (1, -1)]
+    for kind in kinds:
+        p = planted_params(kind, 1e4, rng)
+        r = build_quotient_rep(kind, None, p)
+        assert dim_vector(r, p).as_tuple() == tuple(root_of_kind(kind)), kind
+
+
 def test_one_perturbed_entry_trips_the_relation_gate():
     """At every level 0..20 of every family, moving any lone entry or a
     diagonal entry of a 2x2 block of any generator by 1e-6 of itself
@@ -267,7 +326,7 @@ def test_one_perturbed_entry_trips_the_relation_gate():
     for kind in ALL_LEVEL_KINDS:
         p = sample_stratum_params(kind, rng)
         r = build_quotient_rep(kind, None, p)
-        s0, s1 = pairings(r.roots, p.q)
+        s0, s1 = r.pairs
         rows = np.arange(r.dim)
         for M, w in zip(r.generators(), (s0, s1, s0, s1)):
             picks = rows[w == rows].tolist()
@@ -316,7 +375,7 @@ def _ds_reference(r, p):
     """The product-problem block from dsbridge: the guarded factors'
     block product and their class membership for the rep's dim vector."""
     mats = to_ds_tuple(r, p)
-    residual = block_product(*mats, r.roots, *r.pairings(p.q))
+    residual = block_product(*mats, r.roots, *r.pairs)
     specs = class_spec_from_root(RootVector(*dim_vector(r, p).as_tuple()), p)
     return residual, verify_class_membership(r, p, specs)
 
@@ -346,7 +405,7 @@ def _moved_copies(r, p, rng, rel):
         M[i, i] *= 1 + rel
         yield replace(r, **{name: M})
     mats = {name: getattr(r, name).copy() for name in ("T0", "T1", "T0v", "T1v")}
-    for (a, b), w in zip((("T0", "T0v"), ("T1", "T1v")), r.pairings(p.q)):
+    for (a, b), w in zip((("T0", "T0v"), ("T1", "T1v")), r.pairs):
         lone = rows[w == rows]
         if lone.size:
             i = int(rng.choice(lone))

@@ -673,8 +673,10 @@ def test_scan_gives_an_out_of_range_point_an_error_row(capsys, tmp_path):
 
 @pytest.mark.parametrize("key, value", [("T0", 5), ("basis_labels", 3), ("T1", [[1, 2], [3]]),
                                         ("T0v", None), ("dim", [1]),
-                                        # JSON true and false are not integers
-                                        ("dim", True), ("basis_labels", [False])])
+                                        # JSON true and false are not integers, nor
+                                        # numbers beside a number in a pair
+                                        ("dim", True), ("basis_labels", [False]),
+                                        ("T0", [[[2, False]]]), ("T1", [[[0.5, True]]])])
 def test_ds_check_refuses_a_stored_rep_with_a_wrong_shaped_value(capsys, tmp_path, key, value):
     rep_file = tmp_path / "rep.json"
     code, _ = run_cli(capsys, ["construct", *ONE_DIM, "--kind", "T2[++,++;n=0]",
@@ -690,6 +692,56 @@ def test_ds_check_refuses_a_stored_rep_with_a_wrong_shaped_value(capsys, tmp_pat
     report = json.loads(captured.out)
     assert report["exit_code"] == 2
     assert report["results"]["error"].startswith("ValueError: stored representation")
+
+
+@pytest.mark.parametrize("kind, error", [
+    (None, "stored representation has no provenance kind"),
+    (5, "stored representation has no provenance kind"),
+    ("T9[++,++;n=0]", "cannot parse root kind 'T9[++,++;n=0]'"),
+    ("IM[n=1]", "no quotient for kind Imaginary(n=1)"),
+    ("T2[++,++;n=1]", "stored representation of dim 1 has kind T2[++,++;n=1] of dim 3"),
+], ids=["missing", "not-a-string", "unparsed", "imaginary", "other-dim"])
+def test_ds_check_refuses_a_stored_rep_without_a_kind_of_its_dim(capsys, tmp_path, kind, error):
+    # the pairing of a stored rep's roots is read off its kind's ladder
+    rep_file = tmp_path / "rep.json"
+    code, _ = run_cli(capsys, ["construct", *ONE_DIM, "--kind", "T2[++,++;n=0]",
+                               "--out", str(rep_file)])
+    assert code == 0
+    data = json.loads(rep_file.read_text())
+    if kind is None:
+        del data["provenance"]["kind"]
+    else:
+        data["provenance"]["kind"] = kind
+    rep_file.write_text(json.dumps(data))
+    code = main(["ds-check", *ONE_DIM, "--rep", str(rep_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    assert json.loads(captured.out)["results"]["error"] == f"ValueError: {error}"
+
+
+def test_ds_check_reads_the_pairing_off_the_stored_kind(capsys, tmp_path, rng):
+    # T1E[i=0,-;n=2] has the ladder of T1E[i=0,+;n=2], so its pairing;
+    # T1E[i=1,+;n=2] has as many roots on the dual ladder, whose pairing
+    # the matrices do not fit, and other parameters do not fit them either
+    kind = Type1E(0, 1, 2)
+    args = _param_args(sample_stratum_params(kind, rng))
+    rep_file = tmp_path / "rep.json"
+    code, _ = run_cli(capsys, ["construct", *args, "--kind", kind_to_str(kind),
+                               "--out", str(rep_file)])
+    assert code == 0
+    data = json.loads(rep_file.read_text())
+    for other, want in (("T1E[i=0,-;n=2]", 0), ("T1E[i=1,+;n=2]", 4)):
+        data["provenance"]["kind"] = other
+        rep_file.write_text(json.dumps(data))
+        code, out = run_cli(capsys, ["ds-check", *args, "--rep", str(rep_file)])
+        assert code == want, other
+    assert json.loads(out)["results"]["error"].startswith("PairingError")
+    data["provenance"]["kind"] = kind_to_str(kind)
+    rep_file.write_text(json.dumps(data))
+    other_args = _param_args(sample_stratum_params(kind, rng))
+    code, _ = run_cli(capsys, ["ds-check", *other_args, "--rep", str(rep_file)])
+    assert code == 4
 
 
 @pytest.mark.parametrize("text", ["5", "null", '"dim T0 T1 T0v T1v basis_labels"'])

@@ -24,7 +24,7 @@ def type2_rep(rng):
 def test_product_closes_on_constructed_rep(type2_rep):
     _, p, r = type2_rep
     mats = to_ds_tuple(r, p)
-    assert block_product(*mats, r.roots, *r.pairings(p.q)) < 1e-8
+    assert block_product(*mats, r.roots, *r.pairs) < 1e-8
     assert all(M.shape == (r.dim, r.dim) for M in mats)
 
 
@@ -38,11 +38,12 @@ def test_product_guard_fires(type2_rep):
         T1v=r.T1v,
         basis_labels=r.basis_labels,
         roots=r.roots,
+        pairs=r.pairs,
     )
     with pytest.raises(ProductNotIdentityError):
         to_ds_tuple(broken, p)
     residual = block_product(
-        2.0 * p.q_half * r.T0, r.T0v, r.T1, r.T1v, r.roots, *r.pairings(p.q)
+        2.0 * p.q_half * r.T0, r.T0v, r.T1, r.T1v, r.roots, *r.pairs
     )
     assert residual > 1e-3
     with pytest.raises(ProductNotIdentityError):

@@ -29,6 +29,7 @@ from daha_cc1.rep import (
     SignVector,
     _diagnosis,
     _ladder,
+    _ladder_pairs,
     apply_T0,
     apply_T0v_bar,
     apply_T1,
@@ -38,7 +39,6 @@ from daha_cc1.rep import (
     build_truncated_polyrep,
     commutant_dim,
     dim_vector,
-    pairings,
     rep_from_json,
     rep_to_json,
     rho_ladder,
@@ -49,7 +49,7 @@ from daha_cc1.rep import (
 from daha_cc1.dsbridge import class_spec_from_root, verify_class_membership
 from daha_cc1.roots import Imaginary, RootVector, Type1E, Type1F, Type2, root_of_kind
 from daha_cc1.strata import sample_generic_params, sample_stratum_params
-from oracles import dense_dim_vector, numerical_rank, sylvester_commutant_dim
+from oracles import dense_dim_vector, float_pairings, numerical_rank, sylvester_commutant_dim
 
 Z = LaurentPoly.monomial(1)
 ONE = LaurentPoly.one()
@@ -258,6 +258,8 @@ def test_commutant_of_direct_sum_is_two():
         basis_labels=[0, 1],
         # the z-eigenvalues q^{1/2} t0 t0v of the two summands
         roots=np.array([p.q_half * e[0] * e[2] for e in (eigs1, eigs2)], dtype=complex),
+        # two 1-dim summands: each root is lone under s0 and s1
+        pairs=(np.arange(2), np.arange(2)),
     )
     assert max(verify_relations(glued, p).values()) < 1e-12
     assert commutant_dim(r1, p) == 1
@@ -372,7 +374,7 @@ def test_commutant_needs_a_diagonal_z(rng):
     r = build_quotient_rep(kind, None, p)
     P = np.eye(r.dim) + 0.3 * rng.normal(size=(r.dim, r.dim))
     Pi = np.linalg.inv(P)
-    moved = Rep(r.dim, *(P @ M @ Pi for M in r.generators()), r.basis_labels, r.roots)
+    moved = Rep(r.dim, *(P @ M @ Pi for M in r.generators()), r.basis_labels, r.roots, r.pairs)
     with pytest.raises(PairingError):
         commutant_dim(moved, p)
     with pytest.raises(PairingError):
@@ -387,7 +389,7 @@ def test_commutant_entry_band_raises():
     eye = np.eye(2, dtype=complex)
     T1 = np.diag([3.0, -1 / 3.0]).astype(complex)
     r = Rep(2, 2 * eye, T1, np.diag([1.0, 2.0]).astype(complex), eye, [0, 1],
-            np.array([2.0, 0.5], dtype=complex))
+            np.array([2.0, 0.5], dtype=complex), (np.arange(2), np.array([1, 0])))
     assert commutant_dim(r, p) == 2
     T1[0, 1] = 3e-9
     assert commutant_dim(r, p) == 2
@@ -402,8 +404,10 @@ def test_jordan_case_counts_a_pair_once_and_a_lone_entry_never():
     # t = i gives t = -1/t: a 2x2 block with trace 2i and determinant -1
     # is one Jordan block, rank 1 in M - t, and a lone entry i adds 0
     p = Params(k0=2.0, k1=3.0, u0=5.0, u1=7.0, q_half=1.3 + 0.2j)
-    s0, s1 = pairings(np.array([2.0, 0.5, 3.0], dtype=complex), p.q)
-    assert s0.tolist() == [0, 1, 2] and s1.tolist() == [1, 0, 2]
+    s0, s1 = np.arange(3), np.array([1, 0, 2])
+    # the pairing of the roots 2, 1/2 and 3, as the float matcher finds it
+    got = float_pairings(np.array([2.0, 0.5, 3.0], dtype=complex), p.q)
+    assert [w.tolist() for w in got] == [s0.tolist(), s1.tolist()] == [[0, 1, 2], [1, 0, 2]]
     t = 1j
     M = np.array([[t, 1.0, 0], [0, t, 0], [0, 0, t]], dtype=complex)
     assert block_quadratic(M, s1, t, -1 / t, p.tol) == (0.0, 1)
@@ -427,7 +431,7 @@ def test_a_lone_entry_between_its_two_decisions_has_no_rank():
     # lone entries x with x / t - 1 = 1e-8 sit between approx_eq (1e-9)
     # and clearly_neq (1e-6) at the default tolerance
     p = Params(k0=2.0, k1=3.0, u0=5.0, u1=7.0, q_half=1.3 + 0.2j)
-    _, s1 = pairings(np.array([2.0], dtype=complex), p.q)
+    s1 = np.zeros(1, dtype=np.intp)  # one root, lone under s1
     for x, rank in ((3.0, 0), (-1 / 3.0, 1), (3.0 * (1 + 1e-8), None)):
         assert block_quadratic(np.array([[x]], dtype=complex), s1, 3.0, -1 / 3.0, p.tol)[1] == rank
 
@@ -436,7 +440,7 @@ def test_a_lone_entry_between_its_two_decisions_has_no_rank():
 
 
 def _lone(r: Rep, p: Params, involution: int) -> int:
-    w = r.pairings(p.q)[involution]
+    w = r.pairs[involution]
     return int(np.flatnonzero(w == np.arange(r.dim))[0])
 
 
@@ -492,7 +496,7 @@ def test_dim_vector_reads_ranks_past_a_stray_entry(rng):
     for first in (verify_relations, dim_vector):
         r = build_quotient_rep(kind, None, p)
         dv = dim_vector(r, p)
-        s0, _ = r.pairings(p.q)
+        s0, _ = r.pairs
         j = next(j for j in range(r.dim) if j not in (0, s0[0]))
         r.T0[0, j] = 1e-300
         if first is dim_vector:
@@ -525,8 +529,32 @@ def test_a_deep_copy_diagnoses_as_the_kept_diagnosis():
                 continue
             kept = r._diagnosis
             fresh = copy.deepcopy(r)
-            fresh._pairs = fresh._diagnosis = None
+            fresh._diagnosis = None
             assert _diagnosis(fresh, p, True) == kept[1:]
             assert _diagnosis(r, p, True) == kept[1:]
             built += 1
     assert built > 24 * 7
+
+
+def test_ladder_pairs_agree_with_the_float_matcher():
+    # every (family, level) cell planted at |q^{1/2}| = 0.5, 1.3 and 2: the
+    # pairing read off the ladder symbols is the one the float matcher
+    # finds on the roots, and a build that succeeds carries it
+    inputs, rng = _bench_inputs(), np.random.default_rng(5)
+    checked = built = 0
+    for q_mod in (0.5, 1.3, 2.0):
+        for f, n in inputs.cells():
+            pt = inputs.planted_point(f, n, rng, q_mod)
+            p = Params(*pt.values)
+            _, _, a, level, dual = _ladder(pt.kind, None, p)
+            roots = np.array((dual_ladder_roots if dual else ladder_roots)(level, a, p.q_half))
+            want = [w.tolist() for w in float_pairings(roots, p.q)]
+            assert [w.tolist() for w in _ladder_pairs(level, dual)[1]] == want
+            checked += 1
+            try:
+                r = build_quotient_rep(pt.kind, None, p)
+            except (ArithmeticError, NotOnStratumError):
+                continue
+            assert [w.tolist() for w in r.pairs] == want
+            built += 1
+    assert checked == 3 * 496 and built > 3 * 450
