@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
@@ -94,7 +94,9 @@ _REFUSALS = (
     ((ValueError, OSError, OverflowError, ZeroDivisionError), EXIT_INPUT),
 )
 _REFUSED = tuple(t for types, _ in _REFUSALS for t in types)
-_SCAN_CHUNK = 8  # scan points per worker task
+_SCAN_CHUNK = 8  # a scan forks one more process per _SCAN_CHUNK points, up to --jobs
+# where scan's children come from; a fork inherits the imported modules
+_FORK = multiprocessing.get_context("fork")
 
 
 @dataclass
@@ -362,9 +364,8 @@ def cmd_spectrum(cfg: RunConfig, kind_str: str) -> tuple[dict, int]:
 
 
 def _scan_worker(job: tuple) -> tuple[int, dict]:
-    """Module-level so ProcessPoolExecutor can pickle it.  Each index
-    derives its own RNG stream, so results are independent of how jobs
-    are distributed across workers."""
+    """One scan row.  Each index derives its own RNG stream, so results
+    are independent of how jobs are shared out between processes."""
     idx, seed, n_max, tol, explicit = job
     if explicit is not None:
         values = [complex(re, im) for re, im in explicit]
@@ -383,6 +384,52 @@ def _scan_worker(job: tuple) -> tuple[int, dict]:
         "hits": hits,
     }
     return idx, row
+
+
+def _scan_child(share: list, send) -> None:
+    """A forked child's body: scan its share and send the rows, or the
+    exception that stopped it, to the parent."""
+    try:
+        send.send(list(map(_scan_worker, share)))
+    except Exception as exc:  # the parent re-raises it
+        send.send(exc)
+    finally:
+        send.close()
+
+
+def _scan_shares(jobs: list, procs: int) -> list[tuple[int, dict]]:
+    """The (idx, row) of every job, from procs contiguous, balanced
+    shares: this process scans the first and forks one child per other
+    share.  A child's exception is raised here, as is a child's exit
+    without its rows; every child is joined before this returns or
+    raises, and terminated first if it is still at work."""
+    bounds = [len(jobs) * k // procs for k in range(procs + 1)]
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            recv, send = _FORK.Pipe(duplex=False)
+            with send:  # closed here, so that the child's exit ends the pipe
+                child = _FORK.Process(target=_scan_child, args=(jobs[lo:hi], send))
+                child.start()
+            children.append((child, recv))
+        rows = list(map(_scan_worker, jobs[:bounds[1]]))
+        for child, recv in children:
+            try:
+                share = recv.recv()
+            except EOFError:
+                raise RuntimeError(f"scan child {child.pid} exited without its rows") from None
+            if isinstance(share, Exception):
+                raise share
+            rows += share
+        return rows
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
 
 
 def _load_points_file(path: str) -> list[tuple]:
@@ -419,13 +466,8 @@ def cmd_scan(
         )
         jobs = [(0, cfg.seed, cfg.n_max, cfg.tol, pt)]
 
-    # one worker per chunk at most: the pool starts all its workers at once
-    chunks = -(-len(jobs) // _SCAN_CHUNK)
-    if cfg.jobs > 1 and chunks > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, chunks)) as pool:
-            rows = dict(pool.map(_scan_worker, jobs, chunksize=_SCAN_CHUNK))
-    else:
-        rows = dict(map(_scan_worker, jobs))
+    procs = max(1, min(cfg.jobs, -(-len(jobs) // _SCAN_CHUNK)))  # an empty file has 0 chunks
+    rows = dict(_scan_shares(jobs, procs))
     ordered = [rows[i] for i in sorted(rows)]
     results = {"rows": ordered, "n_points": len(ordered)}
     return _report("scan", cfg.params, results), EXIT_OK

@@ -357,18 +357,26 @@ def _eval_matrix(
 
     (Tf)(r) = c(r) f(r) + (sigma - c(r)) f(s r), so a paired root's row
     holds c(r) on the diagonal and sigma - c(r) in the column of s(r).
-    At a lone root the ideal (E) is invariant only if sigma = c(r); the
-    certificate is the worst |sigma - c(r)| / max(1, |sigma| + |c(r)|)
-    over those roots, and their entry is sigma itself."""
+    Near a lone root the two nearly cancel, so that entry is written in
+    factored form, (w + b/sigma)(1/b - sigma w) / (1 - w^2), which holds
+    for sigma = t and for sigma = -1/t.  At a lone root the
+    ideal (E) is invariant only if sigma = c(r); the certificate is the
+    worst |sigma - c(r)| / max(1, |sigma| + |c(r)|) over those roots,
+    and their entry is sigma itself."""
     sigma, alpha, beta = _sigma_alpha_beta(g, sign, p)
     w = p.q_half / roots if g.involution == 0 else roots
-    c = (alpha + beta * w) / (1 - w * w)
+    den = 1 - w * w
+    c = (alpha + beta * w) / den
     if flip_convention:
         c = -c
+        off = sigma - c
+    else:
+        b = getattr(p, g.b)
+        off = (w + b / sigma) * (1 / b - sigma * w) / den
     rows = np.arange(roots.size)
     lone = partner == rows
     M = np.diag(np.where(lone, sigma, c))
-    M[rows[~lone], partner[~lone]] = sigma - c[~lone]
+    M[rows[~lone], partner[~lone]] = off[~lone]
     res = np.abs(sigma - c[lone]) / np.maximum(1.0, abs(sigma) + np.abs(c[lone]))
     return M, float(res.max(initial=0.0))
 

@@ -1,7 +1,11 @@
+import contextlib
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -291,49 +295,141 @@ def test_scan_error_row_is_unchanged(capsys, tmp_path):
     )
 
 
-class _RecordingPool:
-    """In-process stand-in for ProcessPoolExecutor that records its use."""
+class _CountingFork:
+    """Stand-in for cli._FORK that forks as it does and counts the
+    children a scan starts."""
 
-    started = 0
-    workers: list = []
+    def __init__(self, ctx):
+        self.ctx, self.started = ctx, 0
 
-    def __init__(self, max_workers):
-        _RecordingPool.started += 1
-        _RecordingPool.workers.append(max_workers)
+    def Pipe(self, duplex):
+        return self.ctx.Pipe(duplex)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs, chunksize):
-        return map(fn, jobs)
+    def Process(self, target, args):
+        self.started += 1
+        return self.ctx.Process(target=target, args=args)
 
 
-def test_scan_starts_a_pool_only_for_more_than_one_chunk(capsys, monkeypatch):
+def _children_of(capsys, fork, argv) -> tuple[int, str]:
+    """The children one scan started, and its output; every child is
+    reaped by the time the scan returns."""
+    before = fork.started
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert multiprocessing.active_children() == []
+    return fork.started - before, out
+
+
+def test_scan_forks_a_child_only_for_more_than_one_chunk(capsys, monkeypatch):
+    fork = _CountingFork(cli._FORK)
+    monkeypatch.setattr(cli, "_FORK", fork)
     base = ["scan", "--seed", "5", "--format", "csv", "--n-max", "6"]
     _, serial = run_cli(capsys, [*base, "--count", "8", "--jobs", "1"])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
-    _RecordingPool.started = 0
-    _, parallel = run_cli(capsys, [*base, "--count", "8", "--jobs", "2"])
-    assert _RecordingPool.started == 0
-    assert parallel == serial
-    run_cli(capsys, [*base, "--count", "9", "--jobs", "2"])
-    assert _RecordingPool.started == 1
+    assert _children_of(capsys, fork, [*base, "--count", "8", "--jobs", "2"]) == (0, serial)
+    _, serial = run_cli(capsys, [*base, "--count", "9", "--jobs", "1"])
+    assert _children_of(capsys, fork, [*base, "--count", "9", "--jobs", "2"]) == (1, serial)
 
 
-def test_scan_asks_for_no_more_workers_than_chunks(capsys, monkeypatch):
-    # 9 points are 2 chunks of _SCAN_CHUNK: a larger --jobs starts no more
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "workers", [])
+def test_scan_forks_no_more_children_than_chunks(capsys, monkeypatch):
+    # 9 points are 2 chunks of _SCAN_CHUNK, 17 are 3: this process scans
+    # one share, so a larger --jobs starts no more than chunks - 1
+    fork = _CountingFork(cli._FORK)
+    monkeypatch.setattr(cli, "_FORK", fork)
     base = ["scan", "--seed", "5", "--format", "csv", "--n-max", "2"]
-    _, serial = run_cli(capsys, [*base, "--count", "9"])
-    for jobs in ("500", "2"):
-        _, out = run_cli(capsys, [*base, "--count", "9", "--jobs", jobs])
+    started = []
+    for count, jobs in (("9", "500"), ("9", "2"), ("17", "500")):
+        _, serial = run_cli(capsys, [*base, "--count", count])
+        n, out = _children_of(capsys, fork, [*base, "--count", count, "--jobs", jobs])
         assert out == serial
-    run_cli(capsys, [*base, "--count", "17", "--jobs", "500"])
-    assert _RecordingPool.workers == [2, 2, 3]
+        started.append(n)
+    assert started == [1, 1, 2]
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int = 60):
+    """Fail a scan that waits on its children for longer than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"scan still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# 12 points at --jobs 2: this process scans indices 0..5, one child 6..11
+FAN_OUT = ["scan", "--count", "12", "--seed", "5", "--n-max", "2", "--format", "csv"]
+
+
+def _failing_at(idx: int, fail):
+    """cli._scan_worker, but calling fail(job) at index idx."""
+    worker = cli._scan_worker
+    return lambda job: fail(job) if job[0] == idx else worker(job)
+
+
+def _raise(exc):
+    raise exc
+
+
+def test_a_child_exception_reaches_the_parent_with_its_type(capsys, monkeypatch):
+    # a refused type gives the same exit code and report as at --jobs 1
+    monkeypatch.setattr(cli, "_scan_worker", _failing_at(9, lambda job: _raise(
+        OverflowError(f"complex exponentiation at {job[0]}"))))
+    serial = run_cli(capsys, [*FAN_OUT, "--jobs", "1"])
+    assert serial[0] == 2
+    with _deadline():
+        assert run_cli(capsys, [*FAN_OUT, "--jobs", "2"]) == serial
+    assert multiprocessing.active_children() == []
+    # any other type escapes cli.main as it would at --jobs 1
+    monkeypatch.setattr(cli, "_scan_worker", _failing_at(9, lambda job: _raise(
+        KeyError(os.getpid()))))
+    with _deadline(), pytest.raises(KeyError) as exc:
+        main([*FAN_OUT, "--jobs", "2"])
+    assert exc.value.args[0] != os.getpid()  # raised in the child
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_exits_without_its_rows_fails_the_scan(monkeypatch):
+    parent = os.getpid()
+    monkeypatch.setattr(cli, "_scan_worker", _failing_at(9, lambda job: os._exit(3) if (
+        os.getpid() != parent) else _raise(AssertionError("index 9 scanned in the parent"))))
+    with _deadline(), pytest.raises(RuntimeError, match="exited without its rows"):
+        main([*FAN_OUT, "--jobs", "2"])
+    assert multiprocessing.active_children() == []
+
+
+def test_an_exception_in_this_processs_share_stops_the_children(monkeypatch):
+    parent = os.getpid()
+
+    def worker(job):
+        if os.getpid() == parent:
+            raise KeyError(job[0])
+        time.sleep(600)  # a child at work: joined without a stop, it would hang the scan
+
+    monkeypatch.setattr(cli, "_scan_worker", worker)
+    with _deadline(), pytest.raises(KeyError):
+        main([*FAN_OUT, "--jobs", "2"])
+    assert multiprocessing.active_children() == []
+
+
+def test_scan_error_rows_are_the_same_from_parent_and_child(capsys, monkeypatch, tmp_path):
+    # q = 1 at index 1, in this process's share, and q = i at index 8, in
+    # the child's share
+    lines = [f"2,3,5,{u1},2" for u1 in ("0.016666666666666666", 7)] * 5
+    lines[1], lines[8] = "1.1,0.9,1.2,0.8,1", "0.3+1.2i,1.1,0.7-0.2i,1.3,0+1i"
+    pts = tmp_path / "pts.csv"
+    pts.write_text("\n".join(lines) + "\n")
+    argv = ["scan", "--points-file", str(pts), "--format", "csv", "--n-max", "4"]
+    _, serial = run_cli(capsys, [*argv, "--jobs", "1"])
+    rows = serial.splitlines()[1:]
+    assert [i for i, row in enumerate(rows) if row.endswith(",error:RootOfUnityError")] == [1, 8]
+    fork = _CountingFork(cli._FORK)
+    monkeypatch.setattr(cli, "_FORK", fork)
+    with _deadline():
+        assert _children_of(capsys, fork, [*argv, "--jobs", "2"]) == (1, serial)
 
 
 def test_tol_reaches_the_irreducibility_check(capsys, monkeypatch):

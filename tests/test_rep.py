@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import importlib.util
 import os
 import sys
@@ -7,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from daha_cc1.core import Params, Tolerance
+from daha_cc1.core import GENERATORS, Params, Tolerance
 from daha_cc1.laurent import (
     LaurentPoly,
     build_E,
@@ -514,6 +515,26 @@ def _bench_inputs():
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("q_mod", [None, 0.3, 0.5, 2.0, 3.0])
+def test_t_to_minus_inverse_t_moves_one_leg_of_a_built_rep(q_mod):
+    """(T - t)(T + 1/t) = 0 is symmetric in t and -1/t, and T has a0 - a_i
+    eigenvalues -1/t, so a built rep read at p with one generator's t
+    moved to -1/t has a0 - a_i as that leg and the rest of its dim vector
+    unchanged.  Every cell of the bench's ladder grid, planted at
+    |q^{1/2}| = q_mod (or the bench's own moduli for None)."""
+    inputs, rng = _bench_inputs(), np.random.default_rng(77)
+    for f, n in inputs.cells():
+        pt = inputs.planted_point(f, n, rng, q_mod)
+        p = Params(*pt.values)
+        r = build_quotient_rep(pt.kind, None, p)
+        dv = dim_vector(r, p).as_tuple()
+        assert dv == tuple(root_of_kind(pt.kind)), (q_mod, pt.kind)
+        for g in GENERATORS:
+            moved = dataclasses.replace(p, **{g.t: -1 / getattr(p, g.t)})
+            want = tuple(dv[0] - a if i == g.leg else a for i, a in enumerate(dv))
+            assert dim_vector(r, moved).as_tuple() == want, (q_mod, pt.kind, g.name)
 
 
 def test_a_deep_copy_diagnoses_as_the_kept_diagnosis():
