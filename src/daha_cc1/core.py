@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass, field
+from typing import Collection
 
 import numpy as np
 
@@ -25,6 +26,9 @@ class RootOfUnityError(ValueError):
     def __init__(self, m: int):
         self.m = m
         super().__init__(f"q^{m} = 1: q is a root of unity (order {m})")
+
+    def __reduce__(self):
+        return type(self), (self.m,)
 
 
 class AmbiguousMatchError(ValueError):
@@ -122,6 +126,14 @@ def decide(gap: float, scale: float, tol: Tolerance = DEFAULT_TOL) -> bool | Non
     if gap > tol.ineq_margin * scale:
         return True
     return False if gap <= tol.eq_tol * scale else None
+
+
+def worst(residuals: Collection[float]) -> float:
+    """The largest of some nonnegative residuals, or NaN when one is NaN:
+    max() drops a NaN that is not first, and a NaN residual must fail
+    every gate (as ``not residual <= bound``)."""
+    total = sum(residuals)
+    return total if total != total else max(residuals)
 
 
 def _verdicts(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:

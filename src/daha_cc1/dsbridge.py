@@ -34,6 +34,9 @@ class ProductNotIdentityError(ArithmeticError):
         self.residual = residual
         super().__init__(f"product residual {residual:.3e}")
 
+    def __reduce__(self):
+        return type(self), (self.residual,)
+
 
 @dataclass(frozen=True)
 class ClassSpec:
@@ -50,8 +53,8 @@ class ClassSpec:
 
 
 def check_product(residual: float) -> float:
-    """The product residual, unless it exceeds PRODUCT_RESIDUAL_MAX."""
-    if residual > PRODUCT_RESIDUAL_MAX:
+    """The product residual, unless it exceeds PRODUCT_RESIDUAL_MAX or is NaN."""
+    if not residual <= PRODUCT_RESIDUAL_MAX:
         raise ProductNotIdentityError(residual)
     return residual
 

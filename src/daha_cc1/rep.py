@@ -29,6 +29,7 @@ from .core import (
     compare_arrays,
     decide,
     validate_params,
+    worst,
 )
 from .laurent import (
     LaurentPoly,
@@ -57,6 +58,9 @@ class NotOnStratumError(ValueError):
             f"parameters not on stratum of {kind_to_str(kind)}: failed {failed}"
         )
 
+    def __reduce__(self):
+        return type(self), (self.kind, self.failed)
+
 
 class IdealNotInvariantError(ArithmeticError):
     """The candidate ideal is not stable under the generator action."""
@@ -65,14 +69,19 @@ class IdealNotInvariantError(ArithmeticError):
         self.residual = residual
         super().__init__(f"ideal invariance residual {residual:.3e}")
 
+    def __reduce__(self):
+        return type(self), (self.residual,)
+
 
 class RelationResidualError(ArithmeticError):
     """Constructed matrices violate a defining relation."""
 
     def __init__(self, residuals: dict[str, float]):
         self.residuals = residuals
-        worst = max(residuals.values())
-        super().__init__(f"relation residual {worst:.3e}")
+        super().__init__(f"relation residual {worst(residuals.values()):.3e}")
+
+    def __reduce__(self):
+        return type(self), (self.residuals,)
 
 
 class DegenerateLadderError(ArithmeticError):
@@ -295,33 +304,33 @@ def block_quadratic(
     d, o, rest = _rows(M, w, False)
     d, o, rest = d.tolist(), o.tolist(), [0.0] * w.size if rest is None else rest.tolist()
     scale, jordan = max(abs(e1), abs(e2)), approx_eq(e1 / e2, 1.0, tol)
-    residual, rank = 0.0, 0
+    terms, rank = [0.0], 0  # the residual's terms, folded once at the end
     for i, j in enumerate(w.tolist()):
         if j < i:
             continue  # one row per block: a pair's first row, or a lone row
         if i == j:
             x = d[i]
             gap = abs(x / e1 - 1)
-            residual = max(residual, min(gap, abs(x / e2 - 1)))
+            terms.append(min(gap, abs(x / e2 - 1)))
             entry = False if jordan else decide(gap, max(abs(x / e1), 1.0), tol)
             size = abs(x)
         else:
             ad, bc = d[i] * d[j], o[i] * o[j]
-            residual = max(
-                residual,
+            terms += (
                 abs(d[i] + d[j] - (e1 + e2)) / max(abs(e1) + abs(e2), abs(d[i]) + abs(d[j])),
                 abs(ad - bc - e1 * e2) / max(abs(e1 * e2), abs(ad) + abs(bc)),
             )
             entry, size = True, max(abs(d[i]), abs(d[j]), abs(o[i]), abs(o[j]))
         stray = False
         if rest[i] or rest[j]:  # entries outside the blocks, in this block's rows
-            loose = max(rest[i], rest[j]) / max(size, scale)
-            residual, stray = max(residual, loose), decide(loose, 1.0, tol)
+            loose = worst((rest[i], rest[j])) / max(size, scale)
+            terms.append(loose)
+            stray = decide(loose, 1.0, tol)
         if rank is not None:
             # a stray makes the block's rows independent: a pair adds 2, a lone row 1
             add = (2 if i != j else 1) if stray else (None if stray is None else entry)
             rank = None if add is None else rank + add
-    return residual, rank
+    return worst(terms), rank
 
 
 def _pair_product(A: np.ndarray, B: np.ndarray, w: np.ndarray, strict: bool) -> tuple:
@@ -337,13 +346,13 @@ def block_product(
 ) -> float:
     """The residual of A4 A3 A1 A2 = 1 as A1 A2 = diag(z) on the s0 blocks
     and A4 A3 = diag(1/z) on the s1 blocks, each entry relative to its terms."""
-    worst = 0.0
+    tops = []
     for A, B, want, w in ((A1, A2, z, s0), (A4, A3, 1 / z, s1)):
         for (s, t), target in zip(_pair_product(A, B, w, True), (want, 0.0)):
             scale = np.maximum(np.abs(s) + np.abs(t), np.abs(target))
             res = np.abs(s + t - target) / np.where(scale > 0, scale, 1.0)
-            worst = max(worst, float(res.max(initial=0.0)))
-    return worst
+            tops.append(float(res.max(initial=0.0)))
+    return worst(tops)
 
 
 # -- quotient construction -----------------------------------------------
@@ -425,8 +434,8 @@ def build_quotient_rep(
         _eval_matrix(g, sign, p, roots, (s0, s1)[g.involution], flip_convention)
         for g, sign in zip((g for g in GENERATORS if g.side == side), signs)
     )
-    ideal_res = max(res_a, res_b)
-    if ideal_res > IDEAL_RESIDUAL_MAX:
+    ideal_res = worst((res_a, res_b))
+    if not ideal_res <= IDEAL_RESIDUAL_MAX:
         raise IdealNotInvariantError(ideal_res)
 
     # q^{1/2} T0 T0v and (T1v T1)^{-1} both act by z = diag(roots)
@@ -451,7 +460,7 @@ def build_quotient_rep(
         },
     )
     residuals = verify_relations(rep, p)
-    if max(residuals.values()) > RELATION_RESIDUAL_MAX:
+    if not worst(residuals.values()) <= RELATION_RESIDUAL_MAX:
         raise RelationResidualError(residuals)
     return rep
 
@@ -613,7 +622,8 @@ def rep_from_json(data) -> Rep:
     """The stored rep, its roots paired as the ladder of its kind; refuses
     one that is not a JSON object, that lacks a field, its roots or kind,
     or whose values are not of the shapes its dim gives: dim x dim matrices
-    and dim roots of numbers (not JSON true or false), integer labels."""
+    and dim roots of finite numbers (not JSON true or false, NaN or
+    Infinity), integer labels."""
     if not isinstance(data, dict):
         raise ValueError("stored representation is not a JSON object")
     names = [g.name for g in GENERATORS]
@@ -633,6 +643,9 @@ def rep_from_json(data) -> Rep:
         raise ValueError(
             f"stored representation of dim {dim} has {', '.join(wrong)} of another shape"
         )
+    bad = [key for key, v in zip(("roots", *names), (roots, *mats)) if not np.isfinite(v).all()]
+    if bad:
+        raise ValueError(f"stored representation has a NaN or infinite entry in {', '.join(bad)}")
     kind = provenance.get("kind")
     if not isinstance(kind, str):
         raise ValueError("stored representation has no provenance kind")

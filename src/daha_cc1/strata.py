@@ -9,6 +9,7 @@ stratum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -88,43 +89,63 @@ _LEG_ROWS = {
     for signs in _SIGN_CHOICES
 }
 _N_PRODUCTS, _N_ROWS = len(_SIGN_CHOICES), len(_ROW_KEYS)
+# _LEG_ROWS' rows of t^(2s) as an index array, in _SIGN_CHOICES order
+_LEG_INDEX = np.array([[row for _, row in _LEG_ROWS[signs]] for signs in _SIGN_CHOICES])
 
 
-class _StratumConditions:
+def _compare(p: Params, n: int) -> tuple:
     """The comparisons of one point's stratum conditions, up to level n.
 
     Every stratum condition compares a row value, a signed product or
     t^(2s), with its level value at some m: q_half^(-1-2m) or -q^m.  The
     values are the per-kind Python expressions, and the 24 x (n+1) grid is
     compared in one pass of ``compare_arrays``, which gives approx_eq's and
-    clearly_neq's bits: verdicts read from the table are the per-kind ones.
+    clearly_neq's bits: verdicts read from it are the per-kind ones.
+    Returns (values, product_rhs, neg_q_powers, eq, apart); eq[row, m]:
+    the row's value equals its level value at m, apart[row, m]: it is
+    clearly apart from it.
     """
+    q, qh = p.q, p.q_half
+    product_rhs = [qh ** (-1 - 2 * m) for m in range(n + 1)]
+    neg_q_powers = [-(q**m) for m in range(n + 1)]
+    values = _signed_products(p) + [
+        getattr(p, name) ** (2 * s) for name, s in _ROW_KEYS[_N_PRODUCTS:]
+    ]
+    # the rows as three groups of 8 (products, products, t^(2s)),
+    # broadcast against the level row of each group
+    flat = np.array(values + 2 * product_rhs + neg_q_powers)
+    eq, apart = compare_arrays(
+        flat[:_N_ROWS].reshape(3, 8, 1), flat[_N_ROWS:].reshape(3, 1, n + 1), p.tol
+    )
+    shape = (_N_ROWS, n + 1)
+    return values, product_rhs, neg_q_powers, eq.reshape(shape), apart.reshape(shape)
+
+
+def _close(apart: np.ndarray, n: int) -> np.ndarray:
+    """close[row, m], m < n: the row is not clearly apart from its level
+    value at m, the level of an inequality below n."""
+    close = ~apart[:, :n]
+    # t^2 is compared with -q^m from m = 1 on
+    close[_N_PRODUCTS::2, :1] = False
+    return close
+
+
+class _StratumConditions:
+    """One point's stratum comparisons up to level n (see _compare), as
+    lists for the per-kind reader ``sigma_membership``."""
 
     __slots__ = ("values", "product_rhs", "neg_q_powers", "eq", "close", "product_close")
 
     def __init__(self, p: Params, n: int):
-        q, qh = p.q, p.q_half
-        self.product_rhs = [qh ** (-1 - 2 * m) for m in range(n + 1)]
-        self.neg_q_powers = [-(q**m) for m in range(n + 1)]
-        self.values = _signed_products(p) + [
-            getattr(p, name) ** (2 * s) for name, s in _ROW_KEYS[_N_PRODUCTS:]
-        ]
-        # the rows as three groups of 8 (products, products, t^(2s)),
-        # broadcast against the level row of each group
-        flat = np.array(self.values + 2 * self.product_rhs + self.neg_q_powers)
-        eq, apart = compare_arrays(
-            flat[:_N_ROWS].reshape(3, 8, 1), flat[_N_ROWS:].reshape(3, 1, n + 1), p.tol
-        )
+        self.values, self.product_rhs, self.neg_q_powers, eq, apart = _compare(p, n)
         # eq[row][m]: the row's value equals its level value at m
-        self.eq: list[list[bool]] = eq.reshape(_N_ROWS, n + 1).tolist()
+        self.eq: list[list[bool]] = eq.tolist()
         # per row, the m < n where it is not clearly apart from its level
         # value; product_close: where some signed product is not
         self.close: list = [()] * _N_ROWS
         self.product_close: list[int] = []
-        if not apart[..., :n].all():
-            close = ~apart.reshape(_N_ROWS, n + 1)[:, :n]
-            # t^2 is compared with -q^m from m = 1 on
-            close[_N_PRODUCTS::2, :1] = False
+        if not apart[:, :n].all():
+            close = _close(apart, n)
             self.close = [c.nonzero()[0].tolist() for c in close]
             self.product_close = close[:_N_PRODUCTS].any(axis=0).nonzero()[0].tolist()
 
@@ -178,14 +199,49 @@ def stratum_verdicts(
             yield kind, vec, sigma_membership(p, kind, table)
 
 
+def _kind_row(k: RootKind) -> int:
+    if isinstance(k, Type2):
+        return _ROW[k.signs]
+    g, s = one_leg(k)
+    return _ROW[g.t, s]
+
+
+@lru_cache(maxsize=32)
+def _grid_roots(n_max: int) -> tuple:
+    """The (kind, vec) of every real strict root up to level n_max at
+    its cell m * 24 + row of the table's grid, None where no kind lies.
+    Cells ascend as enumerate_strict_roots runs: by level, then in row
+    order, the 16 type-2 sign vectors and then the 8 one-leg kinds."""
+    cells: list = [None] * (_N_ROWS * (n_max + 1))
+    for kind, vec in enumerate_strict_roots(n_max):
+        if not isinstance(kind, Imaginary):
+            cells[kind.n * _N_ROWS + _kind_row(kind)] = (kind, vec)
+    return tuple(cells)
+
+
 def classify_params(p: Params, n_max: int) -> list[tuple[RootKind, RootVector]]:
-    """All strict real roots up to level n_max whose stratum contains p."""
+    """All strict real roots up to level n_max whose stratum contains p,
+    in enumeration order.
+
+    Reads the member mask off the table's one comparison pass: a type-2
+    row is a member at level m when it equals its level value there and
+    each of its four t^(2s) rows is clearly apart below m; a one-leg row,
+    when it equals its level value and every signed product is clearly
+    apart below m.  These are sigma_membership's verdicts, every kind at
+    once.
+    """
     validate_params(p)
-    return [
-        (kind, vec)
-        for kind, vec, verdict in stratum_verdicts(p, n_max)
-        if verdict.member
-    ]
+    *_, member, apart = _compare(p, n_max)
+    member[_N_PRODUCTS:, 0] = False  # the one-leg kinds start at level 1
+    if member.any() and not apart[:, :n_max].all():
+        # clear[row, m]: the row is clearly apart at every level below m
+        # where it is compared
+        clear = np.ones_like(member)
+        clear[:, 1:] = np.logical_and.accumulate(~_close(apart, n_max), axis=1)
+        member[:_N_PRODUCTS] &= clear[_LEG_INDEX].all(axis=1)
+        member[_N_PRODUCTS:] &= clear[:_N_PRODUCTS].all(axis=0)
+    cells = _grid_roots(n_max)
+    return [cells[i] for i in np.flatnonzero(member.T).tolist()]
 
 
 def verdict_to_json(v: StratumVerdict) -> dict:

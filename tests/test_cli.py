@@ -2,14 +2,16 @@ import contextlib
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from daha_cc1 import cli, dsbridge, strata
+from daha_cc1 import cli, core, dsbridge, strata
 from daha_cc1 import rep as rep_module
 from daha_cc1.cli import main
 from daha_cc1.roots import Type1E, Type2, kind_from_str, kind_to_str, root_of_kind
@@ -788,6 +790,59 @@ def test_ds_check_refuses_a_stored_rep_with_a_wrong_shaped_value(capsys, tmp_pat
     report = json.loads(captured.out)
     assert report["exit_code"] == 2
     assert report["results"]["error"].startswith("ValueError: stored representation")
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("key, entry", [("T0", (0, 0)), ("T1", (1, 1)), ("T0v", (2, 2)),
+                                        ("T1v", (3, 4)), ("roots", (1,))])
+def test_ds_check_refuses_a_stored_rep_with_a_nan_or_infinite_entry(
+    capsys, tmp_path, key, entry, value
+):
+    # Python's max() drops a NaN that is not first, so such an entry used
+    # to fold away in the residuals, and ds-check passed the rep
+    kind = Type2(1, 1, 1, 1, 2)
+    args = _param_args(sample_stratum_params(kind, np.random.default_rng(5)))
+    rep_file = tmp_path / "rep.json"
+    code, _ = run_cli(capsys, ["construct", *args, "--kind", kind_to_str(kind),
+                               "--out", str(rep_file)])
+    assert code == 0
+    data = json.loads(rep_file.read_text())
+    row = data["provenance"]["roots"] if key == "roots" else data[key][entry[0]]
+    row[entry[-1]] = [float(value), 0.0]
+    rep_file.write_text(json.dumps(data))
+    code = main(["ds-check", *args, "--rep", str(rep_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    assert json.loads(captured.out)["results"]["error"] == (
+        f"ValueError: stored representation has a NaN or infinite entry in {key}"
+    )
+
+
+# one instance of each refusal whose constructor takes more than a message
+_REFUSAL_SAMPLES = {type(e): e for e in (
+    rep_module.NotOnStratumError(Type2(1, -1, 1, 1, 3), ["neq.k0.m1", "eq.product.3"]),
+    rep_module.IdealNotInvariantError(2.5e-3),
+    rep_module.RelationResidualError({"quad.T0": 1e-3, "product": float("nan")}),
+    dsbridge.ProductNotIdentityError(0.25),
+)}
+
+
+@pytest.mark.parametrize("exc", [
+    *(_REFUSAL_SAMPLES.get(t) or t("refused") for types, _ in cli._REFUSALS for t in types),
+    # subclasses of the ValueError row
+    core.RootOfUnityError(7),
+    core.ZeroParameterError("parameter k0 is zero"),
+], ids=lambda e: type(e).__name__)
+def test_every_refusal_survives_a_pickle_round_trip(exc):
+    # a scan child sends the exception that stopped it through a pipe
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert back.args == exc.args
+    assert vars(back).keys() == vars(exc).keys()
+    for name, value in vars(exc).items():
+        assert repr(getattr(back, name)) == repr(value), name
 
 
 @pytest.mark.parametrize("kind, error", [

@@ -19,6 +19,7 @@ from daha_cc1.laurent import (
     reduce_mod,
 )
 from daha_cc1.rep import (
+    RELATION_RESIDUAL_MAX,
     DegenerateLadderError,
     DimVector,
     IdealNotInvariantError,
@@ -47,7 +48,13 @@ from daha_cc1.rep import (
     spectrum_of_z,
     verify_relations,
 )
-from daha_cc1.dsbridge import class_spec_from_root, verify_class_membership
+from daha_cc1 import rep as rep_module
+from daha_cc1.dsbridge import (
+    ProductNotIdentityError,
+    check_product,
+    class_spec_from_root,
+    verify_class_membership,
+)
 from daha_cc1.roots import Imaginary, RootVector, Type1E, Type1F, Type2, root_of_kind
 from daha_cc1.strata import sample_generic_params, sample_stratum_params
 from oracles import dense_dim_vector, float_pairings, numerical_rank, sylvester_commutant_dim
@@ -579,3 +586,32 @@ def test_ladder_pairs_agree_with_the_float_matcher():
             assert [w.tolist() for w in r.pairs] == want
             built += 1
     assert checked == 3 * 496 and built > 3 * 450
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_nan_or_infinite_entry_fails_the_relation_gates(monkeypatch, bad):
+    # the residual folds keep a NaN wherever it falls: max() would drop
+    # one that is not first, and a NaN compares False with every bound
+    kind = Type2(1, 1, 1, 1, 2)
+    p = sample_stratum_params(kind, np.random.default_rng(5))
+    r = build_quotient_rep(kind, None, p)
+    for g in GENERATORS:
+        spoiled = copy.deepcopy(r)
+        getattr(spoiled, g.name)[2, 2] = bad
+        with np.errstate(all="ignore"):
+            residuals = verify_relations(spoiled, p)
+        assert not residuals[f"quad.{g.name}"] <= RELATION_RESIDUAL_MAX, g
+        assert np.isnan(residuals["product"]), g
+        with pytest.raises(ProductNotIdentityError):
+            check_product(residuals["product"])
+    # in a library build, the relation gate trips
+    inverse = rep_module._block_inverse
+
+    def spoiled_inverse(M, partner):
+        out = inverse(M, partner)
+        out[2, 2] = bad
+        return out
+
+    monkeypatch.setattr(rep_module, "_block_inverse", spoiled_inverse)
+    with np.errstate(all="ignore"), pytest.raises(RelationResidualError):
+        build_quotient_rep(kind, None, p)

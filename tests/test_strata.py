@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from daha_cc1 import strata
+from daha_cc1 import cli, core, strata
 from daha_cc1.core import Params, Tolerance, approx_eq
 from daha_cc1.dsbridge import InconsistentRanksError, xi_product, xi_table
 from daha_cc1.roots import (
@@ -14,6 +14,7 @@ from daha_cc1.roots import (
     Type1E,
     Type2,
     enumerate_strict_roots,
+    kind_to_str,
     root_of_kind,
 )
 from daha_cc1.strata import (
@@ -443,3 +444,163 @@ def test_t_to_minus_inverse_t_maps_the_hits(mod):
             moved = _with(p, **{name: -1 / getattr(p, name)})
             got = {k for k, _ in classify_params(moved, N_ORACLE)}
             assert got == {_flipped(k, name) for k in hits}, (mod, kind, name)
+
+
+# -- cross-check: the member mask against the per-kind verdicts ------------
+#
+# classify_params reads every kind's verdict off one member mask;
+# stratum_verdicts and the classify command read them kind by kind.  The
+# tier holds the two against each other, exceptions included, on the
+# bench's scan batches, planted points over a wide |q|, points near a
+# root of unity, points moved about the tolerances, points with a t of
+# +-i and points outside the float range.  ``_cross_check_points(seed, scale)`` draws more of
+# each at a larger scale.
+
+
+def _bench_scan_points(seeds):
+    from test_rep import _bench_inputs
+
+    inputs = _bench_inputs()
+    return [Params(*pt.values) for seed in seeds for b in inputs.scan_batches(seed) for pt in b]
+
+
+def _wide_planted_points(rng, scale):
+    return [
+        _plant(_random_point(mod, rng), kind)
+        for mod in (0.3, 0.5, 1.3, 2.0, 3.0)
+        for kind in _REAL_KINDS[int(rng.integers(11)) :: max(1, 11 // scale)]
+    ]
+
+
+def _near_root_of_unity_points(rng, scale):
+    """Every family planted at level m, with q^{1/2} = sqrt((1 + d)^(1/m))
+    e^{i pi/m}, so that q^m = 1 + d, just above eq_tol or some way off it."""
+    pts = []
+    for gap in (2e-9, 5e-8, 5e-7):
+        for m in (3, 7, 13, 20) if scale == 1 else range(1, 21):
+            qh = cmath.rect(np.sqrt((1 + gap) ** (1 / m)), np.pi / m)
+            for kind in _kinds_at(m):
+                pts.append(_plant(_with(_random_point(1.0, rng), q_half=qh), kind))
+    return pts
+
+
+def _moved_points(rng, scale):
+    """Planted points with the planted equality, or one inequality below
+    the level, moved by +-0.5, 1 and 2 times eq_tol or ineq_margin:
+    about the edges of approx_eq's and clearly_neq's bands."""
+    tol = Tolerance()
+    pts = []
+    for _ in range(scale):
+        for n in range(1, N_ORACLE + 1, 3):
+            for f in (0.5, 1.0, 2.0, -0.5, -1.0, -2.0):
+                for band in (tol.eq_tol, tol.ineq_margin):
+                    step = 1 + f * band * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
+                    kind = _kinds_at(n)[int(rng.integers(24))]
+                    p = _plant(_random_point(float(rng.uniform(0.5, 2.0)), rng), kind)
+                    m = int(rng.integers(n))
+                    if isinstance(kind, Type2):
+                        pts.append(_with(p, u1=p.u1 * step))
+                        # t^(2s) moved off -q^m, t^2 from m = 1 on
+                        j = int(rng.integers(4))
+                        s = kind.signs[j]
+                        m = max(m, (1 + s) // 2)
+                        moved = _with(p, **{_T_NAMES[j]: _t_on(p.q, m, s) * step})
+                        target, signs, free = p.q_half ** (-1 - 2 * n), kind.signs, _T_NAMES[j - 1]
+                    else:
+                        leg = strata.one_leg(kind)[0].t
+                        pts.append(_with(p, **{leg: getattr(p, leg) * step}))
+                        # a signed product moved off its level value at m
+                        moved, target = p, p.q_half ** (-1 - 2 * m) * step
+                        signs = tuple(1 - 2 * int(b) for b in rng.integers(0, 2, 4))
+                        free = next(nm for nm in reversed(_T_NAMES) if nm != leg)
+                    if m < n:
+                        pts.append(_solve_product(moved, signs, target, free))
+    return pts
+
+
+def _unit_leg_points(rng, scale):
+    """Planted points with a t of +-i, so that t^2 = -q^0 and t^-2 = -q^0:
+    no inequality compares those, and no one-leg kind has level 0."""
+    pts = []
+    for kind in _REAL_KINDS[int(rng.integers(9)) :: max(1, 9 // scale)]:
+        p = _random_point(1.3, rng)
+        j = int(rng.integers(3))  # k0, k1 or u0: u1 solves a type-2 equality
+        if not isinstance(kind, Type2) and strata.one_leg(kind)[0].t == _T_NAMES[j]:
+            j = (j + 1) % 3
+        pts.append(_plant(_with(p, **{_T_NAMES[j]: 1j * (1 - 2 * int(rng.integers(2)))}), kind))
+    return pts
+
+
+def _out_of_range_points(rng, scale):
+    """Zero, infinite and NaN parameters, roots of unity, and moduli whose
+    powers leave the float range."""
+    base = _random_point(1.3, rng)
+    pts = []
+    for name in (*_T_NAMES, "q_half"):
+        for v in (0, "inf", "nan", 1e-200, 1e200, 1e-20, 1e20, 1e-160j):
+            pts.append(_with(base, **{name: complex(v)}))
+    for _ in range(scale):
+        pts += [_with(base, q_half=cmath.rect(1.0, cmath.pi * j / m))
+                for m in (2, 3, 5, 7, 32) for j in (1, m - 1)]
+        pts += [_with(base, q_half=cmath.rect(mod, float(rng.uniform(0, 6.3))))
+                for mod in (1e-9, 1e-6, 1e-4, 1e4, 1e6, 1e9, 1e20)]
+    return pts
+
+
+def _cross_check_points(seed, scale=1):
+    rng = np.random.default_rng(seed)
+    return [
+        *_bench_scan_points(range(1, 1 + 3 * scale)),
+        *_wide_planted_points(rng, scale),
+        *_near_root_of_unity_points(rng, scale),
+        *_moved_points(rng, scale),
+        *_unit_leg_points(rng, scale),
+        *_out_of_range_points(rng, scale),
+    ]
+
+
+def _outcome(run):
+    try:
+        return run()
+    except Exception as exc:  # the type must match, the message may differ
+        return type(exc)
+
+
+def _per_kind_hits(p, n_max):
+    strata.validate_params(p)
+    return [(k, v) for k, v, verdict in stratum_verdicts(p, n_max) if verdict.member]
+
+
+def _command_hits(p, n_max):
+    report, _ = cli.cmd_classify(cli.RunConfig(params=p, n_max=n_max), explain=False)
+    return [(row["kind"], row["root"]) for row in report["results"]["hits"]]
+
+
+def _mismatches(p, levels=(0, 6, N_ORACLE)):
+    """The mismatches between classify_params and the per-kind verdicts,
+    and the classify command, at each n_max in levels; [] when none."""
+    bad = []
+    for n_max in levels:
+        mask = _outcome(lambda: classify_params(p, n_max))
+        per_kind = _outcome(lambda: _per_kind_hits(p, n_max))
+        command = _outcome(lambda: _command_hits(p, n_max))
+        if isinstance(mask, list):
+            mask_strs = [(kind_to_str(k), str(v)) for k, v in mask]
+        else:
+            mask_strs = mask
+        if mask != per_kind or mask_strs != command:
+            bad.append((p, n_max, mask, per_kind, command))
+    return bad
+
+
+def test_member_mask_matches_the_per_kind_verdicts():
+    pts = _cross_check_points(1515)
+    bad = [b for p in pts for b in _mismatches(p)]
+    assert not bad, bad[:3]
+    outcomes = [_outcome(lambda: classify_params(p, N_ORACLE)) for p in pts]
+    # the tier reaches hits, misses and refusals
+    assert sum(isinstance(o, list) and len(o) >= 1 for o in outcomes) >= 300
+    assert sum(o == [] for o in outcomes) >= 100
+    assert {o for o in outcomes if isinstance(o, type)} >= {
+        core.ZeroParameterError, core.RootOfUnityError, OverflowError
+    }
