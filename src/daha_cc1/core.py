@@ -198,8 +198,9 @@ def match_q_power(
 def validate_params(p: Params) -> None:
     """Check nonzero parameters and that q is not a root of unity.
 
-    Raises ZeroParameterError or RootOfUnityError; returns normally when
-    all Params invariants hold.
+    Raises ZeroParameterError, OverflowError (q = q_half^2 is not
+    finite) or RootOfUnityError; returns normally when all Params
+    invariants hold.
     """
     for name in ("k0", "k1", "u0", "u1", "q_half"):
         v = getattr(p, name)
@@ -208,6 +209,8 @@ def validate_params(p: Params) -> None:
         if not cmath.isfinite(complex(v)):
             raise ZeroParameterError(f"parameter {name} is not finite")
     q = p.q
+    if not cmath.isfinite(complex(q)):
+        raise OverflowError("q = q_half^2 is not finite")
     # q^1, q^2, ... up to the bound, stopping at the first non-finite one
     powers, power = [], 1 + 0j
     for _ in range(ROOTS_BOUND):

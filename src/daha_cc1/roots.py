@@ -214,17 +214,18 @@ _PM = {"+": 1, "-": -1}
 
 
 def kind_from_str(text: str) -> RootKind:
-    """Inverse of kind_to_str."""
+    """Inverse of kind_to_str; a kind that names no root, such as a
+    one-leg kind of level 0, raises NonPositiveEntryError."""
     s = text.strip()
-    m = _T2_RE.match(s)
-    if m:
+    if m := _T2_RE.match(s):
         e0, e1, d0, d1 = (_PM[m.group(i)] for i in range(1, 5))
-        return Type2(e0, e1, d0, d1, int(m.group(5)))
-    m = _T1_RE.match(s)
-    if m:
+        k: RootKind = Type2(e0, e1, d0, d1, int(m.group(5)))
+    elif m := _T1_RE.match(s):
         cls = Type1E if m.group(1) == "E" else Type1F
-        return cls(int(m.group(2)), _PM[m.group(3)], int(m.group(4)))
-    m = _IM_RE.match(s)
-    if m:
-        return Imaginary(int(m.group(1)))
-    raise ValueError(f"cannot parse root kind {text!r}")
+        k = cls(int(m.group(2)), _PM[m.group(3)], int(m.group(4)))
+    elif m := _IM_RE.match(s):
+        k = Imaginary(int(m.group(1)))
+    else:
+        raise ValueError(f"cannot parse root kind {text!r}")
+    root_of_kind(k)
+    return k

@@ -9,7 +9,7 @@ stratum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -21,18 +21,19 @@ from .core import (
     Generator,
     Params,
     Tolerance,
-    clearly_neq,
     compare_arrays,
     validate_params,
 )
 from .roots import (
     Imaginary,
+    NonPositiveEntryError,
     RootKind,
     RootVector,
     Type1E,
     Type1F,
     Type2,
     enumerate_strict_roots,
+    kind_to_str,
 )
 
 
@@ -83,107 +84,103 @@ def _signed_products(p: Params) -> list[complex]:
 # t^(2s), keyed by (name of t, s)
 _ROW_KEYS = (*_SIGN_CHOICES, *((name, s) for name in _T_NAMES for s in (1, -1)))
 _ROW = {key: row for row, key in enumerate(_ROW_KEYS)}
-# per sign vector, the (name of t, row of t^(2s)) its inequalities read
-_LEG_ROWS = {
-    signs: tuple((name, _ROW[name, s]) for name, s in zip(_T_NAMES, signs))
-    for signs in _SIGN_CHOICES
-}
 _N_PRODUCTS, _N_ROWS = len(_SIGN_CHOICES), len(_ROW_KEYS)
-# _LEG_ROWS' rows of t^(2s) as an index array, in _SIGN_CHOICES order
-_LEG_INDEX = np.array([[row for _, row in _LEG_ROWS[signs]] for signs in _SIGN_CHOICES])
+
+# The stratum rule, one entry per kind row, the row of the kind's
+# equality (a type-2 kind's signed product, a one-leg kind's t^(2s)):
+# the equality's name, where %d takes the level and %.0s drops it; the
+# inequality groups as (name, rows), a group failing at a level m below
+# the kind's where one of its rows is not clearly apart from its level
+# value at m; and the kind's first level.  A type-2 kind reads its four
+# t^(2s) rows, one group each, and a one-leg kind the 16 signed products.
+_RULE = (
+    *(("eq.product.%d", tuple((name, (_ROW[name, s],)) for name, s in zip(_T_NAMES, signs)), 0)
+      for signs in _SIGN_CHOICES),
+    *((f"eq.{name}.n%.0s", (("product", tuple(range(_N_PRODUCTS))),), 1)
+      for name, _ in _ROW_KEYS[_N_PRODUCTS:]),
+)
+# the level from which each row is compared, as a column: t^2 with -q^m
+# from m = 1 on
+_FROM = np.array([[0]] * _N_PRODUCTS + [[(1 + s) // 2] for _, s in _ROW_KEYS[_N_PRODUCTS:]])
+# for the member mask: whether each kind row has a kind at level 0 (its
+# first level is 0 or 1), and _NEEDS[kind row, row] = 1 where one of the
+# kind's groups reads the row, as floats so that a product with it goes
+# through BLAS
+_AT_0 = np.array([first == 0 for *_, first in _RULE])
+_NEEDS = np.array([[any(row in rows for _, rows in groups) for row in range(_N_ROWS)]
+                   for _, groups, _ in _RULE], dtype=float)
 
 
-def _compare(p: Params, n: int) -> tuple:
-    """The comparisons of one point's stratum conditions, up to level n.
+class _Table:
+    """One point's stratum comparisons up to level n.
 
     Every stratum condition compares a row value, a signed product or
     t^(2s), with its level value at some m: q_half^(-1-2m) or -q^m.  The
     values are the per-kind Python expressions, and the 24 x (n+1) grid is
     compared in one pass of ``compare_arrays``, which gives approx_eq's and
     clearly_neq's bits: verdicts read from it are the per-kind ones.
-    Returns (values, product_rhs, neg_q_powers, eq, apart); eq[row, m]:
-    the row's value equals its level value at m, apart[row, m]: it is
-    clearly apart from it.
+    eq[row, m]: the row's value equals its level value at m; apart[row,
+    m]: it is clearly apart from it.
     """
-    q, qh = p.q, p.q_half
-    product_rhs = [qh ** (-1 - 2 * m) for m in range(n + 1)]
-    neg_q_powers = [-(q**m) for m in range(n + 1)]
-    values = _signed_products(p) + [
-        getattr(p, name) ** (2 * s) for name, s in _ROW_KEYS[_N_PRODUCTS:]
-    ]
-    # the rows as three groups of 8 (products, products, t^(2s)),
-    # broadcast against the level row of each group
-    flat = np.array(values + 2 * product_rhs + neg_q_powers)
-    eq, apart = compare_arrays(
-        flat[:_N_ROWS].reshape(3, 8, 1), flat[_N_ROWS:].reshape(3, 1, n + 1), p.tol
-    )
-    shape = (_N_ROWS, n + 1)
-    return values, product_rhs, neg_q_powers, eq.reshape(shape), apart.reshape(shape)
-
-
-def _close(apart: np.ndarray, n: int) -> np.ndarray:
-    """close[row, m], m < n: the row is not clearly apart from its level
-    value at m, the level of an inequality below n."""
-    close = ~apart[:, :n]
-    # t^2 is compared with -q^m from m = 1 on
-    close[_N_PRODUCTS::2, :1] = False
-    return close
-
-
-class _StratumConditions:
-    """One point's stratum comparisons up to level n (see _compare), as
-    lists for the per-kind reader ``sigma_membership``."""
-
-    __slots__ = ("values", "product_rhs", "neg_q_powers", "eq", "close", "product_close")
 
     def __init__(self, p: Params, n: int):
-        self.values, self.product_rhs, self.neg_q_powers, eq, apart = _compare(p, n)
-        # eq[row][m]: the row's value equals its level value at m
-        self.eq: list[list[bool]] = eq.tolist()
-        # per row, the m < n where it is not clearly apart from its level
-        # value; product_close: where some signed product is not
-        self.close: list = [()] * _N_ROWS
-        self.product_close: list[int] = []
-        if not apart[:, :n].all():
-            close = _close(apart, n)
-            self.close = [c.nonzero()[0].tolist() for c in close]
-            self.product_close = close[:_N_PRODUCTS].any(axis=0).nonzero()[0].tolist()
+        q, qh = p.q, p.q_half
+        self.product_rhs = [qh ** (-1 - 2 * m) for m in range(n + 1)]
+        self.neg_q_powers = [-(q**m) for m in range(n + 1)]
+        self.values = _signed_products(p) + [
+            getattr(p, name) ** (2 * s) for name, s in _ROW_KEYS[_N_PRODUCTS:]
+        ]
+        # the rows as three groups of 8 (products, products, t^(2s)),
+        # broadcast against the level row of each group
+        flat = np.array(self.values + 2 * self.product_rhs + self.neg_q_powers)
+        eq, apart = compare_arrays(
+            flat[:_N_ROWS].reshape(3, 8, 1), flat[_N_ROWS:].reshape(3, 1, n + 1), p.tol
+        )
+        self.eq, self.apart = eq.reshape(_N_ROWS, n + 1), apart.reshape(_N_ROWS, n + 1)
+
+    def close(self) -> np.ndarray:
+        """close[row, m], m < n: the row is compared at m and not clearly
+        apart from its level value there."""
+        n = self.apart.shape[1] - 1
+        return ~self.apart[:, :n] & (np.arange(n) >= _FROM)
+
+    @cached_property
+    def verdicts(self) -> tuple[list, list]:
+        """The rule read for sigma_membership: eq as lists and, per kind
+        row, its failed inequalities as (level, name) in the rule's order."""
+        failing: list = [()] * _N_ROWS
+        if not self.apart[:, :-1].all():
+            # per row, the levels where it is close
+            levels: list = [[] for _ in range(_N_ROWS)]
+            for row, m in zip(*(a.tolist() for a in self.close().nonzero())):
+                levels[row].append(m)
+            failing = [[(m, f"neq.{name}.m{m}") for name, rows in groups
+                        for m in sorted({m for r in rows for m in levels[r]})]
+                       for _, groups, _ in _RULE]
+        return self.eq.tolist(), failing
 
 
-def sigma_membership(
-    p: Params, k: RootKind, table: _StratumConditions | None = None
-) -> StratumVerdict:
+def sigma_membership(p: Params, k: RootKind, table: _Table | None = None) -> StratumVerdict:
     """Evaluate the stratum conditions of a real strict root kind.
 
     Equalities must hold within p.tol.eq_tol; inequalities must be
     violated by the full margin (1e3 * eq_tol) to count as satisfied,
     keeping the verdict well separated from boundary noise.  ``table``,
     of horizon at least k.n, shares the comparisons between calls on the
-    same point; without one, the call builds a table of horizon k.n.
+    same point; without one, the call builds a table of horizon k.n.  A
+    level below the kind's first raises NonPositiveEntryError.
     """
     if isinstance(k, Imaginary):
         raise ImaginaryKindError("imaginary kinds have no stratum")
-    c = table if table is not None else _StratumConditions(p, k.n)
-    n = k.n
-    failed: list[str] = []
-
-    if isinstance(k, Type2):
-        signs = k.signs
-        if not c.eq[_ROW[signs]][n]:
-            failed.append(f"eq.product.{n}")
-        for name, row in _LEG_ROWS[signs]:
-            for m in c.close[row]:
-                if m < n:
-                    failed.append(f"neq.{name}.m{m}")
-        return StratumVerdict(not failed, failed)
-
-    g, s = one_leg(k)
-    if not c.eq[_ROW[g.t, s]][n]:
-        failed.append(f"eq.{g.t}.n")
-    # the product inequality is required for every sign assignment
-    for m in c.product_close:
+    row, n = _kind_row(k), k.n
+    eq_name, _, first = _RULE[row]
+    if n < first:
+        raise NonPositiveEntryError(f"{kind_to_str(k)} names no root: levels start at {first}")
+    eq, failing = (table if table is not None else _Table(p, n)).verdicts
+    failed = [] if eq[row][n] else [eq_name % n]
+    for m, name in failing[row]:
         if m < n:
-            failed.append(f"neq.product.m{m}")
+            failed.append(name)
     return StratumVerdict(not failed, failed)
 
 
@@ -193,7 +190,7 @@ def stratum_verdicts(
     """The verdict of every real strict root up to level n_max, in
     enumeration order; the kinds share one table of the point's
     stratum quantities."""
-    table = _StratumConditions(p, n_max)
+    table = _Table(p, n_max)
     for kind, vec in enumerate_strict_roots(n_max):
         if not isinstance(kind, Imaginary):
             yield kind, vec, sigma_membership(p, kind, table)
@@ -223,23 +220,21 @@ def classify_params(p: Params, n_max: int) -> list[tuple[RootKind, RootVector]]:
     """All strict real roots up to level n_max whose stratum contains p,
     in enumeration order.
 
-    Reads the member mask off the table's one comparison pass: a type-2
-    row is a member at level m when it equals its level value there and
-    each of its four t^(2s) rows is clearly apart below m; a one-leg row,
-    when it equals its level value and every signed product is clearly
-    apart below m.  These are sigma_membership's verdicts, every kind at
-    once.
+    Reads the member mask off the table's one comparison pass with the
+    rule's arrays: a kind row is a member at level m, from its first
+    level on, when it equals its level value there and every row its
+    groups read is clearly apart at each level below m where it is
+    compared.  These are sigma_membership's verdicts, every kind at once.
     """
     validate_params(p)
-    *_, member, apart = _compare(p, n_max)
-    member[_N_PRODUCTS:, 0] = False  # the one-leg kinds start at level 1
-    if member.any() and not apart[:, :n_max].all():
-        # clear[row, m]: the row is clearly apart at every level below m
-        # where it is compared
-        clear = np.ones_like(member)
-        clear[:, 1:] = np.logical_and.accumulate(~_close(apart, n_max), axis=1)
-        member[:_N_PRODUCTS] &= clear[_LEG_INDEX].all(axis=1)
-        member[_N_PRODUCTS:] &= clear[:_N_PRODUCTS].all(axis=0)
+    t = _Table(p, n_max)
+    member = t.eq.copy()
+    member[:, 0] &= _AT_0
+    if member.any() and not t.apart[:, :-1].all():
+        # blocked[row, m]: the row is close at some level below m
+        blocked = np.zeros_like(member)
+        np.logical_or.accumulate(t.close(), axis=1, out=blocked[:, 1:])
+        member &= (_NEEDS @ blocked) == 0
     cells = _grid_roots(n_max)
     return [cells[i] for i in np.flatnonzero(member.T).tolist()]
 
@@ -277,11 +272,8 @@ def sample_generic_params(
             q_half=random_q_half(rng),
             tol=tol,
         )
-        c = _StratumConditions(p, 7)
-        # the table tests t^2 against -q^m from m = 1 on; t^2 != -1 is extra
-        if not any(c.close) and all(
-            clearly_neq(c.values[_ROW[nm, 1]], c.neg_q_powers[0], tol) for nm in _T_NAMES
-        ):
+        # every row clearly apart at every level, t^2 from -q^0 too
+        if _Table(p, 6).apart.all():
             return p
     raise RuntimeError("failed to sample generic parameters")
 

@@ -235,6 +235,18 @@ def test_every_config_key_is_read(capsys, tmp_path):
     assert json.loads(out.split("\n", 1)[1])["n_max"] == 3
 
 
+@pytest.mark.parametrize("command", ["construct", "spectrum"])
+@pytest.mark.parametrize("kind", ["T1E[i=0,+;n=0]", "T1F[i=1,-;n=0]", "IM[n=0]"])
+def test_a_kind_that_names_no_root_is_input_error(capsys, command, kind):
+    # k0^2 = -q^0 here, so the equality of T1E[i=0,+;n=0] holds; but no
+    # root has that kind, and its build cannot be certified
+    argv = [command, "--k0", "1i", "--k1", "0.7+0.2i", "--u0", "1.3-0.4i",
+            "--u1", "0.9+0.5i", "--q-half", "1.3+0.2i", "--kind", kind]
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    assert json.loads(out)["results"]["error"].startswith("NonPositiveEntryError: ")
+
+
 def test_n_max_guard(capsys):
     code, _ = run_cli(capsys, ["classify", *ONE_DIM, "--n-max", "21"])
     assert code == 2

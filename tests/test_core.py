@@ -23,6 +23,7 @@ from daha_cc1.core import (
     parse_scalar,
     validate_params,
 )
+from daha_cc1.strata import classify_params
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -200,6 +201,18 @@ def test_validate_params_stops_at_the_first_non_finite_power():
     for guard in (_scalar_order, validate_params):
         with pytest.raises(OverflowError):
             guard(p)
+
+
+@pytest.mark.parametrize("q_half", [1e155, 1e160, 1e200, 1e200 + 0j])
+def test_validate_params_refuses_a_q_that_overflows(q_half):
+    # a float q_half squares to inf without raising; classify must not
+    # then read every t^(2s) as equal to -q^m = -inf
+    p = _unit_params(q_half)
+    assert not cmath.isfinite(p.q)
+    with pytest.raises(OverflowError):
+        validate_params(p)
+    with pytest.raises(OverflowError):
+        classify_params(p, 20)
 
 
 def _threshold_steps(a: complex, margin: float, part: str) -> list[complex]:

@@ -47,6 +47,9 @@ def test_one_leg_coordinates():
 def test_bad_levels_rejected(kind):
     with pytest.raises(NonPositiveEntryError):
         root_of_kind(kind)
+    if kind.n >= 0:  # the string of a negative level does not parse
+        with pytest.raises(NonPositiveEntryError):
+            kind_from_str(kind_to_str(kind))
 
 
 def test_bad_signs_rejected():

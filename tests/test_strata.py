@@ -10,8 +10,10 @@ from daha_cc1.core import Params, Tolerance, approx_eq
 from daha_cc1.dsbridge import InconsistentRanksError, xi_product, xi_table
 from daha_cc1.roots import (
     Imaginary,
+    NonPositiveEntryError,
     RootVector,
     Type1E,
+    Type1F,
     Type2,
     enumerate_strict_roots,
     kind_to_str,
@@ -20,7 +22,7 @@ from daha_cc1.roots import (
 from daha_cc1.strata import (
     ImaginaryKindError,
     StratumVerdict,
-    _StratumConditions,
+    _Table,
     classify_params,
     random_q_half,
     random_unit,
@@ -125,6 +127,17 @@ def test_generic_sampler_avoids_all_strata(rng):
     for _ in range(10):
         p = sample_generic_params(rng)
         assert classify_params(p, 6) == []
+
+
+@pytest.mark.parametrize("kind", [Type2(1, 1, 1, 1, -1), Type1E(0, 1, 0), Type1F(1, -1, 0)])
+def test_a_kind_below_its_first_level_is_refused(kind):
+    # the point meets t^2 = -q^0 for t = k0, so the equality of
+    # T1E[i=0,+;n=0] holds; but that kind names no root
+    p = Params(k0=1j, k1=0.7 + 0.2j, u0=1.3 - 0.4j, u1=0.9 + 0.5j, q_half=1.3 + 0.2j)
+    with pytest.raises(NonPositiveEntryError):
+        sigma_membership(p, kind)
+    with pytest.raises(NonPositiveEntryError):
+        sigma_membership(p, kind, table=_Table(p, 3))
 
 
 def test_stratum_sampler_hits_every_type2_sign(rng):
@@ -353,7 +366,7 @@ def _assert_matches_oracle(p, single_kind_levels):
     shared = [(k, _as_pair(v)) for k, _, v in stratum_verdicts(p, N_ORACLE)]
     assert shared == [(k, _as_pair(oracle[k])) for k in _REAL_KINDS]
     # one table queried from the top level down
-    table = _StratumConditions(p, N_ORACLE)
+    table = _Table(p, N_ORACLE)
     for k in reversed(_REAL_KINDS):
         assert _as_pair(sigma_membership(p, k, table=table)) == _as_pair(oracle[k]), k
     # every compared value is the per-kind expression, to the last bit
@@ -366,6 +379,14 @@ def _assert_matches_oracle(p, single_kind_levels):
     for name in _T_NAMES:
         for s in (1, -1):
             assert table.values[strata._ROW[name, s]] == getattr(p, name) ** (2 * s)
+    # and every cell of the grid that the rule reads is the scalar verdict
+    levels = {"products": table.product_rhs, "t": table.neg_q_powers}
+    for row, value in enumerate(table.values):
+        level_values = levels["products" if row < 16 else "t"]
+        assert table.eq[row].tolist() == [approx_eq(value, b, p.tol) for b in level_values]
+        assert table.apart[row].tolist() == [
+            _per_kind_clearly_apart(value, b, p.tol) for b in level_values
+        ]
     for k in _REAL_KINDS:
         if k.n in single_kind_levels:
             assert _as_pair(sigma_membership(p, k)) == _as_pair(oracle[k]), k
@@ -392,6 +413,33 @@ def test_shared_table_matches_per_kind_oracle_on_inequality_boundaries():
         )
     # every exact boundary point fails an inequality; the margin points may not
     assert neq_points >= 12
+
+
+def test_the_rule_names_every_condition_of_every_kind(monkeypatch, generic_params):
+    """With every comparison read as neither equal nor clearly apart,
+    every kind fails each of its conditions, which no sampled point
+    reaches: the table's rule and the per-kind oracle must then name the
+    same full list, in the same order, for every kind up to level 20."""
+    def undecided(a, b, tol):
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        return np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+
+    monkeypatch.setattr(strata, "compare_arrays", undecided)
+    monkeypatch.setitem(globals(), "approx_eq", lambda a, b, tol: False)
+    monkeypatch.setitem(globals(), "_per_kind_clearly_apart", lambda a, b, tol: False)
+    p = generic_params
+    shared = {k: v for k, _, v in stratum_verdicts(p, N_ORACLE)}
+    conditions = 0
+    for k in _REAL_KINDS:
+        oracle = _per_kind_sigma_membership(p, k)
+        assert oracle.failed_conditions[0].startswith("eq.")
+        assert shared[k] == sigma_membership(p, k) == oracle, k
+        conditions += len(oracle.failed_conditions)
+    # 496 equalities; at level n, the 16 type-2 kinds read 32 legs of
+    # sign -1 at n levels and 32 of sign +1 at n - 1 (t^2 from m = 1),
+    # and the 8 one-leg kinds the products at n levels
+    assert conditions == 496 + sum(32 * n + 32 * max(n - 1, 0) + 8 * n for n in range(21))
+    assert classify_params(p, N_ORACLE) == []
 
 
 # -- planted points far from the unit circle -------------------------------
