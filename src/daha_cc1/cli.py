@@ -66,6 +66,7 @@ from .roots import (
 )
 from .strata import (
     classify_params,
+    classify_points,
     random_q_half,
     random_unit,
     sample_generic_params,
@@ -369,41 +370,49 @@ def cmd_spectrum(cfg: RunConfig, kind_str: str) -> tuple[dict, int]:
 # -- scan ----------------------------------------------------------------
 
 
-def _scan_worker(job: tuple) -> tuple[int, dict]:
-    """One scan row.  Each index derives its own RNG stream, so results
+def _scan_point(job: tuple) -> Params:
+    """A job's point.  Each index derives its own RNG stream, so points
     are independent of how jobs are shared out between processes."""
-    idx, seed, n_max, tol, explicit = job
+    idx, seed, tol, explicit = job
     if explicit is not None:
         values = [complex(re, im) for re, im in explicit]
     else:
         rng = np.random.default_rng([seed, idx])
         # k0, k1, u0, u1, then q_half, in draw order
         values = [*(random_unit(rng) for _ in range(4)), random_q_half(rng)]
-    p = Params(*values, tol=tol)
-    try:
-        hits = [kind_to_str(k) for k, _ in classify_params(p, n_max)]
-    except _REFUSED as exc:
-        hits = [f"error:{type(exc).__name__}"]
-    row = {
-        "idx": idx,
-        **{k: format_scalar(getattr(p, k)) for k in _PARAM_KEYS},
-        "hits": hits,
-    }
-    return idx, row
+    return Params(*values, tol=tol)
 
 
-def _scan_child(share: list, send) -> None:
+def _scan_share(share: list, n_max: int) -> list[tuple[int, dict]]:
+    """The (idx, row) of a share of scan jobs: the points are classified
+    together, and each point's hits, or its refusal, are its own."""
+    points = [_scan_point(job) for job in share]
+    rows = []
+    for (idx, *_), p, outcome in zip(share, points, classify_points(points, n_max)):
+        if isinstance(outcome, Exception):
+            hits = [f"error:{type(outcome).__name__}"]
+        else:
+            hits = [kind_to_str(k) for k, _ in outcome]
+        rows.append((idx, {
+            "idx": idx,
+            **{k: format_scalar(getattr(p, k)) for k in _PARAM_KEYS},
+            "hits": hits,
+        }))
+    return rows
+
+
+def _scan_child(share: list, n_max: int, send) -> None:
     """A forked child's body: scan its share and send the rows, or the
     exception that stopped it, to the parent."""
     try:
-        send.send(list(map(_scan_worker, share)))
+        send.send(_scan_share(share, n_max))
     except Exception as exc:  # the parent re-raises it
         send.send(exc)
     finally:
         send.close()
 
 
-def _scan_shares(jobs: list, procs: int) -> list[tuple[int, dict]]:
+def _scan_shares(jobs: list, n_max: int, procs: int) -> list[tuple[int, dict]]:
     """The (idx, row) of every job, from procs contiguous, balanced
     shares: this process scans the first and forks one child per other
     share.  A child's exception is raised here, as is a child's exit
@@ -415,10 +424,10 @@ def _scan_shares(jobs: list, procs: int) -> list[tuple[int, dict]]:
         for lo, hi in zip(bounds[1:], bounds[2:]):
             recv, send = _FORK.Pipe(duplex=False)
             with send:  # closed here, so that the child's exit ends the pipe
-                child = _FORK.Process(target=_scan_child, args=(jobs[lo:hi], send))
+                child = _FORK.Process(target=_scan_child, args=(jobs[lo:hi], n_max, send))
                 child.start()
             children.append((child, recv))
-        rows = list(map(_scan_worker, jobs[:bounds[1]]))
+        rows = _scan_share(jobs[:bounds[1]], n_max)
         for child, recv in children:
             try:
                 share = recv.recv()
@@ -457,23 +466,20 @@ def cmd_scan(
 ) -> tuple[dict, int]:
     if points_file is not None:
         explicit = _load_points_file(points_file)
-        jobs = [
-            (i, cfg.seed, cfg.n_max, cfg.tol, pt)
-            for i, pt in enumerate(explicit)
-        ]
+        jobs = [(i, cfg.seed, cfg.tol, pt) for i, pt in enumerate(explicit)]
     elif count is not None:
         if count < 1:
             raise ValueError("count must be >= 1")
-        jobs = [(i, cfg.seed, cfg.n_max, cfg.tol, None) for i in range(count)]
+        jobs = [(i, cfg.seed, cfg.tol, None) for i in range(count)]
     else:
         p = _require_params(cfg)
         pt = tuple(
             (getattr(p, k).real, getattr(p, k).imag) for k in _PARAM_KEYS
         )
-        jobs = [(0, cfg.seed, cfg.n_max, cfg.tol, pt)]
+        jobs = [(0, cfg.seed, cfg.tol, pt)]
 
     procs = max(1, min(cfg.jobs, -(-len(jobs) // _SCAN_CHUNK)))  # an empty file has 0 chunks
-    rows = dict(_scan_shares(jobs, procs))
+    rows = dict(_scan_shares(jobs, cfg.n_max, procs))
     ordered = [rows[i] for i in sorted(rows)]
     results = {"rows": ordered, "n_points": len(ordered)}
     return _report("scan", cfg.params, results), EXIT_OK

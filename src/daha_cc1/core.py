@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass, field
-from typing import Collection
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -195,6 +195,68 @@ def match_q_power(
     return matches[0] if matches else None
 
 
+def compare_points(a, b, tol: Tolerance, errors: list) -> tuple[np.ndarray, np.ndarray]:
+    """compare_arrays over arrays whose first axis is the point, in one
+    pass.  When the pass overflows, each point is compared alone, and a
+    point whose own comparison raises gets its OverflowError in errors,
+    where that holds None.  The verdicts of a point with an error in
+    errors read False."""
+    try:
+        eq, apart = compare_arrays(a, b, tol)
+    except OverflowError:
+        a, b = np.broadcast_arrays(a, b)
+        eq, apart = np.zeros(a.shape, dtype=bool), np.zeros(a.shape, dtype=bool)
+        for i, (ai, bi) in enumerate(zip(a, b)):
+            try:
+                eq[i], apart[i] = compare_arrays(ai, bi, tol)
+            except OverflowError as exc:
+                if errors[i] is None:
+                    errors[i] = exc
+    failed = [i for i, e in enumerate(errors) if e is not None]
+    if failed:
+        eq[failed] = apart[failed] = False
+    return eq, apart
+
+
+def _scalar_error(p: Params) -> ValueError | OverflowError | None:
+    for name in ("k0", "k1", "u0", "u1", "q_half"):
+        v = getattr(p, name)
+        if v == 0:
+            return ZeroParameterError(f"parameter {name} is zero")
+        if not cmath.isfinite(complex(v)):
+            return ZeroParameterError(f"parameter {name} is not finite")
+    if not cmath.isfinite(complex(p.q)):
+        return OverflowError("q = q_half^2 is not finite")
+    return None
+
+
+@np.errstate(all="ignore")
+def _unit_powers(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q^1..q^ROOTS_BOUND of each q in the column q, and where each is in
+    its row's finite prefix.  The powers are the loop power = power * q
+    from power = 1 to the bit, but for the sign of a zero part of q^1."""
+    powers = np.multiply.accumulate(np.repeat(q, ROOTS_BOUND, axis=1), axis=1)
+    return powers, np.logical_and.accumulate(np.isfinite(powers), axis=1)
+
+
+def validation_errors(points: Sequence[Params]) -> list[ValueError | OverflowError | None]:
+    """The exception validate_params raises at each of points, which
+    share one tolerance, or None where it returns.  The root-of-unity
+    guard takes every point's powers of q in one pass and compares each
+    row's finite prefix with 1."""
+    errors = [_scalar_error(p) for p in points]
+    powers, finite = _unit_powers(np.array([[p.q if e is None else 0j]
+                                            for p, e in zip(points, errors)]))
+    # past the prefix, a power reads equal to 1 or not, but never raises
+    unit = compare_points(powers, 1.0, points[0].tol, errors)[0] & finite
+    # row by row, so a point's first match comes first
+    for k in np.flatnonzero(unit).tolist():
+        i, m = divmod(k, ROOTS_BOUND)
+        if errors[i] is None:
+            errors[i] = RootOfUnityError(m + 1)
+    return errors
+
+
 def validate_params(p: Params) -> None:
     """Check nonzero parameters and that q is not a root of unity.
 
@@ -202,25 +264,9 @@ def validate_params(p: Params) -> None:
     finite) or RootOfUnityError; returns normally when all Params
     invariants hold.
     """
-    for name in ("k0", "k1", "u0", "u1", "q_half"):
-        v = getattr(p, name)
-        if v == 0:
-            raise ZeroParameterError(f"parameter {name} is zero")
-        if not cmath.isfinite(complex(v)):
-            raise ZeroParameterError(f"parameter {name} is not finite")
-    q = p.q
-    if not cmath.isfinite(complex(q)):
-        raise OverflowError("q = q_half^2 is not finite")
-    # q^1, q^2, ... up to the bound, stopping at the first non-finite one
-    powers, power = [], 1 + 0j
-    for _ in range(ROOTS_BOUND):
-        power = power * q
-        if not cmath.isfinite(power):
-            break
-        powers.append(power)
-    unit = np.flatnonzero(compare_arrays(powers, 1.0, p.tol)[0])
-    if unit.size:
-        raise RootOfUnityError(int(unit[0]) + 1)
+    error = validation_errors([p])[0]
+    if error is not None:
+        raise error
 
 
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"

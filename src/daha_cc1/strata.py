@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
-from typing import Iterator
+from itertools import groupby, product
+from operator import attrgetter
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -21,8 +22,9 @@ from .core import (
     Generator,
     Params,
     Tolerance,
-    compare_arrays,
+    compare_points,
     validate_params,
+    validation_errors,
 )
 from .roots import (
     Imaginary,
@@ -111,53 +113,80 @@ _NEEDS = np.array([[any(row in rows for _, rows in groups) for row in range(_N_R
                    for _, groups, _ in _RULE], dtype=float)
 
 
+def _point_values(p: Params, n: int) -> list[complex]:
+    """Point p's 24 row values, then its level values of the three row
+    groups (products, products, t^(2s)), as the per-kind Python
+    expressions."""
+    q, qh = p.q, p.q_half
+    product_rhs = [qh ** (-1 - 2 * m) for m in range(n + 1)]
+    neg_q_powers = [-(q**m) for m in range(n + 1)]
+    values = _signed_products(p) + [
+        getattr(p, name) ** (2 * s) for name, s in _ROW_KEYS[_N_PRODUCTS:]
+    ]
+    return values + 2 * product_rhs + neg_q_powers
+
+
 class _Table:
-    """One point's stratum comparisons up to level n.
+    """The stratum comparisons of some points up to level n; the points
+    share one tolerance.
 
     Every stratum condition compares a row value, a signed product or
     t^(2s), with its level value at some m: q_half^(-1-2m) or -q^m.  The
-    values are the per-kind Python expressions, and the 24 x (n+1) grid is
-    compared in one pass of ``compare_arrays``, which gives approx_eq's and
-    clearly_neq's bits: verdicts read from it are the per-kind ones.
-    eq[row, m]: the row's value equals its level value at m; apart[row,
-    m]: it is clearly apart from it.
+    values are the per-kind Python expressions, point by point, and the
+    P x 24 x (n+1) grid is compared in one pass of ``compare_points``,
+    which gives approx_eq's and clearly_neq's bits: verdicts read from it
+    are the per-kind ones, whatever the other points.  values[i],
+    product_rhs[i] and neg_q_powers[i] are point i's row and level values;
+    eq[i, row, m]: the row's value equals its level value at m; apart[i,
+    row, m]: it is clearly apart from it.  errors[i] is the exception
+    that point i's values (OverflowError or ZeroDivisionError from **)
+    or their comparison (OverflowError) raised, or None; the point's
+    verdicts then read False.
     """
 
-    def __init__(self, p: Params, n: int):
-        q, qh = p.q, p.q_half
-        self.product_rhs = [qh ** (-1 - 2 * m) for m in range(n + 1)]
-        self.neg_q_powers = [-(q**m) for m in range(n + 1)]
-        self.values = _signed_products(p) + [
-            getattr(p, name) ** (2 * s) for name, s in _ROW_KEYS[_N_PRODUCTS:]
-        ]
+    def __init__(self, points: Sequence[Params], n: int):
+        self.errors: list = [None] * len(points)
+        rows = []
+        for i, p in enumerate(points):
+            try:
+                rows.append(_point_values(p, n))
+            except (OverflowError, ZeroDivisionError) as exc:
+                self.errors[i] = exc
+                rows.append([0j] * (_N_ROWS + 3 * (n + 1)))
+        flat = np.array(rows, dtype=complex)
+        self.values, levels = flat[:, :_N_ROWS], flat[:, _N_ROWS:]
+        self.product_rhs, self.neg_q_powers = levels[:, : n + 1], levels[:, 2 * (n + 1) :]
         # the rows as three groups of 8 (products, products, t^(2s)),
         # broadcast against the level row of each group
-        flat = np.array(self.values + 2 * self.product_rhs + self.neg_q_powers)
-        eq, apart = compare_arrays(
-            flat[:_N_ROWS].reshape(3, 8, 1), flat[_N_ROWS:].reshape(3, 1, n + 1), p.tol
+        eq, apart = compare_points(
+            self.values.reshape(-1, 3, 8, 1), levels.reshape(-1, 3, 1, n + 1),
+            points[0].tol, self.errors,
         )
-        self.eq, self.apart = eq.reshape(_N_ROWS, n + 1), apart.reshape(_N_ROWS, n + 1)
+        self.eq, self.apart = eq.reshape(-1, _N_ROWS, n + 1), apart.reshape(-1, _N_ROWS, n + 1)
 
     def close(self) -> np.ndarray:
-        """close[row, m], m < n: the row is compared at m and not clearly
-        apart from its level value there."""
-        n = self.apart.shape[1] - 1
-        return ~self.apart[:, :n] & (np.arange(n) >= _FROM)
+        """close[i, row, m], m < n: the row is compared at m and not
+        clearly apart from its level value there."""
+        n = self.apart.shape[2] - 1
+        return ~self.apart[:, :, :n] & (np.arange(n) >= _FROM)
 
     @cached_property
     def verdicts(self) -> tuple[list, list]:
-        """The rule read for sigma_membership: eq as lists and, per kind
-        row, its failed inequalities as (level, name) in the rule's order."""
+        """The rule read for sigma_membership at a one-point table's
+        point: eq as lists and, per kind row, its failed inequalities as
+        (level, name) in the rule's order.  Raises the point's error."""
+        if self.errors[0] is not None:
+            raise self.errors[0]
         failing: list = [()] * _N_ROWS
-        if not self.apart[:, :-1].all():
+        if not self.apart[0, :, :-1].all():
             # per row, the levels where it is close
             levels: list = [[] for _ in range(_N_ROWS)]
-            for row, m in zip(*(a.tolist() for a in self.close().nonzero())):
+            for row, m in zip(*(a.tolist() for a in self.close()[0].nonzero())):
                 levels[row].append(m)
             failing = [[(m, f"neq.{name}.m{m}") for name, rows in groups
                         for m in sorted({m for r in rows for m in levels[r]})]
                        for _, groups, _ in _RULE]
-        return self.eq.tolist(), failing
+        return self.eq[0].tolist(), failing
 
 
 def sigma_membership(p: Params, k: RootKind, table: _Table | None = None) -> StratumVerdict:
@@ -168,7 +197,8 @@ def sigma_membership(p: Params, k: RootKind, table: _Table | None = None) -> Str
     keeping the verdict well separated from boundary noise.  ``table``,
     of horizon at least k.n, shares the comparisons between calls on the
     same point; without one, the call builds a table of horizon k.n.  A
-    level below the kind's first raises NonPositiveEntryError.
+    level below the kind's first raises NonPositiveEntryError, and a kind
+    whose fields name no root ValueError.
     """
     if isinstance(k, Imaginary):
         raise ImaginaryKindError("imaginary kinds have no stratum")
@@ -176,7 +206,7 @@ def sigma_membership(p: Params, k: RootKind, table: _Table | None = None) -> Str
     eq_name, _, first = _RULE[row]
     if n < first:
         raise NonPositiveEntryError(f"{kind_to_str(k)} names no root: levels start at {first}")
-    eq, failing = (table if table is not None else _Table(p, n)).verdicts
+    eq, failing = (table if table is not None else _Table([p], n)).verdicts
     failed = [] if eq[row][n] else [eq_name % n]
     for m, name in failing[row]:
         if m < n:
@@ -190,7 +220,7 @@ def stratum_verdicts(
     """The verdict of every real strict root up to level n_max, in
     enumeration order; the kinds share one table of the point's
     stratum quantities."""
-    table = _Table(p, n_max)
+    table = _Table([p], n_max)
     for kind, vec in enumerate_strict_roots(n_max):
         if not isinstance(kind, Imaginary):
             yield kind, vec, sigma_membership(p, kind, table)
@@ -198,9 +228,15 @@ def stratum_verdicts(
 
 def _kind_row(k: RootKind) -> int:
     if isinstance(k, Type2):
-        return _ROW[k.signs]
-    g, s = one_leg(k)
-    return _ROW[g.t, s]
+        key = k.signs
+    elif k.i in (0, 1):
+        g, s = one_leg(k)
+        key = g.t, s
+    else:
+        key = None
+    if key not in _ROW:
+        raise ValueError(f"{k!r} names no root")
+    return _ROW[key]
 
 
 @lru_cache(maxsize=32)
@@ -216,27 +252,64 @@ def _grid_roots(n_max: int) -> tuple:
     return tuple(cells)
 
 
+# points per comparison pass of classify_points: at n_max 20 a block
+# peaks at about 18 KiB per point (tracemalloc)
+_BLOCK = 64
+
+
+def classify_points(
+    points: Sequence[Params], n_max: int
+) -> list[list[tuple[RootKind, RootVector]] | Exception]:
+    """classify_params at each of points: its hits, or the exception it
+    raises there.
+
+    Cuts the points into blocks of up to _BLOCK consecutive points that
+    share a tolerance, and reads each block's member mask off one table
+    pass with the rule's arrays: a kind row is a member at level m, from
+    its first level on, when it equals its level value there and every
+    row its groups read is clearly apart at each level below m where it
+    is compared.  These are sigma_membership's verdicts, every kind of
+    every point at once.  A point's outcome is its own: validate_params's
+    exception first, then its table's.
+    """
+    outcomes: list = []
+    for _, run in groupby(points, key=attrgetter("tol")):
+        run = list(run)
+        for lo in range(0, len(run), _BLOCK):
+            outcomes += _classify_block(run[lo : lo + _BLOCK], n_max)
+    return outcomes
+
+
+def _classify_block(points: list[Params], n_max: int) -> list:
+    invalid = validation_errors(points)
+    t = _Table(points, n_max)
+    member = t.eq.copy()
+    member[:, :, 0] &= _AT_0
+    hits: list = [[] for _ in points]
+    if member.any():
+        if not t.apart[:, :, :-1].all():
+            # blocked[i, row, m]: the row is close at some level below m
+            blocked = np.zeros_like(member)
+            np.logical_or.accumulate(t.close(), axis=2, out=blocked[:, :, 1:])
+            member &= (_NEEDS @ blocked) == 0
+        cells = _grid_roots(n_max)
+        # by point, then by level and row: enumeration order
+        for i, m, row in zip(*(a.tolist() for a in member.transpose(0, 2, 1).nonzero())):
+            hits[i].append(cells[m * _N_ROWS + row])
+    return [
+        error if error is not None else failed if failed is not None else found
+        for error, failed, found in zip(invalid, t.errors, hits)
+    ]
+
+
 def classify_params(p: Params, n_max: int) -> list[tuple[RootKind, RootVector]]:
     """All strict real roots up to level n_max whose stratum contains p,
-    in enumeration order.
-
-    Reads the member mask off the table's one comparison pass with the
-    rule's arrays: a kind row is a member at level m, from its first
-    level on, when it equals its level value there and every row its
-    groups read is clearly apart at each level below m where it is
-    compared.  These are sigma_membership's verdicts, every kind at once.
-    """
-    validate_params(p)
-    t = _Table(p, n_max)
-    member = t.eq.copy()
-    member[:, 0] &= _AT_0
-    if member.any() and not t.apart[:, :-1].all():
-        # blocked[row, m]: the row is close at some level below m
-        blocked = np.zeros_like(member)
-        np.logical_or.accumulate(t.close(), axis=1, out=blocked[:, 1:])
-        member &= (_NEEDS @ blocked) == 0
-    cells = _grid_roots(n_max)
-    return [cells[i] for i in np.flatnonzero(member.T).tolist()]
+    in enumeration order: classify_points's block of the one point,
+    raising its exception."""
+    (outcome,) = _classify_block([p], n_max)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def verdict_to_json(v: StratumVerdict) -> dict:
@@ -273,7 +346,7 @@ def sample_generic_params(
             tol=tol,
         )
         # every row clearly apart at every level, t^2 from -q^0 too
-        if _Table(p, 6).apart.all():
+        if _Table([p], 6).apart.all():
             return p
     raise RuntimeError("failed to sample generic parameters")
 

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -379,9 +380,12 @@ FAN_OUT = ["scan", "--count", "12", "--seed", "5", "--n-max", "2", "--format", "
 
 
 def _failing_at(idx: int, fail):
-    """cli._scan_worker, but calling fail(job) at index idx."""
-    worker = cli._scan_worker
-    return lambda job: fail(job) if job[0] == idx else worker(job)
+    """cli._scan_share, but calling fail(idx) on the share that holds
+    index idx."""
+    scan_share = cli._scan_share
+    return lambda share, n_max: (
+        fail(idx) if any(job[0] == idx for job in share) else scan_share(share, n_max)
+    )
 
 
 def _raise(exc):
@@ -390,15 +394,15 @@ def _raise(exc):
 
 def test_a_child_exception_reaches_the_parent_with_its_type(capsys, monkeypatch):
     # a refused type gives the same exit code and report as at --jobs 1
-    monkeypatch.setattr(cli, "_scan_worker", _failing_at(9, lambda job: _raise(
-        OverflowError(f"complex exponentiation at {job[0]}"))))
+    monkeypatch.setattr(cli, "_scan_share", _failing_at(9, lambda idx: _raise(
+        OverflowError(f"complex exponentiation at {idx}"))))
     serial = run_cli(capsys, [*FAN_OUT, "--jobs", "1"])
     assert serial[0] == 2
     with _deadline():
         assert run_cli(capsys, [*FAN_OUT, "--jobs", "2"]) == serial
     assert multiprocessing.active_children() == []
     # any other type escapes cli.main as it would at --jobs 1
-    monkeypatch.setattr(cli, "_scan_worker", _failing_at(9, lambda job: _raise(
+    monkeypatch.setattr(cli, "_scan_share", _failing_at(9, lambda idx: _raise(
         KeyError(os.getpid()))))
     with _deadline(), pytest.raises(KeyError) as exc:
         main([*FAN_OUT, "--jobs", "2"])
@@ -408,7 +412,7 @@ def test_a_child_exception_reaches_the_parent_with_its_type(capsys, monkeypatch)
 
 def test_a_child_that_exits_without_its_rows_fails_the_scan(monkeypatch):
     parent = os.getpid()
-    monkeypatch.setattr(cli, "_scan_worker", _failing_at(9, lambda job: os._exit(3) if (
+    monkeypatch.setattr(cli, "_scan_share", _failing_at(9, lambda idx: os._exit(3) if (
         os.getpid() != parent) else _raise(AssertionError("index 9 scanned in the parent"))))
     with _deadline(), pytest.raises(RuntimeError, match="exited without its rows"):
         main([*FAN_OUT, "--jobs", "2"])
@@ -418,15 +422,30 @@ def test_a_child_that_exits_without_its_rows_fails_the_scan(monkeypatch):
 def test_an_exception_in_this_processs_share_stops_the_children(monkeypatch):
     parent = os.getpid()
 
-    def worker(job):
+    def scan_share(share, n_max):
         if os.getpid() == parent:
-            raise KeyError(job[0])
+            raise KeyError(share[0][0])
         time.sleep(600)  # a child at work: joined without a stop, it would hang the scan
 
-    monkeypatch.setattr(cli, "_scan_worker", worker)
+    monkeypatch.setattr(cli, "_scan_share", scan_share)
     with _deadline(), pytest.raises(KeyError):
         main([*FAN_OUT, "--jobs", "2"])
     assert multiprocessing.active_children() == []
+
+
+def test_every_attribute_the_bench_tracer_wraps_resolves():
+    # a traced bench run patches these (module, attribute) pairs, and
+    # fails with AttributeError on one that a refactor removed
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    sites = [(name, mod, attr) for name, pairs in (*tracing.SPANS, *tracing.COUNTS)
+             for mod, attr in pairs]
+    assert len(sites) >= 30
+    for name, mod, attr in sites:
+        assert callable(getattr(mod, attr, None)), (name, mod.__name__, attr)
 
 
 def test_scan_error_rows_are_the_same_from_parent_and_child(capsys, monkeypatch, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from daha_cc1 import core
 from daha_cc1.core import (
     DEFAULT_TOL,
     ROOTS_BOUND,
@@ -213,6 +214,39 @@ def test_validate_params_refuses_a_q_that_overflows(q_half):
         validate_params(p)
     with pytest.raises(OverflowError):
         classify_params(p, 20)
+
+
+def _loop_powers(q: complex) -> list[complex]:
+    """The guard's powers as a loop: q^1, q^2, ... by repeated
+    multiplication, up to the first non-finite one."""
+    powers, power = [], 1 + 0j
+    for _ in range(ROOTS_BOUND):
+        power = power * q
+        if not cmath.isfinite(power):
+            break
+        powers.append(power)
+    return powers
+
+
+def test_the_guards_accumulated_powers_are_the_loops_to_the_bit():
+    rng = np.random.default_rng(64)
+    # |q|^64 at the end of the float range, and |q|^40 there
+    edge = 1.7976931348623157e308 ** (1 / ROOTS_BOUND)
+    moduli = (0.3, 1 - 1e-7, 1.0, 1 + 1e-7, 3.0, edge * (1 - 1e-9), edge * (1 + 1e-9),
+              edge ** (ROOTS_BOUND / 40))
+    qs = [cmath.rect(mod, rng.uniform(0, 2 * math.pi)) for mod in moduli for _ in range(40)]
+    powers, finite = core._unit_powers(np.array(qs)[:, None])
+    prefixes = set()
+    for q, row, ok in zip(qs, powers, finite):
+        want = _loop_powers(q)
+        prefixes.add(len(want))
+        assert ok.tolist() == [True] * len(want) + [False] * (ROOTS_BOUND - len(want)), q
+        assert row[: len(want)].tobytes() == np.array(want, dtype=complex).tobytes(), q
+        # one point alone: the same bits
+        alone = core._unit_powers(np.array([[q]]))[0][0]
+        assert alone[: len(want)].tobytes() == row[: len(want)].tobytes(), q
+    # rows end at the bound and before it
+    assert {ROOTS_BOUND, 40} <= prefixes
 
 
 def _threshold_steps(a: complex, margin: float, part: str) -> list[complex]:

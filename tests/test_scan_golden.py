@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from daha_cc1 import cli
+from daha_cc1 import cli, strata
 from daha_cc1.roots import Imaginary, Type2, enumerate_strict_roots
 from daha_cc1.strata import one_leg, random_unit
 
@@ -66,6 +66,19 @@ def test_scan_csv_matches_golden_digests():
 
 
 def test_scan_csv_of_planted_points_matches_golden_digests():
+    _check(PLANTED_GOLDEN, PLANTED_SCANS)
+
+
+def test_planted_scan_is_the_same_with_a_block_boundary_between_multi_stratum_rows(monkeypatch):
+    # the first two neighbouring rows that each hit two strata or more
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([os.path.join(DATA, a) if a == PLANTED_POINTS else a
+                         for a in PLANTED_SCANS[0]]) == 0
+    strata_hit = [line.split(",", 6)[6].count("[") for line in out.getvalue().splitlines()[1:]]
+    row = next(i for i in range(len(strata_hit) - 1) if min(strata_hit[i : i + 2]) >= 2)
+    # a jobs-1 scan classifies its one share in blocks; the first ends at row
+    monkeypatch.setattr(strata, "_BLOCK", row + 1)
     _check(PLANTED_GOLDEN, PLANTED_SCANS)
 
 

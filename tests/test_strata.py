@@ -137,7 +137,19 @@ def test_a_kind_below_its_first_level_is_refused(kind):
     with pytest.raises(NonPositiveEntryError):
         sigma_membership(p, kind)
     with pytest.raises(NonPositiveEntryError):
-        sigma_membership(p, kind, table=_Table(p, 3))
+        sigma_membership(p, kind, table=_Table([p], 3))
+
+
+@pytest.mark.parametrize(
+    "kind", [Type1E(i=2, eps=1, n=1), Type2(2, 1, 1, 1, 0), Type1E(0, 3, 1), Type1F(2, 1, 1)]
+)
+def test_a_kind_whose_fields_name_no_root_is_refused(kind):
+    # there is no leg e_2 or f_2, and a sign is +-1
+    p = Params(k0=1j, k1=0.7 + 0.2j, u0=1.3 - 0.4j, u1=0.9 + 0.5j, q_half=1.3 + 0.2j)
+    with pytest.raises(ValueError, match="names no root"):
+        sigma_membership(p, kind)
+    with pytest.raises(ValueError, match="names no root"):
+        sigma_membership(p, kind, table=_Table([p], 3))
 
 
 def test_stratum_sampler_hits_every_type2_sign(rng):
@@ -366,25 +378,28 @@ def _assert_matches_oracle(p, single_kind_levels):
     shared = [(k, _as_pair(v)) for k, _, v in stratum_verdicts(p, N_ORACLE)]
     assert shared == [(k, _as_pair(oracle[k])) for k in _REAL_KINDS]
     # one table queried from the top level down
-    table = _Table(p, N_ORACLE)
+    table = _Table([p], N_ORACLE)
     for k in reversed(_REAL_KINDS):
         assert _as_pair(sigma_membership(p, k, table=table)) == _as_pair(oracle[k]), k
     # every compared value is the per-kind expression, to the last bit
+    values, product_rhs, neg_q_powers = (
+        a[0].tolist() for a in (table.values, table.product_rhs, table.neg_q_powers)
+    )
     q = p.q
     for m in range(N_ORACLE + 1):
-        assert table.product_rhs[m] == p.q_half ** (-1 - 2 * m)
-        assert table.neg_q_powers[m] == -(q**m)
+        assert product_rhs[m] == p.q_half ** (-1 - 2 * m)
+        assert neg_q_powers[m] == -(q**m)
     for signs in product((1, -1), repeat=4):
-        assert table.values[strata._ROW[signs]] == signed_product(p, signs)
+        assert values[strata._ROW[signs]] == signed_product(p, signs)
     for name in _T_NAMES:
         for s in (1, -1):
-            assert table.values[strata._ROW[name, s]] == getattr(p, name) ** (2 * s)
+            assert values[strata._ROW[name, s]] == getattr(p, name) ** (2 * s)
     # and every cell of the grid that the rule reads is the scalar verdict
-    levels = {"products": table.product_rhs, "t": table.neg_q_powers}
-    for row, value in enumerate(table.values):
+    levels = {"products": product_rhs, "t": neg_q_powers}
+    for row, value in enumerate(values):
         level_values = levels["products" if row < 16 else "t"]
-        assert table.eq[row].tolist() == [approx_eq(value, b, p.tol) for b in level_values]
-        assert table.apart[row].tolist() == [
+        assert table.eq[0, row].tolist() == [approx_eq(value, b, p.tol) for b in level_values]
+        assert table.apart[0, row].tolist() == [
             _per_kind_clearly_apart(value, b, p.tol) for b in level_values
         ]
     for k in _REAL_KINDS:
@@ -424,7 +439,7 @@ def test_the_rule_names_every_condition_of_every_kind(monkeypatch, generic_param
         shape = np.broadcast_shapes(np.shape(a), np.shape(b))
         return np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
 
-    monkeypatch.setattr(strata, "compare_arrays", undecided)
+    monkeypatch.setattr(core, "compare_arrays", undecided)
     monkeypatch.setitem(globals(), "approx_eq", lambda a, b, tol: False)
     monkeypatch.setitem(globals(), "_per_kind_clearly_apart", lambda a, b, tol: False)
     p = generic_params
@@ -652,3 +667,43 @@ def test_member_mask_matches_the_per_kind_verdicts():
     assert {o for o in outcomes if isinstance(o, type)} >= {
         core.ZeroParameterError, core.RootOfUnityError, OverflowError
     }
+
+
+# -- batch independence: a point's outcome is its own ----------------------
+#
+# classify_points compares the points of a block in one pass; each
+# point's hits, or the type of its exception, must be classify_params's
+# at that point alone, whatever the points beside it.  Two more points
+# raise in a comparison pass: a signed product whose modulus overflows
+# from finite parts (the table's), and a q whose modulus does (the
+# root-of-unity guard's).
+
+
+def _compare_overflow_points():
+    big = 1.1e102
+    return [
+        Params(k0=big, k1=big, u0=big, u1=100 + 100j, q_half=1.3 + 0.2j),
+        Params(k0=2, k1=3, u0=5, u1=7, q_half=cmath.sqrt(complex(1.3e308, 1.3e308))),
+    ]
+
+
+def _batched(pts, size, n_max):
+    outcomes = [o for lo in range(0, len(pts), size)
+                for o in strata.classify_points(pts[lo : lo + size], n_max)]
+    return [type(o) if isinstance(o, Exception) else o for o in outcomes]
+
+
+def test_a_points_outcome_does_not_depend_on_its_batch():
+    pts = _cross_check_points(1717, scale=2) + _compare_overflow_points()
+    pts = [pts[i] for i in np.random.default_rng(1717).permutation(len(pts))]
+    for n_max in (0, 6, N_ORACLE):
+        alone = [_outcome(lambda: classify_params(p, n_max)) for p in pts]
+        for size in (1, 7, 16, len(pts)):
+            assert _batched(pts, size, n_max) == alone, (n_max, size)
+    # every refusal type is reached
+    assert {o for o in alone if isinstance(o, type)} >= {
+        core.ZeroParameterError, core.RootOfUnityError, OverflowError, ZeroDivisionError
+    }
+    for p in _compare_overflow_points():
+        with pytest.raises(OverflowError):
+            classify_params(p, N_ORACLE)
