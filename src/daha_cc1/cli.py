@@ -102,7 +102,7 @@ _FORK = multiprocessing.get_context("fork")
 
 @dataclass
 class RunConfig:
-    params: Optional[Params]
+    params: Optional[Params] = None
     n_max: int = 6
     fmt: str = "json"
     jobs: int = 1
@@ -127,42 +127,37 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    file_vals: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_vals = _read_config_file(args.config)
-
-    def pick(key: str, flag_val):
-        return flag_val if flag_val is not None else file_vals.get(key)
-
-    scalars = {}
-    for key in _PARAM_KEYS:
-        v = pick(key, getattr(args, key, None))
-        scalars[key] = parse_scalar(v) if isinstance(v, str) else v
-    eq_tol = pick("tol", getattr(args, "tol", None))
-    tol = Tolerance(eq_tol=float(eq_tol)) if eq_tol is not None else DEFAULT_TOL
-    n_max = pick("n_max", getattr(args, "n_max", None))
-    n_max = int(n_max) if n_max is not None else 6
-    if n_max > 20:
-        raise ValueError("n_max must be <= 20")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    fmt = pick("format", getattr(args, "format", None)) or "json"
-    if fmt not in ("json", "csv", "text"):
-        raise ValueError(f"unknown output format {fmt!r}")
-    jobs = pick("jobs", getattr(args, "jobs", None))
-    jobs = int(jobs) if jobs is not None else 1
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    seed = pick("seed", getattr(args, "seed", None))
-    seed = int(seed) if seed is not None else 0
-
-    params = None
-    if all(scalars[k] is not None for k in _PARAM_KEYS):
-        params = Params(tol=tol, **scalars)
-    elif any(scalars[k] is not None for k in _PARAM_KEYS):
-        missing = [k for k in _PARAM_KEYS if scalars[k] is None]
-        raise ValueError(f"missing parameters: {', '.join(missing)}")
-    return RunConfig(params=params, n_max=n_max, fmt=fmt, jobs=jobs, seed=seed, tol=tol)
+    """The run's settings: each flag's text, or else its config file
+    value, converted one way whichever it came from; a setting given
+    neither way keeps RunConfig's default."""
+    text = _read_config_file(args.config) if args.config else {}
+    text.update((k, v) for k in _CONFIG_KEYS if (v := getattr(args, k)) is not None)
+    scalars = {k: parse_scalar(text[k]) for k in _PARAM_KEYS if k in text}
+    cfg = RunConfig()
+    if "tol" in text:
+        cfg.tol = Tolerance(eq_tol=float(text["tol"]))
+    if "n_max" in text:
+        cfg.n_max = int(text["n_max"])
+        if cfg.n_max > 20:
+            raise ValueError("n_max must be <= 20")
+        if cfg.n_max < 0:
+            raise ValueError("n_max must be >= 0")
+    if "format" in text:
+        cfg.fmt = text["format"]
+        if cfg.fmt not in ("json", "csv", "text"):
+            raise ValueError(f"unknown output format {cfg.fmt!r}")
+    if "jobs" in text:
+        cfg.jobs = int(text["jobs"])
+        if cfg.jobs < 1:
+            raise ValueError("jobs must be >= 1")
+    if "seed" in text:
+        cfg.seed = int(text["seed"])
+    if scalars:
+        missing = [k for k in _PARAM_KEYS if k not in scalars]
+        if missing:
+            raise ValueError(f"missing parameters: {', '.join(missing)}")
+        cfg.params = Params(tol=cfg.tol, **scalars)
+    return cfg
 
 
 def _params_json(p: Optional[Params]) -> Optional[dict]:
@@ -371,12 +366,11 @@ def cmd_spectrum(cfg: RunConfig, kind_str: str) -> tuple[dict, int]:
 
 
 def _scan_point(job: tuple) -> Params:
-    """A job's point.  Each index derives its own RNG stream, so points
+    """The point of a job (idx, seed, tol, values): its five parsed
+    values, or else a draw from the index's own RNG stream, so points
     are independent of how jobs are shared out between processes."""
-    idx, seed, tol, explicit = job
-    if explicit is not None:
-        values = [complex(re, im) for re, im in explicit]
-    else:
+    idx, seed, tol, values = job
+    if values is None:
         rng = np.random.default_rng([seed, idx])
         # k0, k1, u0, u1, then q_half, in draw order
         values = [*(random_unit(rng) for _ in range(4)), random_q_half(rng)]
@@ -447,36 +441,38 @@ def _scan_shares(jobs: list, n_max: int, procs: int) -> list[tuple[int, dict]]:
             recv.close()
 
 
-def _load_points_file(path: str) -> list[tuple]:
+def _load_points_file(path: str) -> list[tuple[complex, ...]]:
     points = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for n, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            vals = [parse_scalar(x) for x in line.split(",")]
-            if len(vals) != 5:
-                raise ValueError(f"point line needs 5 values: {line!r}")
-            points.append(tuple((v.real, v.imag) for v in vals))
+            try:
+                values = tuple(map(parse_scalar, line.split(",")))
+            except ValueError as exc:
+                raise ValueError(f"points file line {n}: {exc}") from None
+            if len(values) != 5:
+                raise ValueError(f"points file line {n}: a point needs 5 values: {line!r}")
+            points.append(values)
     return points
 
 
 def cmd_scan(
-    cfg: RunConfig, count: Optional[int], points_file: Optional[str]
+    cfg: RunConfig, count: Optional[str], points_file: Optional[str]
 ) -> tuple[dict, int]:
     if points_file is not None:
-        explicit = _load_points_file(points_file)
-        jobs = [(i, cfg.seed, cfg.tol, pt) for i, pt in enumerate(explicit)]
+        if count is not None:
+            raise ValueError("scan takes --count or --points-file, not both")
+        jobs = [(i, cfg.seed, cfg.tol, pt) for i, pt in enumerate(_load_points_file(points_file))]
     elif count is not None:
-        if count < 1:
+        n = int(count)
+        if n < 1:
             raise ValueError("count must be >= 1")
-        jobs = [(i, cfg.seed, cfg.tol, None) for i in range(count)]
+        jobs = [(i, cfg.seed, cfg.tol, None) for i in range(n)]
     else:
         p = _require_params(cfg)
-        pt = tuple(
-            (getattr(p, k).real, getattr(p, k).imag) for k in _PARAM_KEYS
-        )
-        jobs = [(0, cfg.seed, cfg.tol, pt)]
+        jobs = [(0, cfg.seed, cfg.tol, tuple(getattr(p, k) for k in _PARAM_KEYS))]
 
     procs = max(1, min(cfg.jobs, -(-len(jobs) // _SCAN_CHUNK)))  # an empty file has 0 chunks
     rows = dict(_scan_shares(jobs, cfg.n_max, procs))
@@ -623,11 +619,11 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     for key in _PARAM_KEYS:
         flag = "--" + key.replace("_", "-")
         sub.add_argument(flag, dest=key, help=f"{key} as an a+bi literal")
-    sub.add_argument("--n-max", dest="n_max", type=int)
-    sub.add_argument("--tol", type=float, help="the one comparison tolerance")
-    sub.add_argument("--format", choices=("json", "csv", "text"))
-    sub.add_argument("--jobs", type=int)
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--n-max", dest="n_max")
+    sub.add_argument("--tol", help="the one comparison tolerance")
+    sub.add_argument("--format", help="json, csv or text")
+    sub.add_argument("--jobs")
+    sub.add_argument("--seed")
 
 
 @lru_cache(maxsize=1)
@@ -658,7 +654,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("scan", help="sweep parameter points")
     _add_common(sp)
-    sp.add_argument("--count", type=int, help="number of random points")
+    sp.add_argument("--count", help="number of random points")
     sp.add_argument("--points-file", help="CSV of explicit points")
     sp.set_defaults(
         run=lambda cfg, a: cmd_scan(cfg, a.count, a.points_file), to_csv=_scan_csv

@@ -269,35 +269,23 @@ def validate_params(p: Params) -> None:
         raise error
 
 
-_NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_FULL_RE = re.compile(rf"^(?P<re>{_NUM})(?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i$")
-_IMAG_RE = re.compile(rf"^(?P<im>[+-]?(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i$")
-_REAL_RE = re.compile(rf"^{_NUM}$")
-
-
-def _imag_value(text: str) -> float:
-    if text in ("", "+"):
-        return 1.0
-    if text == "-":
-        return -1.0
-    return float(text)
+# an "a+bi" literal: a real part, an imaginary part ending in i, or the
+# two; an imaginary part with no digits is a unit ("i", "1-i")
+_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_LITERAL = re.compile(rf"[+-]?(?:{_NUM}(?:[+-](?:{_NUM})?)?)?i|[+-]?{_NUM}")
 
 
 def parse_scalar(text: str) -> complex:
     """Parse an "a+bi" / "a-bi" complex literal; pure reals and pure
-    imaginaries ("2", "-1.5i") are accepted."""
+    imaginaries ("2", "-1.5i") are accepted.  Each part rounds as
+    float() rounds it."""
     s = text.strip().replace(" ", "")
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
-    if _REAL_RE.match(s):
-        return complex(float(s), 0.0)
-    m = _FULL_RE.match(s)
-    if m:
-        return complex(float(m.group("re")), _imag_value(m.group("im")))
-    m = _IMAG_RE.match(s)
-    if m:
-        return complex(0.0, _imag_value(m.group("im")))
-    raise ValueError(f"cannot parse complex literal {text!r}")
+    if not _LITERAL.fullmatch(s):
+        raise ValueError(f"cannot parse complex literal {text!r}")
+    # complex() reads a bare "j" as 1j, as the grammar reads a bare "i"
+    return complex(s.replace("i", "j"))
 
 
 def format_scalar(z: complex, digits: int = 12) -> str:

@@ -6,13 +6,47 @@ kept to cross-check it in any basis: the normalized spectral-norm
 relation residuals from one batched SVD, rank by singular values, and
 the commutant as the nullity of the Sylvester system.  The library pairs
 the roots by their ladder symbols; the float matcher it replaced is kept
-here too, to cross-check that pairing.
+here too, to cross-check that pairing.  So is the three-regex literal
+parser that core.parse_scalar's one grammar replaced.
 """
+
+import re
 
 import numpy as np
 
 from daha_cc1.core import Params
 from daha_cc1.rep import DegenerateLadderError, RankIndeterminateError, Rep
+
+_NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_FULL_RE = re.compile(rf"^(?P<re>{_NUM})(?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i$")
+_IMAG_RE = re.compile(rf"^(?P<im>[+-]?(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i$")
+_REAL_RE = re.compile(rf"^{_NUM}$")
+
+
+def _imag_value(text: str) -> float:
+    if text in ("", "+"):
+        return 1.0
+    if text == "-":
+        return -1.0
+    return float(text)
+
+
+def regex_parse_scalar(text: str) -> complex:
+    """The literal parser core.parse_scalar replaced: a real, then an
+    "a+bi", then an imaginary match, each part through float()."""
+    s = text.strip().replace(" ", "")
+    if s.startswith("(") and s.endswith(")"):
+        s = s[1:-1]
+    if _REAL_RE.match(s):
+        return complex(float(s), 0.0)
+    m = _FULL_RE.match(s)
+    if m:
+        return complex(float(m.group("re")), _imag_value(m.group("im")))
+    m = _IMAG_RE.match(s)
+    if m:
+        return complex(0.0, _imag_value(m.group("im")))
+    raise ValueError(f"cannot parse complex literal {text!r}")
+
 
 # s(r) is the root r' when |s(r) - r'| <= ROOT_MATCH_RTOL * |s(r)|; the
 # roots must be ten times further apart, so the match is unique

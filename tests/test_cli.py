@@ -952,3 +952,87 @@ def test_jobs_zero_in_a_config_file_is_input_error(capsys, tmp_path):
     code, out = run_cli(capsys, ["scan", "--count", "3", "--config", str(cfg)])
     assert code == 2
     assert json.loads(out)["results"] == {"error": "jobs must be >= 1"}
+
+
+def _flag_and_config_runs(capsys, tmp_path, argv, key, value):
+    """(code, stdout, stderr) of argv with the setting key given as a flag
+    and as a config file line."""
+    runs = []
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    flag = "--" + key.replace("_", "-")
+    for extra in ([f"{flag}={value}"], ["--config", str(cfg)]):
+        code = main([*argv, *extra])
+        captured = capsys.readouterr()
+        runs.append((code, captured.out, captured.err))
+    return runs
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_max", "abc"), ("n_max", "21"), ("n_max", "-1"), ("n_max", "2.5"),
+    ("tol", "x"), ("tol", "0"), ("tol", "1"), ("tol", "nan"),
+    ("format", "xml"), ("format", "JSON"), ("format", ""),
+    ("jobs", "x"), ("jobs", "0"), ("jobs", "1.0"),
+    ("seed", "x"), ("seed", "1e3"),
+])
+def test_a_bad_setting_is_the_same_input_error_as_a_flag_and_in_a_config_file(
+        capsys, tmp_path, key, value):
+    flag, config = _flag_and_config_runs(capsys, tmp_path, ["classify", *ONE_DIM], key, value)
+    assert flag == config
+    code, out, err = flag
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert report["exit_code"] == 2 and report["params"] is None
+    assert set(report["results"]) == {"error"}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_max", " 3"), ("n_max", "+0"), ("tol", "1e-7"), ("tol", "2.5E-10"),
+    ("format", "csv"), ("format", "text"), ("jobs", "2"), ("seed", "1_0"),
+])
+def test_a_good_setting_reads_the_same_as_a_flag_and_in_a_config_file(
+        capsys, tmp_path, key, value):
+    flag, config = _flag_and_config_runs(capsys, tmp_path, ["scan", "--count", "2"], key, value)
+    assert flag == config
+    assert (flag[0], flag[2]) == (0, "")
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("2,3,5,7,2\n# a comment\n\n2,3,1+e5i,7,2\n", 4,
+     "cannot parse complex literal '1+e5i'"),
+    ("2,3,5,7,2\n2,3,5,7\n", 2, "a point needs 5 values: '2,3,5,7'"),
+    ("2,3,5,7,2,1\n", 1, "a point needs 5 values: '2,3,5,7,2,1'"),
+])
+def test_a_bad_points_file_line_is_named(capsys, tmp_path, text, line, message):
+    pts = tmp_path / "points.csv"
+    pts.write_text(text)
+    code = main(["scan", "--points-file", str(pts)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    report = json.loads(captured.out)
+    assert report["exit_code"] == 2
+    assert report["results"] == {"error": f"ValueError: points file line {line}: {message}"}
+
+
+def test_scan_refuses_count_with_a_points_file(capsys, tmp_path):
+    # --count was ignored beside a points file
+    pts = tmp_path / "points.csv"
+    pts.write_text("2,3,5,7,2\n")
+    code = main(["scan", "--count", "3", "--points-file", str(pts)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    assert json.loads(captured.out)["results"] == {
+        "error": "ValueError: scan takes --count or --points-file, not both"
+    }
+
+
+@pytest.mark.parametrize("count,error", [
+    ("x", "ValueError: invalid literal for int() with base 10: 'x'"),
+    ("2.0", "ValueError: invalid literal for int() with base 10: '2.0'"),
+    ("0", "ValueError: count must be >= 1"),
+])
+def test_a_bad_count_is_input_error(capsys, count, error):
+    code = main(["scan", "--count", count])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    assert json.loads(captured.out)["results"] == {"error": error}

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from daha_cc1.core import (
     validate_params,
 )
 from daha_cc1.strata import classify_params
+from oracles import regex_parse_scalar
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -343,8 +345,78 @@ def test_parse_scalar_rejects_garbage(bad):
         parse_scalar(bad)
 
 
-@given(complexes)
+@given(st.builds(complex, st.floats(allow_nan=False, allow_infinity=False),
+                 st.floats(allow_nan=False, allow_infinity=False)))
 @settings(max_examples=200)
 def test_scalar_round_trip(z):
-    back = parse_scalar(format_scalar(z, digits=17))
-    assert abs(back - z) <= 1e-12 * max(1.0, abs(z))
+    # 17 significant digits name every finite double
+    assert parse_scalar(format_scalar(z, digits=17)) == z
+
+
+def _parsed(parse, text):
+    """parse(text) as the hex of both parts, or None when it refuses."""
+    try:
+        z = parse(text)
+    except ValueError:
+        return None
+    return z.real.hex(), z.imag.hex()
+
+
+# literals at the edges of the grammar: unit imaginaries, signed zeros,
+# overflow and subnormal exponents, and spellings that must be refused
+_EDGE_LITERALS = [
+    "i", "-i", "+i", "1+i", "1-i", "-2.5-i", "0", "-0", "+0", "-0i", "0-0i", "-0-0i",
+    "-0+0i", "1e400", "-1e400", "1e400i", "-1e400-1e400i", "1e-320", "-1e-320i",
+    "2.5e-320+1e-320i", "1e308", "1.7976931348623157e308", "5.", ".5", "5.i", ".5i",
+    "1E+5i", "1e5+1e-5i", "(1+2i)", " ( 1 + 2 i ) ", "(-i)", "\t7 ", "1\u0661",
+    "\u0661+\u0662i", "1+e5i", "e5i", "1e5", "1+2e+5i", "j", "1j", "1+2j", "nan",
+    "inf", "-inf", "infi", "nani", "1_0", "1+1_0i", "((1))", "(1", "1)", "", " ", "()",
+    "i i", "ii", "1i+2", "++1i", "+-1", "1+-2i", ".", ".i", "e5", "1e", "1e+i", "+",
+    "-", "1+", "1+2", "0x10", "1..2", "I", "1+2I",
+]
+_PIECES = ["", "0", "00", "1", "7", "12", "1.", "3.25", ".5", "0.0", "123456789012345678901"]
+_EXPONENTS = ["", "", "e5", "E-3", "e+2", "e400", "e-320", "e-400", "E308", "e-324", "e"]
+_NOISE = "ij_+-.eE() 0nanf"
+
+
+def _random_literal(rng):
+    """A literal in or near the grammar: an optional signed real part, an
+    optional signed imaginary part (digits optional), some noise, inner
+    spaces and parentheses."""
+    def number():
+        return rng.choice(["", "+", "-"]) + rng.choice(_PIECES) + rng.choice(_EXPONENTS)
+
+    shape = rng.randrange(3)
+    text = number() if shape != 1 else ""
+    if shape:
+        text += rng.choice(["+", "-"] if shape == 2 else ["", "+", "-"])
+        text += (rng.choice(_PIECES) + rng.choice(_EXPONENTS)) * rng.randrange(2) + "i"
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(_NOISE) + text[at + rng.randrange(2):]
+    if rng.random() < 0.2:
+        text = f"({text})"
+    if rng.random() < 0.2:
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + " " + text[at:]
+    return text
+
+
+def test_parse_scalar_is_the_three_regex_parser_to_the_bit():
+    # the same accept or refuse, and the same doubles, signed zeros and
+    # infinities included, as the parser the one grammar replaced
+    rng = random.Random(1818)
+    texts = _EDGE_LITERALS + [_random_literal(rng) for _ in range(40_000)]
+    outcomes = [(_parsed(parse_scalar, t), _parsed(regex_parse_scalar, t)) for t in texts]
+    assert [t for t, (new, old) in zip(texts, outcomes) if new != old] == []
+    accepted = sum(new is not None for new, _ in outcomes)
+    assert 0.3 * len(texts) < accepted < 0.7 * len(texts)  # both sides are exercised
+    assert _parsed(parse_scalar, "-0-0i") == ("-0x0.0p+0", "-0x0.0p+0")
+    assert _parsed(parse_scalar, "-i") == ("0x0.0p+0", "-0x1.0000000000000p+0")
+
+
+def test_parse_scalar_refuses_a_newline_inside_parentheses():
+    # the old anchors let "$" match before a final newline; fullmatch does not
+    assert regex_parse_scalar("(1+2i\n)") == 1 + 2j
+    with pytest.raises(ValueError, match="cannot parse complex literal"):
+        parse_scalar("(1+2i\n)")
