@@ -251,8 +251,8 @@ def _to_json(obj, indent: str = "\n") -> str:
     return _ENCODE(obj)
 
 
-def _emit(report: dict, fmt: str, out=None) -> None:
-    out = out if out is not None else sys.stdout
+def _emit(report: dict, fmt: str) -> None:
+    out = sys.stdout
     if fmt == "text":
         out.write(f"# {report['command']} (v{report['tool_version']})\n")
         out.write(_to_json(report["results"]))
@@ -365,49 +365,49 @@ def cmd_spectrum(cfg: RunConfig, kind_str: str) -> tuple[dict, int]:
 # -- scan ----------------------------------------------------------------
 
 
-def _scan_point(job: tuple) -> Params:
-    """The point of a job (idx, seed, tol, values): its five parsed
-    values, or else a draw from the index's own RNG stream, so points
-    are independent of how jobs are shared out between processes."""
-    idx, seed, tol, values = job
+def _scan_point(idx: int, values: Optional[tuple], cfg: RunConfig) -> Params:
+    """The point of job (idx, values): its five parsed values, or else a
+    draw from the index's own RNG stream, so points are independent of
+    how jobs are shared out between processes."""
     if values is None:
-        rng = np.random.default_rng([seed, idx])
+        rng = np.random.default_rng([cfg.seed, idx])
         # k0, k1, u0, u1, then q_half, in draw order
         values = [*(random_unit(rng) for _ in range(4)), random_q_half(rng)]
-    return Params(*values, tol=tol)
+    return Params(*values, tol=cfg.tol)
 
 
-def _scan_share(share: list, n_max: int) -> list[tuple[int, dict]]:
-    """The (idx, row) of a share of scan jobs: the points are classified
-    together, and each point's hits, or its refusal, are its own."""
-    points = [_scan_point(job) for job in share]
+def _scan_share(share: list, cfg: RunConfig) -> list[dict]:
+    """The rows of a share of scan jobs (idx, values): the points are
+    classified together, and each point's hits, or its refusal, are its
+    own."""
+    points = [_scan_point(idx, values, cfg) for idx, values in share]
     rows = []
-    for (idx, *_), p, outcome in zip(share, points, classify_points(points, n_max)):
+    for (idx, _), p, outcome in zip(share, points, classify_points(points, cfg.n_max)):
         if isinstance(outcome, Exception):
             hits = [f"error:{type(outcome).__name__}"]
         else:
             hits = [kind_to_str(k) for k, _ in outcome]
-        rows.append((idx, {
+        rows.append({
             "idx": idx,
             **{k: format_scalar(getattr(p, k)) for k in _PARAM_KEYS},
             "hits": hits,
-        }))
+        })
     return rows
 
 
-def _scan_child(share: list, n_max: int, send) -> None:
+def _scan_child(share: list, cfg: RunConfig, send) -> None:
     """A forked child's body: scan its share and send the rows, or the
     exception that stopped it, to the parent."""
     try:
-        send.send(_scan_share(share, n_max))
+        send.send(_scan_share(share, cfg))
     except Exception as exc:  # the parent re-raises it
         send.send(exc)
     finally:
         send.close()
 
 
-def _scan_shares(jobs: list, n_max: int, procs: int) -> list[tuple[int, dict]]:
-    """The (idx, row) of every job, from procs contiguous, balanced
+def _scan_shares(jobs: list, cfg: RunConfig, procs: int) -> list[dict]:
+    """The rows of every job, in order, from procs contiguous, balanced
     shares: this process scans the first and forks one child per other
     share.  A child's exception is raised here, as is a child's exit
     without its rows; every child is joined before this returns or
@@ -418,10 +418,10 @@ def _scan_shares(jobs: list, n_max: int, procs: int) -> list[tuple[int, dict]]:
         for lo, hi in zip(bounds[1:], bounds[2:]):
             recv, send = _FORK.Pipe(duplex=False)
             with send:  # closed here, so that the child's exit ends the pipe
-                child = _FORK.Process(target=_scan_child, args=(jobs[lo:hi], n_max, send))
+                child = _FORK.Process(target=_scan_child, args=(jobs[lo:hi], cfg, send))
                 child.start()
             children.append((child, recv))
-        rows = _scan_share(jobs[:bounds[1]], n_max)
+        rows = _scan_share(jobs[:bounds[1]], cfg)
         for child, recv in children:
             try:
                 share = recv.recv()
@@ -464,20 +464,19 @@ def cmd_scan(
     if points_file is not None:
         if count is not None:
             raise ValueError("scan takes --count or --points-file, not both")
-        jobs = [(i, cfg.seed, cfg.tol, pt) for i, pt in enumerate(_load_points_file(points_file))]
+        jobs = list(enumerate(_load_points_file(points_file)))
     elif count is not None:
         n = int(count)
         if n < 1:
             raise ValueError("count must be >= 1")
-        jobs = [(i, cfg.seed, cfg.tol, None) for i in range(n)]
+        jobs = [(i, None) for i in range(n)]
     else:
         p = _require_params(cfg)
-        jobs = [(0, cfg.seed, cfg.tol, tuple(getattr(p, k) for k in _PARAM_KEYS))]
+        jobs = [(0, tuple(getattr(p, k) for k in _PARAM_KEYS))]
 
     procs = max(1, min(cfg.jobs, -(-len(jobs) // _SCAN_CHUNK)))  # an empty file has 0 chunks
-    rows = dict(_scan_shares(jobs, cfg.n_max, procs))
-    ordered = [rows[i] for i in sorted(rows)]
-    results = {"rows": ordered, "n_points": len(ordered)}
+    rows = _scan_shares(jobs, cfg, procs)
+    results = {"rows": rows, "n_points": len(rows)}
     return _report("scan", cfg.params, results), EXIT_OK
 
 
@@ -515,9 +514,7 @@ def cmd_ds_check(cfg: RunConfig, rep_path: str) -> tuple[dict, int]:
 # -- selftest ------------------------------------------------------------
 
 
-def _selftest_properties(
-    cfg: RunConfig, flip_convention: bool = False
-) -> tuple[list[dict], dict]:
+def _selftest_properties(cfg: RunConfig) -> tuple[list[dict], dict]:
     rng = np.random.default_rng(cfg.seed)
     tol = cfg.tol
     checks: list[dict] = []
@@ -531,7 +528,7 @@ def _selftest_properties(
         p = sample_generic_params(rng, tol)
         worst, mats = 0.0, {}
         for side in ("P", "Pbar"):
-            mats.update(build_truncated_polyrep(side, SignVector(), 5, p, flip_convention))
+            mats.update(build_truncated_polyrep(side, SignVector(), 5, p))
         for g in GENERATORS:
             M, t = mats[g.name], getattr(p, g.t)
             eye = np.eye(M.shape[0])
@@ -560,7 +557,7 @@ def _selftest_properties(
     for kind in kinds:
         try:
             p = sample_stratum_params(kind, rng, tol)
-            r = build_quotient_rep(kind, None, p, flip_convention=flip_convention)
+            r = build_quotient_rep(kind, None, p)
             worst_rel = max(worst_rel, max(verify_relations(r, p).values()))
             if dim_vector(r, p).as_tuple() != tuple(root_of_kind(kind)):
                 ok, detail = False, f"dim vector mismatch at {kind_to_str(kind)}"
@@ -599,8 +596,8 @@ def _selftest_properties(
     return checks, residuals
 
 
-def cmd_selftest(cfg: RunConfig, flip_convention: bool) -> tuple[dict, int]:
-    checks, residuals = _selftest_properties(cfg, flip_convention)
+def cmd_selftest(cfg: RunConfig) -> tuple[dict, int]:
+    checks, residuals = _selftest_properties(cfg)
     failed = [c["name"] for c in checks if not c["passed"]]
     code = EXIT_OK if not failed else EXIT_PROPERTY
     results = {
@@ -672,17 +669,31 @@ def _make_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("selftest", help="run the property suite")
     _add_common(sp)
-    sp.add_argument(
-        "--debug-flip-convention",
-        action="store_true",
-        help=argparse.SUPPRESS,
-    )
-    sp.set_defaults(run=lambda cfg, a: cmd_selftest(cfg, a.debug_flip_convention))
+    sp.set_defaults(run=lambda cfg, a: cmd_selftest(cfg))
     return parser
 
 
+def _join_literals(argv: Sequence[str]) -> list[str]:
+    """argv with each setting's flag joined by "=" to a next token that
+    starts with "-" and reads as a literal, as "--k0=-1.5+2i": argparse
+    takes a separate "-1.5+2i", "-i" or "-1e-9" for an option."""
+    flags = {"--" + key.replace("_", "-") for key in _CONFIG_KEYS}
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in flags and token.startswith("-"):
+            try:
+                parse_scalar(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _make_parser().parse_args(argv)
+    args = _make_parser().parse_args(_join_literals(sys.argv[1:] if argv is None else argv))
     cfg = None
     try:
         cfg = _build_config(args)

@@ -110,12 +110,12 @@ FACTORS = tuple(GENERATORS[i] for i in (0, 2, 1, 3))
 
 def approx_eq(a: complex, b: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
     """a equals b: |a - b| <= eq_tol * max(|a|, |b|)."""
-    return abs(a - b) <= tol.eq_tol * max(abs(a), abs(b))
+    return decide(abs(a - b), max(abs(a), abs(b)), tol) is False
 
 
 def clearly_neq(a: complex, b: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
     """a is apart from b: |a - b| > ineq_margin * max(|a|, |b|)."""
-    return abs(a - b) > tol.ineq_margin * max(abs(a), abs(b))
+    return decide(abs(a - b), max(abs(a), abs(b)), tol) is True
 
 
 def decide(gap: float, scale: float, tol: Tolerance = DEFAULT_TOL) -> bool | None:
@@ -136,39 +136,48 @@ def worst(residuals: Collection[float]) -> float:
     return total if total != total else max(residuals)
 
 
-def _verdicts(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+@np.errstate(all="ignore")
+def compare_points(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """approx_eq and clearly_neq elementwise over the broadcast arrays a
+    and b, whose first axis is the point, in one pass with the scalar
+    functions' arithmetic, so each entry is the scalar verdict to the
+    bit; and over[i]: at point i a modulus overflows from finite parts,
+    where abs() raises OverflowError.  The verdicts of such a point read
+    False."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     # a modulus is the hypot of the parts, as abs() computes it: numpy's
-    # complex absolute can differ in the last bit
-    gap, abs_a, abs_b = (np.hypot(z.real, z.imag) for z in (a - b, a, b))
+    # complex absolute can differ in the last bit.  a - b is not kept:
+    # its memory, reused, keeps the pass fast
+    gap, abs_a, abs_b = moduli = [np.hypot(z.real, z.imag) for z in (a - b, a, b)]
     # max(|a|, |b|) as max() takes it: |b| only when larger, so a NaN |a| stays
     scale = np.where(abs_b > abs_a, abs_b, abs_a)
-    return gap <= tol.eq_tol * scale, gap > tol.ineq_margin * scale
-
-
-# the decorator form of errstate sets the error mode per call, without
-# building a context manager
-_verdicts_or_overflow = np.errstate(over="raise", invalid="ignore")(_verdicts)
-
-
-@np.errstate(all="ignore")
-def _verdicts_past_overflow(a: np.ndarray, b: np.ndarray, tol: Tolerance):
-    # of the steps that can overflow, the scalar functions raise only in abs()
-    for z in (a - b, a, b):
-        if (np.isinf(np.hypot(z.real, z.imag)) & np.isfinite(z)).any():
-            raise OverflowError("absolute value too large")
-    return _verdicts(a, b, tol)
+    eq, apart = gap <= tol.eq_tol * scale, gap > tol.ineq_margin * scale
+    over = np.zeros(len(eq), dtype=bool)
+    # where max(|a|, |b|) < 2^1022, |a - b| < 2^1023 is finite too: only
+    # a larger (or NaN) scale can go with an infinite modulus
+    if not scale.max(initial=0.0) < 2.0**1022:
+        for z, modulus in zip((a - b, a, b), moduli):
+            lost = np.broadcast_to(np.isinf(modulus) & np.isfinite(z), eq.shape)
+            over |= lost.reshape(len(eq), -1).any(axis=1)
+        eq[over] = apart[over] = False
+    return eq, apart, over
 
 
 def compare_arrays(a, b, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """approx_eq and clearly_neq elementwise over the broadcast arrays a
-    and b, with the scalar functions' arithmetic, so each entry is the
-    scalar verdict to the bit; like abs(), a modulus that overflows from
-    finite parts raises OverflowError."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    try:
-        return _verdicts_or_overflow(a, b, tol)
-    except FloatingPointError:
-        return _verdicts_past_overflow(a, b, tol)
+    and b: compare_points at one point.  Like abs(), a modulus that
+    overflows from finite parts raises OverflowError."""
+    eq, apart, over = compare_points(np.asarray(a)[None], np.asarray(b)[None], tol)
+    if over[0]:
+        raise OverflowError("absolute value too large")
+    return eq[0], apart[0]
+
+
+def overflow_errors(errors: list, over: np.ndarray) -> list:
+    """errors, with abs()'s OverflowError in each empty slot that over
+    marks."""
+    return [OverflowError("absolute value too large") if o and e is None else e
+            for e, o in zip(errors, over.tolist())]
 
 
 def match_q_power(
@@ -193,29 +202,6 @@ def match_q_power(
             f"exponents {matches} all match {x!r} within tolerance"
         )
     return matches[0] if matches else None
-
-
-def compare_points(a, b, tol: Tolerance, errors: list) -> tuple[np.ndarray, np.ndarray]:
-    """compare_arrays over arrays whose first axis is the point, in one
-    pass.  When the pass overflows, each point is compared alone, and a
-    point whose own comparison raises gets its OverflowError in errors,
-    where that holds None.  The verdicts of a point with an error in
-    errors read False."""
-    try:
-        eq, apart = compare_arrays(a, b, tol)
-    except OverflowError:
-        a, b = np.broadcast_arrays(a, b)
-        eq, apart = np.zeros(a.shape, dtype=bool), np.zeros(a.shape, dtype=bool)
-        for i, (ai, bi) in enumerate(zip(a, b)):
-            try:
-                eq[i], apart[i] = compare_arrays(ai, bi, tol)
-            except OverflowError as exc:
-                if errors[i] is None:
-                    errors[i] = exc
-    failed = [i for i, e in enumerate(errors) if e is not None]
-    if failed:
-        eq[failed] = apart[failed] = False
-    return eq, apart
 
 
 def _scalar_error(p: Params) -> ValueError | OverflowError | None:
@@ -247,8 +233,10 @@ def validation_errors(points: Sequence[Params]) -> list[ValueError | OverflowErr
     errors = [_scalar_error(p) for p in points]
     powers, finite = _unit_powers(np.array([[p.q if e is None else 0j]
                                             for p, e in zip(points, errors)]))
-    # past the prefix, a power reads equal to 1 or not, but never raises
-    unit = compare_points(powers, 1.0, points[0].tol, errors)[0] & finite
+    # past the prefix, a power reads equal to 1 or not, but is never over
+    eq, _, over = compare_points(powers, 1.0, points[0].tol)
+    errors = overflow_errors(errors, over)
+    unit = eq & finite
     # row by row, so a point's first match comes first
     for k in np.flatnonzero(unit).tolist():
         i, m = divmod(k, ROOTS_BOUND)
@@ -288,11 +276,12 @@ def parse_scalar(text: str) -> complex:
     return complex(s.replace("i", "j"))
 
 
-def format_scalar(z: complex, digits: int = 12) -> str:
-    """Format a complex number as "a+bi"; pure reals drop the i-part."""
-    re_s = format(z.real, f".{digits}g")
+def format_scalar(z: complex) -> str:
+    """Format a complex number as "a+bi" to 12 significant digits; pure
+    reals drop the i-part."""
+    re_s = format(z.real, ".12g")
     if z.imag == 0.0:
         return re_s
     sign = "+" if z.imag >= 0 else "-"
-    im_s = format(abs(z.imag), f".{digits}g")
+    im_s = format(abs(z.imag), ".12g")
     return f"{re_s}{sign}{im_s}i"

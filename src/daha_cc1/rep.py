@@ -157,14 +157,11 @@ def _sigma_alpha_beta(g: Generator, sign: int, p: Params) -> tuple[complex, comp
     return sign * t**sign, t - 1 / t, b - 1 / b
 
 
-def _demazure_lusztig(
-    f: LaurentPoly, g: Generator, sign: int, p: Params, flip_convention: bool = False
-) -> LaurentPoly:
+def _demazure_lusztig(f: LaurentPoly, g: Generator, sign: int, p: Params) -> LaurentPoly:
     """The generator g acting on a Laurent polynomial.
 
     c(z) (f - s f) is computed as num * (f - s f) / den, which divides
-    exactly.  flip_convention negates that difference part, a fault that
-    breaks the quadratic relation (the self-test injects it)."""
+    exactly."""
     sigma, alpha, beta = _sigma_alpha_beta(g, sign, p)
     if g.involution == 0:
         sf = apply_s0(f, p.q)
@@ -174,28 +171,27 @@ def _demazure_lusztig(
         sf = apply_s1(f)
         num = LaurentPoly({0: alpha, 1: beta})
         den = LaurentPoly({0: 1.0, 2: -1.0})
-    part = divide_exact(num * (f - sf), den, p.tol)
-    return sf.scale(sigma) + (-part if flip_convention else part)
+    return sf.scale(sigma) + divide_exact(num * (f - sf), den, p.tol)
 
 
-def apply_T0(f: LaurentPoly, eps0: int, p: Params, flip_convention: bool = False) -> LaurentPoly:
+def apply_T0(f: LaurentPoly, eps0: int, p: Params) -> LaurentPoly:
     """T0 = eps0 k0^eps0 s0 + [(k0-k0^-1) + (u0-u0^-1) q^{1/2} z^-1] (1 - s0)/(1 - q z^-2)."""
-    return _demazure_lusztig(f, GENERATORS[0], eps0, p, flip_convention)
+    return _demazure_lusztig(f, GENERATORS[0], eps0, p)
 
 
-def apply_T1(f: LaurentPoly, eps1: int, p: Params, flip_convention: bool = False) -> LaurentPoly:
+def apply_T1(f: LaurentPoly, eps1: int, p: Params) -> LaurentPoly:
     """T1 = eps1 k1^eps1 s1 + [(k1-k1^-1) + (u1-u1^-1) z] (1 - s1)/(1 - z^2)."""
-    return _demazure_lusztig(f, GENERATORS[1], eps1, p, flip_convention)
+    return _demazure_lusztig(f, GENERATORS[1], eps1, p)
 
 
-def apply_T0v_bar(f: LaurentPoly, del0: int, p: Params, flip_convention: bool = False) -> LaurentPoly:
+def apply_T0v_bar(f: LaurentPoly, del0: int, p: Params) -> LaurentPoly:
     """T0v on the dual-side module: apply_T0 with k0 and u0 swapped."""
-    return _demazure_lusztig(f, GENERATORS[2], del0, p, flip_convention)
+    return _demazure_lusztig(f, GENERATORS[2], del0, p)
 
 
-def apply_T1v_bar(f: LaurentPoly, del1: int, p: Params, flip_convention: bool = False) -> LaurentPoly:
+def apply_T1v_bar(f: LaurentPoly, del1: int, p: Params) -> LaurentPoly:
     """T1v on the dual-side module: apply_T1 with k1 and u1 swapped."""
-    return _demazure_lusztig(f, GENERATORS[3], del1, p, flip_convention)
+    return _demazure_lusztig(f, GENERATORS[3], del1, p)
 
 
 # -- the ladder ----------------------------------------------------------
@@ -359,7 +355,7 @@ def block_product(
 
 
 def _eval_matrix(
-    g: Generator, sign: int, p: Params, roots: np.ndarray, partner: np.ndarray, flip_convention: bool
+    g: Generator, sign: int, p: Params, roots: np.ndarray, partner: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """The generator's matrix in the evaluation basis at the roots, and
     its ideal certificate.
@@ -376,12 +372,8 @@ def _eval_matrix(
     w = p.q_half / roots if g.involution == 0 else roots
     den = 1 - w * w
     c = (alpha + beta * w) / den
-    if flip_convention:
-        c = -c
-        off = sigma - c
-    else:
-        b = getattr(p, g.b)
-        off = (w + b / sigma) * (1 / b - sigma * w) / den
+    b = getattr(p, g.b)
+    off = (w + b / sigma) * (1 / b - sigma * w) / den
     rows = np.arange(roots.size)
     lone = partner == rows
     M = np.diag(np.where(lone, sigma, c))
@@ -404,7 +396,6 @@ def build_quotient_rep(
     s: Optional[SignVector],
     p: Params,
     force: bool = False,
-    flip_convention: bool = False,
 ) -> Rep:
     """Construct the irreducible of the kind's dimension vector.
 
@@ -416,8 +407,7 @@ def build_quotient_rep(
     and the five defining relations verified before the Rep is returned.
 
     With force=True the stratum guard is skipped (the certification
-    still runs and fails off-stratum).  flip_convention injects the
-    operator fault described at _demazure_lusztig.
+    still runs and fails off-stratum).
     """
     validate_params(p)
     if isinstance(kind, Imaginary):
@@ -431,7 +421,7 @@ def build_quotient_rep(
     n_upper, (s0, s1) = _ladder_pairs(n, dual)
     _check_ladder(roots, n_upper, p)
     (A, res_a), (B, res_b) = (
-        _eval_matrix(g, sign, p, roots, (s0, s1)[g.involution], flip_convention)
+        _eval_matrix(g, sign, p, roots, (s0, s1)[g.involution])
         for g, sign in zip((g for g in GENERATORS if g.side == side), signs)
     )
     ideal_res = worst((res_a, res_b))
@@ -571,11 +561,9 @@ def build_truncated_polyrep(
     s: SignVector,
     N: int,
     p: Params,
-    flip_convention: bool = False,
 ) -> dict:
     """Matrices of the two directly-defined generators on the degree
-    ball [-N, N]; exact because the operators preserve every such ball.
-    flip_convention injects the fault described at _demazure_lusztig."""
+    ball [-N, N]; exact because the operators preserve every such ball."""
     validate_params(p)
     window = list(range(-N, N + 1))
     out: dict = {"basis_labels": window}
@@ -584,7 +572,7 @@ def build_truncated_polyrep(
             continue
         cols = []
         for j in window:
-            h = _demazure_lusztig(LaurentPoly.monomial(j), g, sign, p, flip_convention)
+            h = _demazure_lusztig(LaurentPoly.monomial(j), g, sign, p)
             if not h.is_zero() and (h.min_degree < -N or h.max_degree > N):
                 raise ArithmeticError("operator left the degree ball")
             cols.append([h.coeff(d) for d in window])

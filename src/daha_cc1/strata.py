@@ -23,6 +23,7 @@ from .core import (
     Params,
     Tolerance,
     compare_points,
+    overflow_errors,
     validate_params,
     validation_errors,
 )
@@ -139,9 +140,9 @@ class _Table:
     product_rhs[i] and neg_q_powers[i] are point i's row and level values;
     eq[i, row, m]: the row's value equals its level value at m; apart[i,
     row, m]: it is clearly apart from it.  errors[i] is the exception
-    that point i's values (OverflowError or ZeroDivisionError from **)
-    or their comparison (OverflowError) raised, or None; the point's
-    verdicts then read False.
+    that point i's values raised (OverflowError or ZeroDivisionError
+    from **), or abs()'s OverflowError where their comparison marks the
+    point over, or None; the point's verdicts then read False.
     """
 
     def __init__(self, points: Sequence[Params], n: int):
@@ -152,16 +153,17 @@ class _Table:
                 rows.append(_point_values(p, n))
             except (OverflowError, ZeroDivisionError) as exc:
                 self.errors[i] = exc
-                rows.append([0j] * (_N_ROWS + 3 * (n + 1)))
+                # NaN values: no comparison of the point holds
+                rows.append([complex("nan")] * (_N_ROWS + 3 * (n + 1)))
         flat = np.array(rows, dtype=complex)
         self.values, levels = flat[:, :_N_ROWS], flat[:, _N_ROWS:]
         self.product_rhs, self.neg_q_powers = levels[:, : n + 1], levels[:, 2 * (n + 1) :]
         # the rows as three groups of 8 (products, products, t^(2s)),
         # broadcast against the level row of each group
-        eq, apart = compare_points(
-            self.values.reshape(-1, 3, 8, 1), levels.reshape(-1, 3, 1, n + 1),
-            points[0].tol, self.errors,
+        eq, apart, over = compare_points(
+            self.values.reshape(-1, 3, 8, 1), levels.reshape(-1, 3, 1, n + 1), points[0].tol
         )
+        self.errors = overflow_errors(self.errors, over)
         self.eq, self.apart = eq.reshape(-1, _N_ROWS, n + 1), apart.reshape(-1, _N_ROWS, n + 1)
 
     def close(self) -> np.ndarray:
@@ -319,8 +321,8 @@ def verdict_to_json(v: StratumVerdict) -> dict:
 # -- stratum parameter samplers ------------------------------------------
 
 
-def random_unit(rng: np.random.Generator, spread: float = 0.35) -> complex:
-    mod = float(np.exp(rng.normal(0.0, spread)))
+def random_unit(rng: np.random.Generator) -> complex:
+    mod = float(np.exp(rng.normal(0.0, 0.35)))
     phase = float(rng.uniform(0.0, 2.0 * np.pi))
     return mod * complex(np.cos(phase), np.sin(phase))
 

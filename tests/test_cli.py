@@ -261,20 +261,34 @@ def test_selftest_passes(capsys):
     assert report["residuals"]["relations"] < 1e-8
 
 
-def test_selftest_detects_convention_flip(capsys):
-    code, out = run_cli(
-        capsys, ["selftest", "--seed", "2", "--debug-flip-convention"]
-    )
+def _flip_convention(monkeypatch):
+    """Negate c(z) in every generator, the operator fault that breaks
+    the quadratic relation."""
+    sigma_alpha_beta = rep_module._sigma_alpha_beta
+
+    def flipped(g, sign, p):
+        sigma, alpha, beta = sigma_alpha_beta(g, sign, p)
+        return sigma, -alpha, -beta
+
+    monkeypatch.setattr(rep_module, "_sigma_alpha_beta", flipped)
+
+
+def test_selftest_detects_convention_flip(capsys, monkeypatch):
+    _flip_convention(monkeypatch)
+    code, out = run_cli(capsys, ["selftest", "--seed", "2"])
     assert code == 1
     report = json.loads(out)
     assert "relation-suite" in report["results"]["failed"]
 
 
-def test_flip_convention_is_an_argument_not_state(capsys):
-    # the same failures as the module-global injector it replaced, and a
-    # run without the flag afterwards is clean
-    code, out = run_cli(capsys, ["selftest", "--seed", "2", "--debug-flip-convention"])
+def test_selftest_is_clean_once_the_operator_fault_is_gone(capsys, monkeypatch):
+    # the fault fails the operator and relation checks, and a run after
+    # it is undone is clean
+    _flip_convention(monkeypatch)
+    code, out = run_cli(capsys, ["selftest", "--seed", "2"])
+    assert code == 1
     assert json.loads(out)["results"]["failed"] == ["operator-convention", "relation-suite"]
+    monkeypatch.undo()
     code, out = run_cli(capsys, ["selftest", "--seed", "2"])
     assert code == 0 and json.loads(out)["results"]["failed"] == []
 
@@ -383,8 +397,8 @@ def _failing_at(idx: int, fail):
     """cli._scan_share, but calling fail(idx) on the share that holds
     index idx."""
     scan_share = cli._scan_share
-    return lambda share, n_max: (
-        fail(idx) if any(job[0] == idx for job in share) else scan_share(share, n_max)
+    return lambda share, cfg: (
+        fail(idx) if any(job[0] == idx for job in share) else scan_share(share, cfg)
     )
 
 
@@ -422,7 +436,7 @@ def test_a_child_that_exits_without_its_rows_fails_the_scan(monkeypatch):
 def test_an_exception_in_this_processs_share_stops_the_children(monkeypatch):
     parent = os.getpid()
 
-    def scan_share(share, n_max):
+    def scan_share(share, cfg):
         if os.getpid() == parent:
             raise KeyError(share[0][0])
         time.sleep(600)  # a child at work: joined without a stop, it would hang the scan
@@ -966,6 +980,22 @@ def _flag_and_config_runs(capsys, tmp_path, argv, key, value):
         captured = capsys.readouterr()
         runs.append((code, captured.out, captured.err))
     return runs
+
+
+@pytest.mark.parametrize("key,value", [
+    ("k0", "-1.5+2i"), ("k0", "-i"), ("q_half", "-2"), ("tol", "-1e-9"), ("n_max", "-1"),
+])
+def test_a_negative_value_reads_the_same_after_a_space_as_after_equals(capsys, key, value):
+    # argparse takes a separate "-1.5+2i", "-i" or "-1e-9" for an option
+    flag = "--" + key.replace("_", "-")
+    runs = []
+    for extra in ([flag, value], [f"{flag}={value}"]):
+        code = main(["classify", *ONE_DIM, *extra])
+        captured = capsys.readouterr()
+        runs.append((code, captured.out, captured.err))
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert err == "" and json.loads(out)["exit_code"] == code
 
 
 @pytest.mark.parametrize("key,value", [

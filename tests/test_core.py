@@ -320,6 +320,38 @@ def test_compare_arrays_raises_where_abs_overflows():
     assert compare_arrays(*far)[1].tolist() == [clearly_neq(1.5e308, -1.5e308)]
 
 
+def test_compare_points_marks_only_the_points_that_overflow():
+    """A block of points where some overflow: over[i] is whether point
+    i's own compare_arrays raises, and the other points' verdicts are
+    their own compare_arrays's."""
+    rng = np.random.default_rng(5)
+    big, half = complex(1.3e308, 1.3e308), complex(1.2e308, 1.2e308)
+    a = rng.normal(size=(40, 3, 4)) + 1j * rng.normal(size=(40, 3, 4))
+    b = a[:, :1, :] * (1 + 1e-12)
+    a[3, 2, 1] = big                              # |a| overflows
+    b[7, 0, 3] = big                              # |b| overflows, at each row of the point
+    a[11, 0, 0], b[11, 0, 0] = half, -half / 2.4  # only |a - b| overflows
+    a[15, 1, 2], b[15, 0, 2] = 1.5e308, -1.5e308  # a - b leaves the range: no error
+    a[19, 0, 0] = complex(float("inf"), 1.0)      # an infinite part: no error
+    a[23, :, :] = half                            # large moduli, none past the range
+    a[27, 2, 3] = complex(1.0, float("nan"))      # a NaN part: no error
+    eq, apart, over = core.compare_points(a, b, DEFAULT_TOL)
+    alone = []
+    for ai, bi in zip(a, b):
+        try:
+            alone.append(compare_arrays(ai, bi))
+        except OverflowError:
+            alone.append(None)
+    assert over.tolist() == [v is None for v in alone]
+    assert np.flatnonzero(over).tolist() == [3, 7, 11]
+    for i, v in enumerate(alone):
+        eq_i, apart_i = (np.zeros(eq[i].shape, dtype=bool),) * 2 if v is None else v
+        assert (eq[i].tolist(), apart[i].tolist()) == (eq_i.tolist(), apart_i.tolist()), i
+    assert eq.any() and apart.any()
+    # a value shared by every point overflows at every point
+    assert core.compare_points(a, big, DEFAULT_TOL)[2].all()
+
+
 @pytest.mark.parametrize(
     "text,value",
     [
@@ -350,7 +382,9 @@ def test_parse_scalar_rejects_garbage(bad):
 @settings(max_examples=200)
 def test_scalar_round_trip(z):
     # 17 significant digits name every finite double
-    assert parse_scalar(format_scalar(z, digits=17)) == z
+    assert parse_scalar(f"{z.real:.17g}{z.imag:+.17g}i") == z
+    # and the report's 12 digits read back as the same 12 digits
+    assert format_scalar(parse_scalar(format_scalar(z))) == format_scalar(z)
 
 
 def _parsed(parse, text):
