@@ -275,9 +275,9 @@ def cmd_classify(cfg: RunConfig, explain: bool) -> tuple[dict, int]:
     per-kind verdicts.  classify_params reads the same verdicts off one
     member mask; the command reads them kind by kind, since the
     benchmark's tracer counts the per-kind sigma_membership calls of a
-    classify (16 per level, and 8 per level from 1)."""
+    classify (16 per level, and 8 per level from 1).  The verdicts'
+    table refuses a point as validate_params does."""
     p = _require_params(cfg)
-    validate_params(p)
     verdicts = list(stratum_verdicts(p, cfg.n_max))
     rows = [
         {"kind": kind_to_str(kind), "root": str(vec)} for kind, vec, v in verdicts if v.member

@@ -115,15 +115,15 @@ def verify_class_membership(r: Rep, p: Params, specs: tuple[ClassSpec, ...]) -> 
 
 def ds_existence_predicate(alpha: RootVector, p: Params, member: Optional[bool] = None) -> bool:
     """An irreducible tuple with this class data exists iff alpha is a
-    real strict root, the prescribed eigenvalue product closes to 1, and
-    the parameters sit on the root's stratum.  member, when given, is the
-    stratum verdict of alpha's kind at p that the caller already holds."""
+    real strict root, p sits on its stratum (read first, so a real root
+    refuses every point classify refuses, unless the caller holds the
+    verdict as member), and the prescribed eigenvalue product closes."""
     kind = classify_root(alpha)
     if kind is None or isinstance(kind, Imaginary):
         return False
-    if not approx_eq(xi_product(alpha, p), 1.0, p.tol):
-        return False
-    return sigma_membership(p, kind).member if member is None else member
+    if member is None:
+        member = sigma_membership(p, kind).member
+    return member and approx_eq(xi_product(alpha, p), 1.0, p.tol)
 
 
 __all__ = [

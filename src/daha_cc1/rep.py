@@ -41,7 +41,8 @@ from .laurent import (
 )
 # unused here, kept as attributes: the benchmark's tracer wraps them
 from .laurent import build_E, build_E_dual, reduce_mod  # noqa: F401
-from .roots import Imaginary, RootKind, Type1E, Type1F, Type2, kind_from_str, kind_to_str
+from .roots import (Imaginary, RootKind, Type1E, Type1F, Type2, check_signs, kind_from_str,
+                    kind_to_str)
 from .strata import one_leg, sigma_membership
 
 IDEAL_RESIDUAL_MAX = 1e-6
@@ -105,9 +106,7 @@ class SignVector:
     del1: int = 1
 
     def __post_init__(self):
-        for s in (self.eps0, self.eps1, self.del0, self.del1):
-            if s not in (1, -1):
-                raise ValueError("signs must be +1 or -1")
+        check_signs(self, self.eps0, self.eps1, self.del0, self.del1)
 
 
 @dataclass(frozen=True)
@@ -406,13 +405,15 @@ def build_quotient_rep(
     z-action, as row or column scalings.  The ideal is certified stable
     and the five defining relations verified before the Rep is returned.
 
-    With force=True the stratum guard is skipped (the certification
-    still runs and fails off-stratum).
+    The stratum guard refuses every point that classify refuses.  With
+    force=True only validate_params runs (the certification still runs
+    and fails off-stratum).
     """
-    validate_params(p)
     if isinstance(kind, Imaginary):
         raise ValueError("imaginary kinds admit no finite-dimensional quotient")
-    if not force:
+    if force:
+        validate_params(p)
+    else:
         verdict = sigma_membership(p, kind)
         if not verdict.member:
             raise NotOnStratumError(kind, verdict.failed_conditions)

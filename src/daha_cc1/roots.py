@@ -44,6 +44,22 @@ F_LEGS = (RootVector(0, 0, 0, 1, 0), RootVector(0, 0, 0, 0, 1))
 DELTA = RootVector(2, 1, 1, 1, 1)
 
 
+def check_signs(obj, *signs: int) -> None:
+    """Refuse obj, a kind or a sign vector, unless each sign is +-1."""
+    if any(s not in (1, -1) for s in signs):
+        raise ValueError(f"{obj!r} names no root: a sign is +1 or -1")
+
+
+def _check_kind(k, signs: tuple[int, ...], first: int, family: str, leg: int = 0) -> None:
+    """Refuse a kind as it is made: a sign or one-leg index that names no
+    root (ValueError), or a level below its family's first."""
+    check_signs(k, *signs)
+    if leg not in (0, 1):
+        raise ValueError(f"{k!r} names no root: a leg index is 0 or 1")
+    if k.n < first:
+        raise NonPositiveEntryError(f"{family} level must be >= {first}")
+
+
 @dataclass(frozen=True)
 class Type2:
     """c + n*Delta + sum (1-eps_i)/2 e_i + sum (1-del_i)/2 f_i."""
@@ -53,6 +69,9 @@ class Type2:
     del0: int
     del1: int
     n: int
+
+    def __post_init__(self):
+        _check_kind(self, self.signs, 0, "type-2")
 
     @property
     def signs(self) -> tuple[int, int, int, int]:
@@ -67,6 +86,9 @@ class Type1E:
     eps: int
     n: int
 
+    def __post_init__(self):
+        _check_kind(self, (self.eps,), 1, "one-leg root", self.i)
+
 
 @dataclass(frozen=True)
 class Type1F:
@@ -76,6 +98,9 @@ class Type1F:
     delta: int
     n: int
 
+    def __post_init__(self):
+        _check_kind(self, (self.delta,), 1, "one-leg root", self.i)
+
 
 @dataclass(frozen=True)
 class Imaginary:
@@ -83,22 +108,16 @@ class Imaginary:
 
     n: int
 
+    def __post_init__(self):
+        _check_kind(self, (), 1, "imaginary root")
+
 
 RootKind = Union[Type2, Type1E, Type1F, Imaginary]
-
-
-def _check_signs(*signs: int) -> None:
-    for s in signs:
-        if s not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {s}")
 
 
 def root_of_kind(k: RootKind) -> RootVector:
     """The coordinate vector of a strict root kind."""
     if isinstance(k, Type2):
-        _check_signs(*k.signs)
-        if k.n < 0:
-            raise NonPositiveEntryError("type-2 level must be >= 0")
         v = C + DELTA.scaled(k.n)
         for i, s in enumerate((k.eps0, k.eps1)):
             if s == -1:
@@ -108,18 +127,10 @@ def root_of_kind(k: RootKind) -> RootVector:
                 v = v + F_LEGS[i]
         return v
     if isinstance(k, Type1E):
-        _check_signs(k.eps)
-        if k.n < 1:
-            raise NonPositiveEntryError("one-leg root level must be >= 1")
         return DELTA.scaled(k.n) + E_LEGS[k.i].scaled(k.eps)
     if isinstance(k, Type1F):
-        _check_signs(k.delta)
-        if k.n < 1:
-            raise NonPositiveEntryError("one-leg root level must be >= 1")
         return DELTA.scaled(k.n) + F_LEGS[k.i].scaled(k.delta)
     if isinstance(k, Imaginary):
-        if k.n < 1:
-            raise NonPositiveEntryError("imaginary root level must be >= 1")
         return DELTA.scaled(k.n)
     raise TypeError(f"not a root kind: {k!r}")
 
@@ -215,17 +226,14 @@ _PM = {"+": 1, "-": -1}
 
 def kind_from_str(text: str) -> RootKind:
     """Inverse of kind_to_str; a kind that names no root, such as a
-    one-leg kind of level 0, raises NonPositiveEntryError."""
+    one-leg kind of level 0, raises NonPositiveEntryError as it is made."""
     s = text.strip()
     if m := _T2_RE.match(s):
         e0, e1, d0, d1 = (_PM[m.group(i)] for i in range(1, 5))
-        k: RootKind = Type2(e0, e1, d0, d1, int(m.group(5)))
-    elif m := _T1_RE.match(s):
+        return Type2(e0, e1, d0, d1, int(m.group(5)))
+    if m := _T1_RE.match(s):
         cls = Type1E if m.group(1) == "E" else Type1F
-        k = cls(int(m.group(2)), _PM[m.group(3)], int(m.group(4)))
-    elif m := _IM_RE.match(s):
-        k = Imaginary(int(m.group(1)))
-    else:
-        raise ValueError(f"cannot parse root kind {text!r}")
-    root_of_kind(k)
-    return k
+        return cls(int(m.group(2)), _PM[m.group(3)], int(m.group(4)))
+    if m := _IM_RE.match(s):
+        return Imaginary(int(m.group(1)))
+    raise ValueError(f"cannot parse root kind {text!r}")

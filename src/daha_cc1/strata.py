@@ -24,19 +24,18 @@ from .core import (
     Tolerance,
     compare_points,
     overflow_errors,
-    validate_params,
+    # unused here, kept importable: the benchmark's tracer wraps it
+    validate_params,  # noqa: F401
     validation_errors,
 )
 from .roots import (
     Imaginary,
-    NonPositiveEntryError,
     RootKind,
     RootVector,
     Type1E,
     Type1F,
     Type2,
     enumerate_strict_roots,
-    kind_to_str,
 )
 
 
@@ -139,22 +138,23 @@ class _Table:
     are the per-kind ones, whatever the other points.  values[i],
     product_rhs[i] and neg_q_powers[i] are point i's row and level values;
     eq[i, row, m]: the row's value equals its level value at m; apart[i,
-    row, m]: it is clearly apart from it.  errors[i] is the exception
-    that point i's values raised (OverflowError or ZeroDivisionError
-    from **), or abs()'s OverflowError where their comparison marks the
-    point over, or None; the point's verdicts then read False.
+    row, m]: it is clearly apart from it.  errors[i] refuses point i:
+    validate_params's exception, else the one its values raised
+    (OverflowError or ZeroDivisionError from **), else abs()'s
+    OverflowError where their comparison marks the point over; or None.
+    A refused point's values are NaN, so none of its verdicts holds.
     """
 
     def __init__(self, points: Sequence[Params], n: int):
-        self.errors: list = [None] * len(points)
+        self.errors = validation_errors(points)
+        nan = [complex("nan")] * (_N_ROWS + 3 * (n + 1))
         rows = []
         for i, p in enumerate(points):
             try:
-                rows.append(_point_values(p, n))
+                rows.append(nan if self.errors[i] is not None else _point_values(p, n))
             except (OverflowError, ZeroDivisionError) as exc:
                 self.errors[i] = exc
-                # NaN values: no comparison of the point holds
-                rows.append([complex("nan")] * (_N_ROWS + 3 * (n + 1)))
+                rows.append(nan)
         flat = np.array(rows, dtype=complex)
         self.values, levels = flat[:, :_N_ROWS], flat[:, _N_ROWS:]
         self.product_rhs, self.neg_q_powers = levels[:, : n + 1], levels[:, 2 * (n + 1) :]
@@ -199,15 +199,13 @@ def sigma_membership(p: Params, k: RootKind, table: _Table | None = None) -> Str
     keeping the verdict well separated from boundary noise.  ``table``,
     of horizon at least k.n, shares the comparisons between calls on the
     same point; without one, the call builds a table of horizon k.n.  A
-    level below the kind's first raises NonPositiveEntryError, and a kind
-    whose fields name no root ValueError.
+    point that validate_params refuses raises its exception, as classify
+    does; a kind names a root, since it is checked when it is made.
     """
     if isinstance(k, Imaginary):
         raise ImaginaryKindError("imaginary kinds have no stratum")
     row, n = _kind_row(k), k.n
-    eq_name, _, first = _RULE[row]
-    if n < first:
-        raise NonPositiveEntryError(f"{kind_to_str(k)} names no root: levels start at {first}")
+    eq_name = _RULE[row][0]
     eq, failing = (table if table is not None else _Table([p], n)).verdicts
     failed = [] if eq[row][n] else [eq_name % n]
     for m, name in failing[row]:
@@ -230,15 +228,9 @@ def stratum_verdicts(
 
 def _kind_row(k: RootKind) -> int:
     if isinstance(k, Type2):
-        key = k.signs
-    elif k.i in (0, 1):
-        g, s = one_leg(k)
-        key = g.t, s
-    else:
-        key = None
-    if key not in _ROW:
-        raise ValueError(f"{k!r} names no root")
-    return _ROW[key]
+        return _ROW[k.signs]
+    g, s = one_leg(k)
+    return _ROW[g.t, s]
 
 
 @lru_cache(maxsize=32)
@@ -271,8 +263,8 @@ def classify_points(
     its first level on, when it equals its level value there and every
     row its groups read is clearly apart at each level below m where it
     is compared.  These are sigma_membership's verdicts, every kind of
-    every point at once.  A point's outcome is its own: validate_params's
-    exception first, then its table's.
+    every point at once.  A point's outcome is its own: the exception
+    its table holds for it (validate_params's first), else its hits.
     """
     outcomes: list = []
     for _, run in groupby(points, key=attrgetter("tol")):
@@ -283,7 +275,6 @@ def classify_points(
 
 
 def _classify_block(points: list[Params], n_max: int) -> list:
-    invalid = validation_errors(points)
     t = _Table(points, n_max)
     member = t.eq.copy()
     member[:, :, 0] &= _AT_0
@@ -298,10 +289,7 @@ def _classify_block(points: list[Params], n_max: int) -> list:
         # by point, then by level and row: enumeration order
         for i, m, row in zip(*(a.tolist() for a in member.transpose(0, 2, 1).nonzero())):
             hits[i].append(cells[m * _N_ROWS + row])
-    return [
-        error if error is not None else failed if failed is not None else found
-        for error, failed, found in zip(invalid, t.errors, hits)
-    ]
+    return [found if error is None else error for error, found in zip(t.errors, hits)]
 
 
 def classify_params(p: Params, n_max: int) -> list[tuple[RootKind, RootVector]]:
@@ -385,9 +373,8 @@ def sample_stratum_params(
                 vals.setdefault(nm, random_unit(rng))
             p = Params(q_half=qh, tol=tol, **vals)
         try:
-            validate_params(p)
+            if sigma_membership(p, kind).member:
+                return p
         except ValueError:
             continue
-        if sigma_membership(p, kind).member:
-            return p
     raise RuntimeError(f"failed to sample parameters on stratum of {kind}")

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib.util
 import json
@@ -447,19 +448,48 @@ def test_an_exception_in_this_processs_share_stops_the_children(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _bench_tracer_sites() -> list:
+    """The (layer, module, attribute) sites that bench/tracing.py patches."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", os.path.join(ROOT, "bench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return [(name, mod, attr) for name, pairs in (*tracing.SPANS, *tracing.COUNTS)
+            for mod, attr in pairs]
+
+
 def test_every_attribute_the_bench_tracer_wraps_resolves():
     # a traced bench run patches these (module, attribute) pairs, and
     # fails with AttributeError on one that a refactor removed
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "bench", "tracing.py")
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    sites = [(name, mod, attr) for name, pairs in (*tracing.SPANS, *tracing.COUNTS)
-             for mod, attr in pairs]
+    sites = _bench_tracer_sites()
     assert len(sites) >= 30
     for name, mod, attr in sites:
         assert callable(getattr(mod, attr, None)), (name, mod.__name__, attr)
+
+
+def test_every_import_kept_for_the_bench_tracer_is_one_it_wraps():
+    # the reverse of the test above: an import that src/ keeps unused,
+    # marked "noqa: F401", names a (module, attribute) pair that the
+    # tracer patches, so dropping one from the tracer drops the import too
+    wrapped = {(mod.__name__, attr) for _, mod, attr in _bench_tracer_sites()}
+    package = os.path.join(ROOT, "src", "daha_cc1")
+    kept = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename), encoding="utf-8") as fh:
+            source = fh.read()
+        lines = source.splitlines()
+        module = "daha_cc1." + filename[:-3]
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                kept += [(module, alias.asname or alias.name) for alias in node.names
+                         if "# noqa: F401" in lines[alias.lineno - 1]]
+    assert kept
+    assert set(kept) <= wrapped, sorted(set(kept) - wrapped)
 
 
 def test_scan_error_rows_are_the_same_from_parent_and_child(capsys, monkeypatch, tmp_path):

@@ -316,10 +316,9 @@ def test_eval_basis_is_similar_to_the_monomial_window(rng):
     # V[i, k] = r_i^window[k], so M_eval V = V M_monomial for every generator
     checked = 0
     for family in FAMILIES:
-        for n in range(0, 5):
+        # a one-leg kind starts at level 1
+        for n in range(0 if isinstance(family(1), Type2) else 1, 5):
             kind = family(n)
-            if n == 0 and not isinstance(kind, Type2):
-                continue
             p = sample_stratum_params(kind, rng)
             r = build_quotient_rep(kind, None, p)
             mono, window = monomial_window_matrices(kind, p)

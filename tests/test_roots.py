@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -42,19 +44,35 @@ def test_one_leg_coordinates():
 
 @pytest.mark.parametrize(
     "kind",
-    [Type2(1, 1, 1, 1, -1), Type1E(0, 1, 0), Type1F(1, -1, 0), Imaginary(0)],
+    [
+        # the string of a negative level does not parse
+        (partial(Type2, 1, 1, 1, 1, -1), None),
+        (partial(Type1E, 0, 1, 0), "T1E[i=0,+;n=0]"),
+        (partial(Type1F, 1, -1, 0), "T1F[i=1,-;n=0]"),
+        (partial(Imaginary, 0), "IM[n=0]"),
+    ],
 )
 def test_bad_levels_rejected(kind):
+    # a kind below its family's first level is refused when it is made
+    make, text = kind
     with pytest.raises(NonPositiveEntryError):
-        root_of_kind(kind)
-    if kind.n >= 0:  # the string of a negative level does not parse
+        make()
+    if text is not None:
         with pytest.raises(NonPositiveEntryError):
-            kind_from_str(kind_to_str(kind))
+            kind_from_str(text)
 
 
 def test_bad_signs_rejected():
     with pytest.raises(ValueError):
         root_of_kind(Type2(2, 1, 1, 1, 0))
+
+
+@pytest.mark.parametrize("make", [partial(Type1E, -1, 1, 2), partial(Type1F, -2, 1, 2)])
+def test_a_negative_leg_index_is_refused_when_made(make):
+    # a negative index would read another leg's entry through E_LEGS[-1],
+    # and its string would not parse
+    with pytest.raises(ValueError, match="names no root"):
+        make()
 
 
 @given(kinds)

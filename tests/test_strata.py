@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -7,7 +8,13 @@ import pytest
 
 from daha_cc1 import cli, core, strata
 from daha_cc1.core import Params, Tolerance, approx_eq
-from daha_cc1.dsbridge import InconsistentRanksError, xi_product, xi_table
+from daha_cc1.dsbridge import (
+    InconsistentRanksError,
+    ds_existence_predicate,
+    xi_product,
+    xi_table,
+)
+from daha_cc1.rep import build_quotient_rep
 from daha_cc1.roots import (
     Imaginary,
     NonPositiveEntryError,
@@ -129,27 +136,66 @@ def test_generic_sampler_avoids_all_strata(rng):
         assert classify_params(p, 6) == []
 
 
-@pytest.mark.parametrize("kind", [Type2(1, 1, 1, 1, -1), Type1E(0, 1, 0), Type1F(1, -1, 0)])
+@pytest.mark.parametrize(
+    "kind", [partial(Type2, 1, 1, 1, 1, -1), partial(Type1E, 0, 1, 0), partial(Type1F, 1, -1, 0)]
+)
 def test_a_kind_below_its_first_level_is_refused(kind):
     # the point meets t^2 = -q^0 for t = k0, so the equality of
-    # T1E[i=0,+;n=0] holds; but that kind names no root
+    # T1E[i=0,+;n=0] holds; but that kind names no root, and is refused
+    # when it is made
     p = Params(k0=1j, k1=0.7 + 0.2j, u0=1.3 - 0.4j, u1=0.9 + 0.5j, q_half=1.3 + 0.2j)
     with pytest.raises(NonPositiveEntryError):
-        sigma_membership(p, kind)
+        sigma_membership(p, kind())
     with pytest.raises(NonPositiveEntryError):
-        sigma_membership(p, kind, table=_Table([p], 3))
+        sigma_membership(p, kind(), table=_Table([p], 3))
 
 
 @pytest.mark.parametrize(
-    "kind", [Type1E(i=2, eps=1, n=1), Type2(2, 1, 1, 1, 0), Type1E(0, 3, 1), Type1F(2, 1, 1)]
+    "kind", [partial(Type1E, i=2, eps=1, n=1), partial(Type2, 2, 1, 1, 1, 0),
+             partial(Type1E, 0, 3, 1), partial(Type1F, 2, 1, 1)]
 )
 def test_a_kind_whose_fields_name_no_root_is_refused(kind):
     # there is no leg e_2 or f_2, and a sign is +-1
     p = Params(k0=1j, k1=0.7 + 0.2j, u0=1.3 - 0.4j, u1=0.9 + 0.5j, q_half=1.3 + 0.2j)
     with pytest.raises(ValueError, match="names no root"):
-        sigma_membership(p, kind)
+        sigma_membership(p, kind())
     with pytest.raises(ValueError, match="names no root"):
-        sigma_membership(p, kind, table=_Table([p], 3))
+        sigma_membership(p, kind(), table=_Table([p], 3))
+
+
+# points that validate_params refuses: q^7 = 1 with T2[++,++;n=0]'s
+# equality solved for u1, an infinite q_half, a finite q_half whose
+# square overflows, and a zero k0
+_QH7 = cmath.exp(1j * cmath.pi / 7)
+REFUSED_POINTS = [
+    Params(k0=2, k1=3, u0=5, u1=1 / (30 * _QH7), q_half=_QH7),
+    Params(k0=2, k1=3, u0=5, u1=7, q_half=float("inf")),
+    Params(k0=2, k1=3, u0=5, u1=7, q_half=1e200),
+    Params(k0=0, k1=3, u0=5, u1=7, q_half=1.3 + 0.2j),
+]
+
+
+@pytest.mark.parametrize("p", REFUSED_POINTS, ids=["q7", "inf", "1e200", "k0=0"])
+@pytest.mark.parametrize("kind", [Type2(1, 1, 1, 1, 0), Type1E(0, 1, 2)], ids=kind_to_str)
+def test_every_stratum_reader_refuses_what_validate_params_refuses(p, kind):
+    def raised(read):
+        try:
+            read()
+        except Exception as exc:
+            return type(exc), str(exc)
+        return None
+
+    expected = raised(lambda: core.validate_params(p))
+    assert expected is not None
+    readers = {
+        "sigma_membership": lambda: sigma_membership(p, kind),
+        "stratum_verdicts": lambda: next(stratum_verdicts(p, kind.n)),
+        "classify_params": lambda: classify_params(p, kind.n),
+        "ds_existence_predicate": lambda: ds_existence_predicate(root_of_kind(kind), p),
+        "guarded build": lambda: build_quotient_rep(kind, None, p),
+    }
+    for name, read in readers.items():
+        assert raised(read) == expected, name
 
 
 def test_stratum_sampler_hits_every_type2_sign(rng):
