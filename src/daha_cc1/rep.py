@@ -14,6 +14,7 @@ the blocks of the pairing that s0 or s1 makes of the roots.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Literal, Optional
 
@@ -133,10 +134,12 @@ class Rep:
     T1v: np.ndarray
     basis_labels: list[int]
     roots: np.ndarray
-    # the s0 and s1 partners of the roots, as index arrays (see _ladder_pairs)
+    # the s0 and s1 partners of the roots, as read-only index arrays
+    # shared by every rep of the ladder (see _ladder_pairs)
     pairs: tuple[np.ndarray, np.ndarray]
     provenance: dict = field(default_factory=dict)
-    # (key, value) of the block diagnosis, kept for the last content it was read off
+    # (key, rows, quadratics, product) of the block diagnosis, kept for the
+    # last content it was read off (see _diagnosis)
     _diagnosis: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def generators(self) -> list[np.ndarray]:
@@ -235,12 +238,15 @@ def _ladder_shape(kind: RootKind) -> tuple[int, bool]:
 # -- the pairing ---------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=128)
 def _ladder_pairs(n: int, dual: bool) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
     """The roots of dual_ladder_roots(n, ...) if dual, else ladder_roots, are
     the symbols (1, e) of the upper chain, then (-1, e) of the lower, for
     the root a^sigma q_half^e.  Returns the upper chain's size and the s0
     and s1 partners: s0 (r -> q/r) maps (sigma, e) to (-sigma, 2 - e), s1
-    (r -> 1/r) to (-sigma, -e), and a root whose image is no root is lone."""
+    (r -> 1/r) to (-sigma, -e), and a root whose image is no root is lone.
+    The arrays depend on the level alone: every rep of the ladder shares
+    them, read-only."""
     m = abs(n)
     if dual:
         plus, minus = range(0, -2 * m, -2), range(2, 2 * m + 2, 2)
@@ -248,8 +254,11 @@ def _ladder_pairs(n: int, dual: bool) -> tuple[int, tuple[np.ndarray, np.ndarray
         plus, minus = range(1, 2 * m + 2 if n >= 0 else 2 * m, 2), range(1 - 2 * m, 0, 2)
     symbols = [(1, e) for e in plus] + [(-1, e) for e in minus]
     index = {sym: i for i, sym in enumerate(symbols)}
-    pairs = ([index.get((-sg, k - e), i) for i, (sg, e) in enumerate(symbols)] for k in (2, 0))
-    return len(plus), tuple(map(np.array, pairs))
+    pairs = tuple(np.array([index.get((-sg, k - e), i) for i, (sg, e) in enumerate(symbols)])
+                  for k in (2, 0))
+    for w in pairs:
+        w.flags.writeable = False
+    return len(plus), pairs
 
 
 def _check_ladder(roots: np.ndarray, n_upper: int, p: Params) -> None:
@@ -267,21 +276,27 @@ def _check_ladder(roots: np.ndarray, n_upper: int, p: Params) -> None:
                                     else f"root {roots[i]:.6g} is a fixed point of s{which}")
 
 
-def _rows(M: np.ndarray, w: np.ndarray, strict: bool) -> tuple:
+def _rows(M: np.ndarray, w: np.ndarray) -> tuple:
     """Per row i of M on the pairing w: the diagonal entry, the entry in
     column w[i] (0 on a lone row) and the largest modulus elsewhere, or
-    None when every other entry is 0; strict raises PairingError then."""
+    None when every other entry is 0."""
     rows = np.arange(w.size)
     if M.shape != (w.size, w.size):
         raise PairingError(f"a {M.shape} matrix on {w.size} roots")
     d, o = M.diagonal(), np.where(w == rows, 0.0, M[rows, w])
     if np.count_nonzero(M) == np.count_nonzero(d) + np.count_nonzero(o):
         return d, o, None
-    if strict:
-        raise PairingError("a matrix entry lies outside the pairing of its roots")
     rest = np.abs(M)
     rest[rows, rows] = rest[rows, w] = 0.0
     return d, o, rest.max(axis=1)
+
+
+def _strict(rows: tuple) -> tuple:
+    """The _rows of a matrix, or PairingError when an entry lies outside
+    the pairing."""
+    if rows[2] is not None:
+        raise PairingError("a matrix entry lies outside the pairing of its roots")
+    return rows
 
 
 def block_quadratic(
@@ -296,8 +311,18 @@ def block_quadratic(
     largest entry outside the blocks, as a ratio to the block's scale, is
     apart from 0.  Each is core.decide; the rank is None when one sits in
     the band."""
-    d, o, rest = _rows(M, w, False)
-    d, o, rest = d.tolist(), o.tolist(), [0.0] * w.size if rest is None else rest.tolist()
+    return _quadratic(_rows(M, w), w, e1, e2, tol)
+
+
+def _quadratic(
+    rows: tuple, w: np.ndarray, e1: complex, e2: complex, tol: Tolerance
+) -> tuple[float, Optional[int]]:
+    """block_quadratic on the matrix's _rows, in Python scalars: numpy
+    kernels cost more at these sizes."""
+    d, o, rest = rows
+    d, o, rest = d.tolist(), o.tolist(), None if rest is None else rest.tolist()
+    trace, det = e1 + e2, e1 * e2
+    trace_scale, det_scale = abs(e1) + abs(e2), abs(det)
     scale, jordan = max(abs(e1), abs(e2)), approx_eq(e1 / e2, 1.0, tol)
     terms, rank = [0.0], 0  # the residual's terms, folded once at the end
     for i, j in enumerate(w.tolist()):
@@ -308,16 +333,17 @@ def block_quadratic(
             gap = abs(x / e1 - 1)
             terms.append(min(gap, abs(x / e2 - 1)))
             entry = False if jordan else decide(gap, max(abs(x / e1), 1.0), tol)
-            size = abs(x)
         else:
-            ad, bc = d[i] * d[j], o[i] * o[j]
+            di, dj, oi, oj = d[i], d[j], o[i], o[j]
+            ad, bc = di * dj, oi * oj
             terms += (
-                abs(d[i] + d[j] - (e1 + e2)) / max(abs(e1) + abs(e2), abs(d[i]) + abs(d[j])),
-                abs(ad - bc - e1 * e2) / max(abs(e1 * e2), abs(ad) + abs(bc)),
+                abs(di + dj - trace) / max(trace_scale, abs(di) + abs(dj)),
+                abs(ad - bc - det) / max(det_scale, abs(ad) + abs(bc)),
             )
-            entry, size = True, max(abs(d[i]), abs(d[j]), abs(o[i]), abs(o[j]))
+            entry = True
         stray = False
-        if rest[i] or rest[j]:  # entries outside the blocks, in this block's rows
+        if rest is not None and (rest[i] or rest[j]):  # entries outside the blocks
+            size = abs(d[i]) if i == j else max(abs(d[i]), abs(d[j]), abs(o[i]), abs(o[j]))
             loose = worst((rest[i], rest[j])) / max(size, scale)
             terms.append(loose)
             stray = decide(loose, 1.0, tol)
@@ -328,10 +354,10 @@ def block_quadratic(
     return worst(terms), rank
 
 
-def _pair_product(A: np.ndarray, B: np.ndarray, w: np.ndarray, strict: bool) -> tuple:
-    """Row i of A B on the pairing w: its diagonal entry and its entry in
-    column w[i], each as its two terms."""
-    (da, oa, _), (db, ob, _) = _rows(A, w, strict), _rows(B, w, strict)
+def _pair_product(a: tuple, b: tuple, w: np.ndarray) -> tuple:
+    """Row i of A B on the pairing w, from the _rows of A and B: its
+    diagonal entry and its entry in column w[i], each as its two terms."""
+    (da, oa, _), (db, ob, _) = a, b
     return (da * db, oa * ob[w]), (da * ob, oa * db[w])
 
 
@@ -341,9 +367,16 @@ def block_product(
 ) -> float:
     """The residual of A4 A3 A1 A2 = 1 as A1 A2 = diag(z) on the s0 blocks
     and A4 A3 = diag(1/z) on the s1 blocks, each entry relative to its terms."""
+    return _product(_rows(A1, s0), _rows(A2, s0), _rows(A3, s1), _rows(A4, s1), z, s0, s1)
+
+
+def _product(a1: tuple, a2: tuple, a3: tuple, a4: tuple,
+             z: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> float:
+    """block_product on the four factors' _rows; PairingError when an
+    entry lies outside the pairing."""
     tops = []
-    for A, B, want, w in ((A1, A2, z, s0), (A4, A3, 1 / z, s1)):
-        for (s, t), target in zip(_pair_product(A, B, w, True), (want, 0.0)):
+    for a, b, want, w in ((a1, a2, z, s0), (a4, a3, 1 / z, s1)):
+        for (s, t), target in zip(_pair_product(_strict(a), _strict(b), w), (want, 0.0)):
             scale = np.maximum(np.abs(s) + np.abs(t), np.abs(target))
             res = np.abs(s + t - target) / np.where(scale > 0, scale, 1.0)
             tops.append(float(res.max(initial=0.0)))
@@ -465,30 +498,37 @@ def ds_factors(r: Rep, p: Params) -> tuple[np.ndarray, ...]:
     return (p.q_half * a1, *rest)
 
 
-def _diagnosis(r: Rep, p: Params, product: bool) -> tuple[list, Optional[float]]:
-    """Each generator's (residual, rank) of (T - t)(T + 1/t) = 0 from
-    block_quadratic, in GENERATORS order, and the product residual from
-    block_product, or None unless asked for.  The rep keeps them for the
+def _diagnosis(r: Rep, p: Params, product: bool) -> tuple[dict, list, Optional[float]]:
+    """The rows of each matrix on its pairing, by generator name and "A1"
+    for q^{1/2} T0 (see _rows); each generator's (residual, rank) of
+    (T - t)(T + 1/t) = 0, in GENERATORS order; and the product residual of
+    the ds factors, or None unless asked for.  The rep keeps them for the
     last (params, roots, pairs, matrices) content, so a change to any of
     those is read afresh; the product is computed on its first request,
-    as its strict pairing check raises where the quadratics do not."""
+    as its strict pairing check raises where the quadratics do not.
+    A1's rows are read off the dense product, as ds_factors makes it, so
+    the product residual is block_product's on the ds factors to the bit:
+    numpy's complex multiply may round strided and contiguous inputs
+    differently."""
     content = [r.roots, *r.pairs, *r.generators()]
     key = (p, *((M.dtype.str, M.shape, M.tobytes()) for M in content))
     if r._diagnosis is None or r._diagnosis[0] != key:
-        quads = [block_quadratic(getattr(r, g.name), r.pairs[g.involution], getattr(p, g.t),
-                                 -1 / getattr(p, g.t), p.tol) for g in GENERATORS]
-        r._diagnosis = (key, quads, None)
-    key, quads, prod = r._diagnosis
+        rows = {g.name: _rows(getattr(r, g.name), r.pairs[g.involution]) for g in GENERATORS}
+        rows["A1"] = _rows(p.q_half * r.T0, r.pairs[0])
+        quads = [_quadratic(rows[g.name], r.pairs[g.involution], getattr(p, g.t),
+                            -1 / getattr(p, g.t), p.tol) for g in GENERATORS]
+        r._diagnosis = (key, rows, quads, None)
+    key, rows, quads, prod = r._diagnosis
     if product and prod is None:
-        prod = block_product(*ds_factors(r, p), r.roots, *r.pairs)
-        r._diagnosis = (key, quads, prod)
-    return quads, prod
+        prod = _product(rows["A1"], *(rows[g.name] for g in FACTORS[1:]), r.roots, *r.pairs)
+        r._diagnosis = (key, rows, quads, prod)
+    return rows, quads, prod
 
 
 def verify_relations(r: Rep, p: Params) -> dict[str, float]:
     """Residuals of the five relations, block by block: each quadratic, and
     the product as q^{1/2} T0 T0v = z on s0 blocks, T1v T1 = z^-1 on s1."""
-    quads, prod = _diagnosis(r, p, True)
+    _, quads, prod = _diagnosis(r, p, True)
     out = {f"quad.{g.name}": res for g, (res, _) in zip(GENERATORS, quads)}
     out["product"] = prod
     return out
@@ -496,7 +536,7 @@ def verify_relations(r: Rep, p: Params) -> dict[str, float]:
 
 def dim_vector(r: Rep, p: Params) -> DimVector:
     """(dim, rank(T0-k0), rank(T1-k1), rank(T0v-u0), rank(T1v-u1)) off the blocks."""
-    ranks = [rank for _, rank in _diagnosis(r, p, False)[0]]
+    ranks = [rank for _, rank in _diagnosis(r, p, False)[1]]
     if None in ranks:
         raise RankIndeterminateError("a matrix entry sits near a rank threshold")
     return DimVector(r.dim, *ranks)
@@ -505,9 +545,8 @@ def dim_vector(r: Rep, p: Params) -> DimVector:
 def spectrum_of_z(r: Rep, p: Params) -> list[complex]:
     """Eigenvalues of q^{1/2} T0 T0v on the s0 blocks: per 2x2 block the
     root of x^2 - tau x + delta of larger modulus, and delta over it."""
-    w, _ = r.pairs
-    a1, a2, _, _ = ds_factors(r, p)
-    diag, off = (s + t for s, t in _pair_product(a1, a2, w, False))
+    rows, w = _diagnosis(r, p, False)[0], r.pairs[0]
+    diag, off = (s + t for s, t in _pair_product(rows["A1"], rows["T0v"], w))
     tau, delta = diag + diag[w], diag * diag[w] - off * off[w]
     root = np.sqrt(tau * tau - 4 * delta)
     big = (tau + np.where(np.abs(tau + root) >= np.abs(tau - root), root, -root)) / 2
@@ -530,11 +569,10 @@ def commutant_dim(r: Rep, p: Params) -> int:
     pairs.  A block's larger off-diagonal entry, as a ratio to its largest
     entry, is an edge when core.decide calls that ratio apart from 0; in
     the band, RankIndeterminateError."""
-    label = list(range(r.dim))
+    rows, label = _diagnosis(r, p, False)[0], list(range(r.dim))
     for which, w in enumerate(r.pairs):
         weight = np.zeros(r.dim)
-        for M in (getattr(r, g.name) for g in GENERATORS if g.involution == which):
-            d, o, _ = _rows(M, w, True)
+        for d, o, _ in (_strict(rows[g.name]) for g in GENERATORS if g.involution == which):
             off = np.maximum(np.abs(o), np.abs(o[w]))
             size = np.maximum.reduce([np.abs(d), np.abs(d[w]), off])
             weight = np.maximum(weight, off / np.where(size > 0, size, 1.0))

@@ -7,14 +7,17 @@ relation residuals from one batched SVD, rank by singular values, and
 the commutant as the nullity of the Sylvester system.  The library pairs
 the roots by their ladder symbols; the float matcher it replaced is kept
 here too, to cross-check that pairing.  So is the three-regex literal
-parser that core.parse_scalar's one grammar replaced.
+parser that core.parse_scalar's one grammar replaced.  The quadratic
+check, the spectrum and the commutant are also read off each matrix's
+own dense rows, every scale taken afresh, to check bit for bit the rows
+the library's kept diagnosis shares and its loop's hoisted scales.
 """
 
 import re
 
 import numpy as np
 
-from daha_cc1.core import Params
+from daha_cc1.core import GENERATORS, Params, Tolerance, approx_eq, decide, worst
 from daha_cc1.rep import DegenerateLadderError, RankIndeterminateError, Rep
 
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -112,6 +115,89 @@ def sylvester_commutant_dim(r: Rep, rank_tol: float = 1e-9) -> int:
     if band.any():
         raise RankIndeterminateError("commutant rank indeterminate")
     return d * d - int((sv > thr).sum())
+
+
+def _dense_rows(M: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal of M and its entry in column w[i] of each row i (0 on
+    a lone row), read off M itself."""
+    rows = np.arange(w.size)
+    return M.diagonal(), np.where(w == rows, 0.0, M[rows, w])
+
+
+def dense_block_quadratic(
+    M: np.ndarray, w: np.ndarray, e1: complex, e2: complex, tol: Tolerance
+) -> tuple:
+    """rep.block_quadratic's (residual, rank), each block read off M and
+    every scale taken afresh."""
+    d, o = (a.tolist() for a in _dense_rows(M, w))
+    rows, rest = np.arange(w.size), np.abs(M)
+    rest[rows, rows] = rest[rows, w] = 0.0
+    rest = rest.max(axis=1).tolist()
+    scale, jordan = max(abs(e1), abs(e2)), approx_eq(e1 / e2, 1.0, tol)
+    terms, rank = [0.0], 0
+    for i, j in enumerate(w.tolist()):
+        if j < i:
+            continue
+        if i == j:
+            x = d[i]
+            gap = abs(x / e1 - 1)
+            terms.append(min(gap, abs(x / e2 - 1)))
+            entry = False if jordan else decide(gap, max(abs(x / e1), 1.0), tol)
+            size = abs(x)
+        else:
+            ad, bc = d[i] * d[j], o[i] * o[j]
+            terms += (
+                abs(d[i] + d[j] - (e1 + e2)) / max(abs(e1) + abs(e2), abs(d[i]) + abs(d[j])),
+                abs(ad - bc - e1 * e2) / max(abs(e1 * e2), abs(ad) + abs(bc)),
+            )
+            entry, size = True, max(abs(d[i]), abs(d[j]), abs(o[i]), abs(o[j]))
+        stray = False
+        if rest[i] or rest[j]:
+            loose = worst((rest[i], rest[j])) / max(size, scale)
+            terms.append(loose)
+            stray = decide(loose, 1.0, tol)
+        if rank is not None:
+            add = (2 if i != j else 1) if stray else (None if stray is None else entry)
+            rank = None if add is None else rank + add
+    return worst(terms), rank
+
+
+def pair_product_spectrum(r: Rep, p: Params) -> list[complex]:
+    """The z-spectrum as eigenvalues of the s0 blocks of the dense
+    q^{1/2} T0 times T0v, each row of the product as its two terms: per
+    2x2 block the root of x^2 - tau x + delta of larger modulus, and delta
+    over it."""
+    w = r.pairs[0]
+    (da, oa), (db, ob) = (_dense_rows(M, w) for M in (p.q_half * r.T0, r.T0v))
+    diag, off = da * db + oa * ob[w], da * ob + oa * db[w]
+    tau, delta = diag + diag[w], diag * diag[w] - off * off[w]
+    root = np.sqrt(tau * tau - 4 * delta)
+    big = (tau + np.where(np.abs(tau + root) >= np.abs(tau - root), root, -root)) / 2
+    first, lone = w > np.arange(r.dim), w == np.arange(r.dim)
+    return [complex(v) for v in np.concatenate((big[first], delta[first] / big[first], diag[lone]))]
+
+
+def block_commutant_dim(r: Rep, p: Params) -> int:
+    """The commutant dimension as components of the graph of pairs whose
+    block, in some generator, has an off-diagonal entry apart from 0 as a
+    ratio to the block's largest entry, each read off the generator's own
+    dense rows.  For reps with no entry outside the pairing."""
+    label = list(range(r.dim))
+    for which, w in enumerate(r.pairs):
+        weight = np.zeros(r.dim)
+        for g in GENERATORS:
+            if g.involution == which:
+                d, o = _dense_rows(getattr(r, g.name), w)
+                off = np.maximum(np.abs(o), np.abs(o[w]))
+                size = np.maximum.reduce([np.abs(d), np.abs(d[w]), off])
+                weight = np.maximum(weight, off / np.where(size > 0, size, 1.0))
+        for i in np.flatnonzero(w > np.arange(r.dim)).tolist():
+            edge = decide(weight[i], 1.0, p.tol)
+            if edge is None:
+                raise RankIndeterminateError("commutant entry near threshold")
+            if edge:
+                label = [label[i] if x == label[w[i]] else x for x in label]
+    return len(set(label))
 
 
 def float_pairings(roots: np.ndarray, q: complex) -> tuple[np.ndarray, np.ndarray]:

@@ -747,9 +747,11 @@ def test_construct_and_ds_check_read_the_ds_block_off_the_relation_check(
     capsys, tmp_path, rng, monkeypatch
 ):
     # the build's gate makes the one product check and the one quadratic
-    # pass of a construct: the report's relation check and dim vector read
-    # the rep's diagnosis; ds-check makes one of each for its stored rep
-    calls = {"product": 0, "quadratic": 0}
+    # pass of a construct: the report's relation check, dim vector,
+    # spectrum and commutant read the rep's diagnosis, whose rows of each
+    # matrix (four generators and q^{1/2} T0) are read once; ds-check
+    # makes one of each for its stored rep
+    calls = {"rows": 0, "product": 0, "quadratic": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -760,28 +762,29 @@ def test_construct_and_ds_check_read_the_ds_block_off_the_relation_check(
     def unused(*args, **kwargs):
         raise AssertionError("the CLI reads the ds block off verify_relations")
 
-    monkeypatch.setattr(rep_module, "block_product", counted("product", rep_module.block_product))
-    monkeypatch.setattr(rep_module, "block_quadratic",
-                        counted("quadratic", rep_module.block_quadratic))
+    monkeypatch.setattr(rep_module, "_rows", counted("rows", rep_module._rows))
+    monkeypatch.setattr(rep_module, "_product", counted("product", rep_module._product))
+    monkeypatch.setattr(rep_module, "_quadratic", counted("quadratic", rep_module._quadratic))
     monkeypatch.setattr(dsbridge, "to_ds_tuple", unused)
     monkeypatch.setattr(dsbridge, "verify_class_membership", unused)
+    once = {"rows": 5, "product": 1, "quadratic": 4}
     kind = Type2(1, -1, 1, 1, 3)
     args = _param_args(sample_stratum_params(kind, rng))
     rep_file = tmp_path / "rep.json"
     code, _ = run_cli(capsys, ["construct", *args, "--kind", kind_to_str(kind),
                                "--out", str(rep_file)])
     assert code == 0
-    assert calls == {"product": 1, "quadratic": 4}
-    calls.update(product=0, quadratic=0)
+    assert calls == once
+    calls.update(rows=0, product=0, quadratic=0)
     code, _ = run_cli(capsys, ["ds-check", *args, "--rep", str(rep_file)])
     assert code == 0
-    assert calls == {"product": 1, "quadratic": 4}
+    assert calls == once
     # a library build's dim vector reads the build's own pass
-    calls.update(product=0, quadratic=0)
+    calls.update(rows=0, product=0, quadratic=0)
     p = sample_stratum_params(kind, rng)
     r = rep_module.build_quotient_rep(kind, None, p)
     assert rep_module.dim_vector(r, p).as_tuple() == tuple(root_of_kind(kind))
-    assert calls == {"product": 1, "quadratic": 4}
+    assert calls == once
 
 
 def test_construct_evaluates_the_stratum_verdict_once(capsys, rng, monkeypatch):

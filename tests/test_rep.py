@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import importlib.util
+import json
 import os
 import sys
 from itertools import product
@@ -36,11 +37,13 @@ from daha_cc1.rep import (
     apply_T0v_bar,
     apply_T1,
     apply_T1v_bar,
+    block_product,
     block_quadratic,
     build_quotient_rep,
     build_truncated_polyrep,
     commutant_dim,
     dim_vector,
+    ds_factors,
     rep_from_json,
     rep_to_json,
     rho_ladder,
@@ -57,7 +60,15 @@ from daha_cc1.dsbridge import (
 )
 from daha_cc1.roots import Imaginary, RootVector, Type1E, Type1F, Type2, root_of_kind
 from daha_cc1.strata import sample_generic_params, sample_stratum_params
-from oracles import dense_dim_vector, float_pairings, numerical_rank, sylvester_commutant_dim
+from oracles import (
+    block_commutant_dim,
+    dense_block_quadratic,
+    dense_dim_vector,
+    float_pairings,
+    numerical_rank,
+    pair_product_spectrum,
+    sylvester_commutant_dim,
+)
 
 Z = LaurentPoly.monomial(1)
 ONE = LaurentPoly.one()
@@ -496,21 +507,29 @@ def test_verify_relations_returns_a_fresh_dict(rng):
 
 
 def test_dim_vector_reads_ranks_past_a_stray_entry(rng):
-    # an entry outside the pairing fails the strict product check, which
-    # dim_vector never runs: it returns the ranks, in either order of calls
+    # an entry outside the pairing, in any generator, fails the strict
+    # product and commutant checks, which dim_vector never runs: it
+    # returns the ranks, in either order of calls
     kind = Type2(1, 1, 1, 1, 2)
     p = sample_stratum_params(kind, rng)
-    for first in (verify_relations, dim_vector):
-        r = build_quotient_rep(kind, None, p)
-        dv = dim_vector(r, p)
-        s0, _ = r.pairs
-        j = next(j for j in range(r.dim) if j not in (0, s0[0]))
-        r.T0[0, j] = 1e-300
-        if first is dim_vector:
-            assert dim_vector(r, p) == dv
-        with pytest.raises(PairingError):
-            verify_relations(r, p)
-        assert dim_vector(r, p) == dv
+    for g in GENERATORS:
+        for first in (verify_relations, dim_vector):
+            r = build_quotient_rep(kind, None, p)
+            dv = dim_vector(r, p)
+            w = r.pairs[g.involution]
+            j = next(j for j in range(r.dim) if j not in (0, w[0]))
+            M, t = getattr(r, g.name), getattr(p, g.t)
+            for x in (1e-3, 1e-7, 1e-300):  # apart from 0, in the band, equal to 0
+                M[0, j] = x * max(abs(t), 1 / abs(t))
+                assert block_quadratic(M, w, t, -1 / t, p.tol) == \
+                    dense_block_quadratic(M, w, t, -1 / t, p.tol), (g.name, x)
+            M[0, j] = 1e-300
+            if first is dim_vector:
+                assert dim_vector(r, p) == dv, g.name
+            for strict in (verify_relations, commutant_dim):
+                with pytest.raises(PairingError):
+                    strict(r, p)
+            assert dim_vector(r, p) == dv, g.name
 
 
 def _bench_inputs():
@@ -545,7 +564,8 @@ def test_t_to_minus_inverse_t_moves_one_leg_of_a_built_rep(q_mod):
 
 def test_a_deep_copy_diagnoses_as_the_kept_diagnosis():
     # every ladder cell of bench seed 1 that builds: a copy with nothing
-    # kept diagnoses bit for bit as the build's own gate pass did
+    # kept diagnoses bit for bit as the build's own gate pass did, and the
+    # rep reads its kept rows again
     built = 0
     for sweep in _bench_inputs().ladder_sweeps(1):
         for pt in sweep:
@@ -554,13 +574,48 @@ def test_a_deep_copy_diagnoses_as_the_kept_diagnosis():
                 r = build_quotient_rep(pt.kind, None, p)
             except ArithmeticError:
                 continue
-            kept = r._diagnosis
+            _, rows, *kept = r._diagnosis
             fresh = copy.deepcopy(r)
             fresh._diagnosis = None
-            assert _diagnosis(fresh, p, True) == kept[1:]
-            assert _diagnosis(r, p, True) == kept[1:]
+            fresh_rows, *diagnosis = _diagnosis(fresh, p, True)
+            assert diagnosis == kept
+            assert _row_bytes(fresh_rows) == _row_bytes(rows)
+            again, *diagnosis = _diagnosis(r, p, True)
+            assert diagnosis == kept and again is rows
             built += 1
     assert built > 24 * 7
+
+
+def _row_bytes(rows: dict) -> dict:
+    return {name: [None if a is None else a.tobytes() for a in row] for name, row in rows.items()}
+
+
+def test_the_kept_rows_diagnose_as_each_matrix_read_alone():
+    # every cell that builds in bench ladder seeds 1-3 and the construct
+    # requests of seed 1: the diagnosis read off the kept rows equals, to
+    # the bit, each public block check on the rep's own matrices, and the
+    # quadratics, spectrum and commutant read off each matrix's dense rows
+    inputs = _bench_inputs()
+    points = [pt for seed in (1, 2, 3) for sweep in inputs.ladder_sweeps(seed) for pt in sweep]
+    built = 0
+    for pt in points + inputs.construct_requests(1):
+        p = Params(*pt.values)
+        try:
+            r = build_quotient_rep(pt.kind, None, p)
+        except ArithmeticError:
+            continue
+        residuals = verify_relations(r, p)
+        quads = [block_quadratic(getattr(r, g.name), r.pairs[g.involution], getattr(p, g.t),
+                                 -1 / getattr(p, g.t), p.tol) for g in GENERATORS]
+        assert _diagnosis(r, p, True)[1] == quads, pt.kind
+        assert [dense_block_quadratic(getattr(r, g.name), r.pairs[g.involution], getattr(p, g.t),
+                                       -1 / getattr(p, g.t), p.tol) for g in GENERATORS] == quads
+        assert [residuals[f"quad.{g.name}"] for g in GENERATORS] == [res for res, _ in quads]
+        assert residuals["product"] == block_product(*ds_factors(r, p), r.roots, *r.pairs)
+        assert spectrum_of_z(r, p) == pair_product_spectrum(r, p), pt.kind
+        assert commutant_dim(r, p) == block_commutant_dim(r, p), pt.kind
+        built += 1
+    assert built > 1000
 
 
 def test_ladder_pairs_agree_with_the_float_matcher():
@@ -585,6 +640,21 @@ def test_ladder_pairs_agree_with_the_float_matcher():
             assert [w.tolist() for w in r.pairs] == want
             built += 1
     assert checked == 3 * 496 and built > 3 * 450
+
+
+def test_a_rep_and_its_file_share_the_levels_read_only_pairing(rng, tmp_path):
+    kind = Type1F(1, -1, 3)
+    p = sample_stratum_params(kind, rng)
+    r = build_quotient_rep(kind, None, p)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep_to_json(r)))
+    back = rep_from_json(json.loads(path.read_text()))
+    for w, v in zip(r.pairs, back.pairs):
+        assert w is v
+        with pytest.raises(ValueError):
+            w[0] = w[-1]
+    other = build_quotient_rep(kind, None, sample_stratum_params(kind, rng))
+    assert all(w is v for w, v in zip(r.pairs, other.pairs))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
