@@ -28,7 +28,6 @@ from .rep import (
     verify_relations,
 )
 from .roots import (
-    Imaginary,
     RootKind,
     RootVector,
     Type1E,
@@ -61,7 +60,6 @@ __all__ = [
     "rigidity_D",
     "spectrum_of_z",
     "verify_relations",
-    "Imaginary",
     "RootKind",
     "RootVector",
     "Type1E",

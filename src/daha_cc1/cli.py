@@ -53,7 +53,6 @@ from .rep import (
     verify_relations,
 )
 from .roots import (
-    Imaginary,
     RootVector,
     Type1E,
     Type1F,
@@ -589,9 +588,7 @@ def _selftest_properties(cfg: RunConfig) -> tuple[list[dict], dict]:
 
     # root combinatorics
     roots = enumerate_strict_roots(8)
-    ok = len(roots) == 16 * 9 + 9 * 8 and all(
-        tits_form(v) == (0 if isinstance(k, Imaginary) else 1) for k, v in roots
-    )
+    ok = len(roots) == 16 * 9 + 8 * 8 and all(tits_form(v) == 1 for _, v in roots)
     record("root-combinatorics", ok)
     return checks, residuals
 

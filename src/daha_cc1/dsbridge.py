@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import FACTORS, Params, approx_eq
 from .rep import RankIndeterminateError, Rep, block_product, block_quadratic, ds_factors
-from .roots import Imaginary, RootVector, classify_root
+from .roots import RootVector, classify_root
 from .strata import sigma_membership
 
 PRODUCT_RESIDUAL_MAX = 1e-6
@@ -119,7 +119,7 @@ def ds_existence_predicate(alpha: RootVector, p: Params, member: Optional[bool] 
     refuses every point classify refuses, unless the caller holds the
     verdict as member), and the prescribed eigenvalue product closes."""
     kind = classify_root(alpha)
-    if kind is None or isinstance(kind, Imaginary):
+    if kind is None:
         return False
     if member is None:
         member = sigma_membership(p, kind).member

@@ -42,8 +42,7 @@ from .laurent import (
 )
 # unused here, kept as attributes: the benchmark's tracer wraps them
 from .laurent import build_E, build_E_dual, reduce_mod  # noqa: F401
-from .roots import (Imaginary, RootKind, Type1E, Type1F, Type2, check_signs, kind_from_str,
-                    kind_to_str)
+from .roots import RootKind, Type1E, Type1F, Type2, check_signs, kind_from_str, kind_to_str
 from .strata import one_leg, sigma_membership
 
 IDEAL_RESIDUAL_MAX = 1e-6
@@ -442,8 +441,6 @@ def build_quotient_rep(
     force=True only validate_params runs (the certification still runs
     and fails off-stratum).
     """
-    if isinstance(kind, Imaginary):
-        raise ValueError("imaginary kinds admit no finite-dimensional quotient")
     if force:
         validate_params(p)
     else:
@@ -650,7 +647,7 @@ def rep_from_json(data) -> Rep:
     one that is not a JSON object, that lacks a field, its roots or kind,
     or whose values are not of the shapes its dim gives: dim x dim matrices
     and dim roots of finite numbers (not JSON true or false, NaN or
-    Infinity), integer labels."""
+    Infinity), and the integer labels 0..dim-1."""
     if not isinstance(data, dict):
         raise ValueError("stored representation is not a JSON object")
     names = [g.name for g in GENERATORS]
@@ -670,6 +667,8 @@ def rep_from_json(data) -> Rep:
         raise ValueError(
             f"stored representation of dim {dim} has {', '.join(wrong)} of another shape"
         )
+    if labels != list(range(dim)):
+        raise ValueError(f"stored representation of dim {dim} has basis_labels other than 0..{dim - 1}")
     bad = [key for key, v in zip(("roots", *names), (roots, *mats)) if not np.isfinite(v).all()]
     if bad:
         raise ValueError(f"stored representation has a NaN or infinite entry in {', '.join(bad)}")

@@ -3,8 +3,10 @@
 Positive roots are 5-vectors (a0, a1, a2, a3, a4): a0 labels the central
 node, a1/a2 the e-legs and a3/a4 the f-legs.  Only the strict families
 used by the classification are modelled: the 16-per-level "type 2" real
-roots c + n*Delta + ..., the 8-per-level one-leg real roots
-n*Delta +/- e_i / f_i, and the imaginary roots n*Delta.
+roots c + n*Delta + ..., and the 8-per-level one-leg real roots
+n*Delta +/- e_i / f_i.  The imaginary roots n*Delta carry no irreducible
+when q is not a root of unity (their eigenvalue product is q^n, not 1),
+so they are not kinds.
 """
 
 from __future__ import annotations
@@ -102,17 +104,7 @@ class Type1F:
         _check_kind(self, (self.delta,), 1, "one-leg root", self.i)
 
 
-@dataclass(frozen=True)
-class Imaginary:
-    """n*Delta."""
-
-    n: int
-
-    def __post_init__(self):
-        _check_kind(self, (), 1, "imaginary root")
-
-
-RootKind = Union[Type2, Type1E, Type1F, Imaginary]
+RootKind = Union[Type2, Type1E, Type1F]
 
 
 def root_of_kind(k: RootKind) -> RootVector:
@@ -130,8 +122,6 @@ def root_of_kind(k: RootKind) -> RootVector:
         return DELTA.scaled(k.n) + E_LEGS[k.i].scaled(k.eps)
     if isinstance(k, Type1F):
         return DELTA.scaled(k.n) + F_LEGS[k.i].scaled(k.delta)
-    if isinstance(k, Imaginary):
-        return DELTA.scaled(k.n)
     raise TypeError(f"not a root kind: {k!r}")
 
 
@@ -142,8 +132,6 @@ def classify_root(v: RootVector) -> Optional[RootKind]:
         return None
     if a0 % 2 == 0:
         n = a0 // 2
-        if n >= 1 and all(x == n for x in legs):
-            return Imaginary(n)
         offsets = [x - n for x in legs]
         hot = [(i, d) for i, d in enumerate(offsets) if d != 0]
         if n >= 1 and len(hot) == 1 and hot[0][1] in (1, -1):
@@ -170,8 +158,8 @@ def tits_form(v: RootVector) -> int:
 def enumerate_strict_roots(n_max: int) -> tuple[tuple[RootKind, RootVector], ...]:
     """All strict roots with level n <= n_max in deterministic order.
 
-    Per level: 16 type-2 kinds (n >= 0), 8 one-leg kinds and one
-    imaginary root (n >= 1), so 16*(n_max+1) + 9*n_max entries total.
+    Per level: 16 type-2 kinds (n >= 0) and 8 one-leg kinds (n >= 1), so
+    16*(n_max+1) + 8*n_max entries total.
     The sequence is built once per n_max and shared, so it is a tuple.
     """
     out: list[tuple[RootKind, RootVector]] = []
@@ -193,8 +181,6 @@ def enumerate_strict_roots(n_max: int) -> tuple[tuple[RootKind, RootVector], ...
             for delta in signs:
                 k = Type1F(i, delta, n)
                 out.append((k, root_of_kind(k)))
-        k = Imaginary(n)
-        out.append((k, root_of_kind(k)))
     return tuple(out)
 
 
@@ -213,14 +199,11 @@ def kind_to_str(k: RootKind) -> str:
         return f"T1E[i={k.i},{_sgn(k.eps)};n={k.n}]"
     if isinstance(k, Type1F):
         return f"T1F[i={k.i},{_sgn(k.delta)};n={k.n}]"
-    if isinstance(k, Imaginary):
-        return f"IM[n={k.n}]"
     raise TypeError(f"not a root kind: {k!r}")
 
 
 _T2_RE = re.compile(r"^T2\[([+-])([+-]),([+-])([+-]);n=(\d+)\]$")
 _T1_RE = re.compile(r"^T1([EF])\[i=([01]),([+-]);n=(\d+)\]$")
-_IM_RE = re.compile(r"^IM\[n=(\d+)\]$")
 _PM = {"+": 1, "-": -1}
 
 
@@ -234,6 +217,4 @@ def kind_from_str(text: str) -> RootKind:
     if m := _T1_RE.match(s):
         cls = Type1E if m.group(1) == "E" else Type1F
         return cls(int(m.group(2)), _PM[m.group(3)], int(m.group(4)))
-    if m := _IM_RE.match(s):
-        return Imaginary(int(m.group(1)))
     raise ValueError(f"cannot parse root kind {text!r}")

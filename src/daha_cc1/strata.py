@@ -29,7 +29,6 @@ from .core import (
     validation_errors,
 )
 from .roots import (
-    Imaginary,
     RootKind,
     RootVector,
     Type1E,
@@ -37,10 +36,6 @@ from .roots import (
     Type2,
     enumerate_strict_roots,
 )
-
-
-class ImaginaryKindError(ValueError):
-    """Imaginary roots carry no stratum when q is not a root of unity."""
 
 
 @dataclass(frozen=True)
@@ -202,8 +197,6 @@ def sigma_membership(p: Params, k: RootKind, table: _Table | None = None) -> Str
     point that validate_params refuses raises its exception, as classify
     does; a kind names a root, since it is checked when it is made.
     """
-    if isinstance(k, Imaginary):
-        raise ImaginaryKindError("imaginary kinds have no stratum")
     row, n = _kind_row(k), k.n
     eq_name = _RULE[row][0]
     eq, failing = (table if table is not None else _Table([p], n)).verdicts
@@ -222,8 +215,7 @@ def stratum_verdicts(
     stratum quantities."""
     table = _Table([p], n_max)
     for kind, vec in enumerate_strict_roots(n_max):
-        if not isinstance(kind, Imaginary):
-            yield kind, vec, sigma_membership(p, kind, table)
+        yield kind, vec, sigma_membership(p, kind, table)
 
 
 def _kind_row(k: RootKind) -> int:
@@ -241,8 +233,7 @@ def _grid_roots(n_max: int) -> tuple:
     order, the 16 type-2 sign vectors and then the 8 one-leg kinds."""
     cells: list = [None] * (_N_ROWS * (n_max + 1))
     for kind, vec in enumerate_strict_roots(n_max):
-        if not isinstance(kind, Imaginary):
-            cells[kind.n * _N_ROWS + _kind_row(kind)] = (kind, vec)
+        cells[kind.n * _N_ROWS + _kind_row(kind)] = (kind, vec)
     return tuple(cells)
 
 
@@ -349,8 +340,6 @@ def sample_stratum_params(
     The stratum equality is solved exactly for one parameter; draws that
     land within the margin band of any inequality are rejected.
     """
-    if isinstance(kind, Imaginary):
-        raise ImaginaryKindError("imaginary kinds have no stratum")
     for _ in range(500):
         qh = random_q_half(rng)
         q = qh * qh

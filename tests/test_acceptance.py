@@ -36,7 +36,6 @@ from daha_cc1.rep import (
     verify_relations,
 )
 from daha_cc1.roots import (
-    Imaginary,
     RootVector,
     Type1E,
     Type1F,
@@ -451,9 +450,9 @@ def test_criterion_07_negative_suite():
 
 def test_criterion_08_root_combinatorics():
     roots = enumerate_strict_roots(20)
-    assert len(roots) == 16 * 21 + 9 * 20
-    for kind, vec in roots:
-        assert tits_form(vec) == (0 if isinstance(kind, Imaginary) else 1)
+    assert len(roots) == 16 * 21 + 8 * 20
+    for _, vec in roots:
+        assert tits_form(vec) == 1
     print(f"PASS criterion 8: {len(roots)} strict roots with correct "
           "quadratic form values")
 

@@ -238,15 +238,20 @@ def test_every_config_key_is_read(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["construct", "spectrum"])
-@pytest.mark.parametrize("kind", ["T1E[i=0,+;n=0]", "T1F[i=1,-;n=0]", "IM[n=0]"])
-def test_a_kind_that_names_no_root_is_input_error(capsys, command, kind):
+@pytest.mark.parametrize("kind, error", [pytest.param(kind, error, id=kind) for kind, error in [
+    ("T1E[i=0,+;n=0]", "NonPositiveEntryError: "),
+    ("T1F[i=1,-;n=0]", "NonPositiveEntryError: "),
+    # n*Delta carries no irreducible, so it is no kind and does not parse
+    ("IM[n=1]", "ValueError: cannot parse root kind 'IM[n=1]'"),
+]])
+def test_a_kind_that_names_no_root_is_input_error(capsys, command, kind, error):
     # k0^2 = -q^0 here, so the equality of T1E[i=0,+;n=0] holds; but no
     # root has that kind, and its build cannot be certified
     argv = [command, "--k0", "1i", "--k1", "0.7+0.2i", "--u0", "1.3-0.4i",
             "--u1", "0.9+0.5i", "--q-half", "1.3+0.2i", "--kind", kind]
     code, out = run_cli(capsys, argv)
     assert code == 2
-    assert json.loads(out)["results"]["error"].startswith("NonPositiveEntryError: ")
+    assert json.loads(out)["results"]["error"].startswith(error)
 
 
 def test_n_max_guard(capsys):
@@ -852,7 +857,10 @@ def test_scan_gives_an_out_of_range_point_an_error_row(capsys, tmp_path):
                                         # JSON true and false are not integers, nor
                                         # numbers beside a number in a pair
                                         ("dim", True), ("basis_labels", [False]),
-                                        ("T0", [[[2, False]]]), ("T1", [[[0.5, True]]])])
+                                        ("T0", [[[2, False]]]), ("T1", [[[0.5, True]]]),
+                                        # the labels are the root indices 0..dim-1
+                                        ("basis_labels", [7, 8, 9]), ("basis_labels", []),
+                                        ("basis_labels", [1])])
 def test_ds_check_refuses_a_stored_rep_with_a_wrong_shaped_value(capsys, tmp_path, key, value):
     rep_file = tmp_path / "rep.json"
     code, _ = run_cli(capsys, ["construct", *ONE_DIM, "--kind", "T2[++,++;n=0]",
@@ -927,7 +935,7 @@ def test_every_refusal_survives_a_pickle_round_trip(exc):
     (None, "stored representation has no provenance kind"),
     (5, "stored representation has no provenance kind"),
     ("T9[++,++;n=0]", "cannot parse root kind 'T9[++,++;n=0]'"),
-    ("IM[n=1]", "no quotient for kind Imaginary(n=1)"),
+    ("IM[n=1]", "cannot parse root kind 'IM[n=1]'"),
     ("T2[++,++;n=1]", "stored representation of dim 1 has kind T2[++,++;n=1] of dim 3"),
 ], ids=["missing", "not-a-string", "unparsed", "imaginary", "other-dim"])
 def test_ds_check_refuses_a_stored_rep_without_a_kind_of_its_dim(capsys, tmp_path, kind, error):

@@ -8,10 +8,11 @@ from daha_cc1.dsbridge import (
     ds_existence_predicate,
     to_ds_tuple,
     verify_class_membership,
+    xi_product,
 )
 from daha_cc1.rep import block_product, build_quotient_rep
-from daha_cc1.roots import RootVector, Type1F, Type2, root_of_kind
-from daha_cc1.strata import sample_stratum_params
+from daha_cc1.roots import DELTA, RootVector, Type1E, Type1F, Type2, root_of_kind
+from daha_cc1.strata import sample_generic_params, sample_stratum_params
 
 
 @pytest.fixture
@@ -77,6 +78,21 @@ def test_existence_predicate(rng, generic_params):
     assert not ds_existence_predicate(vec, generic_params)
     # non-root coordinates never pass
     assert not ds_existence_predicate(RootVector(4, 1, 1, 1, 1), p)
+    # nor does an imaginary root, on a stratum point too
+    assert not ds_existence_predicate(DELTA.scaled(2), p)
+
+
+def test_an_imaginary_root_has_product_q_to_its_level(rng):
+    # the eigenvalue pairs multiply to -q, -1, -1 and -1, so n*Delta's
+    # product is q^n: never 1 when q is not a root of unity, so no
+    # irreducible has an imaginary dim vector
+    points = [sample_generic_params(rng) for _ in range(3)]
+    points += [sample_stratum_params(k, rng)
+               for k in (Type2(1, -1, 1, 1, 3), Type1E(1, 1, 2), Type1F(0, -1, 5))]
+    for p in points:
+        for n in range(1, 21):
+            want = p.q**n
+            assert abs(xi_product(DELTA.scaled(n), p) - want) <= 1e-12 * abs(want), (p, n)
 
 
 def test_det_product_is_one(type2_rep):

@@ -58,7 +58,7 @@ from daha_cc1.dsbridge import (
     class_spec_from_root,
     verify_class_membership,
 )
-from daha_cc1.roots import Imaginary, RootVector, Type1E, Type1F, Type2, root_of_kind
+from daha_cc1.roots import RootVector, Type1E, Type1F, Type2, root_of_kind
 from daha_cc1.strata import sample_generic_params, sample_stratum_params
 from oracles import (
     block_commutant_dim,
@@ -226,11 +226,6 @@ def test_forced_construction_fails_loudly(generic_params):
         assert exc.value.residual > 1e-4
     else:
         assert max(exc.value.residuals.values()) > 1e-4
-
-
-def test_imaginary_kind_rejected(generic_params):
-    with pytest.raises(ValueError):
-        build_quotient_rep(Imaginary(1), None, generic_params)
 
 
 def test_sign_vector_must_match_kind(rng):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from daha_cc1.roots import (
     DELTA,
-    Imaginary,
     NonPositiveEntryError,
     RootVector,
     Type1E,
@@ -25,7 +24,6 @@ kinds = st.one_of(
     st.builds(Type2, signs, signs, signs, signs, st.integers(0, 20)),
     st.builds(Type1E, st.integers(0, 1), signs, st.integers(1, 20)),
     st.builds(Type1F, st.integers(0, 1), signs, st.integers(1, 20)),
-    st.builds(Imaginary, st.integers(1, 20)),
 )
 
 
@@ -39,7 +37,6 @@ def test_one_leg_coordinates():
     assert root_of_kind(Type1E(0, 1, 2)) == RootVector(4, 3, 2, 2, 2)
     assert root_of_kind(Type1E(1, -1, 1)) == RootVector(2, 1, 0, 1, 1)
     assert root_of_kind(Type1F(1, -1, 3)) == RootVector(6, 3, 3, 3, 2)
-    assert root_of_kind(Imaginary(2)) == DELTA.scaled(2)
 
 
 @pytest.mark.parametrize(
@@ -49,7 +46,6 @@ def test_one_leg_coordinates():
         (partial(Type2, 1, 1, 1, 1, -1), None),
         (partial(Type1E, 0, 1, 0), "T1E[i=0,+;n=0]"),
         (partial(Type1F, 1, -1, 0), "T1F[i=1,-;n=0]"),
-        (partial(Imaginary, 0), "IM[n=0]"),
     ],
 )
 def test_bad_levels_rejected(kind):
@@ -87,6 +83,10 @@ def test_classify_inverts_coordinates(kind):
         RootVector(2, 1, 1, 1, 3),  # offset 2 on a leg
         RootVector(3, 1, 1, 1, 3),  # leg outside {n, n+1}
         RootVector(1, 0, 0, 0, -1),
+        # the imaginary roots n*Delta carry no irreducible, so no kind
+        DELTA.scaled(1),
+        DELTA.scaled(2),
+        DELTA.scaled(20),
     ],
 )
 def test_classify_rejects_outside_families(vec):
@@ -94,14 +94,14 @@ def test_classify_rejects_outside_families(vec):
 
 
 def test_tits_form_values():
-    for kind, vec in enumerate_strict_roots(20):
-        expected = 0 if isinstance(kind, Imaginary) else 1
-        assert tits_form(vec) == expected
+    for _, vec in enumerate_strict_roots(20):
+        assert tits_form(vec) == 1
+    assert tits_form(DELTA.scaled(3)) == 0
 
 
 def test_enumeration_count_and_order():
     roots = enumerate_strict_roots(20)
-    assert len(roots) == 16 * 21 + 9 * 20
+    assert len(roots) == 16 * 21 + 8 * 20
     # level 0 contributes only the 16 type-2 kinds, all-plus first
     assert roots[0][0] == Type2(1, 1, 1, 1, 0)
     assert all(isinstance(k, Type2) for k, _ in roots[:16])
@@ -128,6 +128,6 @@ def test_kind_string_round_trip(kind):
 def test_kind_string_examples():
     assert kind_to_str(Type2(1, 1, -1, 1, 3)) == "T2[++,-+;n=3]"
     assert kind_from_str("T1E[i=0,+;n=2]") == Type1E(0, 1, 2)
-    assert kind_from_str("IM[n=2]") == Imaginary(2)
-    with pytest.raises(ValueError):
-        kind_from_str("T3[n=1]")
+    for text in ("T3[n=1]", "IM[n=2]"):
+        with pytest.raises(ValueError, match="cannot parse root kind"):
+            kind_from_str(text)

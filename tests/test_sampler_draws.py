@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from daha_cc1.core import Tolerance
-from daha_cc1.roots import Imaginary, enumerate_strict_roots
+from daha_cc1.roots import enumerate_strict_roots
 from daha_cc1.strata import sample_generic_params, sample_stratum_params
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "sampler_draws.json")
@@ -25,7 +25,7 @@ DEFAULT = Tolerance()
 # draws at 1e-6, are rejected
 LOOSE_GENERIC = Tolerance(eq_tol=1e-4)
 LOOSE_STRATUM = Tolerance(eq_tol=1e-6)
-REAL_KINDS = [k for k, _ in enumerate_strict_roots(20) if not isinstance(k, Imaginary)]
+REAL_KINDS = [k for k, _ in enumerate_strict_roots(20)]
 
 
 def _floats(p):

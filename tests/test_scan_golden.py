@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from daha_cc1 import cli, strata
-from daha_cc1.roots import Imaginary, Type2, enumerate_strict_roots
+from daha_cc1.roots import Type2, enumerate_strict_roots
 from daha_cc1.strata import one_leg, random_unit
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -91,7 +91,7 @@ def _planted_points_text() -> str:
     strata.  Each value is written so that the CLI parses back the same
     doubles."""
     rng = np.random.default_rng(1515)
-    kinds = [k for k, _ in enumerate_strict_roots(20) if not isinstance(k, Imaginary)]
+    kinds = [k for k, _ in enumerate_strict_roots(20)]
     levels = [int(n) for n in rng.permutation(21)] * 3
     lines = []
     for j in range(48):

@@ -16,7 +16,6 @@ from daha_cc1.dsbridge import (
 )
 from daha_cc1.rep import build_quotient_rep
 from daha_cc1.roots import (
-    Imaginary,
     NonPositiveEntryError,
     RootVector,
     Type1E,
@@ -27,7 +26,6 @@ from daha_cc1.roots import (
     root_of_kind,
 )
 from daha_cc1.strata import (
-    ImaginaryKindError,
     StratumVerdict,
     _Table,
     classify_params,
@@ -101,20 +99,6 @@ def test_one_leg_stratum_classifies_exactly(rng):
     assert (kind, root_of_kind(kind)) in hits
     for other, _ in hits:
         assert other == kind
-
-
-def test_imaginary_kinds_have_no_stratum(generic_params):
-    with pytest.raises(ImaginaryKindError):
-        sigma_membership(generic_params, Imaginary(1))
-    with pytest.raises(ImaginaryKindError):
-        sample_stratum_params(Imaginary(1), np.random.default_rng(0))
-
-
-def test_classify_never_returns_imaginary(rng):
-    for _ in range(5):
-        p = sample_stratum_params(Type2(1, 1, 1, 1, 1), rng)
-        for kind, _ in classify_params(p, 4):
-            assert not isinstance(kind, Imaginary)
 
 
 def test_at_most_one_level_per_sign_vector(rng):
@@ -222,8 +206,6 @@ def _per_kind_clearly_apart(a: complex, b: complex, tol: Tolerance) -> bool:
 
 def _per_kind_sigma_membership(p, k, tol=None):
     tol = tol if tol is not None else p.tol
-    if isinstance(k, Imaginary):
-        raise ImaginaryKindError("imaginary kinds have no stratum")
     q = p.q
     failed: list[str] = []
 
@@ -266,15 +248,13 @@ def _per_kind_classify(verdict_of, n_max):
     computed once per kind so that n_max 6 and 20 share it."""
     out = []
     for kind, vec in enumerate_strict_roots(n_max):
-        if isinstance(kind, Imaginary):
-            continue
         if verdict_of(kind).member:
             out.append((kind, vec))
     return out
 
 
 N_ORACLE = 20
-_REAL_KINDS = [k for k, _ in enumerate_strict_roots(N_ORACLE) if not isinstance(k, Imaginary)]
+_REAL_KINDS = [k for k, _ in enumerate_strict_roots(N_ORACLE)]
 _T_NAMES = ("k0", "k1", "u0", "u1")
 
 
