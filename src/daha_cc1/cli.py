@@ -152,6 +152,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError("jobs must be >= 1")
     if "seed" in text:
         cfg.seed = int(text["seed"])
+        if cfg.seed < 0:
+            raise ValueError("seed must be >= 0")
     if scalars:
         missing = [k for k in _PARAM_KEYS if k not in scalars]
         if missing:
@@ -282,10 +284,10 @@ def _require_params(cfg: RunConfig) -> Params:
 
 def cmd_classify(cfg: RunConfig, explain: bool) -> tuple[dict, int]:
     """The hits, and with explain the near misses, from one pass of
-    per-kind verdicts.  classify_params reads the same verdicts off one
-    member mask; the command reads them kind by kind, since the
-    benchmark's tracer counts the per-kind sigma_membership calls of a
-    classify (16 per level, and 8 per level from 1).  The verdicts'
+    per-kind verdicts.  classify_params reads the same verdicts off the
+    one stratum rule matrix; the command reads them kind by kind, since
+    the benchmark's tracer counts the per-kind sigma_membership calls of
+    a classify (16 per level, and 8 per level from 1).  The verdicts'
     table refuses a point as validate_params does."""
     p = _require_params(cfg)
     verdicts = list(stratum_verdicts(p, cfg.n_max))

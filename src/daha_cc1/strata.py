@@ -83,29 +83,50 @@ _ROW_KEYS = (*_SIGN_CHOICES, *((name, s) for name in _T_NAMES for s in (1, -1)))
 _ROW = {key: row for row, key in enumerate(_ROW_KEYS)}
 _N_PRODUCTS, _N_ROWS = len(_SIGN_CHOICES), len(_ROW_KEYS)
 
-# The stratum rule, one entry per kind row, the row of the kind's
-# equality (a type-2 kind's signed product, a one-leg kind's t^(2s)):
-# the equality's name, where %d takes the level and %.0s drops it; the
-# inequality groups as (name, rows), a group failing at a level m below
-# the kind's where one of its rows is not clearly apart from its level
-# value at m; and the kind's first level.  A type-2 kind reads its four
-# t^(2s) rows, one group each, and a one-leg kind the 16 signed products.
-_RULE = (
-    *(("eq.product.%d", tuple((name, (_ROW[name, s],)) for name, s in zip(_T_NAMES, signs)), 0)
-      for signs in _SIGN_CHOICES),
-    *((f"eq.{name}.n%.0s", (("product", tuple(range(_N_PRODUCTS))),), 1)
-      for name, _ in _ROW_KEYS[_N_PRODUCTS:]),
-)
-# the level from which each row is compared, as a column: t^2 with -q^m
-# from m = 1 on
-_FROM = np.array([[0]] * _N_PRODUCTS + [[(1 + s) // 2] for _, s in _ROW_KEYS[_N_PRODUCTS:]])
-# for the member mask: whether each kind row has a kind at level 0 (its
-# first level is 0 or 1), and _NEEDS[kind row, row] = 1 where one of the
-# kind's groups reads the row, as floats so that a product with it goes
-# through BLAS
-_AT_0 = np.array([first == 0 for *_, first in _RULE])
-_NEEDS = np.array([[any(row in rows for _, rows in groups) for row in range(_N_ROWS)]
-                   for _, groups, _ in _RULE], dtype=float)
+# A kind row is the row of the kind's equality: a type-2 kind's signed
+# product, a one-leg kind's t^(2s).  Each kind row's equality name, where
+# %d takes the level and %.0s drops it, and each row's group, which names
+# a failed inequality on the row at level m as neq.{group}.m{m}
+_EQ_NAMES = (*["eq.product.%d"] * _N_PRODUCTS,
+             *(f"eq.{name}.n%.0s" for name, _ in _ROW_KEYS[_N_PRODUCTS:]))
+_GROUPS = (*["product"] * _N_PRODUCTS, *(name for name, _ in _ROW_KEYS[_N_PRODUCTS:]))
+
+# What the stratum rule says, row by row, for _Rule to spread over the
+# cells: _ROW_READS[kind row, row] where the kind reads the row (a type-2
+# kind the t^(2s) row of each of its four signs, a one-leg kind the 16
+# signed products), each kind row's first level, and the level from
+# which each row is compared: t^2 with -q^m from m = 1 on
+_ROW_READS = np.array([[key in reads for key in _ROW_KEYS] for reads in (
+    *(set(zip(_T_NAMES, signs)) for signs in _SIGN_CHOICES),
+    *[set(_SIGN_CHOICES)] * (_N_ROWS - _N_PRODUCTS))])
+_FIRST = np.array([0] * _N_PRODUCTS + [1] * (_N_ROWS - _N_PRODUCTS))
+_FROM = np.array([0] * _N_PRODUCTS + [(1 + s) // 2 for _, s in _ROW_KEYS[_N_PRODUCTS:]])
+# the least horizon of the kept rule, the CLI's n_max cap: readers ask
+# for max(their horizon, _HORIZON) and read its top-left block
+_HORIZON = 20
+
+
+class _Rule:
+    """The stratum rule over the cells of horizon n, the only thing its
+    readers consult.  Cell m * 24 + row is the table's row at level m.
+    reads[a, b]: the kind at cell a fails unless cell b is clearly apart
+    from its level value; kinds[a]: cell a holds a kind; roots[a]: its
+    (kind, vec), else None.  A kind reads only levels below its own, so
+    horizon n' < n is the top-left 24(n' + 1) block."""
+
+    def __init__(self, n: int):
+        level = np.arange(n + 1)
+        kinds = level[:, None] >= _FIRST
+        # [kind level, kind row, level, row]
+        reads = (kinds[:, :, None, None] & _ROW_READS[:, None, :]
+                 & (level[:, None] > level)[:, None, :, None] & (level[:, None] >= _FROM))
+        self.reads, self.kinds = reads.reshape(kinds.size, -1), kinds.reshape(-1)
+        self.reads.flags.writeable = self.kinds.flags.writeable = False
+        found = {k.n * _N_ROWS + _kind_row(k): (k, v) for k, v in enumerate_strict_roots(n)}
+        self.roots = tuple(map(found.get, range(kinds.size)))
+
+
+_rule = lru_cache(maxsize=1)(_Rule)
 
 
 def _point_values(p: Params, n: int) -> list[complex]:
@@ -128,20 +149,21 @@ class _Table:
     Every stratum condition compares a row value, a signed product or
     t^(2s), with its level value at some m: q_half^(-1-2m) or -q^m.  The
     values are the per-kind Python expressions, point by point, and the
-    P x 24 x (n+1) grid is compared in one pass of ``compare_points``,
+    grid of P x (n+1) x 24 cells is compared in one ``compare_points`` pass,
     which gives approx_eq's and clearly_neq's bits: verdicts read from it
     are the per-kind ones, whatever the other points.  values[i],
     product_rhs[i] and neg_q_powers[i] are point i's row and level values;
-    eq[i, row, m]: the row's value equals its level value at m; apart[i,
-    row, m]: it is clearly apart from it.  errors[i] refuses point i:
-    validate_params's exception, else the one its values raised
-    (OverflowError or ZeroDivisionError from **), else abs()'s
+    eq_cells[i, m * 24 + row]: the row's value equals its level value at
+    m; apart_cells[i, m * 24 + row]: it is clearly apart from it; eq[i,
+    row, m] and apart[i, row, m] are the same grids by row.  errors[i]
+    refuses point i: validate_params's exception, else the one its values
+    raised (OverflowError or ZeroDivisionError from **), else abs()'s
     OverflowError where their comparison marks the point over; or None.
     A refused point's values are NaN, so none of its verdicts holds.
     """
 
     def __init__(self, points: Sequence[Params], n: int):
-        self.errors = validation_errors(points)
+        self.n, self.errors = n, validation_errors(points)
         nan = [complex("nan")] * (_N_ROWS + 3 * (n + 1))
         rows = []
         for i, p in enumerate(points):
@@ -154,36 +176,25 @@ class _Table:
         self.values, levels = flat[:, :_N_ROWS], flat[:, _N_ROWS:]
         self.product_rhs, self.neg_q_powers = levels[:, : n + 1], levels[:, 2 * (n + 1) :]
         # the rows as three groups of 8 (products, products, t^(2s)),
-        # broadcast against the level row of each group
-        eq, apart, over = compare_points(
-            self.values.reshape(-1, 3, 8, 1), levels.reshape(-1, 3, 1, n + 1), points[0].tol
-        )
+        # broadcast against each level's value of each group: cell order
+        by_level = levels.reshape(-1, 3, n + 1).transpose(0, 2, 1).copy()
+        eq, apart, over = compare_points(self.values.reshape(-1, 1, 3, 8), by_level[..., None],
+                                         points[0].tol)
         self.errors = overflow_errors(self.errors, over)
-        self.eq, self.apart = eq.reshape(-1, _N_ROWS, n + 1), apart.reshape(-1, _N_ROWS, n + 1)
-
-    def close(self) -> np.ndarray:
-        """close[i, row, m], m < n: the row is compared at m and not
-        clearly apart from its level value there."""
-        n = self.apart.shape[2] - 1
-        return ~self.apart[:, :, :n] & (np.arange(n) >= _FROM)
+        self.eq_cells, self.apart_cells = (g.reshape(len(rows), -1) for g in (eq, apart))
+        self.eq, self.apart = (g.reshape(len(rows), n + 1, _N_ROWS).transpose(0, 2, 1)
+                               for g in (self.eq_cells, self.apart_cells))
 
     @cached_property
     def verdicts(self) -> tuple[list, list]:
-        """The rule read for sigma_membership at a one-point table's
-        point: eq as lists and, per kind row, its failed inequalities as
-        (level, name) in the rule's order.  Raises the point's error."""
+        """What sigma_membership reads at a one-point table's point: eq
+        per cell, and the close cells (not clearly apart) below the top
+        level, since a kind reads only levels below its own.  Raises the
+        point's error."""
         if self.errors[0] is not None:
             raise self.errors[0]
-        failing: list = [()] * _N_ROWS
-        if not self.apart[0, :, :-1].all():
-            # per row, the levels where it is close
-            levels: list = [[] for _ in range(_N_ROWS)]
-            for row, m in zip(*(a.tolist() for a in self.close()[0].nonzero())):
-                levels[row].append(m)
-            failing = [[(m, f"neq.{name}.m{m}") for name, rows in groups
-                        for m in sorted({m for r in rows for m in levels[r]})]
-                       for _, groups, _ in _RULE]
-        return self.eq[0].tolist(), failing
+        close = np.flatnonzero(~self.apart_cells[0, : self.n * _N_ROWS])
+        return self.eq_cells[0].tolist(), close.tolist()
 
 
 def sigma_membership(p: Params, k: RootKind, table: _Table | None = None) -> StratumVerdict:
@@ -195,15 +206,20 @@ def sigma_membership(p: Params, k: RootKind, table: _Table | None = None) -> Str
     of horizon at least k.n, shares the comparisons between calls on the
     same point; without one, the call builds a table of horizon k.n.  A
     point that validate_params refuses raises its exception, as classify
-    does; a kind names a root, since it is checked when it is made.
+    does; a kind names a root, since it is checked when it is made.  The
+    failed conditions are the equality's, then, sorted and unique by
+    (group, level), those of the close cells that the kind's row of the
+    rule reads.
     """
     row, n = _kind_row(k), k.n
-    eq_name = _RULE[row][0]
-    eq, failing = (table if table is not None else _Table([p], n)).verdicts
-    failed = [] if eq[row][n] else [eq_name % n]
-    for m, name in failing[row]:
-        if m < n:
-            failed.append(name)
+    t = table if table is not None else _Table([p], n)
+    eq, close = t.verdicts
+    cell = n * _N_ROWS + row
+    failed = [] if eq[cell] else [_EQ_NAMES[row] % n]
+    if close:
+        reads = _rule(max(t.n, _HORIZON)).reads[cell]
+        conditions = {(_GROUPS[b % _N_ROWS], b // _N_ROWS) for b in close if reads[b]}
+        failed += [f"neq.{group}.m{m}" for group, m in sorted(conditions)]
     return StratumVerdict(not failed, failed)
 
 
@@ -225,18 +241,6 @@ def _kind_row(k: RootKind) -> int:
     return _ROW[g.t, s]
 
 
-@lru_cache(maxsize=32)
-def _grid_roots(n_max: int) -> tuple:
-    """The (kind, vec) of every real strict root up to level n_max at
-    its cell m * 24 + row of the table's grid, None where no kind lies.
-    Cells ascend as enumerate_strict_roots runs: by level, then in row
-    order, the 16 type-2 sign vectors and then the 8 one-leg kinds."""
-    cells: list = [None] * (_N_ROWS * (n_max + 1))
-    for kind, vec in enumerate_strict_roots(n_max):
-        cells[kind.n * _N_ROWS + _kind_row(kind)] = (kind, vec)
-    return tuple(cells)
-
-
 # points per comparison pass of classify_points: at n_max 20 a block
 # peaks at about 18 KiB per point (tracemalloc)
 _BLOCK = 64
@@ -249,13 +253,12 @@ def classify_points(
     raises there.
 
     Cuts the points into blocks of up to _BLOCK consecutive points that
-    share a tolerance, and reads each block's member mask off one table
-    pass with the rule's arrays: a kind row is a member at level m, from
-    its first level on, when it equals its level value there and every
-    row its groups read is clearly apart at each level below m where it
-    is compared.  These are sigma_membership's verdicts, every kind of
-    every point at once.  A point's outcome is its own: the exception
-    its table holds for it (validate_params's first), else its hits.
+    share a tolerance, and reads each block's hits off one table pass:
+    a hit is a cell that holds a kind and whose equality holds, where no
+    cell that its row of the rule reads is close (not clearly apart).
+    These are sigma_membership's verdicts, every kind of every point at
+    once.  A point's outcome is its own: the exception its table holds
+    for it (validate_params's first), else its hits.
     """
     outcomes: list = []
     for _, run in groupby(points, key=attrgetter("tol")):
@@ -266,20 +269,14 @@ def classify_points(
 
 
 def _classify_block(points: list[Params], n_max: int) -> list:
-    t = _Table(points, n_max)
-    member = t.eq.copy()
-    member[:, :, 0] &= _AT_0
+    t, rule = _Table(points, n_max), _rule(max(n_max, _HORIZON))
+    cells = t.eq_cells.shape[1]
+    # the candidates, by point, then by cell: enumeration order
+    at, kind_cells = (t.eq_cells & rule.kinds[:cells]).nonzero()
+    held = ~(rule.reads[kind_cells, :cells] & ~t.apart_cells[at]).any(axis=1)
     hits: list = [[] for _ in points]
-    if member.any():
-        if not t.apart[:, :, :-1].all():
-            # blocked[i, row, m]: the row is close at some level below m
-            blocked = np.zeros_like(member)
-            np.logical_or.accumulate(t.close(), axis=2, out=blocked[:, :, 1:])
-            member &= (_NEEDS @ blocked) == 0
-        cells = _grid_roots(n_max)
-        # by point, then by level and row: enumeration order
-        for i, m, row in zip(*(a.tolist() for a in member.transpose(0, 2, 1).nonzero())):
-            hits[i].append(cells[m * _N_ROWS + row])
+    for i, a in zip(at[held].tolist(), kind_cells[held].tolist()):
+        hits[i].append(rule.roots[a])
     return [found if error is None else error for error, found in zip(t.errors, hits)]
 
 

@@ -1044,7 +1044,7 @@ def test_a_negative_value_reads_the_same_after_a_space_as_after_equals(capsys, k
     ("tol", "x"), ("tol", "0"), ("tol", "1"), ("tol", "nan"),
     ("format", "xml"), ("format", "JSON"), ("format", ""),
     ("jobs", "x"), ("jobs", "0"), ("jobs", "1.0"),
-    ("seed", "x"), ("seed", "1e3"),
+    ("seed", "x"), ("seed", "1e3"), ("seed", "-1"),
 ])
 def test_a_bad_setting_is_the_same_input_error_as_a_flag_and_in_a_config_file(
         capsys, tmp_path, key, value):

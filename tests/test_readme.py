@@ -1,6 +1,8 @@
 """README's examples must run: its library example, and every
-`daha-cc1 ...` line of its command-line block through cli.main."""
+`daha-cc1 ...` line of its command-line block through cli.main; and
+every module attribute it names must exist."""
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -35,3 +37,20 @@ def test_readme_command_lines_exit_zero(capsys, tmp_path, monkeypatch):
     for argv in commands:
         assert cli.main(argv) == 0, argv
         capsys.readouterr()
+
+
+def test_every_module_attribute_the_readme_names_exists():
+    # a backticked span that starts with a module of the package and a
+    # dotted name, such as `strata.classify_points`
+    named = set(re.findall(
+        r"`(cli|core|dsbridge|laurent|rep|roots|strata)\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)", README))
+    assert len(named) >= 20
+    missing = []
+    for module, name in sorted(named):
+        obj = importlib.import_module(f"daha_cc1.{module}")
+        for part in name.split("."):
+            if not hasattr(obj, part):
+                missing.append(f"{module}.{name}")
+                break
+            obj = getattr(obj, part)
+    assert missing == []

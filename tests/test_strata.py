@@ -484,6 +484,40 @@ def test_the_rule_names_every_condition_of_every_kind(monkeypatch, generic_param
     assert classify_params(p, N_ORACLE) == []
 
 
+# -- the rule matrix's structure --------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, N_ORACLE])
+def test_a_kind_reads_only_cells_below_its_level(n):
+    rule = strata._Rule(n)
+    assert rule.reads.shape == (24 * (n + 1),) * 2
+    kind_cells, read = rule.reads.nonzero()
+    assert rule.kinds[kind_cells].all()
+    assert (read // 24 < kind_cells // 24).all()
+    assert not rule.reads.flags.writeable and not rule.kinds.flags.writeable
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, N_ORACLE])
+def test_the_kind_mask_is_the_cells_of_the_enumerated_roots(n):
+    # within a level, the 16 type-2 kinds take rows 0..15 and the 8
+    # one-leg kinds rows 16..23, in enumeration order
+    rule = strata._Rule(n)
+    cells = {}
+    for m in range(n + 1):
+        level = [(k, v) for k, v in enumerate_strict_roots(n) if k.n == m]
+        cells.update({m * 24 + row: kv for row, kv in enumerate(level)})
+    assert np.flatnonzero(rule.kinds).tolist() == sorted(cells)
+    assert rule.roots == tuple(cells.get(c) for c in range(24 * (n + 1)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 19])
+def test_a_horizon_is_the_top_left_block_of_horizon_20(n):
+    small, large, cells = strata._Rule(n), strata._Rule(N_ORACLE), 24 * (n + 1)
+    assert (small.reads == large.reads[:cells, :cells]).all()
+    assert (small.kinds == large.kinds[:cells]).all()
+    assert small.roots == large.roots[:cells]
+
+
 # -- planted points far from the unit circle -------------------------------
 
 
