@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,7 +55,6 @@ from .rep import (
     verify_relations,
 )
 from .roots import (
-    RootVector,
     Type1E,
     Type1F,
     Type2,
@@ -95,9 +95,15 @@ _REFUSALS = (
     ((ValueError, OSError, OverflowError, ZeroDivisionError), EXIT_INPUT),
 )
 _REFUSED = tuple(t for types, _ in _REFUSALS for t in types)
-_SCAN_CHUNK = 8  # a scan forks one more process per _SCAN_CHUNK points, up to --jobs
+_SCAN_CHUNK = 8  # one more scan process per _SCAN_CHUNK points, up to --jobs and the CPUs
 # where scan's children come from; a fork inherits the imported modules
 _FORK = multiprocessing.get_context("fork")
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on, which cap scan's processes."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 @dataclass
@@ -224,7 +230,7 @@ def _rep_text(r) -> str:
     byte: the four matrices from r's arrays (see _grids), whose names
     sort before the other fields', and the rest by _to_json."""
     names = sorted(g.name for g in GENERATORS)
-    rest = (("basis_labels", list(r.basis_labels)), ("dim", r.dim), ("provenance", r.provenance))
+    rest = (("basis_labels", list(range(r.dim))), ("dim", r.dim), ("provenance", r.provenance))
     fields = [*zip(names, _grids([getattr(r, n) for n in names], "\n  ")),
               *((k, _to_json(v, "\n  ")) for k, v in rest)]
     return "{\n  " + ",\n  ".join([f'"{k}": {text}' for k, text in fields]) + "\n}"
@@ -315,8 +321,7 @@ def _ds_results(r, p: Params, on_stratum=None) -> tuple[dict, tuple, dict]:
     on_stratum is a kind whose stratum the build's guard found p on; when
     the dim vector is its root, that verdict is the predicate's."""
     residuals = verify_relations(r, p)
-    dv = dim_vector(r, p).as_tuple()
-    alpha = RootVector(*dv)
+    alpha = dim_vector(r, p)
     member = True if on_stratum is not None and alpha == root_of_kind(on_stratum) else None
     ds = {
         "product_residual": dsbridge.check_product(residuals["product"]),
@@ -325,7 +330,7 @@ def _ds_results(r, p: Params, on_stratum=None) -> tuple[dict, tuple, dict]:
         ),
         "existence_predicate": dsbridge.ds_existence_predicate(alpha, p, member),
     }
-    return residuals, dv, ds
+    return residuals, alpha, ds
 
 
 def _construct_results(kind, r, p: Params, guarded: bool) -> tuple[dict, dict]:
@@ -338,7 +343,6 @@ def _construct_results(kind, r, p: Params, guarded: bool) -> tuple[dict, dict]:
             (format_scalar(v) for v in spectrum_of_z(r, p))
         ),
         "commutant_dim": commutant_dim(r, p),
-        # d(n - d) is symmetric, so ranks give the same count as kernel dims
         "rigidity_D": rigidity_D(*dv),
         "ds": ds,
     }
@@ -486,7 +490,8 @@ def cmd_scan(
         p = _require_params(cfg)
         jobs = [(0, tuple(getattr(p, k) for k in _PARAM_KEYS))]
 
-    procs = max(1, min(cfg.jobs, -(-len(jobs) // _SCAN_CHUNK)))  # an empty file has 0 chunks
+    # an empty file has 0 chunks
+    procs = max(1, min(cfg.jobs, -(-len(jobs) // _SCAN_CHUNK), _cpu_count()))
     rows = _scan_shares(jobs, cfg, procs)
     results = {"rows": rows, "n_points": len(rows)}
     return _report("scan", cfg.params, results), EXIT_OK
@@ -571,7 +576,7 @@ def _selftest_properties(cfg: RunConfig) -> tuple[list[dict], dict]:
             p = sample_stratum_params(kind, rng, tol)
             r = build_quotient_rep(kind, None, p)
             worst_rel = max(worst_rel, max(verify_relations(r, p).values()))
-            if dim_vector(r, p).as_tuple() != tuple(root_of_kind(kind)):
+            if dim_vector(r, p) != root_of_kind(kind):
                 ok, detail = False, f"dim vector mismatch at {kind_to_str(kind)}"
                 break
             if commutant_dim(r, p) != 1:

@@ -42,7 +42,8 @@ from .laurent import (
 )
 # unused here, kept as attributes: the benchmark's tracer wraps them
 from .laurent import build_E, build_E_dual, reduce_mod  # noqa: F401
-from .roots import RootKind, Type1E, Type1F, Type2, check_signs, kind_from_str, kind_to_str
+from .roots import (RootKind, RootVector, Type1E, Type1F, Type2, check_signs, kind_from_str,
+                    kind_to_str, tits_form)
 from .strata import one_leg, sigma_membership
 
 IDEAL_RESIDUAL_MAX = 1e-6
@@ -109,29 +110,16 @@ class SignVector:
         check_signs(self, self.eps0, self.eps1, self.del0, self.del1)
 
 
-@dataclass(frozen=True)
-class DimVector:
-    d0: int
-    d1: int
-    d2: int
-    d3: int
-    d4: int
-
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.d0, self.d1, self.d2, self.d3, self.d4)
-
-
 @dataclass
 class Rep:
     """Four square matrices realizing the generators in the evaluation
-    basis at roots, the z-eigenvalues, plus provenance."""
+    basis at roots, the z-eigenvalues, their pairing, plus provenance.
+    The dim is the number of roots, and basis vector i is root i."""
 
-    dim: int
     T0: np.ndarray
     T1: np.ndarray
     T0v: np.ndarray
     T1v: np.ndarray
-    basis_labels: list[int]
     roots: np.ndarray
     # the s0 and s1 partners of the roots, as read-only index arrays
     # shared by every rep of the ladder (see _ladder_pairs)
@@ -140,6 +128,10 @@ class Rep:
     # (key, rows, quadratics, product) of the block diagnosis, kept for the
     # last content it was read off (see _diagnosis)
     _diagnosis: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def dim(self) -> int:
+        return self.roots.size
 
     def generators(self) -> list[np.ndarray]:
         return [getattr(self, g.name) for g in GENERATORS]
@@ -470,7 +462,7 @@ def build_quotient_rep(
         T0 = (roots[:, None] / p.q_half) * _block_inverse(T0v, s0)
 
     rep = Rep(
-        roots.size, T0, T1, T0v, T1v, list(range(roots.size)), roots, (s0, s1),
+        T0, T1, T0v, T1v, roots, (s0, s1),
         provenance={
             "kind": kind_to_str(kind),
             "poly_side": side,
@@ -531,12 +523,12 @@ def verify_relations(r: Rep, p: Params) -> dict[str, float]:
     return out
 
 
-def dim_vector(r: Rep, p: Params) -> DimVector:
+def dim_vector(r: Rep, p: Params) -> RootVector:
     """(dim, rank(T0-k0), rank(T1-k1), rank(T0v-u0), rank(T1v-u1)) off the blocks."""
     ranks = [rank for _, rank in _diagnosis(r, p, False)[1]]
     if None in ranks:
         raise RankIndeterminateError("a matrix entry sits near a rank threshold")
-    return DimVector(r.dim, *ranks)
+    return RootVector(r.dim, *ranks)
 
 
 def spectrum_of_z(r: Rep, p: Params) -> list[complex]:
@@ -583,13 +575,13 @@ def commutant_dim(r: Rep, p: Params) -> int:
 
 
 def rigidity_D(n: int, d1: int, d2: int, d3: int, d4: int) -> int:
-    """Moduli dimension 2(1 - n^2 + sum d_i(n - d_i)) of the conjugacy
-    data; 0 on every rigid representation.  d(n - d) is symmetric, so
-    the d_i may be the kernel dimensions dim Ker(T - t) or the ranks."""
+    """2(1 - q(n, d1, d2, d3, d4)), q the Tits form: the moduli dimension of
+    the conjugacy data, 0 on every rigid representation.  q is unchanged by
+    d -> n - d, so the d_i may be kernel dimensions dim Ker(T - t) or ranks."""
     for d in (d1, d2, d3, d4):
         if d < 0 or d > n:
             raise ValueError("kernel dimensions must lie in [0, n]")
-    return 2 * (1 - n * n + sum(d * (n - d) for d in (d1, d2, d3, d4)))
+    return 2 * (1 - tits_form(RootVector(n, d1, d2, d3, d4)))
 
 
 def build_truncated_polyrep(
@@ -637,7 +629,7 @@ def rep_to_json(r: Rep) -> dict:
     return {
         "dim": r.dim,
         **{g.name: _matrix_to_json(getattr(r, g.name)) for g in GENERATORS},
-        "basis_labels": list(r.basis_labels),
+        "basis_labels": list(range(r.dim)),
         "provenance": r.provenance,
     }
 
@@ -678,12 +670,11 @@ def rep_from_json(data) -> Rep:
     _, pairs = _ladder_pairs(*_ladder_shape(kind_from_str(kind)))
     if pairs[0].size != dim:
         raise ValueError(f"stored representation of dim {dim} has kind {kind} of dim {pairs[0].size}")
-    return Rep(dim, *mats, labels, roots, pairs, provenance=dict(provenance))
+    return Rep(*mats, roots, pairs, provenance=dict(provenance))
 
 
 __all__ = [
     "SignVector",
-    "DimVector",
     "Rep",
     "apply_T0",
     "apply_T1",

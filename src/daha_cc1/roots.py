@@ -34,6 +34,9 @@ class RootVector(NamedTuple):
     def scaled(self, m: int) -> "RootVector":
         return RootVector(*(m * x for x in self))
 
+    def as_tuple(self) -> tuple[int, int, int, int, int]:
+        return tuple(self)
+
     def __str__(self) -> str:
         return f"({self.a0},{self.a1},{self.a2},{self.a3},{self.a4})"
 

@@ -40,8 +40,11 @@ from .roots import (
 
 @dataclass(frozen=True)
 class StratumVerdict:
-    member: bool
     failed_conditions: list[str] = field(default_factory=list)
+
+    @property
+    def member(self) -> bool:
+        return not self.failed_conditions
 
 
 _SIGN_CHOICES = tuple(product((1, -1), repeat=4))
@@ -151,14 +154,13 @@ class _Table:
     values are the per-kind Python expressions, point by point, and the
     grid of P x (n+1) x 24 cells is compared in one ``compare_points`` pass,
     which gives approx_eq's and clearly_neq's bits: verdicts read from it
-    are the per-kind ones, whatever the other points.  values[i],
-    product_rhs[i] and neg_q_powers[i] are point i's row and level values;
-    eq_cells[i, m * 24 + row]: the row's value equals its level value at
-    m; apart_cells[i, m * 24 + row]: it is clearly apart from it; eq[i,
-    row, m] and apart[i, row, m] are the same grids by row.  errors[i]
-    refuses point i: validate_params's exception, else the one its values
-    raised (OverflowError or ZeroDivisionError from **), else abs()'s
-    OverflowError where their comparison marks the point over; or None.
+    are the per-kind ones, whatever the other points.  Point i's values
+    are _point_values's; eq_cells[i, m * 24 + row]: the row's value equals
+    its level value at m; apart_cells[i, m * 24 + row]: it is clearly
+    apart from it.  errors[i] refuses point i: validate_params's
+    exception, else the one its values raised (OverflowError or
+    ZeroDivisionError from **), else abs()'s OverflowError where their
+    comparison marks the point over; or None.
     A refused point's values are NaN, so none of its verdicts holds.
     """
 
@@ -173,17 +175,13 @@ class _Table:
                 self.errors[i] = exc
                 rows.append(nan)
         flat = np.array(rows, dtype=complex)
-        self.values, levels = flat[:, :_N_ROWS], flat[:, _N_ROWS:]
-        self.product_rhs, self.neg_q_powers = levels[:, : n + 1], levels[:, 2 * (n + 1) :]
         # the rows as three groups of 8 (products, products, t^(2s)),
         # broadcast against each level's value of each group: cell order
-        by_level = levels.reshape(-1, 3, n + 1).transpose(0, 2, 1).copy()
-        eq, apart, over = compare_points(self.values.reshape(-1, 1, 3, 8), by_level[..., None],
-                                         points[0].tol)
+        by_level = flat[:, _N_ROWS:].reshape(-1, 3, n + 1).transpose(0, 2, 1).copy()
+        eq, apart, over = compare_points(flat[:, :_N_ROWS].reshape(-1, 1, 3, 8),
+                                         by_level[..., None], points[0].tol)
         self.errors = overflow_errors(self.errors, over)
         self.eq_cells, self.apart_cells = (g.reshape(len(rows), -1) for g in (eq, apart))
-        self.eq, self.apart = (g.reshape(len(rows), n + 1, _N_ROWS).transpose(0, 2, 1)
-                               for g in (self.eq_cells, self.apart_cells))
 
     @cached_property
     def verdicts(self) -> tuple[list, list]:
@@ -220,7 +218,7 @@ def sigma_membership(p: Params, k: RootKind, table: _Table | None = None) -> Str
         reads = _rule(max(t.n, _HORIZON)).reads[cell]
         conditions = {(_GROUPS[b % _N_ROWS], b // _N_ROWS) for b in close if reads[b]}
         failed += [f"neq.{group}.m{m}" for group, m in sorted(conditions)]
-    return StratumVerdict(not failed, failed)
+    return StratumVerdict(failed)
 
 
 def stratum_verdicts(
@@ -324,7 +322,7 @@ def sample_generic_params(
             tol=tol,
         )
         # every row clearly apart at every level, t^2 from -q^0 too
-        if _Table([p], 6).apart.all():
+        if _Table([p], 6).apart_cells.all():
             return p
     raise RuntimeError("failed to sample generic parameters")
 

@@ -11,14 +11,24 @@ parser that core.parse_scalar's one grammar replaced.  The quadratic
 check, the spectrum and the commutant are also read off each matrix's
 own dense rows, every scale taken afresh, to check bit for bit the rows
 the library's kept diagnosis shares and its loop's hoisted scales.
+
+Two oracles stand apart from the library's rules.  Sigma_xi membership
+(Crawley-Boevey and Shaw, Adv. Math. 201 (2006)) decides classify from
+root arithmetic alone, and the Burnside rank decides irreducibility from
+the algebra the four matrices generate.
 """
 
 import re
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
-from daha_cc1.core import GENERATORS, Params, Tolerance, approx_eq, decide, worst
+from daha_cc1.core import (GENERATORS, Params, Tolerance, approx_eq, clearly_neq, decide,
+                           worst)
+from daha_cc1.dsbridge import xi_product
 from daha_cc1.rep import DegenerateLadderError, RankIndeterminateError, Rep
+from daha_cc1.roots import C, RootVector, enumerate_strict_roots, tits_form
 
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _FULL_RE = re.compile(rf"^(?P<re>{_NUM})(?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i$")
@@ -222,3 +232,65 @@ def float_pairings(roots: np.ndarray, q: complex) -> tuple[np.ndarray, np.ndarra
             raise DegenerateLadderError(f"s{which} does not pair the roots")
         out.append(partner)
     return out[0], out[1]
+
+
+@lru_cache(maxsize=4)
+def positive_roots(n_max: int) -> tuple[RootVector, ...]:
+    """The positive roots of the star graph that fit under a strict root
+    of level n_max, by a box search: a0 <= 2 n_max + 1, each leg <=
+    n_max + 1, entries nonnegative, not all 0, Tits form at most 1."""
+    box = product(range(2 * n_max + 2), *[range(n_max + 2)] * 4)
+    return tuple(v for v in map(RootVector._make, box) if any(v) and tits_form(v) <= 1)
+
+
+def xi_power(beta: RootVector, p: Params) -> complex:
+    """xi^[beta] by dsbridge.xi_product.  It refuses a leg above a0, as
+    in a leg root e_i (a0 = 0), so such a beta is shifted by m copies of
+    the central root c: xi^[beta] = xi^[beta + m c] / xi^[c]^m."""
+    m = max(0, max(beta[1:]) - beta.a0)
+    return xi_product(beta + C.scaled(m), p) / xi_product(C, p) ** m
+
+
+def sigma_xi_hits(p: Params, n_max: int) -> list:
+    """The strict real roots up to level n_max in Sigma_xi at p, as
+    (kind, vec) in enumeration order, as classify_params lists them: alpha
+    is a hit when xi^[alpha] equals 1 within eq_tol, and alpha is not a
+    sum of two or more positive roots whose xi is each not clearly apart
+    from 1."""
+    top = (2 * n_max + 1, *[n_max + 1] * 4)
+    close = [b for b in positive_roots(n_max) if not clearly_neq(xi_power(b, p), 1.0, p.tol)]
+    sums, frontier = set(close), set(close)  # the sums of one or more close roots
+    while frontier:
+        frontier = {s + b for s in frontier for b in close
+                    if all(x + y <= t for x, y, t in zip(s, b, top))} - sums
+        sums |= frontier
+    return [(kind, alpha) for kind, alpha in enumerate_strict_roots(n_max)
+            if approx_eq(xi_power(alpha, p), 1.0, p.tol)
+            and not any(RootVector(*(a - b for a, b in zip(alpha, beta))) in sums
+                        for beta in close)]
+
+
+def burnside_rank(mats, rank_tol: float = 1e-9) -> int:
+    """The dimension of the algebra the d x d matrices generate: the span
+    of every word in them, the empty word included.  By Burnside's
+    theorem they act irreducibly iff it is d^2.  The span grows from the
+    identity by right multiplication, each new part's orthonormal rows
+    times each generator, until it stops; a candidate direction whose
+    size, as a ratio to the unit candidates, sits within a factor 10 of
+    rank_tol raises RankIndeterminateError.  Keep it to d <= 13."""
+    d = mats[0].shape[0]
+    assert d <= 13
+    gens = [M / np.linalg.norm(M) for M in mats]
+    basis = np.eye(d, dtype=complex).reshape(1, -1) / np.sqrt(d)
+    new = basis
+    while new.size:
+        cand = np.array([(W.reshape(d, d) @ G).ravel() for W in new for G in gens])
+        cand /= np.maximum(np.linalg.norm(cand, axis=1), 1e-300)[:, None]
+        for _ in range(2):  # project out the span twice, for orthogonality
+            cand -= (cand @ basis.conj().T) @ basis
+        _, sv, vh = np.linalg.svd(cand, full_matrices=False)
+        if ((sv > rank_tol / 10) & (sv < rank_tol * 10)).any():
+            raise RankIndeterminateError("a word's new direction sits near the rank threshold")
+        new = vh[sv > rank_tol]
+        basis = np.vstack((basis, new))
+    return basis.shape[0]

@@ -367,9 +367,11 @@ def test_scan_forks_a_child_only_for_more_than_one_chunk(capsys, monkeypatch):
 
 def test_scan_forks_no_more_children_than_chunks(capsys, monkeypatch):
     # 9 points are 2 chunks of _SCAN_CHUNK, 17 are 3: this process scans
-    # one share, so a larger --jobs starts no more than chunks - 1
+    # one share, so a larger --jobs starts no more than chunks - 1, on a
+    # host with CPUs to spare
     fork = _CountingFork(cli._FORK)
     monkeypatch.setattr(cli, "_FORK", fork)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 64)
     base = ["scan", "--seed", "5", "--format", "csv", "--n-max", "2"]
     started = []
     for count, jobs in (("9", "500"), ("9", "2"), ("17", "500")):
@@ -378,6 +380,25 @@ def test_scan_forks_no_more_children_than_chunks(capsys, monkeypatch):
         assert out == serial
         started.append(n)
     assert started == [1, 1, 2]
+
+
+def test_scan_forks_no_more_processes_than_cpus(capsys, monkeypatch):
+    # 64 points are 8 chunks, and --jobs asks for a million processes:
+    # on 2 CPUs the scan runs in this process and one child
+    fork = _CountingFork(cli._FORK)
+    monkeypatch.setattr(cli, "_FORK", fork)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    base = ["scan", "--seed", "5", "--format", "csv", "--n-max", "2", "--count", "64"]
+    _, serial = run_cli(capsys, [*base, "--jobs", "1"])
+    with _deadline():
+        assert _children_of(capsys, fork, [*base, "--jobs", "1000000"]) == (1, serial)
+
+
+def test_the_cpu_count_is_the_affinity_set(monkeypatch):
+    assert cli._cpu_count() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._cpu_count() == 1
 
 
 @contextlib.contextmanager
@@ -495,6 +516,51 @@ def test_every_import_kept_for_the_bench_tracer_is_one_it_wraps():
                          if "# noqa: F401" in lines[alias.lineno - 1]]
     assert kept
     assert set(kept) <= wrapped, sorted(set(kept) - wrapped)
+
+
+def _package_modules() -> list:
+    """(module name, source lines, syntax tree) of each module of the package."""
+    package = os.path.join(ROOT, "src", "daha_cc1")
+    out = []
+    for filename in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        with open(os.path.join(package, filename), encoding="utf-8") as fh:
+            source = fh.read()
+        name = "daha_cc1" if filename == "__init__.py" else "daha_cc1." + filename[:-3]
+        out.append((name, source.splitlines(), ast.parse(source)))
+    return out
+
+
+def _all_of(tree) -> list:
+    """The names a module lists in its __all__."""
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if getattr(target, "id", None) == "__all__"
+            for name in ast.literal_eval(node.value)]
+
+
+def test_every_name_a_module_imports_is_used_or_marked():
+    # pyflakes's F401, with the stdlib: an imported name is used where it
+    # is read or listed in __all__, else its line says "# noqa: F401"
+    unused = []
+    for module, lines, tree in _package_modules():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(_all_of(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                unused += [(module, alias.name) for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in used
+                           and "# noqa: F401" not in lines[alias.lineno - 1]]
+    assert unused == []
+
+
+def test_every_all_entry_is_an_attribute_of_its_module():
+    listed = 0
+    for module, _, tree in _package_modules():
+        names = _all_of(tree)
+        missing = [name for name in names if not hasattr(importlib.import_module(module), name)]
+        assert missing == [], module
+        listed += len(names)
+    assert listed >= 40
 
 
 def test_scan_error_rows_are_the_same_from_parent_and_child(capsys, monkeypatch, tmp_path):

@@ -32,12 +32,10 @@ def test_product_closes_on_constructed_rep(type2_rep):
 def test_product_guard_fires(type2_rep):
     _, p, r = type2_rep
     broken = type(r)(
-        dim=r.dim,
         T0=2.0 * r.T0,
         T1=r.T1,
         T0v=r.T0v,
         T1v=r.T1v,
-        basis_labels=r.basis_labels,
         roots=r.roots,
         pairs=r.pairs,
     )

@@ -22,7 +22,6 @@ from daha_cc1.laurent import (
 from daha_cc1.rep import (
     RELATION_RESIDUAL_MAX,
     DegenerateLadderError,
-    DimVector,
     IdealNotInvariantError,
     NotOnStratumError,
     PairingError,
@@ -58,10 +57,11 @@ from daha_cc1.dsbridge import (
     class_spec_from_root,
     verify_class_membership,
 )
-from daha_cc1.roots import RootVector, Type1E, Type1F, Type2, root_of_kind
+from daha_cc1.roots import RootVector, Type1E, Type1F, Type2, enumerate_strict_roots, root_of_kind
 from daha_cc1.strata import sample_generic_params, sample_stratum_params
 from oracles import (
     block_commutant_dim,
+    burnside_rank,
     dense_block_quadratic,
     dense_dim_vector,
     float_pairings,
@@ -168,7 +168,7 @@ def test_one_dimensional_rep(one_dim_params):
     for M, t in zip(r.generators(), (p.k0, p.k1, p.u0, p.u1)):
         assert abs(M[0, 0] - t) < 1e-12
     assert max(verify_relations(r, p).values()) < 1e-12
-    assert dim_vector(r, p) == DimVector(1, 0, 0, 0, 0)
+    assert dim_vector(r, p) == RootVector(1, 0, 0, 0, 0)
 
 
 def test_type2_level1_rep(rng):
@@ -264,12 +264,10 @@ def test_commutant_of_direct_sum_is_two():
     for M, e in zip(r1.generators(), eigs1):
         assert abs(M[0, 0] - e) < 1e-9
     glued = Rep(
-        dim=2,
         T0=np.diag([eigs1[0], eigs2[0]]).astype(complex),
         T1=np.diag([eigs1[1], eigs2[1]]).astype(complex),
         T0v=np.diag([eigs1[2], eigs2[2]]).astype(complex),
         T1v=np.diag([eigs1[3], eigs2[3]]).astype(complex),
-        basis_labels=[0, 1],
         # the z-eigenvalues q^{1/2} t0 t0v of the two summands
         roots=np.array([p.q_half * e[0] * e[2] for e in (eigs1, eigs2)], dtype=complex),
         # two 1-dim summands: each root is lone under s0 and s1
@@ -288,7 +286,7 @@ def test_rep_json_round_trip(rng):
     r = build_quotient_rep(kind, None, p)
     back = rep_from_json(rep_to_json(r))
     assert back.dim == r.dim
-    assert back.basis_labels == r.basis_labels
+    assert rep_to_json(back)["basis_labels"] == list(range(r.dim))
     for A, B in zip(r.generators(), back.generators()):
         assert np.allclose(A, B)
     assert back.provenance["kind"] == r.provenance["kind"]
@@ -347,7 +345,7 @@ def test_eval_basis_structure(rng):
     r = build_quotient_rep(kind, None, p)
     roots = np.array([complex(*x) for x in r.provenance["roots"]])
     assert r.provenance["basis"] == "eval"
-    assert r.basis_labels == list(range(12))
+    assert rep_to_json(r)["basis_labels"] == list(range(12))
     z = p.q_half * r.T0 @ r.T0v
     assert np.abs(z - np.diag(roots)).max() < 1e-12 * np.abs(roots).max()
     for M in r.generators():
@@ -387,12 +385,45 @@ def test_commutant_needs_a_diagonal_z(rng):
     r = build_quotient_rep(kind, None, p)
     P = np.eye(r.dim) + 0.3 * rng.normal(size=(r.dim, r.dim))
     Pi = np.linalg.inv(P)
-    moved = Rep(r.dim, *(P @ M @ Pi for M in r.generators()), r.basis_labels, r.roots, r.pairs)
+    moved = Rep(*(P @ M @ Pi for M in r.generators()), r.roots, r.pairs)
     with pytest.raises(PairingError):
         commutant_dim(moved, p)
     with pytest.raises(PairingError):
         verify_relations(moved, p)
     assert sylvester_commutant_dim(moved) == 1
+
+
+def _cut_level_1_rep():
+    """(p, a valid level-1 rep, its cut): the cut zeroes entry (i, j) of
+    an s0 pair block in T0 and T0v, the two generators that s0 pairs.  No
+    entry then leads from j to i, so the cut tuple is reducible."""
+    kind = Type2(1, 1, 1, 1, 1)
+    p = sample_stratum_params(kind, np.random.default_rng(3))
+    r = build_quotient_rep(kind, None, p)
+    cut = copy.deepcopy(r)
+    i = int(np.flatnonzero(r.pairs[0] > np.arange(r.dim))[0])
+    cut.T0[i, r.pairs[0][i]] = cut.T0v[i, r.pairs[0][i]] = 0.0
+    return p, r, cut
+
+
+def test_commutant_one_is_burnside_rank_d_squared():
+    # a tuple acts irreducibly iff its words span all d x d matrices
+    rng = np.random.default_rng(71)
+    for kind, _ in enumerate_strict_roots(6):
+        p = sample_stratum_params(kind, rng)
+        r = build_quotient_rep(kind, None, p)
+        assert (burnside_rank(r.generators()) == r.dim**2) == (commutant_dim(r, p) == 1), kind
+    _, r, cut = _cut_level_1_rep()
+    assert burnside_rank(r.generators()) == 9
+    assert burnside_rank(cut.generators()) < 9
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_commutant_sees_a_reducible_cut_of_a_pair_block():
+    # the cut tuple is reducible, yet the undirected pair graph still
+    # links i and j through the entry (j, i)
+    p, _, cut = _cut_level_1_rep()
+    assert commutant_dim(cut, p) != 1
 
 
 def test_commutant_entry_band_raises():
@@ -401,7 +432,7 @@ def test_commutant_entry_band_raises():
     p = Params(k0=2.0, k1=3.0, u0=5.0, u1=7.0, q_half=1.3 + 0.2j)
     eye = np.eye(2, dtype=complex)
     T1 = np.diag([3.0, -1 / 3.0]).astype(complex)
-    r = Rep(2, 2 * eye, T1, np.diag([1.0, 2.0]).astype(complex), eye, [0, 1],
+    r = Rep(2 * eye, T1, np.diag([1.0, 2.0]).astype(complex), eye,
             np.array([2.0, 0.5], dtype=complex), (np.arange(2), np.array([1, 0])))
     assert commutant_dim(r, p) == 2
     T1[0, 1] = 3e-9

@@ -38,6 +38,7 @@ from daha_cc1.strata import (
     stratum_verdicts,
     verdict_to_json,
 )
+from oracles import sigma_xi_hits
 
 
 def test_xi_rows_have_fixed_products(generic_params):
@@ -224,7 +225,7 @@ def _per_kind_sigma_membership(p, k, tol=None):
             for m in range((1 + s) // 2, k.n):
                 if not _per_kind_clearly_apart(lhs, -(q**m), tol):
                     failed.append(f"neq.{name}.m{m}")
-        return StratumVerdict(member=not failed, failed_conditions=failed)
+        return StratumVerdict(failed_conditions=failed)
 
     if isinstance(k, Type1E):
         name, t, s = ("k0", p.k0, k.eps) if k.i == 0 else ("k1", p.k1, k.eps)
@@ -240,7 +241,7 @@ def _per_kind_sigma_membership(p, k, tol=None):
             for signs in product((1, -1), repeat=4)
         ):
             failed.append(f"neq.product.m{m}")
-    return StratumVerdict(member=not failed, failed_conditions=failed)
+    return StratumVerdict(failed_conditions=failed)
 
 
 def _per_kind_classify(verdict_of, n_max):
@@ -408,9 +409,9 @@ def _assert_matches_oracle(p, single_kind_levels):
     for k in reversed(_REAL_KINDS):
         assert _as_pair(sigma_membership(p, k, table=table)) == _as_pair(oracle[k]), k
     # every compared value is the per-kind expression, to the last bit
-    values, product_rhs, neg_q_powers = (
-        a[0].tolist() for a in (table.values, table.product_rhs, table.neg_q_powers)
-    )
+    point = strata._point_values(p, N_ORACLE)
+    values, product_rhs = point[:24], point[24 : 24 + N_ORACLE + 1]
+    neg_q_powers = point[24 + 2 * (N_ORACLE + 1) :]
     q = p.q
     for m in range(N_ORACLE + 1):
         assert product_rhs[m] == p.q_half ** (-1 - 2 * m)
@@ -424,8 +425,10 @@ def _assert_matches_oracle(p, single_kind_levels):
     levels = {"products": product_rhs, "t": neg_q_powers}
     for row, value in enumerate(values):
         level_values = levels["products" if row < 16 else "t"]
-        assert table.eq[0, row].tolist() == [approx_eq(value, b, p.tol) for b in level_values]
-        assert table.apart[0, row].tolist() == [
+        assert table.eq_cells[0, row::24].tolist() == [
+            approx_eq(value, b, p.tol) for b in level_values
+        ]
+        assert table.apart_cells[0, row::24].tolist() == [
             _per_kind_clearly_apart(value, b, p.tol) for b in level_values
         ]
     for k in _REAL_KINDS:
@@ -454,6 +457,40 @@ def test_shared_table_matches_per_kind_oracle_on_inequality_boundaries():
         )
     # every exact boundary point fails an inequality; the margin points may not
     assert neq_points >= 12
+
+
+def _leg_equality_points():
+    """Random points moved onto a leg equality, one of k0, k1, u0 set to a
+    t with t^(+-2) = -q^m, m = 0..n+1, then onto the product equality of a
+    type-2 kind of level n <= 6 by u1, at |q^{1/2}| in {0.3, 0.5, 1.3, 2, 3}."""
+    rng = np.random.default_rng(66)
+    pts = []
+    for i in range(90):
+        kind = _kinds_at(int(rng.integers(7)))[int(rng.integers(16))]
+        p = _random_point((0.3, 0.5, 1.3, 2.0, 3.0)[i % 5], rng)
+        name, s = _T_NAMES[int(rng.integers(3))], 1 - 2 * int(rng.integers(2))
+        p = _with(p, **{name: _t_on(p.q, int(rng.integers(kind.n + 2)), s)})
+        pts.append(_solve_product(p, kind.signs, p.q_half ** (-1 - 2 * kind.n), "u1"))
+    return pts
+
+
+def test_classify_is_sigma_xi_at_generic_and_stratum_points():
+    # Crawley-Boevey–Shaw: an irreducible of dim vector alpha exists iff
+    # alpha lies in Sigma_xi, decided here by root arithmetic alone
+    rng = np.random.default_rng(67)
+    for p in _generic_points():
+        assert classify_params(p, 6) == sigma_xi_hits(p, 6) == []
+    for kind, vec in enumerate_strict_roots(6):
+        p = sample_stratum_params(kind, rng)
+        hits = sigma_xi_hits(p, 6)
+        assert classify_params(p, 6) == hits, kind
+        assert (kind, vec) in hits
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_classify_is_sigma_xi_on_leg_equalities():
+    for p in _leg_equality_points():
+        assert classify_params(p, 6) == sigma_xi_hits(p, 6), p
 
 
 def test_the_rule_names_every_condition_of_every_kind(monkeypatch, generic_params):
