@@ -95,7 +95,9 @@ _REFUSALS = (
     ((ValueError, OSError, OverflowError, ZeroDivisionError), EXIT_INPUT),
 )
 _REFUSED = tuple(t for types, _ in _REFUSALS for t in types)
-_SCAN_CHUNK = 8  # one more scan process per _SCAN_CHUNK points, up to --jobs and the CPUs
+# the fewest points a scan process gets: on a smaller share a fork costs
+# more than it saves, so a scan forks only from 2 * _SCAN_SHARE points
+_SCAN_SHARE = 256
 # where scan's children come from; a fork inherits the imported modules
 _FORK = multiprocessing.get_context("fork")
 
@@ -490,8 +492,8 @@ def cmd_scan(
         p = _require_params(cfg)
         jobs = [(0, tuple(getattr(p, k) for k in _PARAM_KEYS))]
 
-    # an empty file has 0 chunks
-    procs = max(1, min(cfg.jobs, -(-len(jobs) // _SCAN_CHUNK), _cpu_count()))
+    # up to --jobs and the CPUs, each process with at least _SCAN_SHARE points
+    procs = max(1, min(cfg.jobs, len(jobs) // _SCAN_SHARE, _cpu_count()))
     rows = _scan_shares(jobs, cfg, procs)
     results = {"rows": rows, "n_points": len(rows)}
     return _report("scan", cfg.params, results), EXIT_OK

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 
 import numpy as np
@@ -17,6 +18,19 @@ def _src_on_subprocess_path():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", path)
         yield
+
+
+@pytest.fixture(autouse=True)
+def _no_child_outlives_its_test():
+    """Fail a test that leaves a child process running, such as a scan
+    child its scan did not reap; the child is stopped first, so it
+    fails that test alone."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    assert left == [], f"child processes left running: {left}"
 
 
 @pytest.fixture

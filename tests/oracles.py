@@ -24,11 +24,11 @@ from itertools import product
 
 import numpy as np
 
-from daha_cc1.core import (GENERATORS, Params, Tolerance, approx_eq, clearly_neq, decide,
-                           worst)
-from daha_cc1.dsbridge import xi_product
+from daha_cc1.core import (FACTORS, GENERATORS, Params, Tolerance, approx_eq, clearly_neq,
+                           decide, worst)
+from daha_cc1.dsbridge import xi_table
 from daha_cc1.rep import DegenerateLadderError, RankIndeterminateError, Rep
-from daha_cc1.roots import C, RootVector, enumerate_strict_roots, tits_form
+from daha_cc1.roots import RootVector, enumerate_strict_roots, tits_form
 
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _FULL_RE = re.compile(rf"^(?P<re>{_NUM})(?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i$")
@@ -243,12 +243,15 @@ def positive_roots(n_max: int) -> tuple[RootVector, ...]:
     return tuple(v for v in map(RootVector._make, box) if any(v) and tits_form(v) <= 1)
 
 
-def xi_power(beta: RootVector, p: Params) -> complex:
-    """xi^[beta] by dsbridge.xi_product.  It refuses a leg above a0, as
-    in a leg root e_i (a0 = 0), so such a beta is shifted by m copies of
-    the central root c: xi^[beta] = xi^[beta + m c] / xi^[c]^m."""
-    m = max(0, max(beta[1:]) - beta.a0)
-    return xi_product(beta + C.scaled(m), p) / xi_product(C, p) ** m
+def xi_power(beta: RootVector, table) -> complex:
+    """xi^[beta], the product dsbridge.xi_product takes over the four
+    factors' eigenvalue pairs (dsbridge.xi_table): eig1^(a0 - leg) times
+    eig2^leg.  xi_product refuses a leg above a0, as in a leg root e_i
+    (a0 = 0); here that is a negative power of eig1."""
+    out = 1 + 0j
+    for (eig1, eig2), g in zip(table, FACTORS):
+        out *= eig1 ** (beta.a0 - beta[g.leg]) * eig2 ** beta[g.leg]
+    return out
 
 
 def sigma_xi_hits(p: Params, n_max: int) -> list:
@@ -258,14 +261,17 @@ def sigma_xi_hits(p: Params, n_max: int) -> list:
     sum of two or more positive roots whose xi is each not clearly apart
     from 1."""
     top = (2 * n_max + 1, *[n_max + 1] * 4)
-    close = [b for b in positive_roots(n_max) if not clearly_neq(xi_power(b, p), 1.0, p.tol)]
+    table = xi_table(p)
+    # every strict root up to level n_max is among the positive roots
+    xi = {b: xi_power(b, table) for b in positive_roots(n_max)}
+    close = [b for b, x in xi.items() if not clearly_neq(x, 1.0, p.tol)]
     sums, frontier = set(close), set(close)  # the sums of one or more close roots
     while frontier:
         frontier = {s + b for s in frontier for b in close
                     if all(x + y <= t for x, y, t in zip(s, b, top))} - sums
         sums |= frontier
     return [(kind, alpha) for kind, alpha in enumerate_strict_roots(n_max)
-            if approx_eq(xi_power(alpha, p), 1.0, p.tol)
+            if approx_eq(xi[alpha], 1.0, p.tol)
             and not any(RootVector(*(a - b for a, b in zip(alpha, beta))) in sums
                         for beta in close)]
 

