@@ -13,6 +13,7 @@ import argparse
 import json
 import multiprocessing
 import os
+import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -243,9 +244,9 @@ def _to_json(obj, indent: str = "\n") -> str:
     value whose dict keys are strings (a non-string key raises TypeError).
     Passing indent makes the stdlib encode in pure Python; this writer
     joins each level's text at once and writes each all-float list, such
-    as the [re, im] pair of a root, in one call.  float repr never holds
-    an "n", so one that does holds nan or inf and takes the stdlib's NaN
-    and Infinity."""
+    as the [re, im] pair of a root, and each list of exact ints, such as
+    basis_labels, in one call.  float repr never holds an "n", so one
+    that does holds nan or inf and takes the stdlib's NaN and Infinity."""
     inner = indent + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -255,6 +256,8 @@ def _to_json(obj, indent: str = "\n") -> str:
             body = sep.join(map(float.__repr__, obj))
             if "n" not in body:
                 return f"[{inner}{body}{indent}]"
+        elif set(map(type, obj)) == {int}:  # a bool spells true, so not here
+            return f"[{inner}{sep.join(map(int.__repr__, obj))}{indent}]"
         return f"[{inner}{sep.join([_to_json(x, inner) for x in obj])}{indent}]"
     if isinstance(obj, dict):
         if not obj:
@@ -459,11 +462,24 @@ def _scan_shares(jobs: list, cfg: RunConfig, procs: int) -> list[dict]:
             recv.close()
 
 
+# a points-file line of plain values: over these characters complex(),
+# with j for i, accepts what parse_scalar accepts, to the bit
+_PLAIN_LINE = re.compile(r"[0-9.eE+\-i,]+")
+
+
 def _load_points_file(path: str) -> list[tuple[complex, ...]]:
     points = []
     with open(path, encoding="utf-8") as fh:
         for n, raw in enumerate(fh, 1):
             line = raw.strip()
+            if _PLAIN_LINE.fullmatch(line):
+                try:
+                    values = tuple(map(complex, line.replace("i", "j").split(",")))
+                except ValueError:  # parse_scalar below names the value
+                    values = ()
+                if len(values) == 5:
+                    points.append(values)
+                    continue
             if not line or line.startswith("#"):
                 continue
             try:

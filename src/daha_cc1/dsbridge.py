@@ -86,15 +86,18 @@ def class_spec_from_root(alpha: RootVector, p: Params) -> tuple[ClassSpec, ...]:
 
 
 def xi_product(alpha: RootVector, p: Params) -> complex:
-    """prod_i eig1_i^mult1_i * eig2_i^mult2_i over the four classes of
-    alpha: the product of the determinants the classes prescribe, which
-    A4 A3 A1 A2 = 1 requires to be 1."""
-    specs = class_spec_from_root(alpha, p)
-    if any(spec.mult1 < 0 for spec in specs):
+    """xi^[alpha] = prod_i eig1_i^(a0 - leg_i) * eig2_i^leg_i over the
+    four factors' eigenvalue pairs (xi_table), legs in factor order: for
+    a root, the product of the determinants its classes prescribe, which
+    A4 A3 A1 A2 = 1 requires to be 1.  A leg root e_i or f_i (a0 = 0,
+    one leg 1) gives -t^(-2) of its generator; any other leg above a0
+    raises InconsistentRanksError."""
+    legs = [alpha[g.leg] for g in FACTORS]
+    if max(legs) > alpha.a0 and (alpha.a0, sorted(legs)) != (0, [0, 0, 0, 1]):
         raise InconsistentRanksError(f"leg label exceeds central label in {alpha}")
     out = 1 + 0j
-    for spec in specs:
-        out *= spec.eig1**spec.mult1 * spec.eig2**spec.mult2
+    for (eig1, eig2), leg in zip(xi_table(p), legs):
+        out *= eig1 ** (alpha.a0 - leg) * eig2**leg
     return out
 
 

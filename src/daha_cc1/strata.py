@@ -73,11 +73,16 @@ def signed_product(p: Params, signs: tuple[int, int, int, int]) -> complex:
 
 def _signed_products(p: Params) -> list[complex]:
     """signed_product(p, signs) for every sign vector, in _SIGN_CHOICES
-    order: the same left-to-right products, sharing their first four
-    factors."""
-    k0, k1, u0, u1 = ({s: getattr(p, name) ** s for s in (1, -1)} for name in _T_NAMES)
-    heads = [e1 * k1[e1] * e0 * k0[e0] for e0, e1 in product((1, -1), repeat=2)]
-    return [h * d1 * u1[d1] * d0 * u0[d0] for h in heads for d0, d1 in product((1, -1), repeat=2)]
+    order: the same left-to-right products, sharing their prefixes."""
+    (k0, k0_), (k1, k1_), (u0, u0_), (u1, u1_) = (
+        (x**1, x**-1) for x in (p.k0, p.k1, p.u0, p.u1))
+    # eps1 k1^eps1 * eps0 k0^eps0, then * del1 u1^del1 * del0 u0^del0
+    k1p, k1m = 1 * k1, -1 * k1_
+    out = []
+    for head in (k1p * 1 * k0, k1m * 1 * k0, k1p * -1 * k0_, k1m * -1 * k0_):
+        u1p, u1m = head * 1 * u1, head * -1 * u1_
+        out += (u1p * 1 * u0, u1m * 1 * u0, u1p * -1 * u0_, u1m * -1 * u0_)
+    return out
 
 
 # the table's rows: the 16 signed products, keyed by their signs, then
@@ -135,14 +140,14 @@ _rule = lru_cache(maxsize=1)(_Rule)
 def _point_values(p: Params, n: int) -> list[complex]:
     """Point p's 24 row values, then its level values of the three row
     groups (products, products, t^(2s)), as the per-kind Python
-    expressions."""
-    q, qh = p.q, p.q_half
+    expressions, in the order q_half^(-1-2m), -(q^m), the signed
+    products, t^(2s)."""
+    qh, q = p.q_half, p.q
     product_rhs = [qh ** (-1 - 2 * m) for m in range(n + 1)]
     neg_q_powers = [-(q**m) for m in range(n + 1)]
-    values = _signed_products(p) + [
-        getattr(p, name) ** (2 * s) for name, s in _ROW_KEYS[_N_PRODUCTS:]
-    ]
-    return values + 2 * product_rhs + neg_q_powers
+    values = _signed_products(p)
+    values += (p.k0**2, p.k0**-2, p.k1**2, p.k1**-2, p.u0**2, p.u0**-2, p.u1**2, p.u1**-2)
+    return values + product_rhs + product_rhs + neg_q_powers
 
 
 class _Table:

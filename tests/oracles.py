@@ -24,9 +24,9 @@ from itertools import product
 
 import numpy as np
 
-from daha_cc1.core import (FACTORS, GENERATORS, Params, Tolerance, approx_eq, clearly_neq,
+from daha_cc1.core import (GENERATORS, Params, Tolerance, approx_eq, clearly_neq,
                            decide, worst)
-from daha_cc1.dsbridge import xi_table
+from daha_cc1.dsbridge import xi_product
 from daha_cc1.rep import DegenerateLadderError, RankIndeterminateError, Rep
 from daha_cc1.roots import RootVector, enumerate_strict_roots, tits_form
 
@@ -243,17 +243,6 @@ def positive_roots(n_max: int) -> tuple[RootVector, ...]:
     return tuple(v for v in map(RootVector._make, box) if any(v) and tits_form(v) <= 1)
 
 
-def xi_power(beta: RootVector, table) -> complex:
-    """xi^[beta], the product dsbridge.xi_product takes over the four
-    factors' eigenvalue pairs (dsbridge.xi_table): eig1^(a0 - leg) times
-    eig2^leg.  xi_product refuses a leg above a0, as in a leg root e_i
-    (a0 = 0); here that is a negative power of eig1."""
-    out = 1 + 0j
-    for (eig1, eig2), g in zip(table, FACTORS):
-        out *= eig1 ** (beta.a0 - beta[g.leg]) * eig2 ** beta[g.leg]
-    return out
-
-
 def sigma_xi_hits(p: Params, n_max: int) -> list:
     """The strict real roots up to level n_max in Sigma_xi at p, as
     (kind, vec) in enumeration order, as classify_params lists them: alpha
@@ -261,9 +250,9 @@ def sigma_xi_hits(p: Params, n_max: int) -> list:
     sum of two or more positive roots whose xi is each not clearly apart
     from 1."""
     top = (2 * n_max + 1, *[n_max + 1] * 4)
-    table = xi_table(p)
-    # every strict root up to level n_max is among the positive roots
-    xi = {b: xi_power(b, table) for b in positive_roots(n_max)}
+    # every strict root up to level n_max is among the positive roots,
+    # and the leg roots are the only ones with a leg above a0
+    xi = {b: xi_product(b, p) for b in positive_roots(n_max)}
     close = [b for b, x in xi.items() if not clearly_neq(x, 1.0, p.tol)]
     sums, frontier = set(close), set(close)  # the sums of one or more close roots
     while frontier:

@@ -1178,6 +1178,20 @@ def test_a_good_setting_reads_the_same_as_a_flag_and_in_a_config_file(
      "cannot parse complex literal '1+e5i'"),
     ("2,3,5,7,2\n2,3,5,7\n", 2, "a point needs 5 values: '2,3,5,7'"),
     ("2,3,5,7,2,1\n", 1, "a point needs 5 values: '2,3,5,7,2,1'"),
+    ("2,3,5,7,2\n1,2,3,4\n", 2, "a point needs 5 values: '1,2,3,4'"),
+    # lines that a plain-literal pattern could half match
+    ("2,3,5,7,2x\n", 1, "cannot parse complex literal '2x'"),
+    ("2,3,5,7,i5\n", 1, "cannot parse complex literal 'i5'"),
+    ("2,3,5,7,j\n", 1, "cannot parse complex literal 'j'"),
+    ("2,3,5,7,1e5i+2\n", 1, "cannot parse complex literal '1e5i+2'"),
+    ("2,3,5,7,2.5.5\n", 1, "cannot parse complex literal '2.5.5'"),
+    ("+,1,2,3,4\n", 1, "cannot parse complex literal '+'"),
+    ("2,3,5,7,2,\n", 1, "cannot parse complex literal ''"),
+    ("2,3,5,,7\n", 1, "cannot parse complex literal ''"),
+    ("2;3;5;7;2\n", 1, "cannot parse complex literal '2;3;5;7;2'"),
+    ("(2,3,5,7,2)\n", 1, "cannot parse complex literal '(2'"),
+    ("2, 3, 5, 7, 1+e5i\n", 1, "cannot parse complex literal ' 1+e5i'"),
+    (" # c\n\n2,3,5,7,1i\n2,3,5,7,2+ii\n", 4, "cannot parse complex literal '2+ii'"),
 ])
 def test_a_bad_points_file_line_is_named(capsys, tmp_path, text, line, message):
     pts = tmp_path / "points.csv"
@@ -1188,6 +1202,30 @@ def test_a_bad_points_file_line_is_named(capsys, tmp_path, text, line, message):
     report = json.loads(captured.out)
     assert report["exit_code"] == 2
     assert report["results"] == {"error": f"ValueError: points file line {line}: {message}"}
+
+
+def test_a_points_file_reads_each_value_as_parse_scalar(tmp_path):
+    lines = [
+        "2,3,5,7,2",
+        "1.5+2i,-0.5-1e-3i,i,-i,+i",
+        "-0,-0.0-0i,0i,-0i,+0.0+0.0i",
+        "4e5,-.5i,+7.,1E-2-i,.5e1i",
+        "1e308+1e308i,2e-320,1e400,-1e400i,3.25e-1-7.5e+2i",
+        "1-i,-1+i,+2.-.5i,12345678901234567890,0.1",
+        "",
+        "# 1,2,3,4,5",
+        "   ",
+        " 1.5 + 2i , (3-4i) , ( -i ) ,2,\t7 ",
+        "(1),(i),(-2.5e-3+1i),( 4 ),5  ",
+    ]
+    path = tmp_path / "points.csv"
+    path.write_text("\n".join(lines) + "\n")
+    want = [tuple(map(core.parse_scalar, line.split(",")))
+            for line in map(str.strip, lines) if line and not line.startswith("#")]
+    got = cli._load_points_file(str(path))
+    assert [[(z.real.hex(), z.imag.hex()) for z in point] for point in got] == \
+        [[(z.real.hex(), z.imag.hex()) for z in point] for point in want]
+    assert len(got) == 8
 
 
 def test_scan_refuses_count_with_a_points_file(capsys, tmp_path):

@@ -1,13 +1,14 @@
 import cmath
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daha_cc1 import core
+from daha_cc1 import cli, core
 from daha_cc1.core import (
     DEFAULT_TOL,
     ROOTS_BOUND,
@@ -276,11 +277,28 @@ def _threshold_steps(a: complex, margin: float, part: str) -> list[complex]:
     return [at(float(x)) for x in xs]
 
 
-_MODULI = (1e-300, 1e-12, 4e-10, 3e-7, 1e-3, 0.7, 1.0, 3.0, 1e5, 1e151, 1e200, 1e300)
+# with subnormal moduli and moduli about 2^1022, where the filter hands
+# its cells to the exact pass
+_MODULI = (1e-310, 3e-308, 1e-300, 1e-12, 4e-10, 3e-7, 1e-3, 0.7, 1.0, 3.0, 1e5, 1e151,
+           1e200, 1e300, 0.999 * 2.0**1022, 1.001 * 2.0**1022)
+
+
+def _record_exact(monkeypatch) -> list:
+    """The broadcast size of each exact pass compare_points makes from
+    now on."""
+    sizes, exact = [], core._exact
+
+    def recorded(a, b, tol):
+        sizes.append(np.broadcast(a, b).size)
+        return exact(a, b, tol)
+
+    monkeypatch.setattr(core, "_exact", recorded)
+    return sizes
 
 
 @pytest.mark.parametrize("tol", [Tolerance(), Tolerance(eq_tol=1e-4), Tolerance(eq_tol=1e-12)])
-def test_compare_arrays_agrees_with_the_scalar_comparators(tol):
+def test_compare_arrays_agrees_with_the_scalar_comparators(tol, monkeypatch):
+    exact = _record_exact(monkeypatch)
     rng = np.random.default_rng(12)
     pairs = []
     for mod in _MODULI:
@@ -296,11 +314,15 @@ def test_compare_arrays_agrees_with_the_scalar_comparators(tol):
     pairs += [(inf, 1.0), (1.0, -inf), (inf, inf), (nan, 1.0), (complex(inf, nan), 2.0),
               (complex(nan, 1.0), complex(2.0, inf)), (0.0, 0.0), (1e-320, -1e-320)]
     a, b = (np.array(col) for col in zip(*pairs))
+    assert a.size >= core.FILTER_MIN
     eq, apart = compare_arrays(a, b, tol)
     assert eq.tolist() == [approx_eq(x, y, tol) for x, y in pairs]
     assert apart.tolist() == [clearly_neq(x, y, tol) for x, y in pairs]
     # the thresholds were met: both verdicts change along the steps
     assert eq.any() and not eq.all() and apart.any() and not apart.all()
+    # the filter decided some cells and sent the rest, the band's
+    # (most of the steps) and the out-of-range ones, to the exact pass
+    assert 0 < exact[0] < a.size
     # broadcast over a grid, as the stratum table uses it
     rows, cols = a[::97], b[::89]
     eq, apart = compare_arrays(rows[:, None], cols[None, :], tol)
@@ -320,7 +342,7 @@ def test_compare_arrays_raises_where_abs_overflows():
     assert compare_arrays(*far)[1].tolist() == [clearly_neq(1.5e308, -1.5e308)]
 
 
-def test_compare_points_marks_only_the_points_that_overflow():
+def test_compare_points_marks_only_the_points_that_overflow(monkeypatch):
     """A block of points where some overflow: over[i] is whether point
     i's own compare_arrays raises, and the other points' verdicts are
     their own compare_arrays's."""
@@ -335,21 +357,61 @@ def test_compare_points_marks_only_the_points_that_overflow():
     a[19, 0, 0] = complex(float("inf"), 1.0)      # an infinite part: no error
     a[23, :, :] = half                            # large moduli, none past the range
     a[27, 2, 3] = complex(1.0, float("nan"))      # a NaN part: no error
-    eq, apart, over = core.compare_points(a, b, DEFAULT_TOL)
+    a[29] = complex("nan")                        # a refused point's row
+    a[31] *= 1e-310                               # subnormal moduli
+    b[33] *= 1.9 * 2.0**1022                      # about 2^1022, past it and short of it
+    a[33] = b[33] * np.array([[1 + 1e-12], [1 + 3e-9], [1.5]])
+    # each point's cells tiled, so a point alone takes the exact pass and
+    # 16 points the filter
+    a, b = np.tile(a, 8), np.tile(b, 8)
+    assert a[0].size < core.FILTER_MIN <= a[:16].size
     alone = []
     for ai, bi in zip(a, b):
         try:
             alone.append(compare_arrays(ai, bi))
         except OverflowError:
             alone.append(None)
-    assert over.tolist() == [v is None for v in alone]
-    assert np.flatnonzero(over).tolist() == [3, 7, 11]
-    for i, v in enumerate(alone):
-        eq_i, apart_i = (np.zeros(eq[i].shape, dtype=bool),) * 2 if v is None else v
-        assert (eq[i].tolist(), apart[i].tolist()) == (eq_i.tolist(), apart_i.tolist()), i
-    assert eq.any() and apart.any()
+    exact = _record_exact(monkeypatch)
+    # the block, and a 16-point block of it, as the stratum table takes them
+    for lo, hi in ((0, 40), (16, 32)):
+        eq, apart, over = core.compare_points(a[lo:hi], b[lo:hi], DEFAULT_TOL)
+        assert over.tolist() == [v is None for v in alone[lo:hi]]
+        for i, v in enumerate(alone[lo:hi]):
+            eq_i, apart_i = (np.zeros(eq[i].shape, dtype=bool),) * 2 if v is None else v
+            assert (eq[i].tolist(), apart[i].tolist()) == (eq_i.tolist(), apart_i.tolist()), i
+        assert eq.any() and apart.any()
+        # the filter sent some cells to the exact pass, not the block
+        assert 0 < exact.pop() < a[lo:hi].size / 2
+    assert [i for i, v in enumerate(alone) if v is None] == [3, 7, 11]
     # a value shared by every point overflows at every point
     assert core.compare_points(a, big, DEFAULT_TOL)[2].all()
+
+
+def test_numpys_absolute_is_within_a_few_ulps_of_hypot():
+    # the filter's band (4,500 ulps) rests on this, from subnormal moduli
+    # to the overflow edge
+    rng = np.random.default_rng(3)
+    exps = rng.integers(-1074, 1024, 200_000)
+    re = np.ldexp(rng.uniform(-1, 1, exps.size), exps)
+    with np.errstate(all="ignore"):
+        im = re * np.ldexp(1.0, rng.integers(-60, 4, exps.size)) * rng.uniform(-1, 1, exps.size)
+        fast, exact = np.abs(re + 1j * im), np.hypot(re, im)
+    assert (np.isinf(fast) == np.isinf(exact)).all()
+    fin = np.isfinite(exact) & (exact > 0)
+    assert fin.sum() > 190_000
+    assert (np.abs(fast[fin] - exact[fin]) <= 4 * np.spacing(exact[fin])).all()
+
+
+def test_a_nan_row_sends_only_its_own_cells_to_the_exact_pass(monkeypatch):
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(16, 1, 24)) + 1j * rng.normal(size=(16, 1, 24))
+    b = rng.normal(size=(16, 21, 1)) + 1j * rng.normal(size=(16, 21, 1))
+    a[5] = complex("nan")
+    exact = _record_exact(monkeypatch)
+    eq, apart, over = core.compare_points(a, b, DEFAULT_TOL)
+    assert exact == [21 * 24]
+    assert not (eq[5].any() or apart[5].any() or over.any())
+    assert apart.sum() == 15 * 21 * 24
 
 
 @pytest.mark.parametrize(
@@ -447,6 +509,20 @@ def test_parse_scalar_is_the_three_regex_parser_to_the_bit():
     assert 0.3 * len(texts) < accepted < 0.7 * len(texts)  # both sides are exercised
     assert _parsed(parse_scalar, "-0-0i") == ("-0x0.0p+0", "-0x0.0p+0")
     assert _parsed(parse_scalar, "-i") == ("0x0.0p+0", "-0x1.0000000000000p+0")
+
+
+def test_over_a_plain_lines_characters_parse_scalar_is_complex_with_j():
+    # what cli._load_points_file's plain path rests on: over the
+    # characters of cli._PLAIN_LINE but the comma, complex() with j for i
+    # accepts what parse_scalar accepts, to the bit.  Every string of up
+    # to 5 of them (0 and 1 for the digits), and the plain random literals
+    texts = ["".join(chars) for size in range(6) for chars in product("01.eE+-i", repeat=size)]
+    rng = random.Random(1819)
+    texts += [t for t in _EDGE_LITERALS + [_random_literal(rng) for _ in range(40_000)]
+              if cli._PLAIN_LINE.fullmatch(t) and "," not in t]
+    with_j = [_parsed(lambda s: complex(s.replace("i", "j")), t) for t in texts]
+    assert [t for t, z in zip(texts, with_j) if z != _parsed(parse_scalar, t)] == []
+    assert len(texts) > 50_000 and sum(z is not None for z in with_j) > 10_000
 
 
 def test_parse_scalar_refuses_a_newline_inside_parentheses():

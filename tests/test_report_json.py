@@ -29,11 +29,13 @@ texts = st.one_of(
     st.text(alphabet='[]{},:"\n\\ \t\x00\x1f\x7fé€ \U0001f600abc'),
 )
 scalars = st.one_of(st.none(), ints, floats, texts)
-# all-float lists take the writer's one-call path; int lists may mix in bools
+# all-float and all-int lists take the writer's one-call paths; int
+# lists may mix in bools, which take the per-item path
 leaf_lists = st.one_of(
     st.lists(floats, max_size=4),
     st.lists(floats, max_size=4).map(tuple),
     st.lists(ints, max_size=4),
+    st.lists(st.integers(), min_size=1, max_size=6),
 )
 
 
@@ -94,7 +96,8 @@ json_trees = st.recursive(
 
 
 # Mutations this catches: writing an all-float list without the "n"
-# fallback spells nan and inf as float repr does.
+# fallback spells nan and inf as float repr does; taking a list with a
+# bool in it as all-int spells true as 1.
 @seed(20261018)
 @settings(max_examples=400, deadline=None)
 @given(json_trees)

@@ -53,6 +53,19 @@ def test_xi_rows_have_fixed_products(generic_params):
 def test_xi_product_rejects_inconsistent_ranks(generic_params):
     with pytest.raises(InconsistentRanksError):
         xi_product(RootVector(1, 2, 0, 0, 0), generic_params)
+    # a leg above a0 that is not a leg root
+    for vec in (RootVector(0, 2, 0, 0, 0), RootVector(0, 1, 1, 0, 0), RootVector(0, 1, 0, 0, -1)):
+        with pytest.raises(InconsistentRanksError):
+            xi_product(vec, generic_params)
+
+
+def test_xi_product_of_a_leg_root_is_minus_t_to_the_minus_two(generic_params):
+    p = generic_params
+    for g in core.GENERATORS:
+        legs = [0, 0, 0, 0]
+        legs[g.leg - 1] = 1
+        t = getattr(p, g.t)
+        assert cmath.isclose(xi_product(RootVector(0, *legs), p), -t**-2, rel_tol=1e-13), g
 
 
 def test_xi_product_closes_on_stratum(rng):
@@ -398,6 +411,25 @@ def _as_pair(v):
     return (v.member, list(v.failed_conditions))
 
 
+def _per_kind_values(p, n):
+    """strata._point_values(p, n) as the per-kind expressions, one value
+    at a time, in its order: q_half^(-1-2m), -(q^m), the signed products
+    by their rows, t^(2s) by theirs."""
+    product_rhs = [p.q_half ** (-1 - 2 * m) for m in range(n + 1)]
+    neg_q_powers = [-(p.q**m) for m in range(n + 1)]
+    values = [signed_product(p, signs) for signs in product((1, -1), repeat=4)]
+    values += [getattr(p, name) ** (2 * s) for name in _T_NAMES for s in (1, -1)]
+    assert [strata._ROW[k] for k in [*product((1, -1), repeat=4),
+                                     *product(_T_NAMES, (1, -1))]] == list(range(24))
+    return values + product_rhs + product_rhs + neg_q_powers
+
+
+def _bits(values):
+    """Each value's type and the float.hex of both parts: == hides the
+    sign of a zero and fails on NaN."""
+    return [(type(z).__name__, float(z.real).hex(), float(z.imag).hex()) for z in values]
+
+
 def _assert_matches_oracle(p, single_kind_levels):
     oracle = {k: _per_kind_sigma_membership(p, k) for k in _REAL_KINDS}
     for n_max in (6, N_ORACLE):
@@ -410,17 +442,9 @@ def _assert_matches_oracle(p, single_kind_levels):
         assert _as_pair(sigma_membership(p, k, table=table)) == _as_pair(oracle[k]), k
     # every compared value is the per-kind expression, to the last bit
     point = strata._point_values(p, N_ORACLE)
+    assert _bits(point) == _bits(_per_kind_values(p, N_ORACLE))
     values, product_rhs = point[:24], point[24 : 24 + N_ORACLE + 1]
     neg_q_powers = point[24 + 2 * (N_ORACLE + 1) :]
-    q = p.q
-    for m in range(N_ORACLE + 1):
-        assert product_rhs[m] == p.q_half ** (-1 - 2 * m)
-        assert neg_q_powers[m] == -(q**m)
-    for signs in product((1, -1), repeat=4):
-        assert values[strata._ROW[signs]] == signed_product(p, signs)
-    for name in _T_NAMES:
-        for s in (1, -1):
-            assert values[strata._ROW[name, s]] == getattr(p, name) ** (2 * s)
     # and every cell of the grid that the rule reads is the scalar verdict
     levels = {"products": product_rhs, "t": neg_q_powers}
     for row, value in enumerate(values):
@@ -435,6 +459,53 @@ def _assert_matches_oracle(p, single_kind_levels):
         if k.n in single_kind_levels:
             assert _as_pair(sigma_membership(p, k)) == _as_pair(oracle[k]), k
     return oracle
+
+
+_C = complex
+# points whose values hold signed zeros (ints, floats and complex on
+# the axes, where each factor's ±1 sets a zero part's sign), NaN, or
+# products that underflow to zero and overflow without raising, and
+# points whose powers overflow or underflow in ** (|q_half| = 1e-200,
+# k0 = 1e200, k0 = 1e-200), which raises, one parameter at a time
+_EDGE_POINTS = [
+    Params(k0=_C(-0.0, 1.5), k1=_C(0.7, -0.0), u0=_C(-0.0, -2.0), u1=-2.5, q_half=_C(-1.2, -0.0)),
+    Params(k0=1, k1=1.5j, u0=-0.5, u1=-2 + 0j, q_half=1.3),
+    Params(k0=1.5j, k1=-0.5, u0=-0.5, u1=-0.5j, q_half=1.3),
+    Params(k0=2, k1=-3.5, u0=0.5, u1=7, q_half=1.3),
+    Params(k0=_C(float("nan"), 1.0), k1=3, u0=5, u1=7, q_half=1.1 + 0.5j),
+    Params(k0=_C(0.0, 1e-100), k1=1e-100, u0=_C(1e-100, 1e-100), u1=_C(-1e-100, 0.0),
+           q_half=1.3 + 0.2j),
+    Params(k0=2, k1=3, u0=5, u1=7, q_half=_C(1e-200, 0.0)),
+    Params(k0=2, k1=3, u0=5, u1=7, q_half=1e-200),
+    Params(k0=_C(1e200, 0.0), k1=3, u0=5, u1=7, q_half=1.3 + 0.2j),
+    Params(k0=1e200, k1=3, u0=5, u1=7, q_half=1.3 + 0.2j),
+    Params(k0=_C(0.0, 1e-200), k1=3, u0=5, u1=7, q_half=1.3 + 0.2j),
+    Params(k0=2, k1=3, u0=5, u1=7, q_half=_C(1e200, 0.0)),
+]
+
+
+@pytest.mark.parametrize("n", [0, 1, 20])
+def test_point_values_are_the_per_kind_expressions_to_the_bit(rng, n):
+    def outcome(values):
+        try:
+            return _bits(values())
+        except (OverflowError, ZeroDivisionError) as exc:
+            return type(exc), str(exc)
+
+    points = [*_EDGE_POINTS, *(sample_generic_params(rng) for _ in range(4))]
+    outcomes = []
+    for p in points:
+        outcomes.append(outcome(lambda: strata._point_values(p, n)))
+        assert outcomes[-1] == outcome(lambda: _per_kind_values(p, n)), p
+    # the values held what they were chosen for, and ** raised each way
+    values = [v for o in outcomes[:6] for v in o]
+    assert {"-0x0.0p+0", "nan", "0x0.0p+0", "inf"} <= {part for v in values for part in v[1:]}
+    assert {"int", "float", "complex"} <= {v[0] for v in values}
+    assert {o for o in outcomes[6:] if isinstance(o, tuple)} == {
+        (OverflowError, "complex exponentiation"),
+        (OverflowError, "(34, 'Numerical result out of range')"),
+        (ZeroDivisionError, "0.0 to a negative or complex power"),
+    }
 
 
 @pytest.mark.parametrize(
