@@ -36,6 +36,7 @@ from .core import (
     validate_params,
 )
 from .rep import (
+    RELATION_RESIDUAL_MAX,
     DegenerateLadderError,
     IdealNotInvariantError,
     NotOnStratumError,
@@ -320,19 +321,16 @@ def cmd_classify(cfg: RunConfig, explain: bool) -> tuple[dict, int]:
 
 def _ds_results(r, p: Params, on_stratum=None) -> tuple[dict, tuple, dict]:
     """The diagnosis construct and ds-check share: relation residuals, the
-    dim vector and the four-matrix product problem, read off the relation
-    check.  Factor i of (q^{1/2} T0, T0v, T1, T1v) lies in its class when
-    its generator's quadratic holds, and the ranks are the dim vector.
-    on_stratum is a kind whose stratum the build's guard found p on; when
-    the dim vector is its root, that verdict is the predicate's."""
+    dim vector and the four-matrix product problem, each read off the
+    rep's kept diagnosis, so the classes are checked against the dim
+    vector.  on_stratum is a kind whose stratum the build's guard found p
+    on; when the dim vector is its root, that verdict is the predicate's."""
     residuals = verify_relations(r, p)
     alpha = dim_vector(r, p)
     member = True if on_stratum is not None and alpha == root_of_kind(on_stratum) else None
     ds = {
         "product_residual": dsbridge.check_product(residuals["product"]),
-        "class_membership": all(
-            v <= p.tol.ineq_margin for k, v in residuals.items() if k.startswith("quad.")
-        ),
+        "class_membership": dsbridge.verify_class_membership(r, p, alpha),
         "existence_predicate": dsbridge.ds_existence_predicate(alpha, p, member),
     }
     return residuals, alpha, ds
@@ -604,7 +602,7 @@ def _selftest_properties(cfg: RunConfig) -> tuple[list[dict], dict]:
             ok, detail = False, f"{kind_to_str(kind)}: {type(exc).__name__}"
             break
     residuals["relations"] = worst_rel
-    if ok and worst_rel >= 1e-8:
+    if ok and worst_rel >= RELATION_RESIDUAL_MAX:
         ok, detail = False, f"relation residual {worst_rel:.3e}"
     record("relation-suite", ok, detail)
 

@@ -4,19 +4,19 @@ A representation of the four generators becomes a tuple (A1, A2, A3, A4)
 = (q^{1/2} T0, T0v, T1, T1v) with A4 A3 A1 A2 = 1, each Ai lying in the
 prescribed semisimple (or t^2 = -1 Jordan) conjugacy class encoded by a
 root coordinate: its generator's eigenvalue pair (xi_table), with
-multiplicities read off its leg.  Rigidity of the tuple is decided by
-the moduli count in :func:`daha_cc1.rep.rigidity_D`.
+multiplicities read off its leg.  Both are checked on the rep's kept
+diagnosis (see :func:`daha_cc1.rep.verify_relations`).  Rigidity of the
+tuple is decided by the moduli count in :func:`daha_cc1.rep.rigidity_D`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import FACTORS, Params, approx_eq
-from .rep import RankIndeterminateError, Rep, block_product, block_quadratic, ds_factors
+from .rep import RankIndeterminateError, Rep, _diagnosis, ds_factors, verify_relations
 from .roots import RootVector, classify_root
 from .strata import sigma_membership
 
@@ -38,20 +38,6 @@ class ProductNotIdentityError(ArithmeticError):
         return type(self), (self.residual,)
 
 
-@dataclass(frozen=True)
-class ClassSpec:
-    """Per-matrix eigenvalue pair with multiplicities (mult1, mult2)."""
-
-    eig1: complex
-    eig2: complex
-    mult1: int
-    mult2: int
-
-    @property
-    def dim(self) -> int:
-        return self.mult1 + self.mult2
-
-
 def check_product(residual: float) -> float:
     """The product residual, unless it exceeds PRODUCT_RESIDUAL_MAX or is NaN."""
     if not residual <= PRODUCT_RESIDUAL_MAX:
@@ -61,9 +47,8 @@ def check_product(residual: float) -> float:
 
 def to_ds_tuple(r: Rep, p: Params) -> tuple[np.ndarray, ...]:
     """(q^{1/2} T0, T0v, T1, T1v); raises unless the product closes."""
-    mats = ds_factors(r, p)
-    check_product(block_product(*mats, r.roots, *r.pairs))
-    return mats
+    check_product(verify_relations(r, p)["product"])
+    return ds_factors(r, p)
 
 
 def xi_table(p: Params) -> tuple[tuple[complex, complex], ...]:
@@ -73,16 +58,6 @@ def xi_table(p: Params) -> tuple[tuple[complex, complex], ...]:
     t, *rest = (getattr(p, g.t) for g in FACTORS)
     qh = p.q_half
     return ((t * qh, -qh / t), *((x, -1 / x) for x in rest))
-
-
-def class_spec_from_root(alpha: RootVector, p: Params) -> tuple[ClassSpec, ...]:
-    """The four prescribed classes for a root coordinate: factor i gets
-    eig1 with multiplicity a0 - leg and eig2 with multiplicity leg, the
-    leg of its generator."""
-    return tuple(
-        ClassSpec(eig1, eig2, alpha.a0 - alpha[g.leg], alpha[g.leg])
-        for (eig1, eig2), g in zip(xi_table(p), FACTORS)
-    )
 
 
 def xi_product(alpha: RootVector, p: Params) -> complex:
@@ -101,19 +76,17 @@ def xi_product(alpha: RootVector, p: Params) -> complex:
     return out
 
 
-def verify_class_membership(r: Rep, p: Params, specs: tuple[ClassSpec, ...]) -> bool:
-    """Each factor Ai of the rep must satisfy (Ai - eig1)(Ai - eig2) = 0
-    block by block with rank(Ai - eig1) = mult2; when the two eigenvalues
-    coincide the class is the Jordan one, whose rank counts its 2x2 blocks."""
-    for M, g, spec in zip(ds_factors(r, p), FACTORS, specs):
-        if M.shape[0] != spec.dim:
-            return False
-        res, rank = block_quadratic(M, r.pairs[g.involution], spec.eig1, spec.eig2, p.tol)
-        if rank is None:
-            raise RankIndeterminateError("a matrix entry sits near a rank threshold")
-        if res > p.tol.ineq_margin or rank != spec.mult2:
-            return False
-    return True
+def verify_class_membership(r: Rep, p: Params, alpha: RootVector) -> bool:
+    """Whether each factor lies in the class alpha prescribes: its
+    generator's quadratic holds within ineq_margin (a NaN fails), and the
+    dim and the ranks, read as dim_vector reads them, are alpha.  A rank in
+    the band raises RankIndeterminateError; an entry outside the pairing
+    gets a verdict, not PairingError."""
+    quads = _diagnosis(r, p, False)[1]
+    ranks = [rank for _, rank in quads]
+    if None in ranks:
+        raise RankIndeterminateError("a matrix entry sits near a rank threshold")
+    return (r.dim, *ranks) == alpha and all(res <= p.tol.ineq_margin for res, _ in quads)
 
 
 def ds_existence_predicate(alpha: RootVector, p: Params, member: Optional[bool] = None) -> bool:
@@ -130,11 +103,9 @@ def ds_existence_predicate(alpha: RootVector, p: Params, member: Optional[bool] 
 
 
 __all__ = [
-    "ClassSpec",
     "check_product",
     "ds_factors",
     "to_ds_tuple",
-    "class_spec_from_root",
     "verify_class_membership",
     "ds_existence_predicate",
     "xi_table",

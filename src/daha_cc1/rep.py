@@ -290,10 +290,11 @@ def _strict(rows: tuple) -> tuple:
     return rows
 
 
-def block_quadratic(
-    M: np.ndarray, w: np.ndarray, e1: complex, e2: complex, tol: Tolerance
+def _quadratic(
+    rows: tuple, w: np.ndarray, e1: complex, e2: complex, tol: Tolerance
 ) -> tuple[float, Optional[int]]:
-    """The residual of (M - e1)(M - e2) = 0 and rank(M - e1), block by block.
+    """The residual of (M - e1)(M - e2) = 0 and rank(M - e1), block by
+    block, from the _rows of M on the pairing w.
 
     A 2x2 block needs trace e1 + e2 and determinant e1 e2, each relative
     to the terms it sums; a lone entry x needs x = e1 or e2.  A pair adds
@@ -301,15 +302,7 @@ def block_quadratic(
     apart from 1 (0 when e1 = e2), and a block adds its size when its
     largest entry outside the blocks, as a ratio to the block's scale, is
     apart from 0.  Each is core.decide; the rank is None when one sits in
-    the band."""
-    return _quadratic(_rows(M, w), w, e1, e2, tol)
-
-
-def _quadratic(
-    rows: tuple, w: np.ndarray, e1: complex, e2: complex, tol: Tolerance
-) -> tuple[float, Optional[int]]:
-    """block_quadratic on the matrix's _rows, in Python scalars: numpy
-    kernels cost more at these sizes."""
+    the band.  Python scalars: numpy kernels cost more at these sizes."""
     d, o, rest = rows
     d, o, rest = d.tolist(), o.tolist(), None if rest is None else rest.tolist()
     trace, det = e1 + e2, e1 * e2
@@ -352,19 +345,12 @@ def _pair_product(a: tuple, b: tuple, w: np.ndarray) -> tuple:
     return (da * db, oa * ob[w]), (da * ob, oa * db[w])
 
 
-def block_product(
-    A1: np.ndarray, A2: np.ndarray, A3: np.ndarray, A4: np.ndarray,
-    z: np.ndarray, s0: np.ndarray, s1: np.ndarray,
-) -> float:
-    """The residual of A4 A3 A1 A2 = 1 as A1 A2 = diag(z) on the s0 blocks
-    and A4 A3 = diag(1/z) on the s1 blocks, each entry relative to its terms."""
-    return _product(_rows(A1, s0), _rows(A2, s0), _rows(A3, s1), _rows(A4, s1), z, s0, s1)
-
-
 def _product(a1: tuple, a2: tuple, a3: tuple, a4: tuple,
              z: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> float:
-    """block_product on the four factors' _rows; PairingError when an
-    entry lies outside the pairing."""
+    """The residual of A4 A3 A1 A2 = 1, from the four factors' _rows, as
+    A1 A2 = diag(z) on the s0 blocks and A4 A3 = diag(1/z) on the s1
+    blocks, each entry relative to its terms; PairingError when an entry
+    lies outside the pairing."""
     tops = []
     for a, b, want, w in ((a1, a2, z, s0), (a4, a3, 1 / z, s1)):
         for (s, t), target in zip(_pair_product(_strict(a), _strict(b), w), (want, 0.0)):
@@ -496,7 +482,7 @@ def _diagnosis(r: Rep, p: Params, product: bool) -> tuple[dict, list, Optional[f
     those is read afresh; the product is computed on its first request,
     as its strict pairing check raises where the quadratics do not.
     A1's rows are read off the dense product, as ds_factors makes it, so
-    the product residual is block_product's on the ds factors to the bit:
+    the product residual is _product's on the ds factors' _rows to the bit:
     numpy's complex multiply may round strided and contiguous inputs
     differently."""
     content = [r.roots, *r.pairs, *r.generators()]

@@ -10,7 +10,9 @@ here too, to cross-check that pairing.  So is the three-regex literal
 parser that core.parse_scalar's one grammar replaced.  The quadratic
 check, the spectrum and the commutant are also read off each matrix's
 own dense rows, every scale taken afresh, to check bit for bit the rows
-the library's kept diagnosis shares and its loop's hoisted scales.
+the library's kept diagnosis shares and its loop's hoisted scales; the
+product problem's class check is read off the ds factors' dense rows,
+with their eigenvalue pairs from xi_table.
 
 Two oracles stand apart from the library's rules.  Sigma_xi membership
 (Crawley-Boevey and Shaw, Adv. Math. 201 (2006)) decides classify from
@@ -24,10 +26,10 @@ from itertools import product
 
 import numpy as np
 
-from daha_cc1.core import (GENERATORS, Params, Tolerance, approx_eq, clearly_neq,
+from daha_cc1.core import (FACTORS, GENERATORS, Params, Tolerance, approx_eq, clearly_neq,
                            decide, worst)
-from daha_cc1.dsbridge import xi_product
-from daha_cc1.rep import DegenerateLadderError, RankIndeterminateError, Rep
+from daha_cc1.dsbridge import xi_product, xi_table
+from daha_cc1.rep import DegenerateLadderError, RankIndeterminateError, Rep, ds_factors
 from daha_cc1.roots import RootVector, enumerate_strict_roots, tits_form
 
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -137,8 +139,8 @@ def _dense_rows(M: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def dense_block_quadratic(
     M: np.ndarray, w: np.ndarray, e1: complex, e2: complex, tol: Tolerance
 ) -> tuple:
-    """rep.block_quadratic's (residual, rank), each block read off M and
-    every scale taken afresh."""
+    """rep._quadratic's (residual, rank) of M on the pairing w, each block
+    read off M and every scale taken afresh."""
     d, o = (a.tolist() for a in _dense_rows(M, w))
     rows, rest = np.arange(w.size), np.abs(M)
     rest[rows, rows] = rest[rows, w] = 0.0
@@ -170,6 +172,19 @@ def dense_block_quadratic(
             add = (2 if i != j else 1) if stray else (None if stray is None else entry)
             rank = None if add is None else rank + add
     return worst(terms), rank
+
+
+def dense_class_membership(r: Rep, p: Params, alpha: RootVector) -> bool:
+    """dsbridge.verify_class_membership's verdict off each ds factor's own
+    dense rows: the factor's quadratic with its eigenvalue pair from
+    xi_table, and its rank against its generator's leg of alpha.  A rank
+    in the band raises RankIndeterminateError."""
+    quads = [dense_block_quadratic(M, r.pairs[g.involution], e1, e2, p.tol)
+             for M, g, (e1, e2) in zip(ds_factors(r, p), FACTORS, xi_table(p))]
+    if any(rank is None for _, rank in quads):
+        raise RankIndeterminateError("a factor's rank is indeterminate")
+    return r.dim == alpha.a0 and all(res <= p.tol.ineq_margin and rank == alpha[g.leg]
+                                     for g, (res, rank) in zip(FACTORS, quads))
 
 
 def pair_product_spectrum(r: Rep, p: Params) -> list[complex]:

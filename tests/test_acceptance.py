@@ -17,26 +17,26 @@ import numpy as np
 import pytest
 
 from daha_cc1 import cli
-from daha_cc1.core import Params
-from daha_cc1.dsbridge import class_spec_from_root, to_ds_tuple, verify_class_membership, xi_product
+from daha_cc1 import rep as rep_module
+from daha_cc1.core import FACTORS, Params
+from daha_cc1.dsbridge import check_product, to_ds_tuple, xi_product
 from daha_cc1.rep import (
     IdealNotInvariantError,
     NotOnStratumError,
     RankIndeterminateError,
     RelationResidualError,
     SignVector,
-    block_product,
     build_quotient_rep,
     build_truncated_polyrep,
     commutant_dim,
     dim_vector,
+    ds_factors,
     rho_ladder,
     rigidity_D,
     spectrum_of_z,
     verify_relations,
 )
 from daha_cc1.roots import (
-    RootVector,
     Type1E,
     Type1F,
     Type2,
@@ -372,12 +372,14 @@ def test_criterion_06_strata_ds_consistency(corpus):
 
 
 def _ds_reference(r, p):
-    """The product-problem block from dsbridge: the guarded factors'
-    block product and their class membership for the rep's dim vector."""
-    mats = to_ds_tuple(r, p)
-    residual = block_product(*mats, r.roots, *r.pairs)
-    specs = class_spec_from_root(RootVector(*dim_vector(r, p).as_tuple()), p)
-    return residual, verify_class_membership(r, p, specs)
+    """The product-problem block recomputed on the ds factors: their
+    product off their own rows, guarded, then their class membership for
+    the rep's dim vector from the dense oracle."""
+    from oracles import dense_class_membership
+    mats = ds_factors(r, p)
+    rows = [rep_module._rows(M, r.pairs[g.involution]) for M, g in zip(mats, FACTORS)]
+    residual = check_product(rep_module._product(*rows, r.roots, *r.pairs))
+    return residual, dense_class_membership(r, p, dim_vector(r, p))
 
 
 def _ds_cli(r, p):
@@ -415,9 +417,10 @@ def _moved_copies(r, p, rng, rel):
 
 
 def test_ds_block_agrees_with_the_dsbridge_reference(corpus):
-    """The ds block that construct and ds-check read off the relation
-    check equals dsbridge's reference on the corpus and on copies moved
-    by 1e-7 and 1e-4 relative; where one side raises, so does the other."""
+    """The ds block that construct and ds-check read off the rep's kept
+    diagnosis equals the reference recomputed on the ds factors, classes
+    from the dense oracle, on the corpus and on copies moved by 1e-7 and
+    1e-4 relative; where one side raises, so does the other."""
     rng = np.random.default_rng(2203)
     seen = Counter()
     for kind, p, r in corpus:
@@ -429,7 +432,7 @@ def test_ds_block_agrees_with_the_dsbridge_reference(corpus):
             seen[got if isinstance(got, str) else got[1]] += 1
     assert seen[True] >= len(corpus) and seen[False] > 0
     assert seen["ProductNotIdentityError"] and seen["RankIndeterminateError"]
-    print(f"PASS ds block equals the dsbridge reference on {sum(seen.values())} reps: "
+    print(f"PASS ds block equals the ds-factor reference on {sum(seen.values())} reps: "
           f"{dict(seen)}")
 
 

@@ -591,6 +591,32 @@ def test_every_name_a_module_imports_is_used_or_marked():
     assert unused == []
 
 
+def test_every_public_function_of_rep_and_dsbridge_has_a_reader():
+    # a function or non-exception class that rep or dsbridge lists in
+    # __all__ is read by another module of the package, exported by the
+    # package, or wrapped by the bench tracer
+    trees = {name: tree for name, _, tree in _package_modules()}
+    exported = set(_all_of(trees["daha_cc1"]))
+    wrapped = {(mod.__name__, attr) for _, mod, attr in _bench_tracer_sites()}
+    unread = []
+    for module in ("daha_cc1.rep", "daha_cc1.dsbridge"):
+        short, read = module.rsplit(".", 1)[1], set()
+        for other in trees.keys() - {module}:
+            for node in ast.walk(trees[other]):
+                if isinstance(node, ast.ImportFrom) and node.module == short:
+                    read.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == short:
+                    read.add(node.attr)
+        mod = importlib.import_module(module)
+        for name in _all_of(trees[module]):
+            obj = getattr(mod, name)
+            if not callable(obj) or isinstance(obj, type) and issubclass(obj, BaseException):
+                continue
+            if name not in read | exported and (module, name) not in wrapped:
+                unread.append((module, name))
+    assert unread == []
+
+
 def test_every_all_entry_is_an_attribute_of_its_module():
     listed = 0
     for module, _, tree in _package_modules():
@@ -870,13 +896,12 @@ def test_construct_and_ds_check_read_the_ds_block_off_the_relation_check(
         return wrapper
 
     def unused(*args, **kwargs):
-        raise AssertionError("the CLI reads the ds block off verify_relations")
+        raise AssertionError("the CLI reads the product off verify_relations")
 
     monkeypatch.setattr(rep_module, "_rows", counted("rows", rep_module._rows))
     monkeypatch.setattr(rep_module, "_product", counted("product", rep_module._product))
     monkeypatch.setattr(rep_module, "_quadratic", counted("quadratic", rep_module._quadratic))
     monkeypatch.setattr(dsbridge, "to_ds_tuple", unused)
-    monkeypatch.setattr(dsbridge, "verify_class_membership", unused)
     once = {"rows": 5, "product": 1, "quadratic": 4}
     kind = Type2(1, -1, 1, 1, 3)
     args = _param_args(sample_stratum_params(kind, rng))

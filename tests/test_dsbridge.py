@@ -1,18 +1,24 @@
+import copy
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from daha_cc1 import cli
+from daha_cc1.core import FACTORS, GENERATORS
 from daha_cc1.dsbridge import (
     ProductNotIdentityError,
     check_product,
-    class_spec_from_root,
     ds_existence_predicate,
     to_ds_tuple,
     verify_class_membership,
     xi_product,
 )
-from daha_cc1.rep import block_product, build_quotient_rep
-from daha_cc1.roots import DELTA, RootVector, Type1E, Type1F, Type2, root_of_kind
+from daha_cc1.rep import _product, _rows, build_quotient_rep, verify_relations
+from daha_cc1.roots import (DELTA, RootVector, Type1E, Type1F, Type2, enumerate_strict_roots,
+                            root_of_kind)
 from daha_cc1.strata import sample_generic_params, sample_stratum_params
+from oracles import dense_class_membership
 
 
 @pytest.fixture
@@ -25,7 +31,8 @@ def type2_rep(rng):
 def test_product_closes_on_constructed_rep(type2_rep):
     _, p, r = type2_rep
     mats = to_ds_tuple(r, p)
-    assert block_product(*mats, r.roots, *r.pairs) < 1e-8
+    rows = [_rows(M, r.pairs[g.involution]) for M, g in zip(mats, FACTORS)]
+    assert _product(*rows, r.roots, *r.pairs) < 1e-8
     assert all(M.shape == (r.dim, r.dim) for M in mats)
 
 
@@ -41,9 +48,7 @@ def test_product_guard_fires(type2_rep):
     )
     with pytest.raises(ProductNotIdentityError):
         to_ds_tuple(broken, p)
-    residual = block_product(
-        2.0 * p.q_half * r.T0, r.T0v, r.T1, r.T1v, r.roots, *r.pairs
-    )
+    residual = verify_relations(broken, p)["product"]
     assert residual > 1e-3
     with pytest.raises(ProductNotIdentityError):
         check_product(residual)
@@ -53,19 +58,69 @@ def test_product_guard_fires(type2_rep):
 def test_class_membership_on_constructed_rep(type2_rep):
     kind, p, r = type2_rep
     vec = root_of_kind(kind)
-    specs = class_spec_from_root(vec, p)
-    assert all(s.dim == r.dim for s in specs)
-    assert verify_class_membership(r, p, specs)
+    assert vec.a0 == r.dim
+    assert verify_class_membership(r, p, vec)
     # a wrong leg label must be detected through the rank condition
     wrong = RootVector(vec.a0, vec.a1, vec.a2, vec.a3, vec.a0)
-    bad_specs = class_spec_from_root(wrong, p)
-    assert not verify_class_membership(r, p, bad_specs)
+    assert not verify_class_membership(r, p, wrong)
 
 
 def test_membership_rejects_dim_mismatch(type2_rep):
     _, p, r = type2_rep
-    specs = class_spec_from_root(RootVector(1, 0, 0, 0, 0), p)
-    assert not verify_class_membership(r, p, specs)
+    assert not verify_class_membership(r, p, RootVector(1, 0, 0, 0, 0))
+
+
+def test_a_nan_entry_fails_the_class_check_and_the_cli_block():
+    # a NaN residual compares False with the margin: it must fail the
+    # class check, as the product gate of construct and ds-check refuses it
+    kind = Type2(1, 1, -1, 1, 2)
+    p = sample_stratum_params(kind, np.random.default_rng(5))
+    r = build_quotient_rep(kind, None, p)
+    w = r.pairs[1]
+    i = int(np.flatnonzero(w != np.arange(r.dim))[0])
+    r.T1[i, w[i]] = np.nan
+    with np.errstate(all="ignore"):
+        assert np.isnan(verify_relations(r, p)["quad.T1"])
+        assert verify_class_membership(r, p, root_of_kind(kind)) is False
+        with pytest.raises(ProductNotIdentityError):
+            cli._ds_results(r, p)
+
+
+def _outcome(check, r, p, alpha):
+    try:
+        return check(r, p, alpha)
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+def test_class_membership_equals_the_dense_ds_factor_reference():
+    # one stratum build of each family at levels 0..6, against its root,
+    # a wrong leg and a wrong dim, and with an entry outside the pairing
+    # (apart from 0, then equal to 0) in one generator in turn
+    rng = np.random.default_rng(41)
+    seen, built = Counter(), 0
+    for kind, vec in enumerate_strict_roots(6):
+        p = sample_stratum_params(kind, rng)
+        r = build_quotient_rep(kind, None, p)
+        cases = [(r, alpha) for alpha in (vec, vec._replace(a1=vec.a1 + 1),
+                                          vec._replace(a0=vec.a0 + 1))]
+        if r.dim >= 3:
+            g = GENERATORS[built % 4]
+            w, t = r.pairs[g.involution], getattr(p, g.t)
+            j = next(j for j in range(r.dim) if j not in (0, w[0]))
+            for x in (1e-3, 1e-300):
+                stray = copy.deepcopy(r)
+                getattr(stray, g.name)[0, j] = x * max(abs(t), 1 / abs(t))
+                cases.append((stray, vec))
+        for c, alpha in cases:
+            got = _outcome(verify_class_membership, c, p, alpha)
+            assert got == _outcome(dense_class_membership, c, p, alpha), (kind, alpha)
+            seen[got] += 1
+        assert verify_class_membership(r, p, vec) is True, kind
+        built += 1
+    assert built == 16 * 7 + 8 * 6
+    assert seen[True] >= built and seen[False] >= 2 * built, seen
+    assert "PairingError" not in seen
 
 
 def test_existence_predicate(rng, generic_params):

@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from daha_cc1.core import GENERATORS, Params, Tolerance
+from daha_cc1.core import FACTORS, GENERATORS, Params, Tolerance
 from daha_cc1.laurent import (
     LaurentPoly,
     build_E,
@@ -32,12 +32,13 @@ from daha_cc1.rep import (
     _diagnosis,
     _ladder,
     _ladder_pairs,
+    _product,
+    _quadratic,
+    _rows,
     apply_T0,
     apply_T0v_bar,
     apply_T1,
     apply_T1v_bar,
-    block_product,
-    block_quadratic,
     build_quotient_rep,
     build_truncated_polyrep,
     commutant_dim,
@@ -54,8 +55,8 @@ from daha_cc1 import rep as rep_module
 from daha_cc1.dsbridge import (
     ProductNotIdentityError,
     check_product,
-    class_spec_from_root,
     verify_class_membership,
+    xi_table,
 )
 from daha_cc1.roots import RootVector, Type1E, Type1F, Type2, enumerate_strict_roots, root_of_kind
 from daha_cc1.strata import sample_generic_params, sample_stratum_params
@@ -454,7 +455,7 @@ def test_jordan_case_counts_a_pair_once_and_a_lone_entry_never():
     assert [w.tolist() for w in got] == [s0.tolist(), s1.tolist()] == [[0, 1, 2], [1, 0, 2]]
     t = 1j
     M = np.array([[t, 1.0, 0], [0, t, 0], [0, 0, t]], dtype=complex)
-    assert block_quadratic(M, s1, t, -1 / t, p.tol) == (0.0, 1)
+    assert _quadratic(_rows(M, s1), s1, t, -1 / t, p.tol) == (0.0, 1)
     assert numerical_rank(M - t * np.eye(3)) == 1
     # and on a built rep with k0 = i, whose T0 blocks are all Jordan blocks
     kind = Type2(1, 1, 1, 1, 2)
@@ -466,9 +467,9 @@ def test_jordan_case_counts_a_pair_once_and_a_lone_entry_never():
     assert commutant_dim(r, p) == 1
     # q^{1/2} T0 has the one eigenvalue i q^{1/2}: its class is the Jordan
     # one, whose rank counts the 2x2 blocks
-    specs = class_spec_from_root(RootVector(5, 2, 2, 2, 2), p)
-    assert specs[0].eig1 == pytest.approx(specs[0].eig2)
-    assert verify_class_membership(r, p, specs)
+    eig1, eig2 = xi_table(p)[0]
+    assert eig1 == pytest.approx(eig2)
+    assert verify_class_membership(r, p, RootVector(5, 2, 2, 2, 2))
 
 
 def test_a_lone_entry_between_its_two_decisions_has_no_rank():
@@ -477,7 +478,8 @@ def test_a_lone_entry_between_its_two_decisions_has_no_rank():
     p = Params(k0=2.0, k1=3.0, u0=5.0, u1=7.0, q_half=1.3 + 0.2j)
     s1 = np.zeros(1, dtype=np.intp)  # one root, lone under s1
     for x, rank in ((3.0, 0), (-1 / 3.0, 1), (3.0 * (1 + 1e-8), None)):
-        assert block_quadratic(np.array([[x]], dtype=complex), s1, 3.0, -1 / 3.0, p.tol)[1] == rank
+        M = np.array([[x]], dtype=complex)
+        assert _quadratic(_rows(M, s1), s1, 3.0, -1 / 3.0, p.tol)[1] == rank
 
 
 # -- the kept diagnosis ----------------------------------------------------
@@ -547,7 +549,7 @@ def test_dim_vector_reads_ranks_past_a_stray_entry(rng):
             M, t = getattr(r, g.name), getattr(p, g.t)
             for x in (1e-3, 1e-7, 1e-300):  # apart from 0, in the band, equal to 0
                 M[0, j] = x * max(abs(t), 1 / abs(t))
-                assert block_quadratic(M, w, t, -1 / t, p.tol) == \
+                assert _quadratic(_rows(M, w), w, t, -1 / t, p.tol) == \
                     dense_block_quadratic(M, w, t, -1 / t, p.tol), (g.name, x)
             M[0, j] = 1e-300
             if first is dim_vector:
@@ -619,8 +621,9 @@ def _row_bytes(rows: dict) -> dict:
 def test_the_kept_rows_diagnose_as_each_matrix_read_alone():
     # every cell that builds in bench ladder seeds 1-3 and the construct
     # requests of seed 1: the diagnosis read off the kept rows equals, to
-    # the bit, each public block check on the rep's own matrices, and the
-    # quadratics, spectrum and commutant read off each matrix's dense rows
+    # the bit, each block check on the rows of the rep's own matrices (the
+    # product on the ds factors' rows), and the quadratics, spectrum and
+    # commutant read off each matrix's dense rows
     inputs = _bench_inputs()
     points = [pt for seed in (1, 2, 3) for sweep in inputs.ladder_sweeps(seed) for pt in sweep]
     built = 0
@@ -631,13 +634,14 @@ def test_the_kept_rows_diagnose_as_each_matrix_read_alone():
         except ArithmeticError:
             continue
         residuals = verify_relations(r, p)
-        quads = [block_quadratic(getattr(r, g.name), r.pairs[g.involution], getattr(p, g.t),
-                                 -1 / getattr(p, g.t), p.tol) for g in GENERATORS]
+        quads = [_quadratic(_rows(getattr(r, g.name), r.pairs[g.involution]), r.pairs[g.involution],
+                            getattr(p, g.t), -1 / getattr(p, g.t), p.tol) for g in GENERATORS]
         assert _diagnosis(r, p, True)[1] == quads, pt.kind
         assert [dense_block_quadratic(getattr(r, g.name), r.pairs[g.involution], getattr(p, g.t),
                                        -1 / getattr(p, g.t), p.tol) for g in GENERATORS] == quads
         assert [residuals[f"quad.{g.name}"] for g in GENERATORS] == [res for res, _ in quads]
-        assert residuals["product"] == block_product(*ds_factors(r, p), r.roots, *r.pairs)
+        factor_rows = [_rows(M, r.pairs[g.involution]) for M, g in zip(ds_factors(r, p), FACTORS)]
+        assert residuals["product"] == _product(*factor_rows, r.roots, *r.pairs)
         assert spectrum_of_z(r, p) == pair_product_spectrum(r, p), pt.kind
         assert commutant_dim(r, p) == block_commutant_dim(r, p), pt.kind
         built += 1
