@@ -323,15 +323,17 @@ def _ds_results(r, p: Params, on_stratum=None) -> tuple[dict, tuple, dict]:
     """The diagnosis construct and ds-check share: relation residuals, the
     dim vector and the four-matrix product problem, each read off the
     rep's kept diagnosis, so the classes are checked against the dim
-    vector.  on_stratum is a kind whose stratum the build's guard found p
-    on; when the dim vector is its root, that verdict is the predicate's."""
+    vector.  p is valid: the build or ds-check has run validate_params's
+    guard on it.  on_stratum is a kind whose stratum the build's guard
+    found p on; when the dim vector is its root, that verdict is the
+    predicate's."""
     residuals = verify_relations(r, p)
     alpha = dim_vector(r, p)
     member = True if on_stratum is not None and alpha == root_of_kind(on_stratum) else None
     ds = {
         "product_residual": dsbridge.check_product(residuals["product"]),
         "class_membership": dsbridge.verify_class_membership(r, p, alpha),
-        "existence_predicate": dsbridge.ds_existence_predicate(alpha, p, member),
+        "existence_predicate": dsbridge.ds_existence_predicate(alpha, p, member, valid=True),
     }
     return residuals, alpha, ds
 

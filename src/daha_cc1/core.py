@@ -279,16 +279,33 @@ def _unit_powers(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return powers, np.logical_and.accumulate(np.isfinite(powers), axis=1)
 
 
+def guard_operands(points: Sequence[Params]) -> tuple[list, np.ndarray, np.ndarray]:
+    """The first half of validation_errors: each point's scalar error
+    (a zero or non-finite parameter, or an infinite q), and the powers
+    q^1..q^ROOTS_BOUND that the root-of-unity guard compares with 1, a
+    row per point, with where each is in its row's finite prefix."""
+    errors = [_scalar_error(p) for p in points]
+    powers, finite = _unit_powers(np.array([[p.q if e is None else 0j]
+                                            for p, e in zip(points, errors)]))
+    return errors, powers, finite
+
+
 def validation_errors(points: Sequence[Params]) -> list[ValueError | OverflowError | None]:
     """The exception validate_params raises at each of points, which
     share one tolerance, or None where it returns.  The root-of-unity
     guard takes every point's powers of q in one pass and compares each
     row's finite prefix with 1."""
-    errors = [_scalar_error(p) for p in points]
-    powers, finite = _unit_powers(np.array([[p.q if e is None else 0j]
-                                            for p, e in zip(points, errors)]))
-    # past the prefix, a power reads equal to 1 or not, but is never over
+    errors, powers, finite = guard_operands(points)
     eq, _, over = compare_points(powers, 1.0, points[0].tol)
+    return guard_errors(errors, eq, finite, over)
+
+
+def guard_errors(errors: list, eq: np.ndarray, finite: np.ndarray, over: np.ndarray) -> list:
+    """The second half of validation_errors: the scalar errors, then
+    abs()'s OverflowError where the comparison of a point's powers with
+    1 marks it over, then RootOfUnityError at the first power of the
+    finite prefix that equals 1."""
+    # past the prefix, a power reads equal to 1 or not, but is never over
     errors = overflow_errors(errors, over)
     unit = eq & finite
     # row by row, so a point's first match comes first

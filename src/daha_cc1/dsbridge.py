@@ -89,16 +89,19 @@ def verify_class_membership(r: Rep, p: Params, alpha: RootVector) -> bool:
     return (r.dim, *ranks) == alpha and all(res <= p.tol.ineq_margin for res, _ in quads)
 
 
-def ds_existence_predicate(alpha: RootVector, p: Params, member: Optional[bool] = None) -> bool:
+def ds_existence_predicate(
+    alpha: RootVector, p: Params, member: Optional[bool] = None, valid: bool = False
+) -> bool:
     """An irreducible tuple with this class data exists iff alpha is a
     real strict root, p sits on its stratum (read first, so a real root
     refuses every point classify refuses, unless the caller holds the
-    verdict as member), and the prescribed eigenvalue product closes."""
+    verdict as member, or p as valid: known to pass validate_params), and
+    the prescribed eigenvalue product closes."""
     kind = classify_root(alpha)
     if kind is None:
         return False
     if member is None:
-        member = sigma_membership(p, kind).member
+        member = sigma_membership(p, kind, None, valid).member
     return member and approx_eq(xi_product(alpha, p), 1.0, p.tol)
 
 

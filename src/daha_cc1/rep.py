@@ -27,9 +27,9 @@ from .core import (
     Params,
     Tolerance,
     approx_eq,
-    compare_arrays,
     decide,
-    validate_params,
+    # unused here, kept as an attribute: the benchmark's tracer wraps it
+    validate_params,  # noqa: F401
     worst,
 )
 from .laurent import (
@@ -44,7 +44,7 @@ from .laurent import (
 from .laurent import build_E, build_E_dual, reduce_mod  # noqa: F401
 from .roots import (RootKind, RootVector, Type1E, Type1F, Type2, check_signs, kind_from_str,
                     kind_to_str, tits_form)
-from .strata import one_leg, sigma_membership
+from .strata import _KindTable, one_leg, sigma_membership
 
 IDEAL_RESIDUAL_MAX = 1e-6
 RELATION_RESIDUAL_MAX = 1e-8
@@ -252,17 +252,28 @@ def _ladder_pairs(n: int, dual: bool) -> tuple[int, tuple[np.ndarray, np.ndarray
     return len(plus), pairs
 
 
-def _check_ladder(roots: np.ndarray, n_upper: int, p: Params) -> None:
-    """Refuse roots that give no evaluation basis: two roots coincide, one
-    of each chain (in one chain they differ by powers of q), or s0 (r ->
-    q/r) or s1 (r -> 1/r) fixes one.  One compare_arrays pass of the roots,
-    not of a^2 and q_half^k, which leave the float range first: equal or in
-    the band raises, a meeting first, as at level 1 it is s1-fixed too."""
-    upper, lower = np.broadcast_arrays(roots[:n_upper, None], roots[n_upper:])
-    _, apart = compare_arrays(np.concatenate((upper.ravel(), roots, roots)),
-                              np.concatenate((lower.ravel(), p.q / roots, 1 / roots)), p.tol)
+@np.errstate(all="ignore")
+def _ladder_cells(roots: np.ndarray, n_upper: int, p: Params) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of values _check_ladder reads: each root of the upper
+    chain against each of the lower (in one chain they differ by powers
+    of q), then each root r against q/r and against 1/r.  They compare
+    the roots, not a^2 and q_half^k, which leave the float range first.
+    They are made before the point is validated, so quietly."""
+    upper, lower = roots[:n_upper], roots[n_upper:]
+    return (np.concatenate((upper.repeat(lower.size), roots, roots)),
+            np.concatenate((lower[None].repeat(upper.size, axis=0).ravel(), p.q / roots, 1 / roots)))
+
+
+def _check_ladder(roots: np.ndarray, apart: np.ndarray, over: bool) -> None:
+    """Refuse roots that give no evaluation basis, from the comparison of
+    their _ladder_cells: two roots coincide, or s0 (r -> q/r) or s1 (r ->
+    1/r) fixes one.  Equal or in the band raises, a meeting first, as at
+    level 1 it is s1-fixed too; a modulus that overflows raises abs()'s
+    OverflowError."""
+    if over:
+        raise OverflowError("absolute value too large")
     if not apart.all():  # argmin finds the first that is not apart
-        which, i = divmod(int(apart.argmin()) - upper.size, roots.size)
+        which, i = divmod(int(apart.argmin()) - (apart.size - 2 * roots.size), roots.size)
         raise DegenerateLadderError("two roots of the divisor coincide" if which < 0
                                     else f"root {roots[i]:.6g} is a fixed point of s{which}")
 
@@ -350,14 +361,16 @@ def _product(a1: tuple, a2: tuple, a3: tuple, a4: tuple,
     """The residual of A4 A3 A1 A2 = 1, from the four factors' _rows, as
     A1 A2 = diag(z) on the s0 blocks and A4 A3 = diag(1/z) on the s1
     blocks, each entry relative to its terms; PairingError when an entry
-    lies outside the pairing."""
-    tops = []
-    for a, b, want, w in ((a1, a2, z, s0), (a4, a3, 1 / z, s1)):
-        for (s, t), target in zip(_pair_product(_strict(a), _strict(b), w), (want, 0.0)):
-            scale = np.maximum(np.abs(s) + np.abs(t), np.abs(target))
-            res = np.abs(s + t - target) / np.where(scale > 0, scale, 1.0)
-            tops.append(float(res.max(initial=0.0)))
-    return worst(tops)
+    lies outside the pairing.  The four targets (the diagonal and the
+    paired entry of each product) are the rows of one stacked pass."""
+    terms = (*_pair_product(_strict(a1), _strict(a2), s0),
+             *_pair_product(_strict(a4), _strict(a3), s1))
+    s, t = (np.array(part) for part in zip(*terms))
+    target = np.zeros_like(s)
+    target[0], target[2] = z, 1 / z
+    scale = np.maximum(np.abs(s) + np.abs(t), np.abs(target))
+    res = np.abs(s + t - target) / np.where(scale > 0, scale, 1.0)
+    return worst(res.max(axis=1, initial=0.0).tolist())
 
 
 # -- quotient construction -----------------------------------------------
@@ -416,19 +429,33 @@ def build_quotient_rep(
     and the five defining relations verified before the Rep is returned.
 
     The stratum guard refuses every point that classify refuses.  With
-    force=True only validate_params runs (the certification still runs
-    and fails off-stratum).
+    force=True only the root-of-unity guard runs (the certification still
+    runs and fails off-stratum).  The guard, the kind's stratum cells
+    and the ladder check are one comparison pass (strata._KindTable); it
+    refuses in their order: validate_params's exception, the stratum's
+    (see sigma_membership), NotOnStratumError, then the ladder's (an
+    error in making the ladder, then DegenerateLadderError).
     """
+    try:
+        side, signs, a, n, dual = _ladder(kind, s, p)
+        roots = np.array((dual_ladder_roots if dual else ladder_roots)(n, a, p.q_half),
+                         dtype=complex)
+        n_upper, (s0, s1) = _ladder_pairs(n, dual)
+        checks, held = [_ladder_cells(roots, n_upper, p)], None
+    except (ValueError, ArithmeticError) as exc:
+        checks, held = [], exc
+    t = _KindTable(p, None if force else kind, checks)
     if force:
-        validate_params(p)
+        if t.errors[0] is not None:
+            raise t.errors[0]
     else:
-        verdict = sigma_membership(p, kind)
+        verdict = sigma_membership(p, kind, t)
         if not verdict.member:
             raise NotOnStratumError(kind, verdict.failed_conditions)
-    side, signs, a, n, dual = _ladder(kind, s, p)
-    roots = np.array((dual_ladder_roots if dual else ladder_roots)(n, a, p.q_half), dtype=complex)
-    n_upper, (s0, s1) = _ladder_pairs(n, dual)
-    _check_ladder(roots, n_upper, p)
+    if held is not None:
+        raise held
+    _, apart, over = t.checks[0]
+    _check_ladder(roots, apart, over)
     (A, res_a), (B, res_b) = (
         _eval_matrix(g, sign, p, roots, (s0, s1)[g.involution])
         for g, sign in zip((g for g in GENERATORS if g.side == side), signs)

@@ -23,6 +23,8 @@ from .core import (
     Params,
     Tolerance,
     compare_points,
+    guard_errors,
+    guard_operands,
     overflow_errors,
     # unused here, kept importable: the benchmark's tracer wraps it
     validate_params,  # noqa: F401
@@ -119,8 +121,9 @@ class _Rule:
     readers consult.  Cell m * 24 + row is the table's row at level m.
     reads[a, b]: the kind at cell a fails unless cell b is clearly apart
     from its level value; kinds[a]: cell a holds a kind; roots[a]: its
-    (kind, vec), else None.  A kind reads only levels below its own, so
-    horizon n' < n is the top-left 24(n' + 1) block."""
+    (kind, vec), else None, made on first use (a one-kind verdict needs
+    only reads).  A kind reads only levels below its own, so horizon
+    n' < n is the top-left 24(n' + 1) block."""
 
     def __init__(self, n: int):
         level = np.arange(n + 1)
@@ -128,10 +131,13 @@ class _Rule:
         # [kind level, kind row, level, row]
         reads = (kinds[:, :, None, None] & _ROW_READS[:, None, :]
                  & (level[:, None] > level)[:, None, :, None] & (level[:, None] >= _FROM))
-        self.reads, self.kinds = reads.reshape(kinds.size, -1), kinds.reshape(-1)
+        self.n, self.reads, self.kinds = n, reads.reshape(kinds.size, -1), kinds.reshape(-1)
         self.reads.flags.writeable = self.kinds.flags.writeable = False
-        found = {k.n * _N_ROWS + _kind_row(k): (k, v) for k, v in enumerate_strict_roots(n)}
-        self.roots = tuple(map(found.get, range(kinds.size)))
+
+    @cached_property
+    def roots(self) -> tuple:
+        found = {k.n * _N_ROWS + _kind_row(k): (k, v) for k, v in enumerate_strict_roots(self.n)}
+        return tuple(map(found.get, range(self.kinds.size)))
 
 
 _rule = lru_cache(maxsize=1)(_Rule)
@@ -200,22 +206,104 @@ class _Table:
         return self.eq_cells[0].tolist(), close.tolist()
 
 
-def sigma_membership(p: Params, k: RootKind, table: _Table | None = None) -> StratumVerdict:
+# room for every kind and every horizon up to the CLI's n_max cap
+@lru_cache(maxsize=1024)
+def _cell_operands(row: int | None, n: int) -> np.ndarray:
+    """The cells a _KindTable compares: the equality cell of the kind row
+    at level n, then the cells its row of the rule reads, or every cell
+    to level n when row is None; then each cell's row value and level
+    value, as indices into _point_values(p, n).  One read-only array of
+    those three rows, of the least unsigned type that holds them, keeps
+    the cache of every kind small."""
+    if row is None:
+        cells = np.arange((n + 1) * _N_ROWS)
+    else:
+        cell = n * _N_ROWS + row
+        cells = np.concatenate(([cell], np.flatnonzero(_rule(max(n, _HORIZON)).reads[cell])))
+    level, rows = np.divmod(cells, _N_ROWS)
+    out = np.array((cells, rows, _N_ROWS + rows // 8 * (n + 1) + level),
+                   dtype=np.min_scalar_type((n + 2) * _N_ROWS))
+    out.flags.writeable = False
+    return out
+
+
+class _KindTable:
+    """A one-point table of p at horizon k.n that compares only the kind
+    k's cells (_cell_operands), with the same verdicts and refusal,
+    errors[0], as a _Table: a cell it does not compare reads not equal
+    and clearly apart.  A modulus can overflow only where a value has a
+    part of 2^1021 or more (or NaN), so then it compares every cell.
+
+    One compare_points pass makes validate_params's root-of-unity guard
+    (unless p is known to be valid), the kind's cells (none without a
+    kind) and checks, (a, b) pairs of 1-D arrays: each is a row, padded
+    with 1 against 1, so an overflow marks only its own row, and
+    checks[i] is check i's (eq, apart, over)."""
+
+    def __init__(self, p: Params, k: RootKind | None, checks=(), valid: bool = False):
+        row = None if k is None else _kind_row(k)
+        self.n, self.cells, held = 0 if k is None else k.n, None, None
+        self.errors, powers, finite = ([None], None, None) if valid else guard_operands([p])
+        rows = [] if valid else [(powers[0], 1.0)]
+        kind_at = len(rows)
+        if k is not None and self.errors[0] is None:
+            try:
+                values = np.array(_point_values(p, self.n), dtype=complex)
+            except (OverflowError, ZeroDivisionError) as exc:
+                held = exc
+            else:
+                wide = not np.abs(values.view(float)).max() < 2.0**1021
+                self.cells, at, level_at = _cell_operands(None if wide else row, self.n)
+                rows.append((values[at], values[level_at]))
+        first = len(rows)
+        rows += checks
+        a, b = pad = np.empty((2, len(rows), max(len(x) for x, _ in rows)), dtype=complex)
+        pad.fill(1.0)
+        for i, (x, y) in enumerate(rows):
+            a[i, : len(x)], b[i, : len(x)] = x, y
+        eq, apart, over = compare_points(a, b, p.tol)
+        if not valid:
+            self.errors = guard_errors(self.errors, eq[:1, : powers.shape[1]], finite, over[:1])
+        if self.cells is not None:
+            self.errors = overflow_errors(self.errors, over[kind_at : kind_at + 1])
+            self.cell_eq, self.cell_apart = (v[kind_at, : self.cells.size] for v in (eq, apart))
+        if self.errors[0] is None:
+            self.errors[0] = held
+        self.checks = [(eq[i, : len(x)], apart[i, : len(x)], bool(over[i]))
+                       for i, (x, _) in enumerate(checks, first)]
+
+    @cached_property
+    def verdicts(self) -> tuple[list, list]:
+        """_Table.verdicts, off the compared cells: a cell that is not
+        compared reads not equal and clearly apart."""
+        if self.errors[0] is not None:
+            raise self.errors[0]
+        eq = [False] * ((self.n + 1) * _N_ROWS)
+        for cell in self.cells[self.cell_eq].tolist():
+            eq[cell] = True
+        close = ~self.cell_apart & (self.cells < self.n * _N_ROWS)
+        return eq, self.cells[close].tolist()
+
+
+def sigma_membership(
+    p: Params, k: RootKind, table: _Table | _KindTable | None = None, valid: bool = False
+) -> StratumVerdict:
     """Evaluate the stratum conditions of a real strict root kind.
 
     Equalities must hold within p.tol.eq_tol; inequalities must be
     violated by the full margin (1e3 * eq_tol) to count as satisfied,
     keeping the verdict well separated from boundary noise.  ``table``,
     of horizon at least k.n, shares the comparisons between calls on the
-    same point; without one, the call builds a table of horizon k.n.  A
-    point that validate_params refuses raises its exception, as classify
-    does; a kind names a root, since it is checked when it is made.  The
-    failed conditions are the equality's, then, sorted and unique by
-    (group, level), those of the close cells that the kind's row of the
-    rule reads.
+    same point; without one, the call makes the _KindTable of k, which
+    compares only the kind's cells, and valid skips its root-of-unity
+    guard.  A point that validate_params refuses raises its exception, as
+    classify does; a kind names a root, since it is checked when it is
+    made.  The failed conditions are the equality's, then, sorted and
+    unique by (group, level), those of the close cells that the kind's
+    row of the rule reads.
     """
     row, n = _kind_row(k), k.n
-    t = table if table is not None else _Table([p], n)
+    t = table if table is not None else _KindTable(p, k, valid=valid)
     eq, close = t.verdicts
     cell = n * _N_ROWS + row
     failed = [] if eq[cell] else [_EQ_NAMES[row] % n]

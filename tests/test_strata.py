@@ -647,6 +647,46 @@ def test_the_rule_names_every_condition_of_every_kind(monkeypatch, generic_param
     assert classify_params(p, N_ORACLE) == []
 
 
+# -- one kind's cells --------------------------------------------------------
+
+
+def _verdict_or_error(read):
+    try:
+        v = read()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return v.member, v.failed_conditions
+
+
+# a modulus overflows from finite parts (k0^2 has both parts near
+# 1.3e308), or a value is large enough that one might (k0^2 about 1e307)
+_BIG_POINTS = [
+    Params(k0=cmath.sqrt(1.3e308 * (1 + 1j)), k1=0.7 + 0.2j, u0=1.3 - 0.4j, u1=0.9 + 0.5j,
+           q_half=1.3 + 0.2j),
+    Params(k0=3e153 + 1e153j, k1=0.7 + 0.2j, u0=1.3 - 0.4j, u1=0.9 + 0.5j, q_half=1.3 + 0.2j),
+]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [_planted_points, _generic_points, _leg_equality_points, _lower_product_points,
+     lambda: [*REFUSED_POINTS, Params(k0=2, k1=3, u0=5, u1=7, q_half=1e155), *_EDGE_POINTS,
+              *_BIG_POINTS]],
+    ids=["stratum", "generic", "leg-equality", "lower-product", "refused-and-edge"],
+)
+def test_a_kinds_own_cells_give_the_tables_verdict(points):
+    """sigma_membership without a table compares only the kind's cells;
+    its verdict, or the exception it raises, is that of a table of the
+    point at the kind's level, for every kind up to level 20."""
+    for p in points():
+        tables = {}
+        for k in _REAL_KINDS:
+            if k.n not in tables:
+                tables[k.n] = _Table([p], k.n)
+            expected = _verdict_or_error(lambda: sigma_membership(p, k, tables[k.n]))
+            assert _verdict_or_error(lambda: sigma_membership(p, k)) == expected, (p, k)
+
+
 # -- the rule matrix's structure --------------------------------------------
 
 
