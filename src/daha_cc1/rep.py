@@ -301,6 +301,17 @@ def _strict(rows: tuple) -> tuple:
     return rows
 
 
+@functools.lru_cache(maxsize=256)
+def _blocks(dtype: str, partners: bytes) -> tuple[list, list, list]:
+    """The blocks of the pairing whose partner array has this dtype and
+    these bytes: each pair (i, w[i]) with i < w[i], each lone row i with
+    w[i] = i, and the pairs then the lone rows as (i, j) blocks."""
+    w = np.frombuffer(partners, dtype=dtype).tolist()
+    pairs = [(i, j) for i, j in enumerate(w) if i < j]
+    lone = [i for i, j in enumerate(w) if i == j]
+    return pairs, lone, pairs + [(i, i) for i in lone]
+
+
 def _quadratic(
     rows: tuple, w: np.ndarray, e1: complex, e2: complex, tol: Tolerance
 ) -> tuple[float, Optional[int]]:
@@ -315,38 +326,41 @@ def _quadratic(
     apart from 0.  Each is core.decide; the rank is None when one sits in
     the band.  Python scalars: numpy kernels cost more at these sizes."""
     d, o, rest = rows
-    d, o, rest = d.tolist(), o.tolist(), None if rest is None else rest.tolist()
+    d, o = d.tolist(), o.tolist()
+    pairs, lone, blocks = _blocks(w.dtype.char, w.tobytes())
     trace, det = e1 + e2, e1 * e2
     trace_scale, det_scale = abs(e1) + abs(e2), abs(det)
     scale, jordan = max(abs(e1), abs(e2)), approx_eq(e1 / e2, 1.0, tol)
-    terms, rank = [0.0], 0  # the residual's terms, folded once at the end
-    for i, j in enumerate(w.tolist()):
-        if j < i:
-            continue  # one row per block: a pair's first row, or a lone row
-        if i == j:
-            x = d[i]
-            gap = abs(x / e1 - 1)
-            terms.append(min(gap, abs(x / e2 - 1)))
-            entry = False if jordan else decide(gap, max(abs(x / e1), 1.0), tol)
-        else:
-            di, dj, oi, oj = d[i], d[j], o[i], o[j]
-            ad, bc = di * dj, oi * oj
-            terms += (
-                abs(di + dj - trace) / max(trace_scale, abs(di) + abs(dj)),
-                abs(ad - bc - det) / max(det_scale, abs(ad) + abs(bc)),
-            )
-            entry = True
-        stray = False
-        if rest is not None and (rest[i] or rest[j]):  # entries outside the blocks
-            size = abs(d[i]) if i == j else max(abs(d[i]), abs(d[j]), abs(o[i]), abs(o[j]))
-            loose = worst((rest[i], rest[j])) / max(size, scale)
-            terms.append(loose)
-            stray = decide(loose, 1.0, tol)
-        if rank is not None:
-            # a stray makes the block's rows independent: a pair adds 2, a lone row 1
-            add = (2 if i != j else 1) if stray else (None if stray is None else entry)
-            rank = None if add is None else rank + add
-    return worst(terms), rank
+    terms = [0.0]  # the residual's terms, folded once at the end
+    term = terms.append
+    # each max(scale, s) below is spelled out as max() picks (s only when
+    # larger, so a NaN scale stays): a max() call per term costs more
+    for i, j in pairs:
+        di, dj, oi, oj = d[i], d[j], o[i], o[j]
+        ad, bc = di * dj, oi * oj
+        s = abs(di) + abs(dj)
+        term(abs(di + dj - trace) / (s if s > trace_scale else trace_scale))
+        s = abs(ad) + abs(bc)
+        term(abs(ad - bc - det) / (s if s > det_scale else det_scale))
+    # each block's share of the rank: 1 for a pair, a lone row's decision
+    adds = [1] * len(pairs)
+    for i in lone:
+        x = d[i]
+        gap = abs(x / e1 - 1)
+        term(min(gap, abs(x / e2 - 1)))
+        adds.append(False if jordan else decide(gap, max(abs(x / e1), 1.0), tol))
+    if rest is not None:  # entries outside the blocks
+        rest = rest.tolist()
+        for k, (i, j) in enumerate(blocks):
+            if rest[i] or rest[j]:
+                size = abs(d[i]) if i == j else max(abs(d[i]), abs(d[j]), abs(o[i]), abs(o[j]))
+                loose = worst((rest[i], rest[j])) / max(size, scale)
+                terms.append(loose)
+                stray = decide(loose, 1.0, tol)
+                # a stray makes the block's rows independent: a pair adds 2, a lone row 1
+                if stray is not False:
+                    adds[k] = None if stray is None else (2 if i != j else 1)
+    return worst(terms), None if None in adds else sum(adds)
 
 
 def _pair_product(a: tuple, b: tuple, w: np.ndarray) -> tuple:
@@ -456,38 +470,41 @@ def build_quotient_rep(
         raise held
     _, apart, over = t.checks[0]
     _check_ladder(roots, apart, over)
-    (A, res_a), (B, res_b) = (
-        _eval_matrix(g, sign, p, roots, (s0, s1)[g.involution])
-        for g, sign in zip((g for g in GENERATORS if g.side == side), signs)
-    )
-    ideal_res = worst((res_a, res_b))
-    if not ideal_res <= IDEAL_RESIDUAL_MAX:
-        raise IdealNotInvariantError(ideal_res)
+    # a forced build off the stratum may leave the float range: its
+    # matrices then fail a gate below, quietly
+    with np.errstate(all="ignore"):
+        (A, res_a), (B, res_b) = (
+            _eval_matrix(g, sign, p, roots, (s0, s1)[g.involution])
+            for g, sign in zip((g for g in GENERATORS if g.side == side), signs)
+        )
+        ideal_res = worst((res_a, res_b))
+        if not ideal_res <= IDEAL_RESIDUAL_MAX:
+            raise IdealNotInvariantError(ideal_res)
 
-    # q^{1/2} T0 T0v and (T1v T1)^{-1} both act by z = diag(roots)
-    if side == "P":
-        T0, T1 = A, B
-        T0v = _block_inverse(T0, s0) * (roots / p.q_half)
-        T1v = _block_inverse(T1, s1) / roots[:, None]
-    else:
-        T0v, T1v = A, B
-        T1 = _block_inverse(T1v, s1) / roots
-        T0 = (roots[:, None] / p.q_half) * _block_inverse(T0v, s0)
+        # q^{1/2} T0 T0v and (T1v T1)^{-1} both act by z = diag(roots)
+        if side == "P":
+            T0, T1 = A, B
+            T0v = _block_inverse(T0, s0) * (roots / p.q_half)
+            T1v = _block_inverse(T1, s1) / roots[:, None]
+        else:
+            T0v, T1v = A, B
+            T1 = _block_inverse(T1v, s1) / roots
+            T0 = (roots[:, None] / p.q_half) * _block_inverse(T0v, s0)
 
-    rep = Rep(
-        T0, T1, T0v, T1v, roots, (s0, s1),
-        provenance={
-            "kind": kind_to_str(kind),
-            "poly_side": side,
-            "basis": "eval",
-            "roots": [[r.real, r.imag] for r in roots.tolist()],
-            "a": [a.real, a.imag],
-            "ideal_residual": ideal_res,
-        },
-    )
-    residuals = verify_relations(rep, p)
-    if not worst(residuals.values()) <= RELATION_RESIDUAL_MAX:
-        raise RelationResidualError(residuals)
+        rep = Rep(
+            T0, T1, T0v, T1v, roots, (s0, s1),
+            provenance={
+                "kind": kind_to_str(kind),
+                "poly_side": side,
+                "basis": "eval",
+                "roots": [[r.real, r.imag] for r in roots.tolist()],
+                "a": [a.real, a.imag],
+                "ideal_residual": ideal_res,
+            },
+        )
+        residuals = verify_relations(rep, p)
+        if not worst(residuals.values()) <= RELATION_RESIDUAL_MAX:
+            raise RelationResidualError(residuals)
     return rep
 
 

@@ -22,6 +22,7 @@ from .core import (
     Generator,
     Params,
     Tolerance,
+    _filter,
     compare_points,
     guard_errors,
     guard_operands,
@@ -156,43 +157,149 @@ def _point_values(p: Params, n: int) -> list[complex]:
     return values + product_rhs + product_rhs + neg_q_powers
 
 
+# the points per table from which _Table makes its values with numpy.
+# Timed on bench scan points, a table took (exact path against numpy
+# values, us) at level 0: 49 against 83 for 1 point, 79 against 90 for
+# 4, 103 against 105 for 6, 120 against 106 for 8; at level 6: 57
+# against 89, 98 against 103, 127 against 118, 155 against 128; at
+# level 20: 67 against 92, 134 against 112, 184 against 133, 225
+# against 147.  From 8 points numpy is the faster at every level
+NUMPY_MIN = 8
+# the filter's slack for numpy's values, in units of the ratio
+# |a - b| / max(|a|, |b|).  Inside the range guard below, every value of
+# both computations is a chain of complex products and quotients with no
+# overflow, underflow or subnormal modulus, each within a few ulps of
+# exact in modulus (a product within sqrt(5), a quotient within about
+# 4).  The longest chains are the level values at n = 20: numpy's
+# q_half^(-41) is 1/q_half times 20 powers of 1/q_half^2, about 41 * 4 +
+# 40 * 2.3, or 260 ulps off exact; Python's c_powu squaring chain and
+# _Py_c_quot about 100; the products, t^(2s) and -q^m fewer.  So a
+# numpy value is within about 360 ulps (8e-14) of its Python value in
+# modulus, relative, and the ratio, at most 2, moves by at most about 4
+# times that (3e-13): the slack leaves a factor 30
+SLACK = 1e-11
+# the range guard: a point takes numpy's values only when 4 |log2 |t||
+# for each t of k0, k1, u0, u1, and (2n + 2) |log2 |q_half||, are below
+# this.  Every value and partial product of both computations (a signed
+# product's factors, c_powu's powers of q_half up to q_half^(2n+1) and
+# of q up to q^n, numpy's accumulated powers) then has a modulus between
+# 2^-900 and 2^900, so none overflows, underflows or is subnormal, and
+# Python's ** raises nowhere.  Only the levels up to _HORIZON are so
+# derived: a deeper table takes the exact path, as do Python's powers
+# past 100, which leave c_powu
+_RANGE_LOG2 = 900.0
+
+
+@lru_cache(maxsize=32)
+def _range_bounds(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The open range of |k0|, |k1|, |u0|, |u1|, |q_half| of the guard."""
+    hi = np.exp2(_RANGE_LOG2 / np.array([4.0] * 4 + [2.0 * n + 2.0]))
+    return 1 / hi, hi
+
+
+def _numpy_cells(x: np.ndarray, n: int, tol: Tolerance) -> tuple[np.ndarray, ...]:
+    """eq and apart of every cell of the points whose (k0, k1, u0, u1,
+    q_half) are the rows of x, from numpy's values and the filter with
+    SLACK, and unsure: the points where a cell may differ from the exact
+    pass on the Python values.  The level values are accumulated powers,
+    q_half^(-1-2m) from 1/q_half and 1/q_half^2 and -q^m from -1 and q."""
+    points = len(x)
+    # each t's two signed factors s t^s, multiplied out over the four
+    # sign axes (eps0, eps1, del0, del1): _SIGN_CHOICES order; then their
+    # squares, t^2 and t^-2 for each t in turn
+    factors = np.empty((points, 4, 2), dtype=complex)
+    factors[..., 0] = x[:, :4]
+    np.divide(-1.0, x[:, :4], out=factors[..., 1])
+    k0, k1, u0, u1 = factors.transpose(1, 0, 2)
+    heads = (k0[:, :, None] * k1[:, None, :])[..., None] * u0[:, None, None, :]
+    rows = np.concatenate(((heads[..., None] * u1[:, None, None, None, :]).reshape(points, -1),
+                           (factors * factors).reshape(points, -1)), axis=1)
+    qh = x[:, 4]
+    inv_qh = 1 / qh
+    steps = np.empty((points, n + 1, 2), dtype=complex)
+    steps[:, 0, 0], steps[:, 0, 1] = inv_qh, -1.0
+    steps[:, 1:, 0], steps[:, 1:, 1] = (inv_qh * inv_qh)[:, None], (qh * qh)[:, None]
+    # the level values 24 wide, one per cell in cell order, so that the
+    # filter's broadcasts run over contiguous memory
+    levels = np.repeat(np.multiply.accumulate(steps, axis=1), (_N_PRODUCTS, _N_ROWS - _N_PRODUCTS),
+                       axis=2)
+    eq, apart, unsure = _filter(rows[:, None, :], levels, tol, SLACK)
+    return (eq.reshape(points, -1), apart.reshape(points, -1),
+            unsure.reshape(points, -1).any(axis=1))
+
+
+def _exact_cells(points: Sequence[Params], errors: list, n: int,
+                 tol: Tolerance) -> tuple[np.ndarray, np.ndarray, list]:
+    """eq and apart of every cell of points from their Python values
+    (_point_values) in one compare_points pass, and errors: the points'
+    errors so far, then the exception a point's values raise, then abs()'s
+    OverflowError where the pass marks a point over.  A point with an
+    error has NaN values, so none of its verdicts holds."""
+    nan = [complex("nan")] * (_N_ROWS + 3 * (n + 1))
+    rows = []
+    for i, p in enumerate(points):
+        try:
+            rows.append(nan if errors[i] is not None else _point_values(p, n))
+        except (OverflowError, ZeroDivisionError) as exc:
+            errors[i] = exc
+            rows.append(nan)
+    flat = np.array(rows, dtype=complex)
+    # the rows as three groups of 8 (products, products, t^(2s)),
+    # broadcast against each level's value of each group: cell order
+    by_level = flat[:, _N_ROWS:].reshape(-1, 3, n + 1).transpose(0, 2, 1).copy()
+    eq, apart, over = compare_points(flat[:, :_N_ROWS].reshape(-1, 1, 3, 8),
+                                     by_level[..., None], tol)
+    return eq.reshape(len(rows), -1), apart.reshape(len(rows), -1), overflow_errors(errors, over)
+
+
 class _Table:
     """The stratum comparisons of some points up to level n; the points
     share one tolerance.
 
     Every stratum condition compares a row value, a signed product or
-    t^(2s), with its level value at some m: q_half^(-1-2m) or -q^m.  The
-    values are the per-kind Python expressions, point by point, and the
-    grid of P x (n+1) x 24 cells is compared in one ``compare_points`` pass,
-    which gives approx_eq's and clearly_neq's bits: verdicts read from it
-    are the per-kind ones, whatever the other points.  Point i's values
-    are _point_values's; eq_cells[i, m * 24 + row]: the row's value equals
-    its level value at m; apart_cells[i, m * 24 + row]: it is clearly
-    apart from it.  errors[i] refuses point i: validate_params's
-    exception, else the one its values raised (OverflowError or
-    ZeroDivisionError from **), else abs()'s OverflowError where their
-    comparison marks the point over; or None.
-    A refused point's values are NaN, so none of its verdicts holds.
+    t^(2s), with its level value at some m: q_half^(-1-2m) or -q^m.
+    eq_cells[i, m * 24 + row]: point i's row value equals its level value
+    at m, as approx_eq decides it on the per-kind Python expressions
+    (_point_values); apart_cells[i, m * 24 + row]: it is clearly apart
+    from it, as clearly_neq decides it.  errors[i] refuses point i:
+    validate_params's exception, else the one its values raised
+    (OverflowError or ZeroDivisionError from **), else abs()'s
+    OverflowError where their comparison marks the point over; or None.
+    None of a refused point's verdicts holds.
+
+    A table of at least NUMPY_MIN points up to level _HORIZON reads the
+    verdicts of each valid point inside the range guard off numpy's
+    values (_numpy_cells): their ratios are within SLACK of the Python
+    values', so a cell that the widened filter decides is decided as the
+    exact pass decides it.  Every other point takes the exact path
+    (_exact_cells): a point with a cell the filter cannot decide, one
+    outside the range guard, and every point of a smaller or deeper
+    table; a point that validate_params refuses computes nothing.  So
+    whatever the other points, a point's verdicts and error are its own.
     """
 
     def __init__(self, points: Sequence[Params], n: int):
-        self.n, self.errors = n, validation_errors(points)
-        nan = [complex("nan")] * (_N_ROWS + 3 * (n + 1))
-        rows = []
-        for i, p in enumerate(points):
-            try:
-                rows.append(nan if self.errors[i] is not None else _point_values(p, n))
-            except (OverflowError, ZeroDivisionError) as exc:
-                self.errors[i] = exc
-                rows.append(nan)
-        flat = np.array(rows, dtype=complex)
-        # the rows as three groups of 8 (products, products, t^(2s)),
-        # broadcast against each level's value of each group: cell order
-        by_level = flat[:, _N_ROWS:].reshape(-1, 3, n + 1).transpose(0, 2, 1).copy()
-        eq, apart, over = compare_points(flat[:, :_N_ROWS].reshape(-1, 1, 3, 8),
-                                         by_level[..., None], points[0].tol)
-        self.errors = overflow_errors(self.errors, over)
-        self.eq_cells, self.apart_cells = (g.reshape(len(rows), -1) for g in (eq, apart))
+        self.n, self.errors, tol = n, validation_errors(points), points[0].tol
+        if len(points) < NUMPY_MIN or n > _HORIZON:
+            self.eq_cells, self.apart_cells, self.errors = _exact_cells(points, self.errors, n, tol)
+            return
+        self.eq_cells, self.apart_cells = np.zeros((2, len(points), (n + 1) * _N_ROWS), dtype=bool)
+        valid = [i for i, e in enumerate(self.errors) if e is None]
+        x = np.array([[p.k0, p.k1, p.u0, p.u1, p.q_half] for p in map(points.__getitem__, valid)],
+                     dtype=complex).reshape(-1, 5)
+        lo, hi = _range_bounds(n)
+        fast = np.flatnonzero(((abs_x := np.abs(x)) > lo).all(axis=1) & (abs_x < hi).all(axis=1))
+        if fast.size:
+            eq, apart, unsure = _numpy_cells(x[fast], n, tol)
+            done = fast[~unsure]
+            at = np.array(valid)[done]
+            self.eq_cells[at], self.apart_cells[at] = eq[~unsure], apart[~unsure]
+            valid = np.delete(valid, done).tolist()
+        if valid:
+            eq, apart, errors = _exact_cells([points[i] for i in valid], [None] * len(valid), n, tol)
+            self.eq_cells[valid], self.apart_cells[valid] = eq, apart
+            for i, error in zip(valid, errors):
+                self.errors[i] = error
 
     @cached_property
     def verdicts(self) -> tuple[list, list]:

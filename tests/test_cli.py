@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -761,6 +762,22 @@ def test_construct_at_q_half_two_returns_the_root(capsys, kind):
     assert results["dim_vector"] == list(root_of_kind(kind_from_str(kind)))
     assert results["commutant_dim"] == 1
     assert results["ds"]["class_membership"] is True
+
+
+def test_a_forced_build_that_leaves_the_float_range_is_quiet(capfd):
+    # off the stratum, the ladder of this point overflows: the build's
+    # matrices are NaN and its ideal certificate refuses them, with no
+    # numpy warning on the way
+    argv = ["construct", "--k0=1.3e21", "--k1=0.7+0.2i", "--u0=1+1i", "--u1=0.9+0.5i",
+            "--q-half=1e7", "--kind", "T2[++,++;n=19]", "--force"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capfd.readouterr()
+    assert (code, err, caught) == (4, "", [])
+    report = json.loads(out)
+    assert report["exit_code"] == 4
+    assert report["results"] == {"error": "IdealNotInvariantError: ideal invariance residual nan"}
 
 
 def test_rank_indeterminate_reports_without_a_traceback():

@@ -54,3 +54,19 @@ def test_every_module_attribute_the_readme_names_exists():
                 break
             obj = getattr(obj, part)
     assert missing == []
+
+
+def test_every_constant_the_readme_quotes_has_its_value():
+    # a backticked module constant followed by its value, as in
+    # `core.FILTER_MIN` (256) or `core.ROOTS_BOUND` = 64
+    quoted = re.findall(
+        r"`(cli|core|dsbridge|laurent|rep|roots|strata)\.([A-Z][A-Z0-9_]*)`"
+        r"(?: \(([-+.\deE]+)\)| = ([-+.\deE]*\d))", README)
+    names, wrong = set(), []
+    for module, name, in_parens, after_eq in quoted:
+        names.add(f"{module}.{name}")
+        value = getattr(importlib.import_module(f"daha_cc1.{module}"), name)
+        if value != float(in_parens or after_eq):
+            wrong.append((module, name, value, in_parens or after_eq))
+    assert {"core.FILTER_MIN", "core.ROOTS_BOUND", "strata.NUMPY_MIN", "strata.SLACK"} <= names
+    assert wrong == []

@@ -1,7 +1,8 @@
 import cmath
 import dataclasses
 from functools import lru_cache, partial
-from itertools import permutations, product
+from itertools import groupby, permutations, product
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -971,3 +972,105 @@ def test_a_points_outcome_does_not_depend_on_its_batch():
     for p in _compare_overflow_points():
         with pytest.raises(OverflowError):
             classify_params(p, N_ORACLE)
+
+
+# -- numpy's values against the exact pass ----------------------------------
+#
+# A table of strata.NUMPY_MIN points or more reads a point's verdicts off
+# numpy's values when the filter, widened by strata.SLACK, decides every
+# cell, and sends the point to the exact path otherwise.  Its verdicts
+# and errors must be the exact path's at the point alone, in every block.
+
+
+def _exact_pass(p, n):
+    """The exact path's eq and apart cells and error at p alone."""
+    eq, apart, errors = strata._exact_cells([p], core.validation_errors([p]), n, p.tol)
+    return eq[0].tolist(), apart[0].tolist(), _error_key(errors[0])
+
+
+def _error_key(error):
+    return None if error is None else (type(error), str(error))
+
+
+def _tight_planted_points():
+    """Planted points at eq_tol 1e-13: the slack covers the ratio of every
+    equal cell, so no point with one is decided off numpy's values."""
+    tol = Tolerance(eq_tol=1e-13)
+    return [dataclasses.replace(p, tol=tol) for p in _planted_points()]
+
+
+@lru_cache(maxsize=1)
+def _numpy_tier() -> tuple:
+    rng = np.random.default_rng(1818)
+    generic = [Params(*(random_unit(rng) for _ in range(4)), random_q_half(rng))
+               for _ in range(3000)]
+    return (*_cross_check_points(1515), *_leg_equality_points(), *_lower_product_points(),
+            *_boundary_points(), *_planted_points(), *_near_unit_q_points(), *_wide_q_points(),
+            *_other_tolerance_points(), *_compare_overflow_points(), *_EDGE_POINTS,
+            *_BIG_POINTS, *REFUSED_POINTS, *_tight_planted_points(), *generic)
+
+
+def _counted_point_values(monkeypatch) -> list:
+    """The points strata._point_values is called at from now on."""
+    calls, point_values = [], strata._point_values
+
+    def counted(p, n):
+        calls.append(p)
+        return point_values(p, n)
+
+    monkeypatch.setattr(strata, "_point_values", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [6, N_ORACLE])
+def test_the_table_gives_the_exact_pass_verdicts_and_errors(monkeypatch, n):
+    pts = _numpy_tier()
+    alone = [_exact_pass(p, n) for p in pts]
+    # the tier reaches every refusal, equal cells and close cells
+    assert {a[2][0] for a in alone if a[2]} >= {
+        core.ZeroParameterError, core.RootOfUnityError, OverflowError, ZeroDivisionError}
+    assert any(True in eq for eq, _, _ in alone) and any(False in apart for _, apart, _ in alone)
+    exact = _counted_point_values(monkeypatch)
+    for size in (1, 4, 16, 64):
+        exact.clear()
+        got = []
+        for _, run in groupby(pts, key=attrgetter("tol")):
+            run = list(run)
+            for lo in range(0, len(run), size):
+                t = _Table(run[lo : lo + size], n)
+                got += zip(t.eq_cells.tolist(), t.apart_cells.tolist(), map(_error_key, t.errors))
+        assert [i for i, (g, a) in enumerate(zip(got, alone)) if g != a] == [], (n, size)
+        fell_back = {id(p) for p in exact}
+        if size >= strata.NUMPY_MIN:
+            # numpy's values decide most points, and no tight-tolerance
+            # point with an equal cell
+            assert len(exact) < len(pts) / 10, (n, size)
+            tight = [p for p, (eq, _, _) in zip(pts, alone) if p.tol.eq_tol == 1e-13 and True in eq]
+            assert len(tight) >= 7 and all(id(p) in fell_back for p in tight)
+        else:  # the exact path at every point that validate_params accepts
+            assert len(exact) == sum(core.validation_errors([p]) == [None] for p in pts)
+
+
+def test_a_block_of_planted_and_generic_points_computes_no_python_values(monkeypatch, rng):
+    pts = _planted_points()[:8] + [sample_generic_params(rng) for _ in range(8)]
+    exact = _counted_point_values(monkeypatch)
+    outcomes = strata.classify_points(pts, N_ORACLE)
+    assert exact == []
+    assert all(len(hits) >= 1 for hits in outcomes[:8]) and outcomes[8:] == [[]] * 8
+
+
+def test_a_point_outside_the_range_guard_alone_takes_the_exact_path(monkeypatch):
+    pts = _planted_points()[:16]
+    # (2n + 2) |log2 |q_half|| is about 990 at level 20
+    far = pts[5] = _with(pts[5], q_half=pts[5].q_half * 1e7)
+    exact = _counted_point_values(monkeypatch)
+    outcomes = strata.classify_points(pts, N_ORACLE)
+    assert len(exact) == 1 and exact[0] is far
+    assert outcomes == [classify_params(p, N_ORACLE) for p in pts]
+
+
+def test_a_one_point_classify_computes_its_values_once(monkeypatch):
+    p = _planted_points()[0]
+    exact = _counted_point_values(monkeypatch)
+    assert classify_params(p, N_ORACLE)
+    assert len(exact) == 1
