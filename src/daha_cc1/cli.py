@@ -38,6 +38,7 @@ from .core import (
 from .rep import (
     RELATION_RESIDUAL_MAX,
     DegenerateLadderError,
+    DimVectorMismatchError,
     IdealNotInvariantError,
     NotOnStratumError,
     PairingError,
@@ -93,7 +94,7 @@ _CONFIG_KEYS = (*_PARAM_KEYS, "tol", "n_max", "format", "jobs", "seed")
 _REFUSALS = (
     ((NotOnStratumError,), EXIT_OFF_STRATUM),
     ((IdealNotInvariantError, DegenerateLadderError, RelationResidualError, RankIndeterminateError,
-      PairingError, dsbridge.ProductNotIdentityError), EXIT_VERIFY),
+      PairingError, DimVectorMismatchError, dsbridge.ProductNotIdentityError), EXIT_VERIFY),
     ((ValueError, OSError, OverflowError, ZeroDivisionError), EXIT_INPUT),
 )
 _REFUSED = tuple(t for types, _ in _REFUSALS for t in types)
@@ -319,27 +320,29 @@ def cmd_classify(cfg: RunConfig, explain: bool) -> tuple[dict, int]:
 # -- construct -----------------------------------------------------------
 
 
-def _ds_results(r, p: Params, on_stratum=None) -> tuple[dict, tuple, dict]:
+def _ds_results(r, p: Params, kind=None, guarded: bool = False) -> tuple[dict, tuple, dict]:
     """The diagnosis construct and ds-check share: relation residuals, the
     dim vector and the four-matrix product problem, each read off the
     rep's kept diagnosis, so the classes are checked against the dim
     vector.  p is valid: the build or ds-check has run validate_params's
-    guard on it.  on_stratum is a kind whose stratum the build's guard
-    found p on; when the dim vector is its root, that verdict is the
-    predicate's."""
+    guard on it.  kind is the kind construct built, whose root the dim
+    vector must be (DimVectorMismatchError); guarded, the build's guard
+    found p on its stratum, and that verdict is the predicate's."""
     residuals = verify_relations(r, p)
     alpha = dim_vector(r, p)
-    member = True if on_stratum is not None and alpha == root_of_kind(on_stratum) else None
+    if kind is not None and alpha != root_of_kind(kind):
+        raise DimVectorMismatchError(kind, alpha)
     ds = {
         "product_residual": dsbridge.check_product(residuals["product"]),
         "class_membership": dsbridge.verify_class_membership(r, p, alpha),
-        "existence_predicate": dsbridge.ds_existence_predicate(alpha, p, member, valid=True),
+        "existence_predicate": dsbridge.ds_existence_predicate(
+            alpha, p, True if guarded else None, valid=True),
     }
     return residuals, alpha, ds
 
 
 def _construct_results(kind, r, p: Params, guarded: bool) -> tuple[dict, dict]:
-    residuals, dv, ds = _ds_results(r, p, kind if guarded else None)
+    residuals, dv, ds = _ds_results(r, p, kind, guarded)
     results = {
         "kind": kind_to_str(kind),
         "rep": _Encoded(_rep_text(r)),

@@ -9,6 +9,7 @@ one pair at a time or elementwise over arrays, with the same bits.
 from __future__ import annotations
 
 import cmath
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Collection, Sequence
@@ -138,7 +139,8 @@ def worst(residuals: Collection[float]) -> float:
 
 # the broadcast size from which compare_points reads its verdicts off
 # numpy's absolute first.  Timed, the exact pass is the faster for a
-# one-point root-of-unity guard (64 cells), the two are about even for a
+# one-point root-of-unity guard (64 cells, which only a q the guard's
+# closed form does not clear still makes), the two are about even for a
 # one-point stratum table at level 6 (168), and the filter is the faster
 # from 256 cells on: a level-20 table (504) or a 16-point scan block
 # (8,064 cells, 122 against 255 us)
@@ -260,16 +262,18 @@ def match_q_power(
     return matches[0] if matches else None
 
 
-def _scalar_error(p: Params) -> ValueError | OverflowError | None:
-    for name in ("k0", "k1", "u0", "u1", "q_half"):
-        v = getattr(p, name)
+def _scalar_error(p: Params, q: complex) -> ValueError | OverflowError | None:
+    """The first zero or non-finite parameter's error, else q = p.q's if
+    it is not finite."""
+    values = (p.k0, p.k1, p.u0, p.u1, p.q_half)
+    if 0 not in values and all(map(cmath.isfinite, values)) and cmath.isfinite(q):
+        return None
+    for name, v in zip(("k0", "k1", "u0", "u1", "q_half"), values):
         if v == 0:
             return ZeroParameterError(f"parameter {name} is zero")
         if not cmath.isfinite(complex(v)):
             return ZeroParameterError(f"parameter {name} is not finite")
-    if not cmath.isfinite(complex(p.q)):
-        return OverflowError("q = q_half^2 is not finite")
-    return None
+    return OverflowError("q = q_half^2 is not finite")
 
 
 @np.errstate(all="ignore")
@@ -281,40 +285,97 @@ def _unit_powers(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return powers, np.logical_and.accumulate(np.isfinite(powers), axis=1)
 
 
-def guard_operands(points: Sequence[Params]) -> tuple[list, np.ndarray, np.ndarray]:
+# The root-of-unity guard's closed form, which clears most points
+# without their powers.  Let r = |q|, u = 2^-53 and lo = (1 - eq_tol -
+# 1e-14)(1 - _GUARD_SLACK).  When lo > 0, a point with r <= lo, or with
+# 1/lo <= r <= 2^15, has no power q^m (m <= ROOTS_BOUND) that the exact
+# pass reads equal to 1 or marks over.  Proof: the powers are a chain of
+# complex products, each within sqrt(5) u of exact in modulus, so |q^m|
+# is within 64 sqrt(5) u (2e-14) of r^m, relative, and an underflow moves
+# it by a subnormal at most.  The pass's subtraction, hypot and eq_tol
+# times the scale round the gap and the threshold by under 7u of the
+# scale in all.
+# - For r >= 1/lo, r > 1 and every |q^m| >= r (1 - 2e-14) > 1 / (1 -
+#   eq_tol - 9e-15): the gap |q^m - 1| >= |q^m| - 1 exceeds eq_tol |q^m|,
+#   at scale |q^m|, by more than 9e-15 |q^m|.
+# - For r <= lo, every |q^m| < 1 - eq_tol - 9e-15: the gap >= 1 - |q^m|
+#   exceeds eq_tol, at scale 1, by more than 9e-15.
+# - r <= 2^15 keeps |q^64|, and each part product, within 2^961: no
+#   power is non-finite, and none is over.
+# _GUARD_SLACK covers the drift of the powers, and 1e-14 the pass's
+# roundings and lo's own where eq_tol is near 1 (1 - eq_tol rounds by up
+# to u).  The filter path of compare_points gives the exact pass's
+# verdicts, so the bound holds for the guard.  It reads r^2 = x^2 + y^2
+# off q = x + yi, which overflows and underflows quietly and rounds
+# within a few u, inside the slack too.
+_GUARD_SLACK = 1e-12
+
+
+def _guard_band(tol: Tolerance) -> tuple[float, float]:
+    """(lo^2, 1/lo^2) of the closed form, or a band that clears nothing
+    when lo <= 0."""
+    lo = (1.0 - tol.eq_tol - 1e-14) * (1.0 - _GUARD_SLACK)
+    return (lo * lo, 1.0 / (lo * lo)) if lo > 0.0 else (-1.0, math.inf)
+
+
+def _cleared(q: complex, band: tuple[float, float]) -> bool:
+    """The closed form clears a finite q: |q|^2 <= lo^2, or 1/lo^2 <=
+    |q|^2 <= 2^30."""
+    r2 = q.real * q.real + q.imag * q.imag
+    return r2 <= band[0] or band[1] <= r2 <= 2.0**30
+
+
+def guard_operands(points: Sequence[Params]) -> tuple[list, list, np.ndarray | None,
+                                                      np.ndarray | None]:
     """The first half of validation_errors: each point's scalar error
-    (a zero or non-finite parameter, or an infinite q), and the powers
-    q^1..q^ROOTS_BOUND that the root-of-unity guard compares with 1, a
-    row per point, with where each is in its row's finite prefix."""
-    errors = [_scalar_error(p) for p in points]
-    powers, finite = _unit_powers(np.array([[p.q if e is None else 0j]
-                                            for p, e in zip(points, errors)]))
-    return errors, powers, finite
+    (a zero or non-finite parameter, or an infinite q), then at: the
+    points without one that the closed form does not clear, and their
+    powers q^1..q^ROOTS_BOUND, which the root-of-unity guard compares
+    with 1, a row per point of at, with where each is in its row's
+    finite prefix (None, None when at is empty)."""
+    band, errors, at = _guard_band(points[0].tol), [], []
+    for i, p in enumerate(points):
+        q = p.q
+        errors.append(_scalar_error(p, q))
+        if errors[-1] is None and not _cleared(q, band):
+            at.append(i)
+    if not at:
+        return errors, at, None, None
+    powers, finite = _unit_powers(np.array([[points[i].q] for i in at]))
+    return errors, at, powers, finite
 
 
 def validation_errors(points: Sequence[Params]) -> list[ValueError | OverflowError | None]:
     """The exception validate_params raises at each of points, which
     share one tolerance, or None where it returns.  The root-of-unity
-    guard takes every point's powers of q in one pass and compares each
-    row's finite prefix with 1."""
-    errors, powers, finite = guard_operands(points)
+    guard clears most points by the closed form, and takes the powers of
+    q of the others in one pass, comparing each row's finite prefix with
+    1."""
+    errors, at, powers, finite = guard_operands(points)
+    if not at:
+        return errors
     eq, _, over = compare_points(powers, 1.0, points[0].tol)
-    return guard_errors(errors, eq, finite, over)
+    return guard_errors(errors, at, eq, finite, over)
 
 
-def guard_errors(errors: list, eq: np.ndarray, finite: np.ndarray, over: np.ndarray) -> list:
-    """The second half of validation_errors: the scalar errors, then
-    abs()'s OverflowError where the comparison of a point's powers with
-    1 marks it over, then RootOfUnityError at the first power of the
-    finite prefix that equals 1."""
-    # past the prefix, a power reads equal to 1 or not, but is never over
-    errors = overflow_errors(errors, over)
+def guard_errors(errors: list, at: list, eq: np.ndarray, finite: np.ndarray,
+                 over: np.ndarray) -> list:
+    """The second half of validation_errors: the scalar errors, then at
+    each point of at, whose row of eq, finite and over the comparison of
+    its powers with 1 gives, abs()'s OverflowError where over marks the
+    row, then RootOfUnityError at the first power of the finite prefix
+    that equals 1."""
+    # past the prefix, a power reads equal to 1 or not, but is never over;
+    # an over row reads no power equal to 1
+    for i, o in zip(at, over.tolist()):
+        if o:
+            errors[i] = OverflowError("absolute value too large")
     unit = eq & finite
     # row by row, so a point's first match comes first
     for k in np.flatnonzero(unit).tolist():
-        i, m = divmod(k, ROOTS_BOUND)
-        if errors[i] is None:
-            errors[i] = RootOfUnityError(m + 1)
+        j, m = divmod(k, ROOTS_BOUND)
+        if errors[at[j]] is None:
+            errors[at[j]] = RootOfUnityError(m + 1)
     return errors
 
 
@@ -351,10 +412,9 @@ def parse_scalar(text: str) -> complex:
 
 def format_scalar(z: complex) -> str:
     """Format a complex number as "a+bi" to 12 significant digits; pure
-    reals drop the i-part."""
-    re_s = format(z.real, ".12g")
+    reals drop the i-part, and a NaN i-part reads "-nan"."""
     if z.imag == 0.0:
-        return re_s
-    sign = "+" if z.imag >= 0 else "-"
-    im_s = format(abs(z.imag), ".12g")
-    return f"{re_s}{sign}{im_s}i"
+        return format(z.real, ".12g")
+    if z.imag != z.imag:
+        return format(z.real, ".12g") + "-nani"
+    return "%.12g%+.12gi" % (z.real, z.imag)

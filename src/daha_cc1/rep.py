@@ -43,7 +43,7 @@ from .laurent import (
 # unused here, kept as attributes: the benchmark's tracer wraps them
 from .laurent import build_E, build_E_dual, reduce_mod  # noqa: F401
 from .roots import (RootKind, RootVector, Type1E, Type1F, Type2, check_signs, kind_from_str,
-                    kind_to_str, tits_form)
+                    kind_to_str, root_of_kind, tits_form)
 from .strata import _KindTable, one_leg, sigma_membership
 
 IDEAL_RESIDUAL_MAX = 1e-6
@@ -97,6 +97,18 @@ class RankIndeterminateError(ArithmeticError):
 
 class PairingError(ArithmeticError):
     """A matrix has a nonzero entry outside the pairing of its roots."""
+
+
+class DimVectorMismatchError(ArithmeticError):
+    """A built rep's dim vector is not the root of its kind."""
+
+    def __init__(self, kind: RootKind, alpha: RootVector):
+        self.kind, self.alpha = kind, alpha
+        super().__init__(f"dim vector {list(alpha)} is not the root "
+                         f"{list(root_of_kind(kind))} of {kind_to_str(kind)}")
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -727,4 +739,5 @@ __all__ = [
     "RelationResidualError",
     "RankIndeterminateError",
     "PairingError",
+    "DimVectorMismatchError",
 ]

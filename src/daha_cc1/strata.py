@@ -342,16 +342,18 @@ class _KindTable:
     part of 2^1021 or more (or NaN), so then it compares every cell.
 
     One compare_points pass makes validate_params's root-of-unity guard
-    (unless p is known to be valid), the kind's cells (none without a
-    kind) and checks, (a, b) pairs of 1-D arrays: each is a row, padded
-    with 1 against 1, so an overflow marks only its own row, and
-    checks[i] is check i's (eq, apart, over)."""
+    (unless p is known to be valid, or the guard's closed form clears
+    it), the kind's cells (none without a kind) and checks, (a, b) pairs
+    of 1-D arrays: each is a row, padded with 1 against 1, so an overflow
+    marks only its own row, and checks[i] is check i's (eq, apart,
+    over).  With no row to compare, it makes no pass."""
 
     def __init__(self, p: Params, k: RootKind | None, checks=(), valid: bool = False):
         row = None if k is None else _kind_row(k)
         self.n, self.cells, held = 0 if k is None else k.n, None, None
-        self.errors, powers, finite = ([None], None, None) if valid else guard_operands([p])
-        rows = [] if valid else [(powers[0], 1.0)]
+        self.errors, guard_at, powers, finite = (
+            ([None], [], None, None) if valid else guard_operands([p]))
+        rows = [(powers[0], 1.0)] if guard_at else []
         kind_at = len(rows)
         if k is not None and self.errors[0] is None:
             try:
@@ -364,13 +366,15 @@ class _KindTable:
                 rows.append((values[at], values[level_at]))
         first = len(rows)
         rows += checks
-        a, b = pad = np.empty((2, len(rows), max(len(x) for x, _ in rows)), dtype=complex)
-        pad.fill(1.0)
-        for i, (x, y) in enumerate(rows):
-            a[i, : len(x)], b[i, : len(x)] = x, y
-        eq, apart, over = compare_points(a, b, p.tol)
-        if not valid:
-            self.errors = guard_errors(self.errors, eq[:1, : powers.shape[1]], finite, over[:1])
+        if rows:
+            a, b = pad = np.empty((2, len(rows), max(len(x) for x, _ in rows)), dtype=complex)
+            pad.fill(1.0)
+            for i, (x, y) in enumerate(rows):
+                a[i, : len(x)], b[i, : len(x)] = x, y
+            eq, apart, over = compare_points(a, b, p.tol)
+        if guard_at:
+            self.errors = guard_errors(self.errors, guard_at, eq[:1, : powers.shape[1]], finite,
+                                       over[:1])
         if self.cells is not None:
             self.errors = overflow_errors(self.errors, over[kind_at : kind_at + 1])
             self.cell_eq, self.cell_apart = (v[kind_at, : self.cells.size] for v in (eq, apart))

@@ -6,8 +6,9 @@ kept to cross-check it in any basis: the normalized spectral-norm
 relation residuals from one batched SVD, rank by singular values, and
 the commutant as the nullity of the Sylvester system.  The library pairs
 the roots by their ladder symbols; the float matcher it replaced is kept
-here too, to cross-check that pairing.  So is the three-regex literal
-parser that core.parse_scalar's one grammar replaced.  The quadratic
+here too, to cross-check that pairing.  So are the three-regex literal
+parser that core.parse_scalar's one grammar replaced, and the sign-then-
+modulus spelling that core.format_scalar's one template replaced.  The quadratic
 check, the spectrum and the commutant are also read off each matrix's
 own dense rows, every scale taken afresh, to check bit for bit the rows
 the library's kept diagnosis shares and its loop's hoisted scales; the
@@ -61,6 +62,17 @@ def regex_parse_scalar(text: str) -> complex:
     if m:
         return complex(0.0, _imag_value(m.group("im")))
     raise ValueError(f"cannot parse complex literal {text!r}")
+
+
+def signed_format_scalar(z: complex) -> str:
+    """The spelling core.format_scalar replaced: the real part, then the
+    sign of the i-part and its modulus, each to 12 significant digits."""
+    re_s = format(z.real, ".12g")
+    if z.imag == 0.0:
+        return re_s
+    sign = "+" if z.imag >= 0 else "-"
+    im_s = format(abs(z.imag), ".12g")
+    return f"{re_s}{sign}{im_s}i"
 
 
 # s(r) is the root r' when |s(r) - r'| <= ROOT_MATCH_RTOL * |s(r)|; the

@@ -232,17 +232,27 @@ def test_construct_and_ds_check_run_the_root_of_unity_guard_once(
 ):
     kind = Type1E(1, -1, 4)
     p = sample_stratum_params(kind, rng)
-    args = _flags(p)
+    # a point on the unit circle, not a root of unity: the closed form
+    # leaves it to the guard's powers
+    with monkeypatch.context() as m:
+        m.setattr(strata, "random_q_half", lambda _: cmath.exp(1j))
+        unit = sample_stratum_params(kind, rng)
+    assert abs(unit.q) == pytest.approx(1.0)
+    guards = _counted(monkeypatch, core, "guard_operands")
+    monkeypatch.setattr(strata, "guard_operands", core.guard_operands)
+    powers = _counted(monkeypatch, core, "_unit_powers")
     rep_file = tmp_path / "rep.json"
-    guards = _counted(monkeypatch, core, "_unit_powers")
-    for argv in (["construct", *args, "--kind", kind_to_str(kind), "--out", str(rep_file)],
-                 ["construct", *args, "--kind", kind_to_str(kind), "--force"],
-                 ["ds-check", *args, "--rep", str(rep_file)]):
-        guards.clear()
-        assert cli.main(argv) == 0, argv
-        results = json.loads(capsys.readouterr().out)["results"]
-        assert results.get("ds", results)["existence_predicate"] is True
-        assert len(guards) == 1, argv
+    for point, runs in ((p, 0), (unit, 1)):
+        args = _flags(point)
+        for argv in (["construct", *args, "--kind", kind_to_str(kind), "--out", str(rep_file)],
+                     ["construct", *args, "--kind", kind_to_str(kind), "--force"],
+                     ["ds-check", *args, "--rep", str(rep_file)]):
+            guards.clear()
+            powers.clear()
+            assert cli.main(argv) == 0, argv
+            results = json.loads(capsys.readouterr().out)["results"]
+            assert results.get("ds", results)["existence_predicate"] is True
+            assert (len(guards), len(powers)) == (1, runs), argv
     # a point the guard refuses exits 2 before the rep file is read
     unit = _flags(_with(p, q_half=cmath.exp(1j * cmath.pi / 7)))
     assert cli.main(["ds-check", *unit, "--rep", str(tmp_path / "none.json")]) == 2

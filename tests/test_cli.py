@@ -17,7 +17,8 @@ import pytest
 from daha_cc1 import cli, core, dsbridge, strata
 from daha_cc1 import rep as rep_module
 from daha_cc1.cli import main
-from daha_cc1.roots import Type1E, Type2, kind_from_str, kind_to_str, root_of_kind
+from daha_cc1.roots import (RootVector, Type1E, Type2, kind_from_str, kind_to_str,
+                            root_of_kind)
 from daha_cc1.strata import sample_stratum_params
 
 ONE_DIM = [
@@ -309,6 +310,24 @@ def test_construct_on_coincident_roots_is_a_verification_exit(capsys):
     ])
     assert code == 4
     assert json.loads(out)["results"]["error"].startswith("DegenerateLadderError")
+
+
+# a point on u0^2 = -1, a leg equality at m = 0: the build of
+# T2[++,-+;n=0] there has the dim vector of T2[++,++;n=0]
+WRONG_DIM = [
+    "--kind", "T2[++,-+;n=0]", "--k0=-0.550923676069+0.33999682695i",
+    "--k1=1.00920854694-0.194848680996i", "--u0=0-1i", "--u1=0.729145226095+0.897055766165i",
+    "--q-half=-0.187371686483-1.28642599908i",
+]
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["guarded", "forced"])
+def test_construct_refuses_a_dim_vector_that_is_not_the_kinds_root(capsys, force):
+    code, out = run_cli(capsys, ["construct", *WRONG_DIM, *force])
+    assert code == 4
+    assert json.loads(out)["results"]["error"] == (
+        "DimVectorMismatchError: dim vector [1, 0, 0, 0, 0] is not the root [1, 0, 0, 1, 0] "
+        "of T2[++,-+;n=0]")
 
 
 def test_scan_error_row_is_unchanged(capsys, tmp_path):
@@ -1058,6 +1077,7 @@ _REFUSAL_SAMPLES = {type(e): e for e in (
     rep_module.IdealNotInvariantError(2.5e-3),
     rep_module.RelationResidualError({"quad.T0": 1e-3, "product": float("nan")}),
     dsbridge.ProductNotIdentityError(0.25),
+    rep_module.DimVectorMismatchError(Type2(1, -1, 1, 1, 0), RootVector(1, 0, 0, 0, 0)),
 )}
 
 

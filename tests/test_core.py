@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daha_cc1 import cli, core
+from daha_cc1 import cli, core, strata
 from daha_cc1.core import (
     DEFAULT_TOL,
     ROOTS_BOUND,
@@ -26,8 +26,9 @@ from daha_cc1.core import (
     parse_scalar,
     validate_params,
 )
+from daha_cc1.roots import enumerate_strict_roots
 from daha_cc1.strata import classify_params
-from oracles import regex_parse_scalar
+from oracles import regex_parse_scalar, signed_format_scalar
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -250,6 +251,137 @@ def test_the_guards_accumulated_powers_are_the_loops_to_the_bit():
         assert alone[: len(want)].tobytes() == row[: len(want)].tobytes(), q
     # rows end at the bound and before it
     assert {ROOTS_BOUND, 40} <= prefixes
+
+
+# -- the guard's closed form against the 64-power pass -----------------------
+#
+# validation_errors clears a q whose modulus is off the unit circle by the
+# closed form (core._cleared) and runs the powers of the others.  At every
+# point the outcome must be the scalar loop's and the full pass's.
+
+
+def _guard_outcome(error):
+    return None if error is None else (type(error), str(error), getattr(error, "m", None))
+
+
+def _scalar_outcome(p):
+    """_scalar_order's verdict as validation_errors spells it."""
+    try:
+        m = _scalar_order(p)
+    except OverflowError as exc:
+        return _guard_outcome(exc)
+    return None if m is None else _guard_outcome(RootOfUnityError(m))
+
+
+def _full_pass(points):
+    """validation_errors without the closed form: every valid point's
+    powers, in one comparison pass."""
+    errors = [core._scalar_error(p, p.q) for p in points]
+    at = [i for i, e in enumerate(errors) if e is None]
+    powers, finite = core._unit_powers(np.array([[points[i].q] for i in at], dtype=complex))
+    eq, _, over = core.compare_points(powers, 1.0, points[0].tol)
+    return core.guard_errors(errors, at, eq, finite, over)
+
+
+_GUARD_TOLS = (1e-15, 1e-9, 1e-6, 1e-3, 0.5)
+
+
+def _guard_tier(eq_tol: float) -> dict[str, list[complex]]:
+    """q_half of points by group: |q| a few ulps either side of the
+    closed form's edges lo and 1/lo, of the exact pass's own (1 - eq_tol
+    and its inverse) and of 2^15; |q| of 1e-300 and one that underflows
+    to 0; roots of unity of every order up to ROOTS_BOUND, scaled by 1 +-
+    c eq_tol / m; a q whose modulus overflows; and random q."""
+    rng = np.random.default_rng(int(-math.log10(eq_tol) * 7))
+    phases = [0.0, *rng.uniform(0, 2 * math.pi, 3)]
+    lo = (1 - eq_tol - 1e-14) * (1 - 1e-12)
+
+    def near(edge, step):
+        return [cmath.sqrt(cmath.rect(edge * (1 + k * step), phase))
+                for k in range(-4, 5) for phase in phases]
+
+    ulp = 2.0**-52
+    tier = {"lo": near(lo, ulp), "hi": near(1 / lo, ulp), "max": near(2.0**15, ulp),
+            "pass": near(1 - eq_tol, 1e-13) + near(1 / (1 - eq_tol), 1e-13)}
+    tier["tiny"] = [1e-150, complex(1e-170, 1e-170), cmath.sqrt(complex(1.3e308, 1.3e308))]
+    roots = []
+    for m in range(1, ROOTS_BOUND + 1):
+        for k in {1, int(rng.integers(1, m + 1))}:
+            for c in (0.0, 0.5, 1.0, 2.0, -0.5, -1.0, -2.0):
+                scale = 1 + c * eq_tol / m
+                if scale > 0:
+                    roots.append(cmath.exp(1j * math.pi * k / m) * math.sqrt(scale))
+    tier["roots"] = roots
+    tier["random"] = [cmath.rect(10.0 ** rng.uniform(-2, 3), rng.uniform(0, 2 * math.pi))
+                      for _ in range(300)]
+    return tier
+
+
+@pytest.mark.parametrize("eq_tol", _GUARD_TOLS)
+def test_the_guards_closed_form_gives_the_64_power_pass(eq_tol):
+    tol = Tolerance(eq_tol=eq_tol)
+    tier = {g: [_unit_params(qh, tol=tol) for qh in qhs] for g, qhs in _guard_tier(eq_tol).items()}
+    points = [p for group in tier.values() for p in group]
+    alone = [_guard_outcome(core.validation_errors([p])[0]) for p in points]
+    assert alone == [_scalar_outcome(p) for p in points]
+    assert [_guard_outcome(e) for e in _full_pass(points)] == alone
+    assert [_guard_outcome(e) for e in core.validation_errors(points)] == alone
+    # each edge of the closed form is met from both sides, the exact
+    # pass's edges are left to the pass, and every outcome is reached
+    band = core._guard_band(tol)
+    for group in ("lo", "hi", "max"):
+        assert {core._cleared(p.q, band) for p in tier[group]} == {True, False}, group
+    assert not any(core._cleared(p.q, band) for p in tier["pass"])
+    assert {o and o[0] for o in alone} == {None, RootOfUnityError, OverflowError}
+
+
+def test_a_points_guard_outcome_does_not_depend_on_its_batch():
+    rng = np.random.default_rng(1616)
+    tier = _guard_tier(1e-9)
+    qhs = tier["random"][:40] + tier["roots"][::9] + tier["pass"][::4] + tier["tiny"]
+    pool = [_unit_params(qh) for qh in qhs]
+    pool += [Params(k0=0, k1=3, u0=5, u1=7, q_half=1.3), _unit_params(1e155),
+             Params(k0=2, k1=float("inf"), u0=5, u1=7, q_half=cmath.exp(1j * math.pi / 5))]
+    alone = [_guard_outcome(core.validation_errors([p])[0]) for p in pool]
+    assert {o and o[0] for o in alone} == {None, RootOfUnityError, OverflowError,
+                                           ZeroParameterError}
+    for _ in range(60):
+        at = rng.integers(0, len(pool), 16)
+        batch = [_guard_outcome(e) for e in core.validation_errors([pool[i] for i in at])]
+        assert batch == [alone[i] for i in at]
+
+
+def test_a_scan_block_off_the_unit_circle_takes_no_powers(monkeypatch):
+    # a block like the benchmark's: 6 planted, 8 generic and 2 points
+    # with |q^{1/2}| within 2% of 1
+    rng = np.random.default_rng(1616)
+    kinds = [k for k, _ in enumerate_strict_roots(6)][::11][:6]
+    points = [strata.sample_stratum_params(k, rng) for k in kinds]
+    points += [strata.sample_generic_params(rng) for _ in range(8)]
+    points += [_unit_params(cmath.rect(mod, 0.7)) for mod in (1.001, 1 / 1.02)]
+    calls = []
+    unit_powers = core._unit_powers
+    monkeypatch.setattr(core, "_unit_powers", lambda q: calls.append(len(q)) or unit_powers(q))
+    assert len(strata.classify_points(points, 20)) == 16
+    assert calls == []
+    # a point on the unit circle takes its powers, and alone
+    strata.classify_points(points[:15] + [_unit_params(cmath.exp(0.5j))], 20)
+    assert calls == [1]
+
+
+def test_format_scalar_is_the_signed_spelling():
+    parts = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+             2.2250738585072014e-308 / 3, 1e300, -1e300, 1e-300, -1e-300, 1.0, -1.5, 0.1,
+             123456789012.5, -1e16, 1.7976931348623157e308]
+    values = [complex(a, b) for a in parts for b in parts]
+    rng = np.random.default_rng(1212)
+    # random bit patterns: NaNs of either sign, subnormals, infinities
+    values += [complex(a, b) for a, b in np.frombuffer(rng.bytes(16 * 40_000), dtype=float)
+               .reshape(-1, 2).tolist()]
+    scaled = rng.normal(size=(40_000, 2)) * 10.0 ** rng.integers(-20, 20, size=(40_000, 1))
+    values += [complex(a, b) for a, b in scaled.tolist()]
+    assert [z for z in values if format_scalar(z) != signed_format_scalar(z)] == []
+    assert format_scalar(complex(1.5, math.nan)) == "1.5-nani"
 
 
 def _threshold_steps(a: complex, margin: float, part: str) -> list[complex]:
