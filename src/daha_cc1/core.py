@@ -195,28 +195,26 @@ def _exact(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return eq, apart, over
 
 
-def _filter(a, b, tol: Tolerance, slack: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _filter(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The exact pass's eq and apart, read off the ratio of numpy's
     absolutes |a - b| / max(|a|, |b|), and unsure: the cells where they
     may differ from it.  Those are the cells whose ratio lies within
-    _BAND (relative) plus slack (absolute) of eq_tol or ineq_margin or is
-    NaN, and those whose scale max(|a|, |b|) is NaN, 2^1022 or more
-    (where a modulus may overflow), or so small that eq_tol times it is
-    subnormal.  Elsewhere each absolute is within 2 ulps of its hypot,
-    and a threshold that is a normal float rounds within 1: the ratio
-    moves by less than 10 ulps, far inside the band, so its side of each
-    threshold is the exact pass's.  The slack is for operands that are
-    themselves only near the exact pass's: a ratio moved by less than it
-    stays on the same side too."""
+    _BAND (relative) of eq_tol or ineq_margin or is NaN, and those whose
+    scale max(|a|, |b|) is NaN, 2^1022 or more (where a modulus may
+    overflow), or so small that eq_tol times it is subnormal.  Elsewhere
+    each absolute is within 2 ulps of its hypot, and a threshold that is
+    a normal float rounds within 1: the ratio moves by less than 10 ulps,
+    far inside the band, so its side of each threshold is the exact
+    pass's."""
     # a - b is freed before the scale is made, as in the exact pass
     ratio = np.abs(a - b)
     scale = np.maximum(np.abs(a), np.abs(b))
     ratio /= scale
-    eq = ratio <= tol.eq_tol * (1 + _BAND) + slack
-    unsure = eq != (ratio <= tol.eq_tol * (1 - _BAND) - slack)
+    eq = ratio <= tol.eq_tol * (1 + _BAND)
+    unsure = eq != (ratio <= tol.eq_tol * (1 - _BAND))
     # a NaN ratio is neither above the margin nor at most it
-    apart = ratio > tol.ineq_margin * (1 - _BAND) - slack
-    unsure |= apart == (ratio <= tol.ineq_margin * (1 + _BAND) + slack)
+    apart = ratio > tol.ineq_margin * (1 - _BAND)
+    unsure |= apart == (ratio <= tol.ineq_margin * (1 + _BAND))
     unsure |= (scale < 2.0**-1022 / tol.eq_tol) | (scale >= 2.0**1022)
     return eq, apart, unsure
 

@@ -22,7 +22,6 @@ from .core import (
     Generator,
     Params,
     Tolerance,
-    _filter,
     compare_points,
     guard_errors,
     guard_operands,
@@ -61,31 +60,6 @@ def one_leg(k: Type1E | Type1F) -> tuple[Generator, int]:
     if isinstance(k, Type1E):
         return GENERATORS[k.i], k.eps
     return GENERATORS[2 + k.i], k.delta
-
-
-def signed_product(p: Params, signs: tuple[int, int, int, int]) -> complex:
-    """eps1 k1^eps1 * eps0 k0^eps0 * del1 u1^del1 * del0 u0^del0."""
-    eps0, eps1, del0, del1 = signs
-    return (
-        eps1 * p.k1**eps1
-        * eps0 * p.k0**eps0
-        * del1 * p.u1**del1
-        * del0 * p.u0**del0
-    )
-
-
-def _signed_products(p: Params) -> list[complex]:
-    """signed_product(p, signs) for every sign vector, in _SIGN_CHOICES
-    order: the same left-to-right products, sharing their prefixes."""
-    (k0, k0_), (k1, k1_), (u0, u0_), (u1, u1_) = (
-        (x**1, x**-1) for x in (p.k0, p.k1, p.u0, p.u1))
-    # eps1 k1^eps1 * eps0 k0^eps0, then * del1 u1^del1 * del0 u0^del0
-    k1p, k1m = 1 * k1, -1 * k1_
-    out = []
-    for head in (k1p * 1 * k0, k1m * 1 * k0, k1p * -1 * k0_, k1m * -1 * k0_):
-        u1p, u1m = head * 1 * u1, head * -1 * u1_
-        out += (u1p * 1 * u0, u1m * 1 * u0, u1p * -1 * u0_, u1m * -1 * u0_)
-    return out
 
 
 # the table's rows: the 16 signed products, keyed by their signs, then
@@ -144,112 +118,48 @@ class _Rule:
 _rule = lru_cache(maxsize=1)(_Rule)
 
 
-def _point_values(p: Params, n: int) -> list[complex]:
-    """Point p's 24 row values, then its level values of the three row
-    groups (products, products, t^(2s)), as the per-kind Python
-    expressions, in the order q_half^(-1-2m), -(q^m), the signed
-    products, t^(2s)."""
-    qh, q = p.q_half, p.q
-    product_rhs = [qh ** (-1 - 2 * m) for m in range(n + 1)]
-    neg_q_powers = [-(q**m) for m in range(n + 1)]
-    values = _signed_products(p)
-    values += (p.k0**2, p.k0**-2, p.k1**2, p.k1**-2, p.u0**2, p.u0**-2, p.u1**2, p.u1**-2)
-    return values + product_rhs + product_rhs + neg_q_powers
+# the one refusal of a valid point whose values are not all finite.  A
+# value that underflows to 0 shows as an overflow in its partner: a
+# signed product in the one of opposite signs, t^2 in t^-2, and -q^m
+# (|q| < 1) in q_half^(-1-2m).  A q_half^(-1-2m) that underflows is
+# clearly apart from every row value, which its partner bounds below, as
+# its exact value is
+_OUT_OF_RANGE = "stratum values leave the float range"
 
 
-# the points per table from which _Table makes its values with numpy.
-# Timed on bench scan points, a table took (exact path against numpy
-# values, us) at level 0: 49 against 83 for 1 point, 79 against 90 for
-# 4, 103 against 105 for 6, 120 against 106 for 8; at level 6: 57
-# against 89, 98 against 103, 127 against 118, 155 against 128; at
-# level 20: 67 against 92, 134 against 112, 184 against 133, 225
-# against 147.  From 8 points numpy is the faster at every level
-NUMPY_MIN = 8
-# the filter's slack for numpy's values, in units of the ratio
-# |a - b| / max(|a|, |b|).  Inside the range guard below, every value of
-# both computations is a chain of complex products and quotients with no
-# overflow, underflow or subnormal modulus, each within a few ulps of
-# exact in modulus (a product within sqrt(5), a quotient within about
-# 4).  The longest chains are the level values at n = 20: numpy's
-# q_half^(-41) is 1/q_half times 20 powers of 1/q_half^2, about 41 * 4 +
-# 40 * 2.3, or 260 ulps off exact; Python's c_powu squaring chain and
-# _Py_c_quot about 100; the products, t^(2s) and -q^m fewer.  So a
-# numpy value is within about 360 ulps (8e-14) of its Python value in
-# modulus, relative, and the ratio, at most 2, moves by at most about 4
-# times that (3e-13): the slack leaves a factor 30
-SLACK = 1e-11
-# the range guard: a point takes numpy's values only when 4 |log2 |t||
-# for each t of k0, k1, u0, u1, and (2n + 2) |log2 |q_half||, are below
-# this.  Every value and partial product of both computations (a signed
-# product's factors, c_powu's powers of q_half up to q_half^(2n+1) and
-# of q up to q^n, numpy's accumulated powers) then has a modulus between
-# 2^-900 and 2^900, so none overflows, underflows or is subnormal, and
-# Python's ** raises nowhere.  Only the levels up to _HORIZON are so
-# derived: a deeper table takes the exact path, as do Python's powers
-# past 100, which leave c_powu
-_RANGE_LOG2 = 900.0
-
-
-@lru_cache(maxsize=32)
-def _range_bounds(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The open range of |k0|, |k1|, |u0|, |u1|, |q_half| of the guard."""
-    hi = np.exp2(_RANGE_LOG2 / np.array([4.0] * 4 + [2.0 * n + 2.0]))
-    return 1 / hi, hi
-
-
-def _numpy_cells(x: np.ndarray, n: int, tol: Tolerance) -> tuple[np.ndarray, ...]:
-    """eq and apart of every cell of the points whose (k0, k1, u0, u1,
-    q_half) are the rows of x, from numpy's values and the filter with
-    SLACK, and unsure: the points where a cell may differ from the exact
-    pass on the Python values.  The level values are accumulated powers,
-    q_half^(-1-2m) from 1/q_half and 1/q_half^2 and -q^m from -1 and q."""
+@np.errstate(all="ignore")
+def _values(x: np.ndarray, n: int) -> np.ndarray:
+    """The stratum values of the points whose (k0, k1, u0, u1, q_half)
+    are the rows of x, a row per point: its 24 row values (the signed
+    products, then t^(2s)), then its level values of the three row
+    groups (products, products, t^(2s)) at m = 0..n: q_half^(-1-2m),
+    again, and -q^m.  Each t's two signed factors t and -1/t are
+    multiplied out over the four sign axes (eps0, eps1, del0, del1), in
+    _SIGN_CHOICES order, and squared; the level values are accumulated
+    powers, of 1/q_half then 1/q_half^2, and of -1 then q.  Each step is
+    elementwise or along a point's own row, so a point's values are the
+    same bits in any block."""
     points = len(x)
-    # each t's two signed factors s t^s, multiplied out over the four
-    # sign axes (eps0, eps1, del0, del1): _SIGN_CHOICES order; then their
-    # squares, t^2 and t^-2 for each t in turn
-    factors = np.empty((points, 4, 2), dtype=complex)
-    factors[..., 0] = x[:, :4]
-    np.divide(-1.0, x[:, :4], out=factors[..., 1])
-    k0, k1, u0, u1 = factors.transpose(1, 0, 2)
-    heads = (k0[:, :, None] * k1[:, None, :])[..., None] * u0[:, None, None, :]
-    rows = np.concatenate(((heads[..., None] * u1[:, None, None, None, :]).reshape(points, -1),
-                           (factors * factors).reshape(points, -1)), axis=1)
-    qh = x[:, 4]
-    inv_qh = 1 / qh
-    steps = np.empty((points, n + 1, 2), dtype=complex)
-    steps[:, 0, 0], steps[:, 0, 1] = inv_qh, -1.0
-    steps[:, 1:, 0], steps[:, 1:, 1] = (inv_qh * inv_qh)[:, None], (qh * qh)[:, None]
-    # the level values 24 wide, one per cell in cell order, so that the
-    # filter's broadcasts run over contiguous memory
-    levels = np.repeat(np.multiply.accumulate(steps, axis=1), (_N_PRODUCTS, _N_ROWS - _N_PRODUCTS),
-                       axis=2)
-    eq, apart, unsure = _filter(rows[:, None, :], levels, tol, SLACK)
-    return (eq.reshape(points, -1), apart.reshape(points, -1),
-            unsure.reshape(points, -1).any(axis=1))
-
-
-def _exact_cells(points: Sequence[Params], errors: list, n: int,
-                 tol: Tolerance) -> tuple[np.ndarray, np.ndarray, list]:
-    """eq and apart of every cell of points from their Python values
-    (_point_values) in one compare_points pass, and errors: the points'
-    errors so far, then the exception a point's values raise, then abs()'s
-    OverflowError where the pass marks a point over.  A point with an
-    error has NaN values, so none of its verdicts holds."""
-    nan = [complex("nan")] * (_N_ROWS + 3 * (n + 1))
-    rows = []
-    for i, p in enumerate(points):
-        try:
-            rows.append(nan if errors[i] is not None else _point_values(p, n))
-        except (OverflowError, ZeroDivisionError) as exc:
-            errors[i] = exc
-            rows.append(nan)
-    flat = np.array(rows, dtype=complex)
-    # the rows as three groups of 8 (products, products, t^(2s)),
-    # broadcast against each level's value of each group: cell order
-    by_level = flat[:, _N_ROWS:].reshape(-1, 3, n + 1).transpose(0, 2, 1).copy()
-    eq, apart, over = compare_points(flat[:, :_N_ROWS].reshape(-1, 1, 3, 8),
-                                     by_level[..., None], tol)
-    return eq.reshape(len(rows), -1), apart.reshape(len(rows), -1), overflow_errors(errors, over)
+    out = np.empty((points, _N_ROWS + 3 * (n + 1)), dtype=complex)
+    # factors[:, 0]: k0, k1, u0, u1, q_half; factors[:, 1]: -1 over each
+    factors = np.empty((points, 2, 5), dtype=complex)
+    factors[:, 0] = x
+    np.divide(-1.0, x, out=factors[:, 1])
+    heads = ((factors[:, :, 0, None] * factors[:, None, :, 1])[..., None]
+             * factors[:, None, None, :, 2])
+    np.multiply(heads[..., None], factors[:, None, None, None, :, 3],
+                out=out[:, :_N_PRODUCTS].reshape(points, 2, 2, 2, 2))
+    # squares[:, 0]: t^2 and q; squares[:, 1]: t^-2 and 1/q_half^2
+    squares = factors * factors
+    out[:, _N_PRODUCTS:_N_ROWS].reshape(points, 4, 2)[...] = squares[:, :, :4].transpose(0, 2, 1)
+    steps = np.empty((points, 2, n + 1), dtype=complex)
+    steps[:, :, 1:] = squares[:, ::-1, 4, None]
+    np.divide(1.0, x[:, 4], out=steps[:, 0, 0])
+    steps[:, 1, 0] = -1.0
+    levels = out[:, _N_ROWS:].reshape(points, 3, n + 1)
+    np.multiply.accumulate(steps, axis=2, out=levels[:, ::2])
+    levels[:, 1] = levels[:, 0]
+    return out
 
 
 class _Table:
@@ -259,47 +169,32 @@ class _Table:
     Every stratum condition compares a row value, a signed product or
     t^(2s), with its level value at some m: q_half^(-1-2m) or -q^m.
     eq_cells[i, m * 24 + row]: point i's row value equals its level value
-    at m, as approx_eq decides it on the per-kind Python expressions
-    (_point_values); apart_cells[i, m * 24 + row]: it is clearly apart
-    from it, as clearly_neq decides it.  errors[i] refuses point i:
-    validate_params's exception, else the one its values raised
-    (OverflowError or ZeroDivisionError from **), else abs()'s
+    at m, as approx_eq decides it on the point's values (_values), and
+    apart_cells[i, m * 24 + row]: it is clearly apart from it, as
+    clearly_neq decides it, all in one compare_points pass.  errors[i]
+    refuses point i: validate_params's exception, else the stated
+    OverflowError where its values are not all finite, else abs()'s
     OverflowError where their comparison marks the point over; or None.
-    None of a refused point's verdicts holds.
-
-    A table of at least NUMPY_MIN points up to level _HORIZON reads the
-    verdicts of each valid point inside the range guard off numpy's
-    values (_numpy_cells): their ratios are within SLACK of the Python
-    values', so a cell that the widened filter decides is decided as the
-    exact pass decides it.  Every other point takes the exact path
-    (_exact_cells): a point with a cell the filter cannot decide, one
-    outside the range guard, and every point of a smaller or deeper
-    table; a point that validate_params refuses computes nothing.  So
-    whatever the other points, a point's verdicts and error are its own.
+    None of a refused point's verdicts holds; a point that
+    validate_params refuses takes the values of (1, 1, 1, 1, 1), never
+    read.  A point's values and verdicts are its own, whatever the other
+    points.
     """
 
     def __init__(self, points: Sequence[Params], n: int):
-        self.n, self.errors, tol = n, validation_errors(points), points[0].tol
-        if len(points) < NUMPY_MIN or n > _HORIZON:
-            self.eq_cells, self.apart_cells, self.errors = _exact_cells(points, self.errors, n, tol)
-            return
-        self.eq_cells, self.apart_cells = np.zeros((2, len(points), (n + 1) * _N_ROWS), dtype=bool)
-        valid = [i for i, e in enumerate(self.errors) if e is None]
-        x = np.array([[p.k0, p.k1, p.u0, p.u1, p.q_half] for p in map(points.__getitem__, valid)],
-                     dtype=complex).reshape(-1, 5)
-        lo, hi = _range_bounds(n)
-        fast = np.flatnonzero(((abs_x := np.abs(x)) > lo).all(axis=1) & (abs_x < hi).all(axis=1))
-        if fast.size:
-            eq, apart, unsure = _numpy_cells(x[fast], n, tol)
-            done = fast[~unsure]
-            at = np.array(valid)[done]
-            self.eq_cells[at], self.apart_cells[at] = eq[~unsure], apart[~unsure]
-            valid = np.delete(valid, done).tolist()
-        if valid:
-            eq, apart, errors = _exact_cells([points[i] for i in valid], [None] * len(valid), n, tol)
-            self.eq_cells[valid], self.apart_cells[valid] = eq, apart
-            for i, error in zip(valid, errors):
-                self.errors[i] = error
+        self.n, errors = n, validation_errors(points)
+        values = _values(np.array([(p.k0, p.k1, p.u0, p.u1, p.q_half) if e is None else (1,) * 5
+                                   for p, e in zip(points, errors)], dtype=complex), n)
+        finite = np.isfinite(values).all(axis=1).tolist()
+        # each level's value of each row group (products, products,
+        # t^(2s)), 8 wide, against the 24 rows: cell order, over contiguous
+        # memory, where the filter runs the faster
+        levels = np.repeat(values[:, _N_ROWS:].reshape(-1, 3, n + 1).transpose(0, 2, 1), 8, axis=2)
+        eq, apart, over = compare_points(values[:, None, :_N_ROWS], levels, points[0].tol)
+        self.errors = overflow_errors([OverflowError(_OUT_OF_RANGE) if e is None and not f else e
+                                       for e, f in zip(errors, finite)], over)
+        held = np.array([[e is None] for e in self.errors])
+        self.eq_cells, self.apart_cells = (v.reshape(len(points), -1) & held for v in (eq, apart))
 
     @cached_property
     def verdicts(self) -> tuple[list, list]:
@@ -319,7 +214,7 @@ def _cell_operands(row: int | None, n: int) -> np.ndarray:
     """The cells a _KindTable compares: the equality cell of the kind row
     at level n, then the cells its row of the rule reads, or every cell
     to level n when row is None; then each cell's row value and level
-    value, as indices into _point_values(p, n).  One read-only array of
+    value, as indices into a row of _values(x, n).  One read-only array of
     those three rows, of the least unsigned type that holds them, keeps
     the cache of every kind small."""
     if row is None:
@@ -338,8 +233,10 @@ class _KindTable:
     """A one-point table of p at horizon k.n that compares only the kind
     k's cells (_cell_operands), with the same verdicts and refusal,
     errors[0], as a _Table: a cell it does not compare reads not equal
-    and clearly apart.  A modulus can overflow only where a value has a
-    part of 2^1021 or more (or NaN), so then it compares every cell.
+    and clearly apart.  Its values are _values's row of p: where they
+    are not all finite it refuses as the table does, and a modulus can
+    overflow only where a value has a part of 2^1021 or more, so then it
+    compares every cell.
 
     One compare_points pass makes validate_params's root-of-unity guard
     (unless p is known to be valid, or the guard's closed form clears
@@ -356,13 +253,13 @@ class _KindTable:
         rows = [(powers[0], 1.0)] if guard_at else []
         kind_at = len(rows)
         if k is not None and self.errors[0] is None:
-            try:
-                values = np.array(_point_values(p, self.n), dtype=complex)
-            except (OverflowError, ZeroDivisionError) as exc:
-                held = exc
+            (values,) = _values(np.array([[p.k0, p.k1, p.u0, p.u1, p.q_half]], dtype=complex),
+                                self.n)
+            top = np.abs(values.view(float)).max()
+            if not top < np.inf:
+                held = OverflowError(_OUT_OF_RANGE)
             else:
-                wide = not np.abs(values.view(float)).max() < 2.0**1021
-                self.cells, at, level_at = _cell_operands(None if wide else row, self.n)
+                self.cells, at, level_at = _cell_operands(None if top >= 2.0**1021 else row, self.n)
                 rows.append((values[at], values[level_at]))
         first = len(rows)
         rows += checks

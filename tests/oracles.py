@@ -15,6 +15,10 @@ the library's kept diagnosis shares and its loop's hoisted scales; the
 product problem's class check is read off the ds factors' dense rows,
 with their eigenvalue pairs from xi_table.
 
+The per-kind stratum values, each a Python expression in the
+parameters, are the ones strata's numpy values replaced: the oracle that
+its stratum cells are checked against.
+
 Two oracles stand apart from the library's rules.  Sigma_xi membership
 (Crawley-Boevey and Shaw, Adv. Math. 201 (2006)) decides classify from
 root arithmetic alone, and the Burnside rank decides irreducibility from
@@ -73,6 +77,47 @@ def signed_format_scalar(z: complex) -> str:
     sign = "+" if z.imag >= 0 else "-"
     im_s = format(abs(z.imag), ".12g")
     return f"{re_s}{sign}{im_s}i"
+
+
+def signed_product(p: Params, signs: tuple[int, int, int, int]) -> complex:
+    """eps1 k1^eps1 * eps0 k0^eps0 * del1 u1^del1 * del0 u0^del0."""
+    eps0, eps1, del0, del1 = signs
+    return (
+        eps1 * p.k1**eps1
+        * eps0 * p.k0**eps0
+        * del1 * p.u1**del1
+        * del0 * p.u0**del0
+    )
+
+
+def signed_products(p: Params) -> list[complex]:
+    """signed_product(p, signs) for every sign vector (eps0, eps1, del0,
+    del1) in product((1, -1), repeat=4) order: the same left-to-right
+    products, sharing their prefixes."""
+    (k0, k0_), (k1, k1_), (u0, u0_), (u1, u1_) = (
+        (x**1, x**-1) for x in (p.k0, p.k1, p.u0, p.u1))
+    # eps1 k1^eps1 * eps0 k0^eps0, then * del1 u1^del1 * del0 u0^del0
+    k1p, k1m = 1 * k1, -1 * k1_
+    out = []
+    for head in (k1p * 1 * k0, k1m * 1 * k0, k1p * -1 * k0_, k1m * -1 * k0_):
+        u1p, u1m = head * 1 * u1, head * -1 * u1_
+        out += (u1p * 1 * u0, u1m * 1 * u0, u1p * -1 * u0_, u1m * -1 * u0_)
+    return out
+
+
+def point_values(p: Params, n: int) -> list[complex]:
+    """Point p's 24 row values, then its level values of the three row
+    groups (products, products, t^(2s)), as the per-kind Python
+    expressions, in the layout of a row of strata._values: the signed
+    products, t^(2s), then q_half^(-1-2m) twice and -(q^m), m = 0..n.
+    Python's ** raises OverflowError or ZeroDivisionError where a power
+    leaves the float range."""
+    qh, q = p.q_half, p.q
+    product_rhs = [qh ** (-1 - 2 * m) for m in range(n + 1)]
+    neg_q_powers = [-(q**m) for m in range(n + 1)]
+    values = signed_products(p)
+    values += (p.k0**2, p.k0**-2, p.k1**2, p.k1**-2, p.u0**2, p.u0**-2, p.u1**2, p.u1**-2)
+    return values + product_rhs + product_rhs + neg_q_powers
 
 
 # s(r) is the root r' when |s(r) - r'| <= ROOT_MATCH_RTOL * |s(r)|; the

@@ -114,10 +114,11 @@ def _refusal_cases() -> list[tuple]:
     cases += [(Type2(1, 1, 1, 1, 2), _with(generic, k0=0)),
               (Type2(1, 1, 1, 1, 2), _with(generic, q_half=float("inf"))),
               (Type2(1, 1, 1, 1, 2), _with(generic, q_half=1e155))]
-    # out of the float range at level 20: q_half^(-41) overflows in **
-    # (as a float or complex q_half) or underflows to a zero divisor, a
-    # modulus overflows in the stratum comparison (k0^2 with both parts
-    # near 1.3e308), or in the ladder's (forced only)
+    # out of the float range at level 20: the stratum values leave it
+    # (guarded) or the ladder's q_half^(-41) overflows in ** (as a float or
+    # complex q_half) or underflows to a zero divisor (forced), a modulus
+    # overflows in the stratum comparison (k0^2 with both parts near
+    # 1.3e308), or in the ladder's (forced only)
     big = cmath.sqrt(1.3e308 * (1 + 1j))
     for kind in (Type2(1, 1, 1, 1, 20), Type1F(0, -1, 20)):
         cases += [(kind, Params(2, 3, 5, 7, q)) for q in (1e15, complex(1e15), complex(1e-20))]
@@ -168,7 +169,8 @@ def test_build_refusals_keep_their_type_message_and_order():
             "IdealNotInvariantError"} <= {c[3][0] for c in cases}
     messages = {c[3][1] for c in cases}
     assert {"two roots of the divisor coincide", "absolute value too large",
-            "q = q_half^2 is not finite", "complex exponentiation"} <= messages
+            "q = q_half^2 is not finite", "complex exponentiation",
+            strata._OUT_OF_RANGE} <= messages
     assert {m[-2:] for m in messages if "fixed point" in str(m)} == {"s0", "s1"}
     assert any(str(m).count("neq.") > 1 for m in messages)
 

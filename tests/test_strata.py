@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import json
 from functools import lru_cache, partial
 from itertools import groupby, permutations, product
 from operator import attrgetter
@@ -35,11 +36,10 @@ from daha_cc1.strata import (
     sample_generic_params,
     sample_stratum_params,
     sigma_membership,
-    signed_product,
     stratum_verdicts,
     verdict_to_json,
 )
-from oracles import sigma_xi_hits
+from oracles import point_values, sigma_xi_hits, signed_product
 
 
 def test_xi_rows_have_fixed_products(generic_params):
@@ -413,7 +413,7 @@ def _as_pair(v):
 
 
 def _per_kind_values(p, n):
-    """strata._point_values(p, n) as the per-kind expressions, one value
+    """oracles.point_values(p, n) as the per-kind expressions, one value
     at a time, in its order: q_half^(-1-2m), -(q^m), the signed products
     by their rows, t^(2s) by theirs."""
     product_rhs = [p.q_half ** (-1 - 2 * m) for m in range(n + 1)]
@@ -441,12 +441,13 @@ def _assert_matches_oracle(p, single_kind_levels):
     table = _Table([p], N_ORACLE)
     for k in reversed(_REAL_KINDS):
         assert _as_pair(sigma_membership(p, k, table=table)) == _as_pair(oracle[k]), k
-    # every compared value is the per-kind expression, to the last bit
-    point = strata._point_values(p, N_ORACLE)
+    # the oracle's values are the per-kind expressions, to the last bit
+    point = point_values(p, N_ORACLE)
     assert _bits(point) == _bits(_per_kind_values(p, N_ORACLE))
     values, product_rhs = point[:24], point[24 : 24 + N_ORACLE + 1]
     neg_q_powers = point[24 + 2 * (N_ORACLE + 1) :]
     # and every cell of the grid that the rule reads is the scalar verdict
+    # on them: no cell of these points lies within _BAND of a threshold
     levels = {"products": product_rhs, "t": neg_q_powers}
     for row, value in enumerate(values):
         level_values = levels["products" if row < 16 else "t"]
@@ -496,7 +497,7 @@ def test_point_values_are_the_per_kind_expressions_to_the_bit(rng, n):
     points = [*_EDGE_POINTS, *(sample_generic_params(rng) for _ in range(4))]
     outcomes = []
     for p in points:
-        outcomes.append(outcome(lambda: strata._point_values(p, n)))
+        outcomes.append(outcome(lambda: point_values(p, n)))
         assert outcomes[-1] == outcome(lambda: _per_kind_values(p, n)), p
     # the values held what they were chosen for, and ** raised each way
     values = [v for o in outcomes[:6] for v in o]
@@ -965,27 +966,36 @@ def test_a_points_outcome_does_not_depend_on_its_batch():
         alone = [_outcome(lambda: classify_params(p, n_max)) for p in pts]
         for size in (1, 7, 16, len(pts)):
             assert _batched(pts, size, n_max) == alone, (n_max, size)
-    # every refusal type is reached
-    assert {o for o in alone if isinstance(o, type)} >= {
-        core.ZeroParameterError, core.RootOfUnityError, OverflowError, ZeroDivisionError
-    }
+    # every refusal type is reached, and a value that leaves the float
+    # range is the stated OverflowError, never a ZeroDivisionError
+    refusals = {o for o in alone if isinstance(o, type)}
+    assert refusals >= {core.ZeroParameterError, core.RootOfUnityError, OverflowError}
+    assert ZeroDivisionError not in refusals
     for p in _compare_overflow_points():
         with pytest.raises(OverflowError):
             classify_params(p, N_ORACLE)
 
 
-# -- numpy's values against the exact pass ----------------------------------
+# -- the table's verdicts against the per-kind oracle ----------------------
 #
-# A table of strata.NUMPY_MIN points or more reads a point's verdicts off
-# numpy's values when the filter, widened by strata.SLACK, decides every
-# cell, and sends the point to the exact path otherwise.  Its verdicts
-# and errors must be the exact path's at the point alone, in every block.
-
-
-def _exact_pass(p, n):
-    """The exact path's eq and apart cells and error at p alone."""
-    eq, apart, errors = strata._exact_cells([p], core.validation_errors([p]), n, p.tol)
-    return eq[0].tolist(), apart[0].tolist(), _error_key(errors[0])
+# A table reads every cell off numpy's values (strata._values); the
+# per-kind Python expressions (oracles.point_values) are the oracle.  The
+# two differ by rounding alone.  Each value of either is a chain of
+# complex products and quotients, each step within a few ulps of exact in
+# modulus (a product within sqrt(5), a quotient within about 4).  The
+# longest chains are the level values at n = 20: numpy's q_half^(-41) is
+# 1/q_half times 20 powers of 1/q_half^2, about 41 * 4 + 40 * 2.3, or 260
+# ulps off exact; Python's c_powu squaring chain and quotient about 100;
+# the products, t^(2s) and -q^m fewer.  So the two values are within
+# about 360 ulps (8e-14) of each other in modulus, relative, and the
+# ratio |a - b| / max(|a|, |b|), at most 2, moves by at most about 4
+# times that (3e-13).  A cell may take another verdict than the oracle's
+# only where the oracle's ratio lies that close to eq_tol or ineq_margin:
+# _BAND, in ratio units, leaves a factor of 30.  The chains hold while no
+# value overflows, underflows or goes subnormal; where one of the
+# oracle's does, ** raises or a value is not finite, and the table
+# refuses with its stated OverflowError.
+_BAND = 1e-11
 
 
 def _error_key(error):
@@ -993,8 +1003,9 @@ def _error_key(error):
 
 
 def _tight_planted_points():
-    """Planted points at eq_tol 1e-13: the slack covers the ratio of every
-    equal cell, so no point with one is decided off numpy's values."""
+    """Planted points at eq_tol 1e-13: the ratio of every equal cell lies
+    within _BAND of eq_tol, so an eq_tol that tight decides on rounding
+    noise."""
     tol = Tolerance(eq_tol=1e-13)
     return [dataclasses.replace(p, tol=tol) for p in _planted_points()]
 
@@ -1010,67 +1021,147 @@ def _numpy_tier() -> tuple:
             *_BIG_POINTS, *REFUSED_POINTS, *_tight_planted_points(), *generic)
 
 
-def _counted_point_values(monkeypatch) -> list:
-    """The points strata._point_values is called at from now on."""
-    calls, point_values = [], strata._point_values
-
-    def counted(p, n):
-        calls.append(p)
-        return point_values(p, n)
-
-    monkeypatch.setattr(strata, "_point_values", counted)
-    return calls
+def _oracle_cells(points, n):
+    """The oracle at points, which share one tolerance: each point's error
+    key (validate_params's; the table's stated OverflowError where the
+    Python values raise or are not all finite; abs()'s where their
+    comparison marks the point over), and the eq and apart cells of its
+    Python values in one compare_points pass, and each cell's ratio
+    |a - b| / max(|a|, |b|).  A refused point's row holds ones."""
+    errors, rows = [], []
+    for p, error in zip(points, core.validation_errors(points)):
+        values = None
+        if error is None:
+            try:
+                values = point_values(p, n)
+            except (OverflowError, ZeroDivisionError):
+                pass
+            if values is None or not all(map(cmath.isfinite, values)):
+                error, values = OverflowError(strata._OUT_OF_RANGE), None
+        errors.append(error)
+        rows.append(values or [1] * (24 + 3 * (n + 1)))
+    flat = np.array(rows, dtype=complex)
+    a = flat[:, None, :24].reshape(-1, 1, 3, 8)
+    b = flat[:, 24:].reshape(-1, 3, n + 1).transpose(0, 2, 1)[..., None]
+    eq, apart, over = core.compare_points(a, b, points[0].tol)
+    errors = core.overflow_errors(errors, over)
+    refused = [e is not None for e in errors]
+    eq[refused] = apart[refused] = False
+    with np.errstate(all="ignore"):
+        ratio = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    return ([_error_key(e) for e in errors], eq.reshape(len(points), -1),
+            apart.reshape(len(points), -1), ratio.reshape(len(points), -1))
 
 
 @pytest.mark.parametrize("n", [6, N_ORACLE])
-def test_the_table_gives_the_exact_pass_verdicts_and_errors(monkeypatch, n):
-    pts = _numpy_tier()
-    alone = [_exact_pass(p, n) for p in pts]
+def test_the_table_gives_the_oracle_verdicts_outside_the_band(n):
+    runs = [list(run) for _, run in groupby(_numpy_tier(), key=attrgetter("tol"))]
+    oracle = [_oracle_cells(run, n) for run in runs]
+    errors = [e for o in oracle for e in o[0]]
     # the tier reaches every refusal, equal cells and close cells
-    assert {a[2][0] for a in alone if a[2]} >= {
-        core.ZeroParameterError, core.RootOfUnityError, OverflowError, ZeroDivisionError}
-    assert any(True in eq for eq, _, _ in alone) and any(False in apart for _, apart, _ in alone)
-    exact = _counted_point_values(monkeypatch)
+    assert {e[0] for e in errors if e} >= {
+        core.ZeroParameterError, core.RootOfUnityError, OverflowError}
+    assert {e[1] for e in errors if e and e[0] is OverflowError} >= {
+        strata._OUT_OF_RANGE, "absolute value too large"}
+    assert any(o[1].any() for o in oracle) and not all(o[2].all() for o in oracle)
+    # the tight planted points hold equal cells, all inside the band
+    assert sum(eq.any(axis=1).sum() for run, (_, eq, _, _) in zip(runs, oracle)
+               if run[0].tol.eq_tol == 1e-13) >= 7
+    found = {}
     for size in (1, 4, 16, 64):
-        exact.clear()
-        got = []
-        for _, run in groupby(pts, key=attrgetter("tol")):
-            run = list(run)
+        got, off = [], []
+        for run, (_, eq, apart, ratio) in zip(runs, oracle):
+            tol = run[0].tol
             for lo in range(0, len(run), size):
                 t = _Table(run[lo : lo + size], n)
-                got += zip(t.eq_cells.tolist(), t.apart_cells.tolist(), map(_error_key, t.errors))
-        assert [i for i, (g, a) in enumerate(zip(got, alone)) if g != a] == [], (n, size)
-        fell_back = {id(p) for p in exact}
-        if size >= strata.NUMPY_MIN:
-            # numpy's values decide most points, and no tight-tolerance
-            # point with an equal cell
-            assert len(exact) < len(pts) / 10, (n, size)
-            tight = [p for p, (eq, _, _) in zip(pts, alone) if p.tol.eq_tol == 1e-13 and True in eq]
-            assert len(tight) >= 7 and all(id(p) in fell_back for p in tight)
-        else:  # the exact path at every point that validate_params accepts
-            assert len(exact) == sum(core.validation_errors([p]) == [None] for p in pts)
+                got += map(_error_key, t.errors)
+                differ = (t.eq_cells != eq[lo : lo + size]) | (t.apart_cells != apart[lo : lo + size])
+                for i, cell in zip(*differ.nonzero()):
+                    r = ratio[lo + i, cell]
+                    off.append((id(run[lo + i]), cell,
+                                min(abs(r - tol.eq_tol), abs(r - tol.ineq_margin))))
+        assert got == errors, (n, size)
+        assert all(d <= _BAND for *_, d in off), (n, size, off)
+        found[size] = off
+    # a point's cells are its own: the same cells differ in every block
+    assert found[1] == found[4] == found[16] == found[64]
+    # and they are few: 5 cells at n 6 and 15 at n 20 (numpy 2.4, x86-64),
+    # each at a _moved_points point, placed on a threshold on purpose
+    assert len(found[1]) <= len(errors) // 100
 
 
-def test_a_block_of_planted_and_generic_points_computes_no_python_values(monkeypatch, rng):
+@pytest.mark.parametrize("n", [0, 6, N_ORACLE])
+def test_a_points_values_are_the_same_bits_in_any_block(n):
+    """Each of 4,096 random points, whose parameters' moduli run from
+    about 1e-9 to 1e8, has the same value row, to the bit, alone and
+    inside blocks of 7, 16 and 64 points."""
+    rng = np.random.default_rng(1919)
+    x = (np.exp(rng.normal(0.0, 5.0, (4096, 5)))
+         * np.exp(1j * rng.uniform(0.0, 2 * np.pi, (4096, 5))))
+    alone = np.concatenate([strata._values(x[i : i + 1], n) for i in range(len(x))])
+    for size in (7, 16, 64):
+        block = np.concatenate([strata._values(x[lo : lo + size], n)
+                                for lo in range(0, len(x), size)])
+        assert block.tobytes() == alone.tobytes(), size
+
+
+def test_a_block_of_planted_and_generic_points_computes_no_python_values(rng):
     pts = _planted_points()[:8] + [sample_generic_params(rng) for _ in range(8)]
-    exact = _counted_point_values(monkeypatch)
     outcomes = strata.classify_points(pts, N_ORACLE)
-    assert exact == []
     assert all(len(hits) >= 1 for hits in outcomes[:8]) and outcomes[8:] == [[]] * 8
 
 
-def test_a_point_outside_the_range_guard_alone_takes_the_exact_path(monkeypatch):
+def _point_flags(p):
+    """A points-file row that parses back to exactly the double pairs of p."""
+    return ",".join(f"{z.real!r}{z.imag:+.17g}i"
+                    for z in (complex(getattr(p, nm)) for nm in (*_T_NAMES, "q_half")))
+
+
+def test_a_far_point_classifies_from_its_values_and_an_overflowing_one_refuses(
+    capsys, tmp_path
+):
     pts = _planted_points()[:16]
-    # (2n + 2) |log2 |q_half|| is about 990 at level 20
-    far = pts[5] = _with(pts[5], q_half=pts[5].q_half * 1e7)
-    exact = _counted_point_values(monkeypatch)
-    outcomes = strata.classify_points(pts, N_ORACLE)
-    assert len(exact) == 1 and exact[0] is far
-    assert outcomes == [classify_params(p, N_ORACLE) for p in pts]
+    # |q_half| about 1.4e7, where (2n + 2) |log2 |q_half|| is about 990 at
+    # level 20, yet every value, and every Python power, is finite; moved
+    # back onto the stratum of the kind planted there
+    kind = _kinds_at(3)[3]
+    far = pts[5] = _plant(_with(pts[5], q_half=pts[5].q_half * 1e7), kind)
+    oracle = {k: _per_kind_sigma_membership(far, k) for k in _REAL_KINDS}
+    hits = _per_kind_classify(oracle.__getitem__, N_ORACLE)
+    assert kind in dict(hits)
+    assert classify_params(far, N_ORACLE) == hits
+    assert strata.classify_points(pts, N_ORACLE)[5] == hits
+    # |q_half| about 1.4e9: -q^20 overflows
+    big = _with(pts[5], q_half=pts[5].q_half * 1e2)
+    with pytest.raises(OverflowError) as refused:
+        classify_params(big, N_ORACLE)
+    assert str(refused.value) == strata._OUT_OF_RANGE
+    # as a scan error row, the other rows as without it
+    argv = ["scan", "--points-file", str(tmp_path / "pts.csv"), "--format", "csv", "--n-max", "20"]
+    rows = [_point_flags(p) for p in pts]
+    (tmp_path / "pts.csv").write_text("\n".join(rows) + "\n")
+    assert cli.main(argv) == 0
+    alone = capsys.readouterr().out.splitlines()
+    (tmp_path / "pts.csv").write_text("\n".join([*rows, _point_flags(big)]) + "\n")
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == alone and lines[-1].endswith(",error:OverflowError")
+    # and from a guarded build
+    flags = [f"--{nm.replace('_', '-')}={v}" for nm, v in
+             zip((*_T_NAMES, "q_half"), _point_flags(big).split(","))]
+    assert cli.main(["construct", *flags, "--kind", "T2[++,++;n=20]"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["error"] == f"OverflowError: {strata._OUT_OF_RANGE}"
 
 
 def test_a_one_point_classify_computes_its_values_once(monkeypatch):
     p = _planted_points()[0]
-    exact = _counted_point_values(monkeypatch)
+    calls, values = [], strata._values
+
+    def counted(x, n):
+        calls.append(len(x))
+        return values(x, n)
+
+    monkeypatch.setattr(strata, "_values", counted)
     assert classify_params(p, N_ORACLE)
-    assert len(exact) == 1
+    assert calls == [1]
