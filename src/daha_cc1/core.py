@@ -123,10 +123,11 @@ def decide(gap: float, scale: float, tol: Tolerance = DEFAULT_TOL) -> bool | Non
     """The three-way decision of a gap against its scale: True (apart)
     when gap > ineq_margin * scale, False (equal) when gap <= eq_tol *
     scale, None in the band between.  A pair's gap is |a - b| at scale
-    max(|a|, |b|); a ratio already relative to its scale is the gap at 1."""
+    max(|a|, |b|); a ratio already relative to its scale is the gap at 1.
+    An infinite gap is never equal: at an infinite scale it is in the band."""
     if gap > tol.ineq_margin * scale:
         return True
-    return False if gap <= tol.eq_tol * scale else None
+    return False if gap <= tol.eq_tol * scale and gap < math.inf else None
 
 
 def worst(residuals: Collection[float]) -> float:
@@ -186,8 +187,9 @@ def _exact(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     eq, apart = gap <= tol.eq_tol * scale, gap > tol.ineq_margin * scale
     over = np.zeros(len(eq), dtype=bool)
     # where max(|a|, |b|) < 2^1022, |a - b| < 2^1023 is finite too: only
-    # a larger (or NaN) scale can go with an infinite modulus
+    # a larger (or NaN) scale can go with an infinite modulus, or gap
     if not scale.max(initial=0.0) < 2.0**1022:
+        eq &= gap < np.inf  # an infinite gap is never equal, as in decide
         for z, modulus in zip((a - b, a, b), moduli):
             lost = np.broadcast_to(np.isinf(modulus) & np.isfinite(z), eq.shape)
             over |= lost.reshape(len(eq), -1).any(axis=1)

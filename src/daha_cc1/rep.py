@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Literal, Optional
+from typing import Literal, NamedTuple, Optional
 
 import numpy as np
 
@@ -241,15 +241,53 @@ def _ladder_shape(kind: RootKind) -> tuple[int, bool]:
 # -- the pairing ---------------------------------------------------------
 
 
+class _Layout(NamedTuple):
+    """What depends on a pairing w alone (see _layout): w, the rows
+    0..dim-1, the flat index i * dim + w[i] of each row's paired entry,
+    the lone mask w[i] = i, the first rows i < w[i] of the pairs; as
+    tuples, the pairs (i, w[i]) and the lone rows; and the gathers of
+    _ladder_cells.  Its arrays are read-only."""
+
+    partner: np.ndarray
+    rows: np.ndarray
+    paired: np.ndarray
+    lone: np.ndarray
+    first: np.ndarray
+    pairs: tuple
+    lone_rows: tuple
+    cells: tuple[np.ndarray, np.ndarray]
+
+
+def _layout(w: np.ndarray) -> _Layout:
+    """The layout of the pairing w, made once for its dtype and bytes: every
+    rep of a ladder shares its layouts."""
+    return _layout_of(w.dtype.char, w.tobytes())
+
+
+@functools.lru_cache(maxsize=256)
+def _layout_of(dtype: str, partners: bytes) -> _Layout:
+    w = np.frombuffer(partners, dtype=dtype)  # read-only, as bytes are
+    rows = np.arange(w.size)
+    upper = (w.size + 1) // 2  # the upper chain of a ladder of w.size roots
+    cells = (np.concatenate((rows[:upper].repeat(w.size - upper), rows, rows)),
+             np.tile(rows[upper:], upper))
+    layout = _Layout(w, rows, rows * w.size + w, w == rows, rows[w > rows],
+                     tuple((i, j) for i, j in enumerate(w.tolist()) if i < j),
+                     tuple(np.flatnonzero(w == rows).tolist()), cells)
+    for a in (rows, layout.paired, layout.lone, layout.first, *cells):
+        a.flags.writeable = False
+    return layout
+
+
 @functools.lru_cache(maxsize=128)
-def _ladder_pairs(n: int, dual: bool) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
+def _ladder_pairs(n: int, dual: bool) -> tuple[tuple[_Layout, ...], tuple[np.ndarray, ...]]:
     """The roots of dual_ladder_roots(n, ...) if dual, else ladder_roots, are
     the symbols (1, e) of the upper chain, then (-1, e) of the lower, for
-    the root a^sigma q_half^e.  Returns the upper chain's size and the s0
-    and s1 partners: s0 (r -> q/r) maps (sigma, e) to (-sigma, 2 - e), s1
-    (r -> 1/r) to (-sigma, -e), and a root whose image is no root is lone.
-    The arrays depend on the level alone: every rep of the ladder shares
-    them, read-only."""
+    the root a^sigma q_half^e.  Returns the layouts of the s0 and s1
+    pairings and their partner arrays: s0 (r -> q/r) maps (sigma, e) to
+    (-sigma, 2 - e), s1 (r -> 1/r) to (-sigma, -e), and a root whose
+    image is no root is lone.  They depend on the level alone: every rep
+    of the ladder shares the layouts' read-only arrays."""
     m = abs(n)
     if dual:
         plus, minus = range(0, -2 * m, -2), range(2, 2 * m + 2, 2)
@@ -257,23 +295,20 @@ def _ladder_pairs(n: int, dual: bool) -> tuple[int, tuple[np.ndarray, np.ndarray
         plus, minus = range(1, 2 * m + 2 if n >= 0 else 2 * m, 2), range(1 - 2 * m, 0, 2)
     symbols = [(1, e) for e in plus] + [(-1, e) for e in minus]
     index = {sym: i for i, sym in enumerate(symbols)}
-    pairs = tuple(np.array([index.get((-sg, k - e), i) for i, (sg, e) in enumerate(symbols)])
-                  for k in (2, 0))
-    for w in pairs:
-        w.flags.writeable = False
-    return len(plus), pairs
+    layouts = tuple(_layout(np.array([index.get((-sg, k - e), i)
+                                      for i, (sg, e) in enumerate(symbols)])) for k in (2, 0))
+    return layouts, tuple(layout.partner for layout in layouts)
 
 
 @np.errstate(all="ignore")
-def _ladder_cells(roots: np.ndarray, n_upper: int, p: Params) -> tuple[np.ndarray, np.ndarray]:
+def _ladder_cells(roots: np.ndarray, layout: _Layout, p: Params) -> tuple[np.ndarray, np.ndarray]:
     """The pairs of values _check_ladder reads: each root of the upper
     chain against each of the lower (in one chain they differ by powers
     of q), then each root r against q/r and against 1/r.  They compare
     the roots, not a^2 and q_half^k, which leave the float range first.
     They are made before the point is validated, so quietly."""
-    upper, lower = roots[:n_upper], roots[n_upper:]
-    return (np.concatenate((upper.repeat(lower.size), roots, roots)),
-            np.concatenate((lower[None].repeat(upper.size, axis=0).ravel(), p.q / roots, 1 / roots)))
+    left, right = layout.cells
+    return roots[left], np.concatenate((roots[right], p.q / roots, 1 / roots))
 
 
 def _check_ladder(roots: np.ndarray, apart: np.ndarray, over: bool) -> None:
@@ -294,13 +329,14 @@ def _rows(M: np.ndarray, w: np.ndarray) -> tuple:
     """Per row i of M on the pairing w: the diagonal entry, the entry in
     column w[i] (0 on a lone row) and the largest modulus elsewhere, or
     None when every other entry is 0."""
-    rows = np.arange(w.size)
     if M.shape != (w.size, w.size):
         raise PairingError(f"a {M.shape} matrix on {w.size} roots")
-    d, o = M.diagonal(), np.where(w == rows, 0.0, M[rows, w])
+    layout = _layout(w)
+    d, o = M.diagonal(), M.take(layout.paired)
+    o[layout.lone] = 0.0
     if np.count_nonzero(M) == np.count_nonzero(d) + np.count_nonzero(o):
         return d, o, None
-    rest = np.abs(M)
+    rest, rows = np.abs(M), layout.rows
     rest[rows, rows] = rest[rows, w] = 0.0
     return d, o, rest.max(axis=1)
 
@@ -311,17 +347,6 @@ def _strict(rows: tuple) -> tuple:
     if rows[2] is not None:
         raise PairingError("a matrix entry lies outside the pairing of its roots")
     return rows
-
-
-@functools.lru_cache(maxsize=256)
-def _blocks(dtype: str, partners: bytes) -> tuple[list, list, list]:
-    """The blocks of the pairing whose partner array has this dtype and
-    these bytes: each pair (i, w[i]) with i < w[i], each lone row i with
-    w[i] = i, and the pairs then the lone rows as (i, j) blocks."""
-    w = np.frombuffer(partners, dtype=dtype).tolist()
-    pairs = [(i, j) for i, j in enumerate(w) if i < j]
-    lone = [i for i, j in enumerate(w) if i == j]
-    return pairs, lone, pairs + [(i, i) for i in lone]
 
 
 def _quadratic(
@@ -339,7 +364,8 @@ def _quadratic(
     the band.  Python scalars: numpy kernels cost more at these sizes."""
     d, o, rest = rows
     d, o = d.tolist(), o.tolist()
-    pairs, lone, blocks = _blocks(w.dtype.char, w.tobytes())
+    layout = _layout(w)
+    pairs, lone = layout.pairs, layout.lone_rows
     trace, det = e1 + e2, e1 * e2
     trace_scale, det_scale = abs(e1) + abs(e2), abs(det)
     scale, jordan = max(abs(e1), abs(e2)), approx_eq(e1 / e2, 1.0, tol)
@@ -363,7 +389,7 @@ def _quadratic(
         adds.append(False if jordan else decide(gap, max(abs(x / e1), 1.0), tol))
     if rest is not None:  # entries outside the blocks
         rest = rest.tolist()
-        for k, (i, j) in enumerate(blocks):
+        for k, (i, j) in enumerate(pairs + tuple((i, i) for i in lone)):
             if rest[i] or rest[j]:
                 size = abs(d[i]) if i == j else max(abs(d[i]), abs(d[j]), abs(o[i]), abs(o[j]))
                 loose = worst((rest[i], rest[j])) / max(size, scale)
@@ -392,7 +418,7 @@ def _product(a1: tuple, a2: tuple, a3: tuple, a4: tuple,
     terms = (*_pair_product(_strict(a1), _strict(a2), s0),
              *_pair_product(_strict(a4), _strict(a3), s1))
     s, t = (np.array(part) for part in zip(*terms))
-    target = np.zeros_like(s)
+    target = np.zeros(s.shape, dtype=complex)
     target[0], target[2] = z, 1 / z
     scale = np.maximum(np.abs(s) + np.abs(t), np.abs(target))
     res = np.abs(s + t - target) / np.where(scale > 0, scale, 1.0)
@@ -402,11 +428,12 @@ def _product(a1: tuple, a2: tuple, a3: tuple, a4: tuple,
 # -- quotient construction -----------------------------------------------
 
 
-def _eval_matrix(
-    g: Generator, sign: int, p: Params, roots: np.ndarray, partner: np.ndarray
+def _eval_matrices(
+    side: str, signs: tuple[int, int], p: Params, roots: np.ndarray, layouts: tuple
 ) -> tuple[np.ndarray, float]:
-    """The generator's matrix in the evaluation basis at the roots, and
-    its ideal certificate.
+    """The matrices of the side's two directly-defined generators (its s0
+    one, then its s1 one) in the evaluation basis at the roots, stacked,
+    and their ideal certificate.
 
     (Tf)(r) = c(r) f(r) + (sigma - c(r)) f(s r), so a paired root's row
     holds c(r) on the diagonal and sigma - c(r) in the column of s(r).
@@ -415,27 +442,35 @@ def _eval_matrix(
     for sigma = t and for sigma = -1/t.  At a lone root the
     ideal (E) is invariant only if sigma = c(r); the certificate is the
     worst |sigma - c(r)| / max(1, |sigma| + |c(r)|) over those roots,
-    and their entry is sigma itself."""
-    sigma, alpha, beta = _sigma_alpha_beta(g, sign, p)
-    w = p.q_half / roots if g.involution == 0 else roots
+    and their entry is sigma itself.  Each generator's scalars broadcast
+    down its row of the stack, which rounds as the scalar would."""
+    consts = []
+    for g, sign in zip((g for g in GENERATORS if g.side == side), signs):
+        sigma, alpha, beta = _sigma_alpha_beta(g, sign, p)
+        b = getattr(p, g.b)
+        consts.append((sigma, alpha, beta, b / sigma, 1 / b, abs(sigma)))
+    sigma, alpha, beta, b_sigma, inv_b, size = np.array(consts, dtype=complex).T[..., None]
+    w = np.array((p.q_half / roots, roots))
     den = 1 - w * w
     c = (alpha + beta * w) / den
-    b = getattr(p, g.b)
-    off = (w + b / sigma) * (1 / b - sigma * w) / den
-    rows = np.arange(roots.size)
-    lone = partner == rows
-    M = np.diag(np.where(lone, sigma, c))
-    M[rows[~lone], partner[~lone]] = off[~lone]
-    res = np.abs(sigma - c[lone]) / np.maximum(1.0, abs(sigma) + np.abs(c[lone]))
-    return M, float(res.max(initial=0.0))
+    off = (w + b_sigma) * (inv_b - sigma * w) / den
+    lone = np.array([layout.lone for layout in layouts])
+    res = np.abs(sigma - c) / np.maximum(1.0, size.real + np.abs(c))
+    c = np.where(lone, sigma, c)
+    # a lone row's partner column is its diagonal, which c then overwrites
+    M = np.zeros((2, roots.size, roots.size), dtype=complex)
+    flat = M.reshape(2, -1)
+    for k, layout in enumerate(layouts):
+        flat[k, layout.paired] = off[k]
+    flat[:, :: roots.size + 1] = c
+    return M, float(res[lone].max(initial=0.0))
 
 
-def _block_inverse(M: np.ndarray, partner: np.ndarray) -> np.ndarray:
+def _block_inverse(M: np.ndarray, layout: _Layout) -> np.ndarray:
     """The inverse of a generator: a 2x2 block has eigenvalues t and -1/t,
     so determinant -1, and inverts by swapping and negating its diagonal."""
-    d = np.diagonal(M)
-    inv = M.copy()
-    np.fill_diagonal(inv, np.where(partner == np.arange(d.size), 1 / d, -d[partner]))
+    d, inv = M.diagonal(), M.copy()
+    inv.reshape(-1)[:: d.size + 1] = np.where(layout.lone, 1 / d, -d[layout.partner])
     return inv
 
 
@@ -466,8 +501,8 @@ def build_quotient_rep(
         side, signs, a, n, dual = _ladder(kind, s, p)
         roots = np.array((dual_ladder_roots if dual else ladder_roots)(n, a, p.q_half),
                          dtype=complex)
-        n_upper, (s0, s1) = _ladder_pairs(n, dual)
-        checks, held = [_ladder_cells(roots, n_upper, p)], None
+        layouts, pairs = _ladder_pairs(n, dual)
+        checks, held = [_ladder_cells(roots, layouts[0], p)], None
     except (ValueError, ArithmeticError) as exc:
         checks, held = [], exc
     t = _KindTable(p, None if force else kind, checks)
@@ -485,31 +520,27 @@ def build_quotient_rep(
     # a forced build off the stratum may leave the float range: its
     # matrices then fail a gate below, quietly
     with np.errstate(all="ignore"):
-        (A, res_a), (B, res_b) = (
-            _eval_matrix(g, sign, p, roots, (s0, s1)[g.involution])
-            for g, sign in zip((g for g in GENERATORS if g.side == side), signs)
-        )
-        ideal_res = worst((res_a, res_b))
+        (A, B), ideal_res = _eval_matrices(side, signs, p, roots, layouts)
         if not ideal_res <= IDEAL_RESIDUAL_MAX:
             raise IdealNotInvariantError(ideal_res)
 
         # q^{1/2} T0 T0v and (T1v T1)^{-1} both act by z = diag(roots)
         if side == "P":
             T0, T1 = A, B
-            T0v = _block_inverse(T0, s0) * (roots / p.q_half)
-            T1v = _block_inverse(T1, s1) / roots[:, None]
+            T0v = _block_inverse(T0, layouts[0]) * (roots / p.q_half)
+            T1v = _block_inverse(T1, layouts[1]) / roots[:, None]
         else:
             T0v, T1v = A, B
-            T1 = _block_inverse(T1v, s1) / roots
-            T0 = (roots[:, None] / p.q_half) * _block_inverse(T0v, s0)
+            T1 = _block_inverse(T1v, layouts[1]) / roots
+            T0 = (roots[:, None] / p.q_half) * _block_inverse(T0v, layouts[0])
 
         rep = Rep(
-            T0, T1, T0v, T1v, roots, (s0, s1),
+            T0, T1, T0v, T1v, roots, pairs,
             provenance={
                 "kind": kind_to_str(kind),
                 "poly_side": side,
                 "basis": "eval",
-                "roots": [[r.real, r.imag] for r in roots.tolist()],
+                "roots": roots.view(float).reshape(-1, 2).tolist(),
                 "a": [a.real, a.imag],
                 "ideal_residual": ideal_res,
             },
@@ -537,15 +568,19 @@ def _diagnosis(r: Rep, p: Params, product: bool) -> tuple[dict, list, Optional[f
     last (params, roots, pairs, matrices) content, so a change to any of
     those is read afresh; the product is computed on its first request,
     as its strict pairing check raises where the quadratics do not.
-    A1's rows are read off the dense product, as ds_factors makes it, so
-    the product residual is _product's on the ds factors' _rows to the bit:
-    numpy's complex multiply may round strided and contiguous inputs
-    differently."""
+    A1's rows are q^{1/2} times T0's, a lone row's paired entry +0.0, and
+    T0's rest (only whether it is None is read).  They are the _rows of
+    the dense product ds_factors makes to the bit: numpy picks its complex
+    loop by the operands' shapes (a (1,) by (1,) product can round
+    otherwise than a (1, 1) by (1,) one), but a scalar times a row,
+    strided or gathered, rounds as the dense product does, and stacking
+    operands does not change the bits of any row."""
     content = [r.roots, *r.pairs, *r.generators()]
     key = (p, *((M.dtype.str, M.shape, M.tobytes()) for M in content))
     if r._diagnosis is None or r._diagnosis[0] != key:
         rows = {g.name: _rows(getattr(r, g.name), r.pairs[g.involution]) for g in GENERATORS}
-        rows["A1"] = _rows(p.q_half * r.T0, r.pairs[0])
+        d, o, rest = rows["T0"]  # q_half * 0 may be a signed zero: a lone row's o is +0.0
+        rows["A1"] = p.q_half * d, np.where(_layout(r.pairs[0]).lone, 0.0, p.q_half * o), rest
         quads = [_quadratic(rows[g.name], r.pairs[g.involution], getattr(p, g.t),
                             -1 / getattr(p, g.t), p.tol) for g in GENERATORS]
         r._diagnosis = (key, rows, quads, None)
@@ -580,9 +615,11 @@ def spectrum_of_z(r: Rep, p: Params) -> list[complex]:
     diag, off = (s + t for s, t in _pair_product(rows["A1"], rows["T0v"], w))
     tau, delta = diag + diag[w], diag * diag[w] - off * off[w]
     root = np.sqrt(tau * tau - 4 * delta)
-    big = (tau + np.where(np.abs(tau + root) >= np.abs(tau - root), root, -root)) / 2
-    first, lone = w > np.arange(r.dim), w == np.arange(r.dim)
-    return [complex(v) for v in np.concatenate((big[first], delta[first] / big[first], diag[lone]))]
+    plus, minus = tau + root, tau - root
+    big = np.where(np.abs(plus) >= np.abs(minus), plus, minus) / 2
+    layout = _layout(w)
+    first = layout.first
+    return np.concatenate((big[first], delta[first] / big[first], diag[layout.lone])).tolist()
 
 
 def rho_ladder(s: SignVector, n: int, p: Params) -> list[complex]:
@@ -607,12 +644,12 @@ def commutant_dim(r: Rep, p: Params) -> int:
             off = np.maximum(np.abs(o), np.abs(o[w]))
             size = np.maximum.reduce([np.abs(d), np.abs(d[w]), off])
             weight = np.maximum(weight, off / np.where(size > 0, size, 1.0))
-        for i in np.flatnonzero(w > np.arange(r.dim)).tolist():
+        for i, j in _layout(w).pairs:
             edge = decide(weight[i], 1.0, p.tol)
             if edge is None:
                 raise RankIndeterminateError("commutant entry near threshold")
-            if edge:  # merge the component of w[i] into that of i
-                label = [label[i] if x == label[w[i]] else x for x in label]
+            if edge:  # merge the component of j = w[i] into that of i
+                label = [label[i] if x == label[j] else x for x in label]
     return len(set(label))
 
 

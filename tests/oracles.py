@@ -15,6 +15,10 @@ the library's kept diagnosis shares and its loop's hoisted scales; the
 product problem's class check is read off the ds factors' dense rows,
 with their eigenvalue pairs from xi_table.
 
+Each directly-defined generator's evaluation matrix is also made alone,
+with its scalars as Python numbers, as before the build made the two in
+one stacked pass: the oracle that the stack rounds as each matrix alone.
+
 The per-kind stratum values, each a Python expression in the
 parameters, are the ones strata's numpy values replaced: the oracle that
 its stratum cells are checked against.
@@ -124,6 +128,26 @@ def point_values(p: Params, n: int) -> list[complex]:
 # roots must be ten times further apart, so the match is unique
 ROOT_MATCH_RTOL = 1e-7
 ROOT_SEPARATION_MIN = 10 * ROOT_MATCH_RTOL
+
+
+def eval_matrix(g, sign: int, p: Params, roots: np.ndarray,
+                partner: np.ndarray) -> tuple[np.ndarray, float]:
+    """One directly-defined generator's matrix in the evaluation basis at
+    the roots, and its ideal certificate, as rep's stacked pass makes it
+    for both: c(r) on the diagonal, the factored entry at the partner and
+    sigma on a lone root, whose |sigma - c(r)| is certified."""
+    t, b = getattr(p, g.t), getattr(p, g.b)
+    sigma, alpha, beta = sign * t**sign, t - 1 / t, b - 1 / b
+    w = p.q_half / roots if g.involution == 0 else roots
+    den = 1 - w * w
+    c = (alpha + beta * w) / den
+    off = (w + b / sigma) * (1 / b - sigma * w) / den
+    rows = np.arange(roots.size)
+    lone = partner == rows
+    M = np.diag(np.where(lone, sigma, c))
+    M[rows[~lone], partner[~lone]] = off[~lone]
+    res = np.abs(sigma - c[lone]) / np.maximum(1.0, abs(sigma) + np.abs(c[lone]))
+    return M, float(res.max(initial=0.0))
 
 
 def dense_relations(r: Rep, p: Params) -> dict[str, float]:

@@ -921,7 +921,7 @@ def test_construct_and_ds_check_read_the_ds_block_off_the_relation_check(
     # the build's gate makes the one product check and the one quadratic
     # pass of a construct: the report's relation check, dim vector,
     # spectrum and commutant read the rep's diagnosis, whose rows of each
-    # matrix (four generators and q^{1/2} T0) are read once; ds-check
+    # generator are read once (q^{1/2} T0's are T0's, scaled); ds-check
     # makes one of each for its stored rep
     calls = {"rows": 0, "product": 0, "quadratic": 0}
 
@@ -938,7 +938,7 @@ def test_construct_and_ds_check_read_the_ds_block_off_the_relation_check(
     monkeypatch.setattr(rep_module, "_product", counted("product", rep_module._product))
     monkeypatch.setattr(rep_module, "_quadratic", counted("quadratic", rep_module._quadratic))
     monkeypatch.setattr(dsbridge, "to_ds_tuple", unused)
-    once = {"rows": 5, "product": 1, "quadratic": 4}
+    once = {"rows": 4, "product": 1, "quadratic": 4}
     kind = Type2(1, -1, 1, 1, 3)
     args = _param_args(sample_stratum_params(kind, rng))
     rep_file = tmp_path / "rep.json"

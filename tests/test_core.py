@@ -92,6 +92,31 @@ def test_decide_is_the_three_way_form_of_the_pair_comparators(tol):
         False, False, None, None, True]
 
 
+def test_an_infinite_value_never_reads_equal():
+    # |inf - x| = inf is at most eq_tol * inf, but an infinite gap is not
+    # equal: at an infinite scale it lies in the band
+    inf = math.inf
+    assert not approx_eq(complex(inf, 0), 1e300)
+    assert not clearly_neq(complex(inf, 0), 1e300)
+    assert decide(inf, inf) is None and decide(inf, 1.0) is True
+    # two equal infinities have a NaN gap: not equal either
+    assert not approx_eq(inf, inf) and not approx_eq(complex(0, -inf), complex(0, -inf))
+    # compare_points gives the scalar verdicts in its exact pass and
+    # through its filter alike
+    pairs = [(complex(inf, 0), 1e300), (1e300, -inf), (complex(0, inf), 1e300j), (inf, 1.0),
+             (-inf, -inf), (complex(inf, inf), complex(inf, inf)), (1.0, 1.0), (2.0, 1.0)]
+    a, b = (np.array(col) for col in zip(*pairs))
+    small, large = 1, core.FILTER_MIN // len(pairs) + 1
+    assert small * len(pairs) < core.FILTER_MIN <= large * len(pairs)
+    for reps in (small, large):
+        eq, apart, over = core.compare_points(np.tile(a, reps)[None], np.tile(b, reps)[None],
+                                              DEFAULT_TOL)
+        assert eq[0].tolist() == [approx_eq(x, y) for x, y in pairs] * reps
+        assert apart[0].tolist() == [clearly_neq(x, y) for x, y in pairs] * reps
+        assert not over.any()
+    assert eq[0].tolist()[:len(pairs)] == [False] * 6 + [True, False]
+
+
 def test_clearly_neq_leaves_a_dead_band():
     # between eq_tol and ineq_margin neither predicate fires
     a, b = 1.0, 1.0 + 1e-8

@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from daha_cc1.core import FACTORS, GENERATORS, Params, Tolerance
+from daha_cc1.core import FACTORS, GENERATORS, Params, Tolerance, worst
 from daha_cc1.laurent import (
     LaurentPoly,
     build_E,
@@ -30,8 +30,11 @@ from daha_cc1.rep import (
     Rep,
     SignVector,
     _diagnosis,
+    _eval_matrices,
     _ladder,
+    _ladder_cells,
     _ladder_pairs,
+    _layout,
     _product,
     _quadratic,
     _rows,
@@ -65,6 +68,7 @@ from oracles import (
     burnside_rank,
     dense_block_quadratic,
     dense_dim_vector,
+    eval_matrix,
     float_pairings,
     numerical_rank,
     pair_product_spectrum,
@@ -380,6 +384,19 @@ def test_coincident_roots_are_refused():
         build_quotient_rep(Type2(1, 1, 1, 1, 1), None, p, force=True)
 
 
+def test_a_ladder_with_an_infinite_root_is_refused():
+    # q^{1/2} = 1e144 sends one root of this ladder to -inf and one to
+    # -0.0: compared with the others, the infinite root is neither equal
+    # nor apart, so the forced build refuses as when it read equal
+    kind = Type1E(0, 1, 2)
+    p = Params(k0=2.0, k1=3.0, u0=5.0, u1=7.0, q_half=1e144)
+    _, _, a, level, dual = _ladder(kind, None, p)
+    roots = np.array(ladder_roots(level, a, p.q_half))
+    assert not dual and np.isinf(roots).sum() == 1
+    with pytest.raises(DegenerateLadderError, match="coincide"):
+        build_quotient_rep(kind, None, p, force=True)
+
+
 def test_commutant_needs_a_diagonal_z(rng):
     kind = Type2(1, -1, -1, 1, 2)
     p = sample_stratum_params(kind, rng)
@@ -623,7 +640,8 @@ def test_the_kept_rows_diagnose_as_each_matrix_read_alone():
     # requests of seed 1: the diagnosis read off the kept rows equals, to
     # the bit, each block check on the rows of the rep's own matrices (the
     # product on the ds factors' rows), and the quadratics, spectrum and
-    # commutant read off each matrix's dense rows
+    # commutant read off each matrix's dense rows.  A1's rows, made from
+    # T0's, are the dense product's rows to the bit, signed zeros included
     inputs = _bench_inputs()
     points = [pt for seed in (1, 2, 3) for sweep in inputs.ladder_sweeps(seed) for pt in sweep]
     built = 0
@@ -642,6 +660,9 @@ def test_the_kept_rows_diagnose_as_each_matrix_read_alone():
         assert [residuals[f"quad.{g.name}"] for g in GENERATORS] == [res for res, _ in quads]
         factor_rows = [_rows(M, r.pairs[g.involution]) for M, g in zip(ds_factors(r, p), FACTORS)]
         assert residuals["product"] == _product(*factor_rows, r.roots, *r.pairs)
+        kept, dense = r._diagnosis[1]["A1"], _rows(p.q_half * r.T0, r.pairs[0])
+        assert [a.tobytes() for a in kept[:2]] == [a.tobytes() for a in dense[:2]], pt.kind
+        assert (kept[2] is None) == (dense[2] is None), pt.kind
         assert spectrum_of_z(r, p) == pair_product_spectrum(r, p), pt.kind
         assert commutant_dim(r, p) == block_commutant_dim(r, p), pt.kind
         built += 1
@@ -685,6 +706,75 @@ def test_a_rep_and_its_file_share_the_levels_read_only_pairing(rng, tmp_path):
             w[0] = w[-1]
     other = build_quotient_rep(kind, None, sample_stratum_params(kind, rng))
     assert all(w is v for w, v in zip(r.pairs, other.pairs))
+
+
+# every ladder shape of a kind up to level 20: type-2 and one-leg ladders
+# at levels 0..20 and -20..-1, dual one-leg ladders at 1..20
+LADDER_SHAPES = [(n, False) for n in range(-20, 21)] + [(n, True) for n in range(1, 21)]
+
+
+def test_each_ladder_layout_is_its_pairings_recomputed():
+    # the cached layout of each pairing equals a fresh recomputation from
+    # its partner array, and its cells gather what the upper chain (|n| + 1
+    # roots on a ladder that is not dual at n >= 0, |n| on the others)
+    # against the lower and the s0 and s1 images make, to the bit
+    p = Params(2, 3, 5, 7, 1.3 + 0.4j)
+    rng = np.random.default_rng(21)
+    for n, dual in LADDER_SHAPES:
+        layouts, pairs = _ladder_pairs(n, dual)
+        upper = abs(n) + (not dual and n >= 0)
+        for layout, w in zip(layouts, pairs):
+            assert layout.partner is w and layout is _layout(w.copy())
+            rows = list(range(w.size))
+            assert layout.rows.tolist() == rows
+            assert layout.paired.tolist() == [i * w.size + w[i] for i in rows]
+            assert layout.lone.tolist() == [w[i] == i for i in rows]
+            assert layout.first.tolist() == [i for i in rows if w[i] > i]
+            assert layout.pairs == tuple((i, w[i]) for i in rows if i < w[i])
+            assert layout.lone_rows == tuple(i for i in rows if w[i] == i)
+            roots = rng.normal(size=w.size) + 1j * rng.normal(size=w.size)
+            top, bottom = roots[:upper], roots[upper:]
+            want = (np.concatenate((top.repeat(bottom.size), roots, roots)),
+                    np.concatenate((np.tile(bottom, upper), p.q / roots, 1 / roots)))
+            got = _ladder_cells(roots, layout, p)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (n, dual)
+
+
+def test_every_rep_of_a_shape_shares_its_read_only_layouts(rng, tmp_path):
+    kind = Type2(1, -1, 1, 1, 4)
+    reps = [build_quotient_rep(kind, None, sample_stratum_params(kind, rng)) for _ in range(2)]
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep_to_json(reps[0])))
+    reps.append(rep_from_json(json.loads(path.read_text())))
+    layouts = _ladder_pairs(4, False)[0]
+    for r in reps:
+        assert all(_layout(w) is layout for w, layout in zip(r.pairs, layouts))
+    for layout in layouts:
+        for a in (layout.partner, layout.rows, layout.paired, layout.lone, layout.first,
+                  *layout.cells):
+            with pytest.raises(ValueError):
+                a[0] = a[-1]
+
+
+def test_the_stacked_generators_are_each_generators_matrix_to_the_bit(rng):
+    # both direct generators of a side are one stacked pass: its matrices
+    # and certificate are each matrix made alone to the bit, at dim 1
+    # (level-0 type-2 kinds, where a one-element product may round
+    # otherwise) as at every other level
+    kinds = [Type2(*signs, n) for signs in product((1, -1), repeat=4) for n in (0, 1, 2)]
+    kinds += [kind for kind, _ in enumerate_strict_roots(20) if kind.n in (1, 7, 20)]
+    for kind in kinds:
+        for _ in range(3):
+            p = sample_stratum_params(kind, rng)
+            side, signs, a, n, dual = _ladder(kind, None, p)
+            roots = np.array((dual_ladder_roots if dual else ladder_roots)(n, a, p.q_half))
+            layouts, pairs = _ladder_pairs(n, dual)
+            with np.errstate(all="ignore"):
+                stack, res = _eval_matrices(side, signs, p, roots, layouts)
+                alone = [eval_matrix(g, sign, p, roots, pairs[g.involution])
+                         for g, sign in zip((g for g in GENERATORS if g.side == side), signs)]
+            assert [M.tobytes() for M in stack] == [M.tobytes() for M, _ in alone], kind
+            assert res == worst([r for _, r in alone]), kind
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
