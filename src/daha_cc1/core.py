@@ -325,14 +325,14 @@ def _cleared(q: complex, band: tuple[float, float]) -> bool:
     return r2 <= band[0] or band[1] <= r2 <= 2.0**30
 
 
-def guard_operands(points: Sequence[Params]) -> tuple[list, list, np.ndarray | None,
-                                                      np.ndarray | None]:
-    """The first half of validation_errors: each point's scalar error
-    (a zero or non-finite parameter, or an infinite q), then at: the
-    points without one that the closed form does not clear, and their
-    powers q^1..q^ROOTS_BOUND, which the root-of-unity guard compares
-    with 1, a row per point of at, with where each is in its row's
-    finite prefix (None, None when at is empty)."""
+def validation_errors(points: Sequence[Params]) -> list[ValueError | OverflowError | None]:
+    """The exception validate_params raises at each of points, which
+    share one tolerance, or None where it returns: a zero or non-finite
+    parameter's, or an infinite q's; else, at a point the closed form
+    does not clear, abs()'s OverflowError where the one comparison pass
+    of the powers q^1..q^ROOTS_BOUND with 1, a row per point, marks it
+    over, or RootOfUnityError at the first power of their finite prefix
+    that equals 1."""
     band, errors, at = _guard_band(points[0].tol), [], []
     for i, p in enumerate(points):
         q = p.q
@@ -340,39 +340,16 @@ def guard_operands(points: Sequence[Params]) -> tuple[list, list, np.ndarray | N
         if errors[-1] is None and not _cleared(q, band):
             at.append(i)
     if not at:
-        return errors, at, None, None
-    powers, finite = _unit_powers(np.array([[points[i].q] for i in at]))
-    return errors, at, powers, finite
-
-
-def validation_errors(points: Sequence[Params]) -> list[ValueError | OverflowError | None]:
-    """The exception validate_params raises at each of points, which
-    share one tolerance, or None where it returns.  The root-of-unity
-    guard clears most points by the closed form, and takes the powers of
-    q of the others in one pass, comparing each row's finite prefix with
-    1."""
-    errors, at, powers, finite = guard_operands(points)
-    if not at:
         return errors
+    powers, finite = _unit_powers(np.array([[points[i].q] for i in at]))
     eq, _, over = compare_points(powers, 1.0, points[0].tol)
-    return guard_errors(errors, at, eq, finite, over)
-
-
-def guard_errors(errors: list, at: list, eq: np.ndarray, finite: np.ndarray,
-                 over: np.ndarray) -> list:
-    """The second half of validation_errors: the scalar errors, then at
-    each point of at, whose row of eq, finite and over the comparison of
-    its powers with 1 gives, abs()'s OverflowError where over marks the
-    row, then RootOfUnityError at the first power of the finite prefix
-    that equals 1."""
     # past the prefix, a power reads equal to 1 or not, but is never over;
     # an over row reads no power equal to 1
     for i, o in zip(at, over.tolist()):
         if o:
             errors[i] = OverflowError("absolute value too large")
-    unit = eq & finite
     # row by row, so a point's first match comes first
-    for k in np.flatnonzero(unit).tolist():
+    for k in np.flatnonzero(eq & finite).tolist():
         j, m = divmod(k, ROOTS_BOUND)
         if errors[at[j]] is None:
             errors[at[j]] = RootOfUnityError(m + 1)

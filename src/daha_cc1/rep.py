@@ -491,8 +491,8 @@ def build_quotient_rep(
 
     The stratum guard refuses every point that classify refuses.  With
     force=True only the root-of-unity guard runs (the certification still
-    runs and fails off-stratum).  The guard, the kind's stratum cells
-    and the ladder check are one comparison pass (strata._KindTable); it
+    runs and fails off-stratum).  After it, the kind's stratum cells and
+    the ladder check are one comparison pass (strata._KindTable); it
     refuses in their order: validate_params's exception, the stratum's
     (see sigma_membership), NotOnStratumError, then the ladder's (an
     error in making the ladder, then DegenerateLadderError).
@@ -502,10 +502,10 @@ def build_quotient_rep(
         roots = np.array((dual_ladder_roots if dual else ladder_roots)(n, a, p.q_half),
                          dtype=complex)
         layouts, pairs = _ladder_pairs(n, dual)
-        checks, held = [_ladder_cells(roots, layouts[0], p)], None
+        check, held = _ladder_cells(roots, layouts[0], p), None
     except (ValueError, ArithmeticError) as exc:
-        checks, held = [], exc
-    t = _KindTable(p, None if force else kind, checks)
+        check, held = None, exc
+    t = _KindTable(p, None if force else kind, check)
     if force:
         if t.errors[0] is not None:
             raise t.errors[0]
@@ -515,7 +515,7 @@ def build_quotient_rep(
             raise NotOnStratumError(kind, verdict.failed_conditions)
     if held is not None:
         raise held
-    _, apart, over = t.checks[0]
+    _, apart, over = t.check
     _check_ladder(roots, apart, over)
     # a forced build off the stratum may leave the float range: its
     # matrices then fail a gate below, quietly

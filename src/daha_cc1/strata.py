@@ -23,8 +23,6 @@ from .core import (
     Params,
     Tolerance,
     compare_points,
-    guard_errors,
-    guard_operands,
     overflow_errors,
     # unused here, kept importable: the benchmark's tracer wraps it
     validate_params,  # noqa: F401
@@ -238,47 +236,41 @@ class _KindTable:
     overflow only where a value has a part of 2^1021 or more, so then it
     compares every cell.
 
-    One compare_points pass makes validate_params's root-of-unity guard
-    (unless p is known to be valid, or the guard's closed form clears
-    it), the kind's cells (none without a kind) and checks, (a, b) pairs
-    of 1-D arrays: each is a row, padded with 1 against 1, so an overflow
-    marks only its own row, and checks[i] is check i's (eq, apart,
-    over).  With no row to compare, it makes no pass."""
+    A point that validate_params refuses (unless p is known to be valid)
+    gets no values and no pass.  Else one compare_points pass takes the
+    kind's cells, if any, and check, an (a, b) pair of 1-D arrays whose
+    (eq, apart, over) is self.check: each is a row padded with 1 against
+    1, so an overflow marks only its own row; with no row, no pass."""
 
-    def __init__(self, p: Params, k: RootKind | None, checks=(), valid: bool = False):
-        row = None if k is None else _kind_row(k)
-        self.n, self.cells, held = 0 if k is None else k.n, None, None
-        self.errors, guard_at, powers, finite = (
-            ([None], [], None, None) if valid else guard_operands([p]))
-        rows = [(powers[0], 1.0)] if guard_at else []
-        kind_at = len(rows)
-        if k is not None and self.errors[0] is None:
+    def __init__(self, p: Params, k: RootKind | None, check=None, valid: bool = False):
+        self.n, self.cells, self.check = 0 if k is None else k.n, None, None
+        self.errors = [None] if valid else validation_errors([p])
+        if self.errors[0] is not None:
+            return
+        rows = [] if check is None else [check]
+        if k is not None:
             (values,) = _values(np.array([[p.k0, p.k1, p.u0, p.u1, p.q_half]], dtype=complex),
                                 self.n)
             top = np.abs(values.view(float)).max()
             if not top < np.inf:
-                held = OverflowError(_OUT_OF_RANGE)
-            else:
-                self.cells, at, level_at = _cell_operands(None if top >= 2.0**1021 else row, self.n)
-                rows.append((values[at], values[level_at]))
-        first = len(rows)
-        rows += checks
-        if rows:
-            a, b = pad = np.empty((2, len(rows), max(len(x) for x, _ in rows)), dtype=complex)
-            pad.fill(1.0)
-            for i, (x, y) in enumerate(rows):
-                a[i, : len(x)], b[i, : len(x)] = x, y
-            eq, apart, over = compare_points(a, b, p.tol)
-        if guard_at:
-            self.errors = guard_errors(self.errors, guard_at, eq[:1, : powers.shape[1]], finite,
-                                       over[:1])
+                self.errors[0] = OverflowError(_OUT_OF_RANGE)
+                return
+            self.cells, at, level_at = _cell_operands(None if top >= 2.0**1021 else _kind_row(k),
+                                                      self.n)
+            rows.insert(0, (values[at], values[level_at]))
+        if not rows:
+            return
+        a, b = pad = np.empty((2, len(rows), max(len(x) for x, _ in rows)), dtype=complex)
+        pad.fill(1.0)
+        for i, (x, y) in enumerate(rows):
+            a[i, : len(x)], b[i, : len(x)] = x, y
+        eq, apart, over = compare_points(a, b, p.tol)
         if self.cells is not None:
-            self.errors = overflow_errors(self.errors, over[kind_at : kind_at + 1])
-            self.cell_eq, self.cell_apart = (v[kind_at, : self.cells.size] for v in (eq, apart))
-        if self.errors[0] is None:
-            self.errors[0] = held
-        self.checks = [(eq[i, : len(x)], apart[i, : len(x)], bool(over[i]))
-                       for i, (x, _) in enumerate(checks, first)]
+            self.errors = overflow_errors(self.errors, over[:1])
+            self.cell_eq, self.cell_apart = eq[0, : self.cells.size], apart[0, : self.cells.size]
+        if check is not None:
+            size = len(check[0])
+            self.check = eq[-1, :size], apart[-1, :size], bool(over[-1])
 
     @cached_property
     def verdicts(self) -> tuple[list, list]:

@@ -8,8 +8,9 @@ tests/data/build_refusals.json holds a tier of refused builds, with and
 without force, each with its exception's type and message: points off
 the stratum, on a root of unity, out of the float range at level 20, and
 on two leg equalities t^(2s) = -q^m, where the ladder's roots coincide or
-sit at a fixed point of s0 or s1.  Regenerate both (only when a change of
-output is intended) with
+sit at a fixed point of s0 or s1; and builds that succeed at a q the
+root-of-unity guard's closed form does not clear.  Regenerate both (only
+when a change of output is intended) with
 
     PYTHONPATH=src python tests/test_build_golden.py
 """
@@ -18,6 +19,7 @@ import cmath
 import hashlib
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -127,6 +129,20 @@ def _refusal_cases() -> list[tuple]:
     # the ladder degenerates: on the kind's stratum, and off another's
     for kind, p in _degenerate_points():
         cases += [(kind, p), (Type2(1, 1, 1, 1, 3), p)]
+    return cases + _unclosed_cases()
+
+
+def _unclosed_cases() -> list[tuple]:
+    """(kind, p) on the stratum of four kinds, at a q_half that the
+    guard's closed form does not clear: on the unit circle, 3e-10 off it,
+    and of modulus 200 (|q| past 2^15), each as random_q_half's draw."""
+    rng = np.random.default_rng(3)
+    kinds = [kind_from_str(s) for s in
+             ("T2[+-,++;n=0]", "T1E[i=1,-;n=4]", "T2[-+,-+;n=20]", "T1F[i=0,+;n=20]")]
+    cases = []
+    for qh in (cmath.exp(1j), cmath.exp(0.3j) * (1 + 3e-10), 200 * cmath.exp(0.7j)):
+        with mock.patch.object(strata, "random_q_half", lambda _: qh):
+            cases += [(kind, sample_stratum_params(kind, rng)) for kind in kinds]
     return cases
 
 
@@ -202,25 +218,34 @@ def _count_passes(monkeypatch) -> list:
                          ids=kind_to_str)
 def test_a_build_makes_one_comparison_pass(monkeypatch, rng, kind):
     p = sample_stratum_params(kind, rng)
+    # a point on the unit circle, which the guard's closed form leaves to
+    # the guard's own pass of its powers
+    with monkeypatch.context() as m:
+        m.setattr(strata, "random_q_half", lambda _: cmath.exp(1j))
+        unit = sample_stratum_params(kind, rng)
     calls = _count_passes(monkeypatch)
-    for force in (False, True):
+    for point, passes in ((p, 1), (unit, 2)):
+        for force in (False, True):
+            calls.clear()
+            rep.build_quotient_rep(kind, None, point, force)
+            assert len(calls) == passes, (point, force)
+        # and so does a verdict of one kind without a table
         calls.clear()
-        rep.build_quotient_rep(kind, None, p, force)
-        assert len(calls) == 1, force
-    # and so does a verdict of one kind without a table
-    calls.clear()
-    assert strata.sigma_membership(p, kind).member
-    assert len(calls) == 1
+        assert strata.sigma_membership(point, kind).member
+        assert len(calls) == passes, point
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_refused_build_makes_at_most_one_comparison_pass(monkeypatch):
+    # and the guard's own pass before it, where the closed form does not
+    # clear q
     cases = _load_refusals()
     calls = _count_passes(monkeypatch)
     for kind, p, force, _ in cases:
         calls.clear()
         _outcome(kind, p, force)
-        assert len(calls) <= 1, (kind, p, force)
+        guard = not core._cleared(p.q, core._guard_band(p.tol))
+        assert len(calls) <= 1 + guard, (kind, p, force)
 
 
 def _flags(p: Params) -> list[str]:
@@ -240,8 +265,8 @@ def test_construct_and_ds_check_run_the_root_of_unity_guard_once(
         m.setattr(strata, "random_q_half", lambda _: cmath.exp(1j))
         unit = sample_stratum_params(kind, rng)
     assert abs(unit.q) == pytest.approx(1.0)
-    guards = _counted(monkeypatch, core, "guard_operands")
-    monkeypatch.setattr(strata, "guard_operands", core.guard_operands)
+    guards = _counted(monkeypatch, core, "validation_errors")
+    monkeypatch.setattr(strata, "validation_errors", core.validation_errors)
     powers = _counted(monkeypatch, core, "_unit_powers")
     rep_file = tmp_path / "rep.json"
     for point, runs in ((p, 0), (unit, 1)):

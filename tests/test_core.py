@@ -298,14 +298,12 @@ def _scalar_outcome(p):
     return None if m is None else _guard_outcome(RootOfUnityError(m))
 
 
-def _full_pass(points):
+def _full_pass(monkeypatch, points):
     """validation_errors without the closed form: every valid point's
     powers, in one comparison pass."""
-    errors = [core._scalar_error(p, p.q) for p in points]
-    at = [i for i, e in enumerate(errors) if e is None]
-    powers, finite = core._unit_powers(np.array([[points[i].q] for i in at], dtype=complex))
-    eq, _, over = core.compare_points(powers, 1.0, points[0].tol)
-    return core.guard_errors(errors, at, eq, finite, over)
+    with monkeypatch.context() as m:
+        m.setattr(core, "_cleared", lambda q, band: False)
+        return core.validation_errors(points)
 
 
 _GUARD_TOLS = (1e-15, 1e-9, 1e-6, 1e-3, 0.5)
@@ -343,13 +341,13 @@ def _guard_tier(eq_tol: float) -> dict[str, list[complex]]:
 
 
 @pytest.mark.parametrize("eq_tol", _GUARD_TOLS)
-def test_the_guards_closed_form_gives_the_64_power_pass(eq_tol):
+def test_the_guards_closed_form_gives_the_64_power_pass(monkeypatch, eq_tol):
     tol = Tolerance(eq_tol=eq_tol)
     tier = {g: [_unit_params(qh, tol=tol) for qh in qhs] for g, qhs in _guard_tier(eq_tol).items()}
     points = [p for group in tier.values() for p in group]
     alone = [_guard_outcome(core.validation_errors([p])[0]) for p in points]
     assert alone == [_scalar_outcome(p) for p in points]
-    assert [_guard_outcome(e) for e in _full_pass(points)] == alone
+    assert [_guard_outcome(e) for e in _full_pass(monkeypatch, points)] == alone
     assert [_guard_outcome(e) for e in core.validation_errors(points)] == alone
     # each edge of the closed form is met from both sides, the exact
     # pass's edges are left to the pass, and every outcome is reached
